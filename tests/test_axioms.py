@@ -6,15 +6,20 @@ carrier elements of F_2^n with its own non-skipping arithmetic; agreement
 with the basis-triple engine is what multilinearity promises.
 """
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from halg import (GF, QQ, BilinearMap, DimensionMismatch, KindMismatch,
-                  LinearMap, OperatorFamily, ParamError, ShapeError,
-                  UnknownConditionError, Violation, catalog, check_morphism,
-                  check_side_conditions, check_structure, make_doc,
-                  replay_violation, structure_ok)
+from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
+                  HalgError, KindMismatch, LinearMap, OperatorFamily,
+                  ParamError, ShapeError, UnknownConditionError, Violation,
+                  catalog, check_morphism, check_side_conditions,
+                  check_structure, dendriform_sum, make_doc, rb_to_dendriform,
+                  rb_to_prelie, rb_to_tridendriform, replay_violation,
+                  report_to_jsonable, structure_ok, yau_twist)
 from halg.axioms import DENDRIFORM_AXIOM3_TWIST
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
@@ -509,3 +514,124 @@ def test_basis_checks_agree_with_element_oracle():
     assert not disagreements
     # the sample must exercise both verdicts: dim-1 zero tensors pass
     assert all(pass_seen.values())
+
+
+# --- pinned report bytes ----------------------------------------------------
+
+def _seeded_scalar(field, rng, density):
+    if rng.random() >= density:
+        return 0
+    if field.is_prime_field:
+        return rng.randrange(field.p)
+    return rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+def _seeded_map(field, dim, rng, density):
+    return LinearMap.from_rows(field, [[_seeded_scalar(field, rng, density)
+                                        for _ in range(dim)] for _ in range(dim)])
+
+
+def _seeded_tensor(field, dim, rng, density, alternating):
+    c = [[[_seeded_scalar(field, rng, density) for _ in range(dim)]
+          for _ in range(dim)] for _ in range(dim)]
+    if alternating:
+        for i in range(dim):
+            c[i][i] = [0] * dim
+            for j in range(i):
+                c[i][j] = [-v for v in c[j][i]]
+    return BilinearMap.from_nested(field, c)
+
+
+def _seeded_doc(field, kind, dim, labels, density, rng):
+    decor = max(density, 0.4)
+    lie = "bracket" in KIND_ROLES[kind]
+    twist = (LinearMap.identity(field, dim) if rng.random() < 0.5
+             else _seeded_map(field, dim, rng, decor))
+    if kind in RB_KINDS:
+        prod = _seeded_tensor(field, dim, rng, density, lie)
+        ops = OperatorFamily(
+            ops={lab: _seeded_map(field, dim, rng, decor) for lab in labels},
+            weights={lab: _seeded_scalar(field, rng, 0.5) for lab in labels})
+        if kind in PLAIN_RB_KINDS and rng.random() < 0.5:
+            twist = None
+        return make_doc(field, dim, labels, kind, {KIND_ROLES[kind][0]: prod},
+                        operators=ops, twist=twist)
+    families = {role: {lab: _seeded_tensor(field, dim, rng, density, lie)
+                       for lab in labels}
+                for role in KIND_ROLES[kind]}
+    return make_doc(field, dim, labels, kind, families, twist=twist)
+
+
+def _report_corpus():
+    """(doc, morphism partner) pairs: seeded docs of every kind, field, dim
+    and label count at three tensor densities, plus the catalog fixtures
+    and what the splitting constructions make of them."""
+    rng = random.Random(2002_04796)
+    out = []
+    for field in (GF(2), GF(3), QQ):
+        for kind in KINDS:
+            for dim in (1, 2, 3):
+                for labels in (("a",), ("a", "b")):
+                    group = [_seeded_doc(field, kind, dim, labels, density, rng)
+                             for density in (0.0, 0.25, 0.7)]
+                    out += [(d, group[i - 1]) for i, d in enumerate(group)]
+    for doc in catalog().values():
+        out.append((doc, doc))
+        twist = _seeded_map(doc.field, doc.dim, rng, 0.6)
+        for make in (lambda d: yau_twist(d, twist), rb_to_dendriform,
+                     rb_to_tridendriform, rb_to_prelie,
+                     lambda d: dendriform_sum(rb_to_dendriform(d))):
+            try:
+                made = make(doc)
+            except HalgError:
+                continue
+            out.append((made, made))
+    return out
+
+
+REPORT_DIGEST = "55981c55da5286ede97ce0b0758eab2ccee6dfe630f8a1ba5bf4445a283006d7"
+
+
+def test_report_bytes_are_pinned():
+    """Every check's serialized report over a seeded corpus hashes to a
+    digest pinned before the axiom engine was rewritten; every structure
+    witness replays to its own sides (the verbose reports hold them all)."""
+    digest = hashlib.sha256()
+    passing = failing = 0
+
+    def emit(tag, run, field):
+        try:
+            payload = report_to_jsonable(run(), field)
+        except HalgError as e:
+            payload = type(e).__name__
+        digest.update(json.dumps([tag, payload], separators=(",", ":")).encode())
+        digest.update(b"\n")
+
+    rng = random.Random(4796)
+    for n, (doc, partner) in enumerate(_report_corpus()):
+        field = doc.field
+        for verbose in (False, True):
+            for toggle in (True, False):
+                toggles = {DENDRIFORM_AXIOM3_TWIST: toggle}
+                report = check_structure(doc, verbose=verbose, axiom_toggles=toggles)
+                emit(["structure", n, verbose, toggle], lambda: report, field)
+                for v in report.violations if verbose else ():
+                    assert replay_violation(doc, v, toggles) == (v.lhs, v.rhs), v
+                if not verbose and toggle:
+                    assert structure_ok(doc, toggles) is report.passed
+                    passing += report.passed
+                    failing += not report.passed
+        cand = _seeded_map(field, doc.dim, rng, 0.5)
+        for candidate in (None, cand):
+            for tag in SIDE_CONDITIONS:
+                emit(["side", n, tag, candidate is None],
+                     lambda: check_side_conditions(doc, [tag], candidate), field)
+            emit(["side", n, "all", candidate is None],
+                 lambda: check_side_conditions(doc, SIDE_CONDITIONS, candidate),
+                 field)
+        f = _seeded_map(field, doc.dim, rng, 0.5)
+        emit(["morphism", n, "self"], lambda: check_morphism(f, doc, doc), field)
+        emit(["morphism", n, "partner"],
+             lambda: check_morphism(f, doc, partner), field)
+    assert passing > 150 and failing > 150, (passing, failing)
+    assert digest.hexdigest() == REPORT_DIGEST
