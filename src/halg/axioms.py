@@ -6,6 +6,38 @@ the matching Rota-Baxter equation) decides it on the whole carrier.  The
 checks here do exactly that, in a fixed deterministic order, and report each
 failure as a replayable witness.
 
+Identities are data: every law is a row of a table, and one evaluator
+decides them all.  A row is ``(axiom-id, label variables, lhs, rhs, ...)``,
+optionally tagged with a flag it runs under.
+
+* Sides.  A side is a signed sum of terms, written as a list; ``[]`` is the
+  zero vector.  With several right-hand sides, each basis tuple compares the
+  left side with each of them in turn.
+* Terms.  A term is a tree: ``0``, ``1``, ``2`` are the basis slots x, y, z;
+  ``(name, t)`` applies the linear map `name` to the term t, and
+  ``(name, t, u)`` applies the bilinear map `name` to the terms t and u.
+* Names.  ``"n.v"`` is the map n at the label bound to the variable v; a
+  bare ``"n"`` takes no label.  Bilinear maps: each role (``"dot.a"``,
+  ``"left.b"``, ...), and ``m``, the product under test: the single product
+  of an rb kind, or in a side condition or morphism the role being checked,
+  whose map in the morphism's target is ``m'``.  Linear maps: ``p`` the twist
+  and ``p'`` the morphism target's twist, ``f`` the map under test, ``P`` the
+  operators, and the scalars ``-`` (that is, -1) and ``w`` (the weights).
+* Quantifiers.  The label variables range over all ordered tuples of the
+  doc's labels (a law without any has one instance), and then the slots
+  over all basis tuples.  A witness carries the bound labels and the basis
+  tuple.  A side condition or morphism law marked per role runs once for
+  each role of the kind, in role order.
+* Flags.  A law tagged `when` runs only under that flag (``"!flag"``: only
+  without it): "verbose", the dendriform toggle, and "alternating" for the
+  bracket role.
+
+The evaluator compares the two sides unreduced and reduces them only when
+they differ.  Plain kinds are written with p = id, so a stored candidate
+twist takes no part in their structure check; side conditions are what test
+that slot.  The one check outside the table is the invertible tag, whose
+witness is a kernel vector.
+
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
 
@@ -23,25 +55,27 @@ a = b, with p the twist):
 * rb kinds: hom-assoc (or hom-jacobi) for the single product, plus
   matching-rb on basis pairs:
       P_a(x) . P_b(y) = P_a(x . P_b(y)) + P_b(P_a(x) . y) + w_b P_a(x . y)
-
-Plain rb kinds are checked with p = id regardless of any stored candidate
-twist; side conditions are what test that slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
                      ShapeError, UnknownConditionError)
-from .linalg import LinearMap, kernel_vector
+from .linalg import (LinearMap, apply_map, apply_raw, bilinear_raw,
+                     kernel_vector)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
-                         KIND_ROLES, MATCHING_HOM_ASSOC,
-                         MATCHING_HOM_DENDRIFORM, MATCHING_HOM_LIE,
+                         DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
+                         MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
+                         MATCHING_HOM_LIE, MATCHING_HOM_LIE_RB,
                          MATCHING_HOM_PRELIE, MATCHING_HOM_TRIDENDRIFORM,
-                         PLAIN_RB_KINDS, RB_KINDS,
-                         TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc, CheckReport,
-                         Violation, make_report)
+                         MIDDLE, PLAIN_ASSOC_MATCHING_RB,
+                         PLAIN_LIE_MATCHING_RB, RIGHT, STAR,
+                         TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc,
+                         CheckReport, Violation, make_report)
 
 DENDRIFORM_AXIOM3_TWIST = "dendriform-axiom3-twist"
 _KNOWN_TOGGLES = frozenset({DENDRIFORM_AXIOM3_TWIST})
@@ -50,288 +84,295 @@ SIDE_CONDITIONS = ("endomorphism", "multiplicative", "commutes", "centroid",
                    "invertible")
 
 
-def _mul(c, x, y, dim):
-    """Raw bilinear evaluation; caller reduces.  Zero entries are skipped."""
-    out = [0] * dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        plane = c[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            w = xi * yj
-            for k, s in enumerate(plane[j]):
-                if s:
-                    out[k] += w * s
-    return out
+# --- the identity table ------------------------------------------------------
+
+class _Law(NamedTuple):
+    axiom: str
+    labels: tuple     # label variables, quantified over ordered label tuples
+    lhs: list
+    rhs: tuple        # right-hand sides, compared with lhs in turn
+    when: str | None
 
 
-def _app(rows, v):
-    """Raw matrix-vector product; caller reduces."""
-    return [sum(r[j] * vj for j, vj in enumerate(v) if vj) for r in rows]
+def _law(axiom, labels, lhs, *rhs, when=None):
+    return _Law(axiom, labels, lhs, rhs, when)
 
 
-def _vadd(*vs):
-    return [sum(col) for col in zip(*vs)]
+def _lin(name):
+    return lambda t: (name, t)
 
 
-def _vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
+def _bil(name):
+    return lambda t, u: (name, t, u)
 
 
-def _vscale(w, v):
-    return [w * x for x in v]
+def _tables():
+    """(laws per structure kind, (per-role flag, laws) per map tag)."""
+    X, Y, Z = 0, 1, 2
+    AB = ("a", "b")
+    p, f, neg, p_ = _lin("p"), _lin("f"), _lin("-"), _lin("p'")
+    Pa, Pb, wb = _lin("P.a"), _lin("P.b"), _lin("w.b")
+    m, ma, ma_ = _bil("m"), _bil("m.a"), _bil("m'.a")
+    da, db = _bil(DOT + ".a"), _bil(DOT + ".b")
+    ba, bb = _bil(BRACKET + ".a"), _bil(BRACKET + ".b")
+    sa, sb = _bil(STAR + ".a"), _bil(STAR + ".b")
+    La, Lb = _bil(LEFT + ".a"), _bil(LEFT + ".b")
+    Ma, Mb = _bil(MIDDLE + ".a"), _bil(MIDDLE + ".b")
+    Ra, Rb = _bil(RIGHT + ".a"), _bil(RIGHT + ".b")
 
-
-@dataclass(frozen=True)
-class _Axiom:
-    axiom_id: str
-    arity: int        # basis indices quantified: 2 or 3
-    labelled: bool    # quantified over ordered label pairs
-    fn: object        # fn(a, b, *indices) -> (raw lhs, raw rhs)
-
-
-class _Ctx:
-    """Per-doc evaluation context: raw tensors, twist columns, one-hots."""
-
-    def __init__(self, doc: AlgebraDoc, use_twist: bool):
-        self.doc = doc
-        self.dim = doc.dim
-        self.labels = doc.labels
-        self.red = doc.field.reduce
-        self.t = {role: {lab: m.c for lab, m in doc.families[role].maps.items()}
-                  for role in doc.families}
-        one, zero = doc.field.one, doc.field.zero
-        self.basis = tuple(tuple(one if i == k else zero for i in range(doc.dim))
-                           for k in range(doc.dim))
-        if use_twist and doc.twist is not None:
-            self.pc = doc.twist.columns()
+    def rb(lie, p):
+        if lie:
+            single = _law("hom-jacobi", (),
+                          [m(p(X), m(Y, Z)), m(p(Y), m(Z, X)), m(p(Z), m(X, Y))], [])
         else:
-            self.pc = self.basis
-        if doc.operators is not None:
-            self.op_rows = {lab: doc.operators.ops[lab].rows for lab in doc.labels}
-            self.op_cols = {lab: doc.operators.ops[lab].columns() for lab in doc.labels}
-            self.weights = doc.operators.weights
-        else:
-            self.op_rows = self.op_cols = self.weights = None
+            single = _law("hom-assoc", (), [m(m(X, Y), p(Z))], [m(p(X), m(Y, Z))])
+        return (single,
+                _law("matching-rb", AB, [m(Pa(X), Pb(Y))],
+                     [Pa(m(X, Pb(Y))), Pb(m(Pa(X), Y)), wb(Pa(m(X, Y)))]))
 
-    def canon(self, raw):
-        red = self.red
-        return tuple(red(v) for v in raw)
+    structure = {
+        MATCHING_HOM_ASSOC: (
+            _law("matching-hom-assoc", AB, [db(da(X, Y), p(Z))], [da(p(X), db(Y, Z))]),),
+        TOTALLY_COMPATIBLE_HOM_ASSOC: (
+            _law("totally-compatible-hom-assoc", AB,
+                 [db(da(X, Y), p(Z))], [db(p(X), da(Y, Z))]),),
+        COMPATIBLE_HOM_ASSOC: (
+            _law("compatible-hom-assoc", AB,
+                 [db(da(X, Y), p(Z)), da(db(X, Y), p(Z))],
+                 [da(p(X), db(Y, Z)), db(p(X), da(Y, Z))]),),
+        MATCHING_HOM_LIE: (
+            _law("matching-hom-jacobi", AB,
+                 [ba(p(X), bb(Y, Z)), bb(p(Y), ba(Z, X)), bb(p(Z), ba(X, Y))], []),
+            _law("mhl-symmetry", AB, [bb(p(X), ba(Y, Z))], [ba(p(X), bb(Y, Z))],
+                 when="verbose")),
+        COMPATIBLE_HOM_LIE: (
+            _law("compatible-hom-jacobi", AB,
+                 [bb(p(X), ba(Y, Z)), bb(p(Y), ba(Z, X)), bb(p(Z), ba(X, Y)),
+                  ba(p(X), bb(Y, Z)), ba(p(Y), bb(Z, X)), ba(p(Z), bb(X, Y))], []),),
+        MATCHING_HOM_PRELIE: (
+            _law("matching-hom-prelie", AB,
+                 [sa(p(X), sb(Y, Z)), neg(sb(sa(X, Y), p(Z)))],
+                 [sb(p(Y), sa(X, Z)), neg(sa(sb(Y, X), p(Z)))]),),
+        MATCHING_HOM_DENDRIFORM: (
+            _law("dendriform-1", AB, [Lb(La(X, Y), p(Z))],
+                 [La(p(X), Lb(Y, Z)), Lb(p(X), Ra(Y, Z))]),
+            _law("dendriform-2", AB, [Lb(Ra(X, Y), p(Z))], [Ra(p(X), Lb(Y, Z))]),
+            _law("dendriform-3", AB, [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z))],
+                 [Ra(p(X), Rb(Y, Z))], when=DENDRIFORM_AXIOM3_TWIST),
+            _law("dendriform-3", AB, [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z))],
+                 [Ra(X, Rb(Y, Z))], when="!" + DENDRIFORM_AXIOM3_TWIST)),
+        MATCHING_HOM_TRIDENDRIFORM: (
+            _law("tridendriform-1", AB, [Lb(La(X, Y), p(Z))],
+                 [La(p(X), Lb(Y, Z)), Lb(p(X), Ra(Y, Z)), La(p(X), Mb(Y, Z))]),
+            _law("tridendriform-2", AB, [Lb(Ra(X, Y), p(Z))], [Ra(p(X), Lb(Y, Z))]),
+            _law("tridendriform-3", AB, [Ra(p(X), Rb(Y, Z))],
+                 [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z)), Ra(Mb(X, Y), p(Z))]),
+            _law("tridendriform-4", AB, [Mb(Ra(X, Y), p(Z))], [Ra(p(X), Mb(Y, Z))]),
+            _law("tridendriform-5", AB, [Mb(La(X, Y), p(Z))], [Mb(p(X), Ra(Y, Z))]),
+            _law("tridendriform-6", AB, [Lb(Ma(X, Y), p(Z))], [Ma(p(X), Lb(Y, Z))]),
+            _law("tridendriform-7", AB, [Mb(Ma(X, Y), p(Z))], [Ma(p(X), Mb(Y, Z))])),
+        HOM_ASSOC_MATCHING_RB: rb(False, p),
+        MATCHING_HOM_LIE_RB: rb(True, p),
+        PLAIN_ASSOC_MATCHING_RB: rb(False, lambda t: t),
+        PLAIN_LIE_MATCHING_RB: rb(True, lambda t: t),
+    }
 
-
-def _axioms_for(doc: AlgebraDoc, toggles, verbose: bool):
-    kind = doc.kind
-    # Plain kinds are the Hom code path with p = id; a stored candidate twist
-    # on a plain doc deliberately does not participate here.
-    ctx = _Ctx(doc, use_twist=kind not in PLAIN_RB_KINDS)
-    dim, pc = ctx.dim, ctx.pc
-    mul, app = _mul, _app
-    axioms = []
-
-    if kind in (MATCHING_HOM_ASSOC, TOTALLY_COMPATIBLE_HOM_ASSOC,
-                COMPATIBLE_HOM_ASSOC):
-        c = ctx.t["dot"]
-
-        if kind == MATCHING_HOM_ASSOC:
-            def f(a, b, i, j, k, c=c):
-                lhs = mul(c[b], c[a][i][j], pc[k], dim)
-                rhs = mul(c[a], pc[i], c[b][j][k], dim)
-                return lhs, rhs
-            axioms.append(_Axiom("matching-hom-assoc", 3, True, f))
-        elif kind == TOTALLY_COMPATIBLE_HOM_ASSOC:
-            def f(a, b, i, j, k, c=c):
-                lhs = mul(c[b], c[a][i][j], pc[k], dim)
-                rhs = mul(c[b], pc[i], c[a][j][k], dim)
-                return lhs, rhs
-            axioms.append(_Axiom("totally-compatible-hom-assoc", 3, True, f))
-        else:
-            def f(a, b, i, j, k, c=c):
-                lhs = _vadd(mul(c[b], c[a][i][j], pc[k], dim),
-                            mul(c[a], c[b][i][j], pc[k], dim))
-                rhs = _vadd(mul(c[a], pc[i], c[b][j][k], dim),
-                            mul(c[b], pc[i], c[a][j][k], dim))
-                return lhs, rhs
-            axioms.append(_Axiom("compatible-hom-assoc", 3, True, f))
-
-    elif kind in (MATCHING_HOM_LIE, COMPATIBLE_HOM_LIE):
-        c = ctx.t["bracket"]
-        zero = [0] * dim
-
-        if kind == MATCHING_HOM_LIE:
-            def f(a, b, i, j, k, c=c):
-                lhs = _vadd(mul(c[a], pc[i], c[b][j][k], dim),
-                            mul(c[b], pc[j], c[a][k][i], dim),
-                            mul(c[b], pc[k], c[a][i][j], dim))
-                return lhs, zero
-            axioms.append(_Axiom("matching-hom-jacobi", 3, True, f))
-            if verbose:
-                def g(a, b, i, j, k, c=c):
-                    lhs = mul(c[b], pc[i], c[a][j][k], dim)
-                    rhs = mul(c[a], pc[i], c[b][j][k], dim)
-                    return lhs, rhs
-                axioms.append(_Axiom("mhl-symmetry", 3, True, g))
-        else:
-            def f(a, b, i, j, k, c=c):
-                lhs = _vadd(mul(c[b], pc[i], c[a][j][k], dim),
-                            mul(c[b], pc[j], c[a][k][i], dim),
-                            mul(c[b], pc[k], c[a][i][j], dim),
-                            mul(c[a], pc[i], c[b][j][k], dim),
-                            mul(c[a], pc[j], c[b][k][i], dim),
-                            mul(c[a], pc[k], c[b][i][j], dim))
-                return lhs, zero
-            axioms.append(_Axiom("compatible-hom-jacobi", 3, True, f))
-
-    elif kind == MATCHING_HOM_PRELIE:
-        c = ctx.t["star"]
-
-        def f(a, b, i, j, k, c=c):
-            lhs = _vsub(mul(c[a], pc[i], c[b][j][k], dim),
-                        mul(c[b], c[a][i][j], pc[k], dim))
-            rhs = _vsub(mul(c[b], pc[j], c[a][i][k], dim),
-                        mul(c[a], c[b][j][i], pc[k], dim))
-            return lhs, rhs
-        axioms.append(_Axiom("matching-hom-prelie", 3, True, f))
-
-    elif kind == MATCHING_HOM_DENDRIFORM:
-        L, R = ctx.t["left"], ctx.t["right"]
-        twist3 = True if toggles is None else toggles.get(DENDRIFORM_AXIOM3_TWIST, True)
-
-        def d1(a, b, i, j, k):
-            lhs = mul(L[b], L[a][i][j], pc[k], dim)
-            rhs = _vadd(mul(L[a], pc[i], L[b][j][k], dim),
-                        mul(L[b], pc[i], R[a][j][k], dim))
-            return lhs, rhs
-
-        def d2(a, b, i, j, k):
-            lhs = mul(L[b], R[a][i][j], pc[k], dim)
-            rhs = mul(R[a], pc[i], L[b][j][k], dim)
-            return lhs, rhs
-
-        def d3(a, b, i, j, k):
-            lhs = _vadd(mul(R[a], L[b][i][j], pc[k], dim),
-                        mul(R[b], R[a][i][j], pc[k], dim))
-            x = pc[i] if twist3 else ctx.basis[i]
-            rhs = mul(R[a], x, R[b][j][k], dim)
-            return lhs, rhs
-
-        axioms += [_Axiom("dendriform-1", 3, True, d1),
-                   _Axiom("dendriform-2", 3, True, d2),
-                   _Axiom("dendriform-3", 3, True, d3)]
-
-    elif kind == MATCHING_HOM_TRIDENDRIFORM:
-        L, M, R = ctx.t["left"], ctx.t["middle"], ctx.t["right"]
-
-        def t1(a, b, i, j, k):
-            lhs = mul(L[b], L[a][i][j], pc[k], dim)
-            rhs = _vadd(mul(L[a], pc[i], L[b][j][k], dim),
-                        mul(L[b], pc[i], R[a][j][k], dim),
-                        mul(L[a], pc[i], M[b][j][k], dim))
-            return lhs, rhs
-
-        def t2(a, b, i, j, k):
-            lhs = mul(L[b], R[a][i][j], pc[k], dim)
-            rhs = mul(R[a], pc[i], L[b][j][k], dim)
-            return lhs, rhs
-
-        def t3(a, b, i, j, k):
-            lhs = mul(R[a], pc[i], R[b][j][k], dim)
-            rhs = _vadd(mul(R[a], L[b][i][j], pc[k], dim),
-                        mul(R[b], R[a][i][j], pc[k], dim),
-                        mul(R[a], M[b][i][j], pc[k], dim))
-            return lhs, rhs
-
-        def t4(a, b, i, j, k):
-            lhs = mul(M[b], R[a][i][j], pc[k], dim)
-            rhs = mul(R[a], pc[i], M[b][j][k], dim)
-            return lhs, rhs
-
-        def t5(a, b, i, j, k):
-            lhs = mul(M[b], L[a][i][j], pc[k], dim)
-            rhs = mul(M[b], pc[i], R[a][j][k], dim)
-            return lhs, rhs
-
-        def t6(a, b, i, j, k):
-            lhs = mul(L[b], M[a][i][j], pc[k], dim)
-            rhs = mul(M[a], pc[i], L[b][j][k], dim)
-            return lhs, rhs
-
-        def t7(a, b, i, j, k):
-            lhs = mul(M[b], M[a][i][j], pc[k], dim)
-            rhs = mul(M[a], pc[i], M[b][j][k], dim)
-            return lhs, rhs
-
-        axioms += [_Axiom(f"tridendriform-{n}", 3, True, f)
-                   for n, f in enumerate((t1, t2, t3, t4, t5, t6, t7), start=1)]
-
-    elif kind in RB_KINDS:
-        role = KIND_ROLES[kind][0]
-        prod = ctx.t[role][ctx.labels[0]]
-        basis = ctx.basis
-        zero = [0] * dim
-
-        if role == "dot":
-            def fa(a, b, i, j, k):
-                lhs = mul(prod, prod[i][j], pc[k], dim)
-                rhs = mul(prod, pc[i], prod[j][k], dim)
-                return lhs, rhs
-            axioms.append(_Axiom("hom-assoc", 3, False, fa))
-        else:
-            def fa(a, b, i, j, k):
-                lhs = _vadd(mul(prod, pc[i], prod[j][k], dim),
-                            mul(prod, pc[j], prod[k][i], dim),
-                            mul(prod, pc[k], prod[i][j], dim))
-                return lhs, zero
-            axioms.append(_Axiom("hom-jacobi", 3, False, fa))
-
-        op_rows, op_cols, weights = ctx.op_rows, ctx.op_cols, ctx.weights
-
-        def frb(a, b, i, j):
-            pa_i = op_cols[a][i]
-            pb_j = op_cols[b][j]
-            lhs = mul(prod, pa_i, pb_j, dim)
-            rhs = _vadd(app(op_rows[a], mul(prod, basis[i], pb_j, dim)),
-                        app(op_rows[b], mul(prod, pa_i, basis[j], dim)),
-                        _vscale(weights[b], app(op_rows[a], prod[i][j])))
-            return lhs, rhs
-        axioms.append(_Axiom("matching-rb", 2, True, frb))
-
-    else:  # pragma: no cover - kinds table is closed
-        raise ShapeError(f"no axioms registered for kind {kind!r}", "kind")
-
-    return ctx, axioms
+    # Hypotheses on the map f.  A per-role tag is checked once per role of
+    # the doc, with m bound to that role's maps and "{role}" in its axiom-id
+    # filled in; the flag "alternating" is set for the bracket role.
+    mult = [f(ma(X, Y))], [ma(f(X), f(Y))]
+    maps = {
+        "endomorphism": (True, (_law("endomorphism", ("a",), *mult),)),
+        "multiplicative": (True, (_law("multiplicative", ("a",), *mult),)),
+        "commutes": (False, (_law("commutes", ("a",), [f(Pa(X))], [Pa(f(X))]),)),
+        "centroid": (True, (
+            _law("centroid", ("a",), [f(ma(X, Y))], [ma(f(X), Y)],
+                 when="alternating"),
+            _law("centroid", ("a",), [f(ma(X, Y))], [ma(f(X), Y)], [ma(X, f(Y))],
+                 when="!alternating"))),
+        "morphism": (True, (
+            _law("morphism-{role}", ("a",), [f(ma(X, Y))], [ma_(f(X), f(Y))]),)),
+        "twist-intertwine": (False, (
+            _law("twist-intertwine", (), [p_(f(X))], [f(p(X))]),)),
+    }
+    return structure, maps
 
 
-def _iter_violations(doc: AlgebraDoc, toggles=None, verbose=False):
+_STRUCTURE_LAWS, _MAP_LAWS = _tables()
+
+
+# --- compiling laws ----------------------------------------------------------
+
+def _compile_term(term):
+    """bind(frame, env, points) -> a function of the point's index giving
+    the term's unreduced vector there.  A leaf -- a basis slot, or a map on
+    basis slots only -- is looked up once per point at bind time."""
+    if isinstance(term, int):
+        def leaf(frame, env, points):
+            basis = frame["basis"]
+            return [basis[ix[term]] for ix in points].__getitem__
+        return leaf
+    name, *args = term
+    base, _, var = name.partition(".")
+    if var:
+        def lookup(frame, env):
+            return frame[base][env[var]]
+    else:
+        def lookup(frame, env):
+            return frame[base]
+    scalar = base in ("-", "w")
+    if len(args) == 2 and all(isinstance(t, int) for t in args):
+        s, t = args
+        def leaf(frame, env, points):
+            c = lookup(frame, env)
+            return [c[ix[s]][ix[t]] for ix in points].__getitem__
+        return leaf
+    if len(args) == 1 and isinstance(args[0], int) and not scalar:
+        s, = args
+        def leaf(frame, env, points):
+            cols = lookup(frame, env)[1]
+            return [cols[ix[s]] for ix in points].__getitem__
+        return leaf
+    if len(args) == 2:
+        left, right = map(_compile_term, args)
+        def bind(frame, env, points):
+            c, g, h = lookup(frame, env), left(frame, env, points), right(frame, env, points)
+            return lambda n: bilinear_raw(c, g(n), h(n))
+        return bind
+    arg = _compile_term(args[0])
+    if scalar:
+        def bind(frame, env, points):
+            w, g = lookup(frame, env), arg(frame, env, points)
+            return lambda n: [w * x for x in g(n)]
+    else:
+        def bind(frame, env, points):
+            rows, g = lookup(frame, env)[0], arg(frame, env, points)
+            return lambda n: apply_raw(rows, g(n))
+    return bind
+
+
+def _compile_side(side):
+    """The same for a signed sum of terms."""
+    terms = [_compile_term(t) for t in side]
+    if len(terms) == 1:
+        return terms[0]
+    if not terms:
+        def bind(frame, env, points):
+            zero = [0] * len(frame["basis"])
+            return lambda n: zero
+        return bind
+
+    def bind(frame, env, points):
+        gs = [t(frame, env, points) for t in terms]
+        return lambda n: [sum(col) for col in zip(*[g(n) for g in gs])]
+    return bind
+
+
+def _slots(term):
+    if isinstance(term, int):
+        return {term}
+    return set().union(*map(_slots, term[1:]))
+
+
+class _Compiled(NamedTuple):
+    axiom: str
+    labels: tuple
+    arity: int
+    lhs: object       # lhs(frame, env, points) -> function of the point index
+    rhs: tuple        # the same for each right-hand side
+
+
+def _compile(law: _Law, role=None) -> _Compiled:
+    sides = [law.lhs, *law.rhs]
+    arity = 1 + max(s for side in sides for t in side for s in _slots(t))
+    return _Compiled(law.axiom.format(role=role), law.labels, arity,
+                     _compile_side(law.lhs), tuple(map(_compile_side, law.rhs)))
+
+
+def _active(laws, flags):
+    def runs(when):
+        if when is None:
+            return True
+        if when.startswith("!"):
+            return when[1:] not in flags
+        return when in flags
+    return [law for law in laws if runs(law.when)]
+
+
+@lru_cache(maxsize=None)
+def _structure_laws(kind, twist3, verbose):
+    flags = {DENDRIFORM_AXIOM3_TWIST} if twist3 else set()
+    if verbose:
+        flags.add("verbose")
+    return tuple(map(_compile, _active(_STRUCTURE_LAWS[kind], flags)))
+
+
+@lru_cache(maxsize=None)
+def _map_laws(tag, role):
+    flags = {"alternating"} if role == BRACKET else set()
+    return tuple(_compile(law, role) for law in _active(_MAP_LAWS[tag][1], flags))
+
+
+# --- frames and the evaluator --------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _basis(dim):
+    return tuple(tuple(int(i == k) for i in range(dim)) for k in range(dim))
+
+
+@lru_cache(maxsize=None)
+def _points(dim, arity):
+    return tuple(product(range(dim), repeat=arity))
+
+
+def _linear(f: LinearMap):
+    return f.rows, f.columns()
+
+
+def _frame(doc: AlgebraDoc) -> dict:
+    """Everything a law may name, bound to doc's tensors and maps."""
+    basis = _basis(doc.dim)
+    roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
+             for role, fam in doc.families.items()}
+    frame = dict(roles, basis=basis,
+                 p=(basis, basis) if doc.twist is None else _linear(doc.twist))
+    frame["-"] = -1
+    frame["m"] = roles[KIND_ROLES[doc.kind][0]][doc.labels[0]]
+    if doc.operators is not None:
+        frame["P"] = {lab: _linear(doc.operators.ops[lab]) for lab in doc.labels}
+        frame["w"] = doc.operators.weights
+    return frame
+
+
+def _violations(laws, frame, labels, field):
+    """Every failed instance of the compiled laws, in (law, labels, basis)
+    order.  The sides are compared raw and reduced only when they differ."""
+    red = field.reduce
+    dim = len(frame["basis"])
+    for law in laws:
+        points = _points(dim, law.arity)
+        for labs in product(labels, repeat=len(law.labels)):
+            env = dict(zip(law.labels, labs))
+            lhs = law.lhs(frame, env, points)
+            rhss = [rhs(frame, env, points) for rhs in law.rhs]
+            for n, ix in enumerate(points):
+                left = lhs(n)
+                for rhs in rhss:
+                    right = rhs(n)
+                    if left != right:
+                        lc = tuple(map(red, left))
+                        rc = tuple(map(red, right))
+                        if lc != rc:
+                            yield Violation(law.axiom, labs, ix, lc, rc)
+
+
+def _structure(doc: AlgebraDoc, toggles, verbose: bool):
     if toggles:
         unknown = set(toggles) - _KNOWN_TOGGLES
         if unknown:
             raise ParamError(f"unknown axiom toggles {sorted(unknown)}")
-    ctx, axioms = _axioms_for(doc, toggles, verbose)
-    labels = ctx.labels
-    dim = ctx.dim
-    rng = range(dim)
-    canon = ctx.canon
-    for ax in axioms:
-        pairs = [(a, b) for a in labels for b in labels] if ax.labelled else [(None, None)]
-        for a, b in pairs:
-            tag = (a, b) if ax.labelled else ()
-            if ax.arity == 3:
-                for i in rng:
-                    for j in rng:
-                        for k in rng:
-                            lhs, rhs = ax.fn(a, b, i, j, k)
-                            lhs, rhs = canon(lhs), canon(rhs)
-                            if lhs != rhs:
-                                yield Violation(ax.axiom_id, tag, (i, j, k), lhs, rhs)
-            else:
-                for i in rng:
-                    for j in rng:
-                        lhs, rhs = ax.fn(a, b, i, j)
-                        lhs, rhs = canon(lhs), canon(rhs)
-                        if lhs != rhs:
-                            yield Violation(ax.axiom_id, tag, (i, j), lhs, rhs)
+    twist3 = True if toggles is None else toggles.get(DENDRIFORM_AXIOM3_TWIST, True)
+    return _structure_laws(doc.kind, bool(twist3), bool(verbose))
 
 
 def check_structure(doc: AlgebraDoc, verbose: bool = False,
@@ -342,28 +383,43 @@ def check_structure(doc: AlgebraDoc, verbose: bool = False,
     `verbose` set, matching-hom-lie docs additionally run the redundant
     bracket-symmetry diagnostic (axiom-id "mhl-symmetry").
     """
-    return make_report(_iter_violations(doc, axiom_toggles, verbose))
+    laws = _structure(doc, axiom_toggles, verbose)
+    return make_report(_violations(laws, _frame(doc), doc.labels, doc.field))
 
 
 def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
     """check_structure's verdict without building the full report."""
-    return next(_iter_violations(doc, axiom_toggles), None) is None
+    laws = _structure(doc, axiom_toggles, False)
+    return next(_violations(laws, _frame(doc), doc.labels, doc.field), None) is None
 
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
-    ctx, axioms = _axioms_for(doc, axiom_toggles,
-                              verbose=violation.axiom == "mhl-symmetry")
-    for ax in axioms:
-        if ax.axiom_id != violation.axiom:
+    laws = _structure(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
+    red = doc.field.reduce
+    for law in laws:
+        if law.axiom != violation.axiom:
             continue
-        a, b = violation.labels if ax.labelled else (None, None)
-        lhs, rhs = ax.fn(a, b, *violation.basis)
-        return ctx.canon(lhs), ctx.canon(rhs)
+        frame, env = _frame(doc), dict(zip(law.labels, violation.labels))
+        at = [violation.basis]
+        lhs, rhs = law.lhs(frame, env, at)(0), law.rhs[0](frame, env, at)(0)
+        return tuple(map(red, lhs)), tuple(map(red, rhs))
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
 
 # --- side conditions ---------------------------------------------------------
+
+def _map_violations(tag, frame, doc, target=None):
+    """Violations of a side-condition or morphism tag, role by role; m' is
+    bound to the morphism target's maps."""
+    per_role, _ = _MAP_LAWS[tag]
+    for role in KIND_ROLES[doc.kind] if per_role else (None,):
+        if role is not None:
+            frame["m"] = frame[role]
+            if target is not None:
+                frame["m'"] = target[role]
+        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field)
+
 
 def check_side_conditions(doc: AlgebraDoc, conditions,
                           candidate: LinearMap | None = None) -> CheckReport:
@@ -378,70 +434,22 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
         raise FieldMismatch("candidate map over the wrong field")
     if p.dim != doc.dim:
         raise DimensionMismatch("candidate map of the wrong dimension")
+    frame = _frame(doc)
+    frame["f"] = _linear(p)
 
-    ctx = _Ctx(doc, use_twist=False)
-    dim = ctx.dim
-    canon = ctx.canon
-    rows = p.rows
-    cols = p.columns()
-    violations = []
-
-    for tag in conditions:
-        if tag not in SIDE_CONDITIONS:
-            raise UnknownConditionError(f"unknown side condition {tag!r}")
-
-        if tag in ("endomorphism", "multiplicative"):
-            # p(x * y) = p(x) * p(y), for every role and label.
-            for role in KIND_ROLES[doc.kind]:
-                t = ctx.t[role]
-                for lab in ctx.labels:
-                    c = t[lab]
-                    for i in range(dim):
-                        for j in range(dim):
-                            lhs = canon(_app(rows, c[i][j]))
-                            rhs = canon(_mul(c, cols[i], cols[j], dim))
-                            if lhs != rhs:
-                                violations.append(
-                                    Violation(tag, (lab,), (i, j), lhs, rhs))
-
-        elif tag == "commutes":
-            if doc.operators is None:
+    def violations():
+        for tag in conditions:
+            if tag not in SIDE_CONDITIONS:
+                raise UnknownConditionError(f"unknown side condition {tag!r}")
+            if tag == "invertible":
+                v = kernel_vector(p)
+                if v is not None:
+                    yield Violation("invertible", (), (), v, apply_map(p, v))
+                continue
+            if tag == "commutes" and doc.operators is None:
                 raise ShapeError("commutes requires an operator family", "operators")
-            for lab in ctx.labels:
-                op_cols = ctx.op_cols[lab]
-                op_rows = ctx.op_rows[lab]
-                for j in range(dim):
-                    lhs = canon(_app(rows, op_cols[j]))
-                    rhs = canon(_app(op_rows, cols[j]))
-                    if lhs != rhs:
-                        violations.append(Violation(tag, (lab,), (j,), lhs, rhs))
-
-        elif tag == "centroid":
-            # p(x * y) = p(x) * y, and for non-bracket roles also = x * p(y).
-            for role in KIND_ROLES[doc.kind]:
-                t = ctx.t[role]
-                for lab in ctx.labels:
-                    c = t[lab]
-                    for i in range(dim):
-                        for j in range(dim):
-                            lhs = canon(_app(rows, c[i][j]))
-                            rhs = canon(_mul(c, cols[i], ctx.basis[j], dim))
-                            if lhs != rhs:
-                                violations.append(
-                                    Violation(tag, (lab,), (i, j), lhs, rhs))
-                            if role != BRACKET:
-                                rhs2 = canon(_mul(c, ctx.basis[i], cols[j], dim))
-                                if lhs != rhs2:
-                                    violations.append(
-                                        Violation(tag, (lab,), (i, j), lhs, rhs2))
-
-        elif tag == "invertible":
-            v = kernel_vector(p)
-            if v is not None:
-                violations.append(Violation("invertible", (), (),
-                                            v, canon(_app(rows, v))))
-
-    return make_report(violations)
+            yield from _map_violations(tag, frame, doc)
+    return make_report(violations())
 
 
 def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckReport:
@@ -456,32 +464,11 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     if src.dim != dst.dim or f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
 
-    sctx = _Ctx(src, use_twist=False)
-    dctx = _Ctx(dst, use_twist=False)
-    dim = src.dim
-    canon = sctx.canon
-    rows = f.rows
-    cols = f.columns()
-    violations = []
+    frame = _frame(src)
+    target = _frame(dst)
+    frame.update({"f": _linear(f), "p'": target["p"]})
 
-    for role in KIND_ROLES[src.kind]:
-        ts, td = sctx.t[role], dctx.t[role]
-        for lab in src.labels:
-            cs, cd = ts[lab], td[lab]
-            for i in range(dim):
-                for j in range(dim):
-                    lhs = canon(_app(rows, cs[i][j]))
-                    rhs = canon(_mul(cd, cols[i], cols[j], dim))
-                    if lhs != rhs:
-                        violations.append(
-                            Violation(f"morphism-{role}", (lab,), (i, j), lhs, rhs))
-
-    ps = src.twist_map().columns()
-    pd_rows = dst.twist_map().rows
-    for j in range(dim):
-        lhs = canon(_app(pd_rows, cols[j]))
-        rhs = canon(_app(rows, ps[j]))
-        if lhs != rhs:
-            violations.append(Violation("twist-intertwine", (), (j,), lhs, rhs))
-
-    return make_report(violations)
+    def violations():
+        yield from _map_violations("morphism", frame, src, target)
+        yield from _map_violations("twist-intertwine", frame, src)
+    return make_report(violations())

@@ -68,12 +68,16 @@ class LinearMap:
         return tuple(self.column(j) for j in range(self.dim))
 
 
+def apply_raw(rows, x) -> list:
+    """Unreduced rows applied to x; zero coefficients of x are skipped."""
+    return [sum(r[j] * xj for j, xj in enumerate(x) if xj) for r in rows]
+
+
 def apply_map(f: LinearMap, x: Sequence) -> Vector:
     """f(x) for a coefficient vector x."""
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
-    red = f.field.reduce
-    return tuple(red(sum(row[j] * xj for j, xj in enumerate(x) if xj)) for row in f.rows)
+    return tuple(map(f.field.reduce, apply_raw(f.rows, x)))
 
 
 def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -198,29 +202,32 @@ class BilinearMap:
         return len(self.c)
 
 
-def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
-    """m(x, y) for coefficient vectors x and y.
+def bilinear_raw(c, x, y) -> list:
+    """Unreduced (x, y) under structure constants c.
 
     Skips zero coefficients, so basis-vector arguments cost O(dim).
     """
-    dim = m.dim
-    if len(x) != dim or len(y) != dim:
-        raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
-    out = [0] * dim
+    out = [0] * len(c)
     for i, xi in enumerate(x):
         if not xi:
             continue
-        plane = m.c[i]
+        plane = c[i]
         for j, yj in enumerate(y):
             if not yj:
                 continue
             w = xi * yj
-            row = plane[j]
-            for k, s in enumerate(row):
+            for k, s in enumerate(plane[j]):
                 if s:
                     out[k] += w * s
-    red = m.field.reduce
-    return tuple(red(v) for v in out)
+    return out
+
+
+def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
+    """m(x, y) for coefficient vectors x and y."""
+    dim = m.dim
+    if len(x) != dim or len(y) != dim:
+        raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
+    return tuple(map(m.field.reduce, bilinear_raw(m.c, x, y)))
 
 
 # Tensor surgery used by the constructions: post/pre-composition with a
