@@ -21,24 +21,11 @@ from .constructions import (centroid_twist, collapse_family, commutator,
                             prelie_commutator, rb_to_dendriform, rb_to_prelie,
                             rb_to_tridendriform, untwist, verify_diagram,
                             yau_twist)
-from .errors import (BudgetExceededError, DimensionMismatch, DocSyntaxError,
-                     FieldMismatch, HalgError, KindMismatch,
-                     MissingCoefficientError, NonFiniteFieldError,
-                     NonzeroWeightError, ParamError, PowerBoundError,
-                     PreconditionFailed, ShapeError, SingularMapError,
-                     TheoremCheckError, UnknownConditionError,
-                     UnknownFixtureError)
+from .errors import DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, enumerate_docs, fixture_names, seeded_sample)
 from .structures import (parse_doc, report_to_jsonable, serialize_doc)
-
-_USAGE_ERRORS = (DocSyntaxError, ShapeError, ParamError, DimensionMismatch,
-                 FieldMismatch, KindMismatch, UnknownConditionError,
-                 UnknownFixtureError, MissingCoefficientError,
-                 SingularMapError, PowerBoundError, BudgetExceededError,
-                 NonFiniteFieldError)
-
 
 def _read_docs(path: str):
     if path == "-":
@@ -64,10 +51,19 @@ def _emit_report(report, field) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+def _to_stdout(path) -> bool:
+    return path is None or path == "-"
+
+
+def _write_file(path: str, docs) -> None:
+    """Write docs to the file at path.  Callers pass every doc already made,
+    so a failed command leaves the file untouched even when it is an input."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            for doc in docs:
+                _emit_doc(doc, out)
+    except OSError as e:
+        raise ParamError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _parse_param_list(pairs) -> dict:
@@ -123,11 +119,6 @@ def _r_yau(doc, params):
     return yau_twist(doc, p)
 
 
-def _r_untwist(doc, params):
-    _no_leftovers(params)
-    return untwist(doc)
-
-
 def _r_derived(doc, params):
     n = _int_param(params, "n")
     variant = _int_param(params, "variant", default=1)
@@ -140,16 +131,6 @@ def _r_centroid(doc, params):
     variant = _int_param(params, "variant", default=1)
     _no_leftovers(params)
     return centroid_twist(doc, p, variant)
-
-
-def _r_commutator(doc, params):
-    _no_leftovers(params)
-    return commutator(doc)
-
-
-def _r_prelie_commutator(doc, params):
-    _no_leftovers(params)
-    return prelie_commutator(doc)
 
 
 def _r_collapse(doc, params):
@@ -177,11 +158,11 @@ def _r_simple(fn):
 
 _RECIPES = {
     "yau-twist": _r_yau,
-    "untwist": _r_untwist,
+    "untwist": _r_simple(untwist),
     "derived": _r_derived,
     "centroid-twist": _r_centroid,
-    "commutator": _r_commutator,
-    "prelie-commutator": _r_prelie_commutator,
+    "commutator": _r_simple(commutator),
+    "prelie-commutator": _r_simple(prelie_commutator),
     "collapse": _r_collapse,
     "dendriform-twist": _r_dendriform_twist,
     "dendriform-sum": _r_simple(dendriform_sum),
@@ -220,25 +201,21 @@ def _cmd_check(args) -> int:
 def _cmd_construct(args) -> int:
     recipe = _RECIPES[args.recipe]
     params = _parse_param_list(args.param)
-    out = _open_out(args.out)
-    try:
-        for doc in _read_docs(args.path):
-            try:
-                result = recipe(doc, dict(params))
-            except (PreconditionFailed, NonzeroWeightError) as e:
-                print(f"error: {e}", file=sys.stderr)
-                if getattr(e, "report", None) is not None:
-                    _emit_report(e.report, doc.field)
-                return 2
-            except TheoremCheckError as e:
-                print(f"error: {e}", file=sys.stderr)
-                if e.report is not None:
-                    _emit_report(e.report, doc.field)
-                return 3
-            _emit_doc(result, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    made = []
+    for doc in _read_docs(args.path):
+        try:
+            result = recipe(doc, dict(params))
+        except HalgError as e:
+            print(f"error: {e}", file=sys.stderr)
+            if getattr(e, "report", None) is not None:
+                _emit_report(e.report, doc.field)
+            return e.exit_code
+        if _to_stdout(args.out):
+            _emit_doc(result, sys.stdout)
+        else:
+            made.append(result)
+    if not _to_stdout(args.out):
+        _write_file(args.out, made)
     return 0
 
 
@@ -275,13 +252,11 @@ def _cmd_search(args) -> int:
         result = seeded_sample(spec, args.seed, args.count)
     else:
         result = enumerate_docs(spec)
-    out = _open_out(args.out)
-    try:
+    if _to_stdout(args.out):
         for doc in result.docs:
-            _emit_doc(doc, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            _emit_doc(doc, sys.stdout)
+    else:
+        _write_file(args.out, result.docs)
     if result.truncated:
         if args.seed is not None:
             print(f"note: only {len(result.docs)} of {args.count} samples found",
@@ -367,18 +342,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (PreconditionFailed, NonzeroWeightError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TheoremCheckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except HalgError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":

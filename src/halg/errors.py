@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class HalgError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `exit_code` is the CLI's exit status for the error: 1 for usage errors
+    and malformed input, 2 for an unmet construction precondition, 3 for a
+    failed theorem re-check.
+    """
+
+    exit_code = 1
 
 
 class DocSyntaxError(HalgError):
@@ -17,6 +24,12 @@ class ShapeError(HalgError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class ZeroDenominatorError(ShapeError, ZeroDivisionError):
+    """A scalar "a/b" whose denominator is zero in the field (b = 0, or
+    b divisible by p over F_p).  It stays a ZeroDivisionError for callers
+    that catch the arithmetic error."""
 
 
 class DimensionMismatch(HalgError):
@@ -50,6 +63,8 @@ class PreconditionFailed(HalgError):
     checkable identity (None for plain predicate failures).
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
@@ -63,6 +78,8 @@ class TheoremCheckError(HalgError):
     silenced.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
@@ -70,6 +87,8 @@ class TheoremCheckError(HalgError):
 
 class NonzeroWeightError(HalgError):
     """A weight-0-only construction was fed a nonzero weight family."""
+
+    exit_code = 2
 
 
 class MissingCoefficientError(HalgError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocSyntaxError, ShapeError
+from .errors import DocSyntaxError, ShapeError, ZeroDenominatorError
 
 Scalar = int | Fraction
 
@@ -122,10 +122,14 @@ class Field:
             except ValueError:
                 raise ShapeError(f"cannot parse scalar {raw!r}", path) from None
             if den == 0:
-                raise ShapeError("zero denominator", path)
+                raise ZeroDenominatorError("zero denominator", path)
+            q = Fraction(num, den)
             if self.kind == PRIME_FIELD:
-                return self.mul(num, self.inv(den))
-            return self.reduce(Fraction(num, den))
+                if q.denominator % self.p == 0:
+                    raise ZeroDenominatorError(
+                        f"denominator of {raw!r} is zero mod {self.p}", path)
+                return self.mul(q.numerator, self.inv(q.denominator))
+            return self.reduce(q)
         raise ShapeError(f"scalar must be an integer or string, got {type(raw).__name__}", path)
 
     def format_scalar(self, v: Scalar):

@@ -130,6 +130,8 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
     exactly what is enumerated; docs come back in candidate order."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
+    if spec.limit is not None and spec.limit < 1:
+        raise ParamError(f"limit must be at least 1, got {spec.limit!r}")
     base = spec.base
     field = base.field
     _require_finite(field, "enumerate_docs")

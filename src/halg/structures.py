@@ -25,7 +25,7 @@ Representation notes, fixed here once for the whole package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DocSyntaxError, ShapeError
 from .fields import Field, field_from_jsonable, field_to_jsonable
@@ -134,9 +134,6 @@ class AlgebraDoc:
     def labels(self) -> tuple:
         return self.omega.labels
 
-    def family(self, role: str) -> dict:
-        return self.families[role].maps
-
     def product(self) -> BilinearMap:
         """The single product of an rb-kind doc."""
         if self.kind not in RB_KINDS:
@@ -149,12 +146,6 @@ class AlgebraDoc:
         if self.twist is not None:
             return self.twist
         return LinearMap.identity(self.field, self.dim)
-
-    def without_twist(self) -> "AlgebraDoc":
-        """Plain-kind copy with the candidate-twist slot cleared."""
-        if self.kind not in PLAIN_RB_KINDS or self.twist is None:
-            return self
-        return replace(self, twist=None)
 
 
 def make_doc(field: Field, dim: int, omega, kind: str, families: dict,

@@ -340,3 +340,57 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
 
 def test_sanity_bad_doc_really_fails():
     assert not check_structure(bad_doc()).passed
+
+
+def test_search_limit_below_one_is_a_usage_error(capsys):
+    for limit in ("0", "-1"):
+        assert main(["search", "--target", "rb-family", "--fixture", "Z2-F2",
+                     "--limit", limit]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "limit" in err and "stopped" not in err
+
+
+def test_scalars_with_denominator_divisible_by_p_are_usage_errors(tmp_path, capsys):
+    assert main(["search", "--target", "rb-family", "--fixture", "N2-F3",
+                 "--omega", "1", "--weights", "1/3"]) == 1
+    _, err = capsys.readouterr()
+    assert "error: weights:" in err
+    path = write_docs(tmp_path, "n2.jsonl", catalog("N2-F3"))
+    assert main(["construct", "yau-twist", path,
+                 "--param", 'twist=[["1/3",0],[0,1]]']) == 1
+    _, err = capsys.readouterr()
+    assert "error: twist:" in err
+    fam = write_docs(tmp_path, "fam.jsonl", catalog("N2-F3"))
+    assert main(["construct", "collapse", fam,
+                 "--param", 'coeffs={"a":"2/3"}']) == 1
+    _, err = capsys.readouterr()
+    assert "error: coeffs.a:" in err
+
+
+def test_output_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = write_docs(tmp_path, "base.jsonl", catalog("N2-id-wm1"))
+    dest = str(tmp_path / "missing" / "out.jsonl")
+    assert main(["construct", "rb-to-dendriform", path, "-o", dest]) == 1
+    _, err = capsys.readouterr()
+    assert f"error: cannot write {dest}" in err
+    assert main(["search", "--target", "commuting", "--fixture",
+                 "N2-Pnil-w0-F2", "-o", dest]) == 1
+    _, err = capsys.readouterr()
+    assert f"error: cannot write {dest}" in err
+
+
+def test_output_may_name_the_input(tmp_path, capsys):
+    path = write_docs(tmp_path, "d.jsonl", catalog("N2-id-wm1"))
+    assert main(["construct", "rb-to-dendriform", path, "-o", path]) == 0
+    assert capsys.readouterr().out == ""
+    with open(path, "rb") as fh:
+        assert parse_doc(fh.read().strip()).kind == "matching-hom-dendriform"
+    # a failed command leaves its input untouched
+    crush = LinearMap.from_rows(QQ, [[1, 0], [0, 0]])
+    sing = write_docs(tmp_path, "sing.jsonl", yau_twist(n2_p0(), crush))
+    with open(sing, "rb") as fh:
+        before = fh.read()
+    assert main(["construct", "untwist", sing, "-o", sing]) == 2
+    with open(sing, "rb") as fh:
+        assert fh.read() == before
+    capsys.readouterr()

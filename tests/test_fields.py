@@ -132,3 +132,12 @@ def test_prime_ops_are_residues(p, a, b):
     assert f.add(a, b) == (a + b) % p
     assert f.mul(a, b) == (a * b) % p
     assert f.neg(a) == (-a) % p
+
+
+def test_denominator_divisible_by_p_is_a_shape_error_with_path():
+    for raw in ("1/3", "2/6", "-5/9"):
+        with pytest.raises(ShapeError) as exc:
+            GF(3).parse_scalar(raw, "families.dot[0][1][0]")
+        assert exc.value.path == "families.dot[0][1][0]"
+    assert GF(3).parse_scalar("6/6") == 1  # the fraction 1 has a value mod 3
+    assert GF(5).parse_scalar("1/3") == 2

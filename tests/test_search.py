@@ -222,3 +222,13 @@ def test_worker_count_parses_the_environment(monkeypatch):
 def test_result_iteration_protocol():
     res = enumerate_docs(rb_spec(catalog("D1-F2"), 1, (1,)))
     assert len(list(res)) == len(res) == 2
+
+
+def test_limit_below_one_is_refused():
+    for limit in (0, -1):
+        with pytest.raises(ParamError):
+            enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (0,), limit=limit))
+        with pytest.raises(ParamError):
+            enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F2"),
+                                      TARGET_ENDOMORPHISM, limit=limit))
+    assert len(enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (0,), limit=1))) == 1

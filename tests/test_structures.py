@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from halg import (GF, QQ, AlgebraDoc, BilinearMap, DocSyntaxError, LinearMap,
                   OmegaSet, OperatorFamily, ShapeError, Violation,
-                  make_doc, make_report, parse_doc, report_to_jsonable,
+                  catalog, make_doc, make_report, parse_doc, report_to_jsonable,
                   serialize_doc, validate_doc)
 from halg.structures import (HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_LIE, RB_KINDS,
@@ -253,3 +253,11 @@ def test_report_jsonable_formats_scalars():
 def test_round_trip_property_over_prime_fields(kind, p):
     doc = tiny_doc(kind, GF(p))
     assert parse_doc(serialize_doc(doc)) == doc
+
+
+def test_parse_doc_denominator_divisible_by_p_names_the_scalar():
+    obj = json.loads(serialize_doc(catalog("N2-F3")))
+    obj["families"]["dot"]["a"][1][0][1] = "1/3"
+    with pytest.raises(ShapeError) as exc:
+        parse_doc(json.dumps(obj).encode())
+    assert exc.value.path == "families.dot.a[1][0][1]"
