@@ -236,7 +236,8 @@ def _compile_term(term):
     if len(args) == 2:
         left, right = map(_compile_term, args)
         def bind(frame, env, points):
-            c, g, h = lookup(frame, env), left(frame, env, points), right(frame, env, points)
+            c = lookup(frame, env)
+            g, h = left(frame, env, points), right(frame, env, points)
             return lambda n: bilinear_raw(c, g(n), h(n))
         return bind
     arg = _compile_term(args[0])
@@ -281,6 +282,12 @@ class _Compiled(NamedTuple):
     lhs: object       # lhs(frame, env, points) -> function of the point index
     rhs: tuple        # the same for each right-hand side
 
+    def bind(self, frame, labs, points):
+        """The sides at the label tuple labs, as functions of the index of a
+        basis tuple in points: (lhs, [rhs, ...])."""
+        env = dict(zip(self.labels, labs))
+        return self.lhs(frame, env, points), [r(frame, env, points) for r in self.rhs]
+
 
 def _compile(law: _Law, role=None) -> _Compiled:
     sides = [law.lhs, *law.rhs]
@@ -315,12 +322,12 @@ def _map_laws(tag, role):
 
 # --- frames and the evaluator --------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _basis(dim):
     return tuple(tuple(int(i == k) for i in range(dim)) for k in range(dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _points(dim, arity):
     return tuple(product(range(dim), repeat=arity))
 
@@ -330,7 +337,9 @@ def _linear(f: LinearMap):
 
 
 def _frame(doc: AlgebraDoc) -> dict:
-    """Everything a law may name, bound to doc's tensors and maps."""
+    """Every name a structure law may use, bound to doc's tensors and maps:
+    linear maps as (rows, columns), and m to the first role's map at the
+    first label, which is the single product of an rb kind."""
     basis = _basis(doc.dim)
     roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
              for role, fam in doc.families.items()}
@@ -352,9 +361,7 @@ def _violations(laws, frame, labels, field):
     for law in laws:
         points = _points(dim, law.arity)
         for labs in product(labels, repeat=len(law.labels)):
-            env = dict(zip(law.labels, labs))
-            lhs = law.lhs(frame, env, points)
-            rhss = [rhs(frame, env, points) for rhs in law.rhs]
+            lhs, rhss = law.bind(frame, labs, points)
             for n, ix in enumerate(points):
                 left = lhs(n)
                 for rhs in rhss:
@@ -366,7 +373,7 @@ def _violations(laws, frame, labels, field):
                             yield Violation(law.axiom, labs, ix, lc, rc)
 
 
-def _structure(doc: AlgebraDoc, toggles, verbose: bool):
+def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
     if toggles:
         unknown = set(toggles) - _KNOWN_TOGGLES
         if unknown:
@@ -383,27 +390,32 @@ def check_structure(doc: AlgebraDoc, verbose: bool = False,
     `verbose` set, matching-hom-lie docs additionally run the redundant
     bracket-symmetry diagnostic (axiom-id "mhl-symmetry").
     """
-    laws = _structure(doc, axiom_toggles, verbose)
+    laws = _laws_for(doc, axiom_toggles, verbose)
     return make_report(_violations(laws, _frame(doc), doc.labels, doc.field))
 
 
 def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
     """check_structure's verdict without building the full report."""
-    laws = _structure(doc, axiom_toggles, False)
+    laws = _laws_for(doc, axiom_toggles, False)
     return next(_violations(laws, _frame(doc), doc.labels, doc.field), None) is None
 
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
-    laws = _structure(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
+    laws = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
     red = doc.field.reduce
     for law in laws:
         if law.axiom != violation.axiom:
             continue
-        frame, env = _frame(doc), dict(zip(law.labels, violation.labels))
-        at = [violation.basis]
-        lhs, rhs = law.lhs(frame, env, at)(0), law.rhs[0](frame, env, at)(0)
-        return tuple(map(red, lhs)), tuple(map(red, rhs))
+        labels, basis = violation.labels, violation.basis
+        if (len(labels) != len(law.labels) or not set(labels) <= set(doc.labels)
+                or len(basis) != law.arity
+                or not all(isinstance(i, int) and 0 <= i < doc.dim for i in basis)):
+            raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
+                             f"of the doc's labels and {law.arity} basis indices "
+                             f"below {doc.dim}")
+        lhs, (rhs,) = law.bind(_frame(doc), labels, [basis])
+        return tuple(map(red, lhs(0))), tuple(map(red, rhs(0)))
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
 

@@ -27,6 +27,7 @@ from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, enumerate_docs, fixture_names, seeded_sample)
 from .structures import (parse_doc, report_to_jsonable, serialize_doc)
 
+
 def _read_docs(path: str):
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -149,27 +150,29 @@ def _r_dendriform_twist(doc, params):
     return dendriform_twist(doc, p)
 
 
-def _r_simple(fn):
+def _r_simple(name):
+    """A recipe that takes no params.  It looks the construction up when it
+    runs, so a wrapper set on this module's attribute sees the call."""
     def run(doc, params):
         _no_leftovers(params)
-        return fn(doc)
+        return globals()[name](doc)
     return run
 
 
 _RECIPES = {
     "yau-twist": _r_yau,
-    "untwist": _r_simple(untwist),
+    "untwist": _r_simple("untwist"),
     "derived": _r_derived,
     "centroid-twist": _r_centroid,
-    "commutator": _r_simple(commutator),
-    "prelie-commutator": _r_simple(prelie_commutator),
+    "commutator": _r_simple("commutator"),
+    "prelie-commutator": _r_simple("prelie_commutator"),
     "collapse": _r_collapse,
     "dendriform-twist": _r_dendriform_twist,
-    "dendriform-sum": _r_simple(dendriform_sum),
-    "dendriform-to-prelie": _r_simple(dendriform_to_prelie),
-    "rb-to-dendriform": _r_simple(rb_to_dendriform),
-    "rb-to-tridendriform": _r_simple(rb_to_tridendriform),
-    "rb-to-prelie": _r_simple(rb_to_prelie),
+    "dendriform-sum": _r_simple("dendriform_sum"),
+    "dendriform-to-prelie": _r_simple("dendriform_to_prelie"),
+    "rb-to-dendriform": _r_simple("rb_to_dendriform"),
+    "rb-to-tridendriform": _r_simple("rb_to_tridendriform"),
+    "rb-to-prelie": _r_simple("rb_to_prelie"),
 }
 
 

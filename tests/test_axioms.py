@@ -635,3 +635,12 @@ def test_report_bytes_are_pinned():
              lambda: check_morphism(f, doc, partner), field)
     assert passing > 150 and failing > 150, (passing, failing)
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_replay_refuses_witness_coordinates_outside_the_doc():
+    doc = n2doc()
+    for labels, basis in ((("zz", "a"), (0, 0, 0)), (("a",), (0, 0, 0)),
+                          (("a", "a"), (0, 5, 0)), (("a", "a"), (0, 1))):
+        foreign = Violation("matching-hom-assoc", labels, basis, (), ())
+        with pytest.raises(ParamError):
+            replay_violation(doc, foreign)
