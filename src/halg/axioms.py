@@ -32,11 +32,12 @@ optionally tagged with a flag it runs under.
   without it): "verbose", the dendriform toggle, and "alternating" for the
   bracket role.
 
-The evaluator compares the two sides unreduced and reduces them only when
-they differ.  Plain kinds are written with p = id, so a stored candidate
-twist takes no part in their structure check; side conditions are what test
-that slot.  The one check outside the table is the invertible tag, whose
-witness is a kernel vector.
+Each row compiles once per process into one Python function per side and
+binds to a doc's maps per call.  The evaluator compares the two sides
+unreduced and reduces them only when they differ.  Plain kinds are written
+with p = id, so a stored candidate twist takes no part in their structure
+check; side conditions are what test that slot.  The one check outside the
+table is the invertible tag, whose witness is a kernel vector.
 
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
@@ -202,71 +203,40 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 
 
 # --- compiling laws ----------------------------------------------------------
+#
+# A law compiles once per process into one Python function per side,
+# side(B, E, ix) -> the side's unreduced vector at the basis tuple ix, where
+# E is the basis and B the tuple of maps the law names, bound once per label
+# tuple.  A map on basis slots only is a table lookup (a structure constant,
+# or a column); every other node calls a linalg kernel.
 
-def _compile_term(term):
-    """bind(frame, env, points) -> a function of the point's index giving
-    the term's unreduced vector there.  A leaf -- a basis slot, or a map on
-    basis slots only -- is looked up once per point at bind time."""
+def _source(term, names):
+    """Python expression for term; each map it names is appended to names
+    once and read as B[its index]."""
     if isinstance(term, int):
-        def leaf(frame, env, points):
-            basis = frame["basis"]
-            return [basis[ix[term]] for ix in points].__getitem__
-        return leaf
+        return f"E[ix[{term}]]"
     name, *args = term
-    base, _, var = name.partition(".")
-    if var:
-        def lookup(frame, env):
-            return frame[base][env[var]]
-    else:
-        def lookup(frame, env):
-            return frame[base]
-    scalar = base in ("-", "w")
-    if len(args) == 2 and all(isinstance(t, int) for t in args):
-        s, t = args
-        def leaf(frame, env, points):
-            c = lookup(frame, env)
-            return [c[ix[s]][ix[t]] for ix in points].__getitem__
-        return leaf
-    if len(args) == 1 and isinstance(args[0], int) and not scalar:
-        s, = args
-        def leaf(frame, env, points):
-            cols = lookup(frame, env)[1]
-            return [cols[ix[s]] for ix in points].__getitem__
-        return leaf
+    if name not in names:
+        names.append(name)
+    b = f"B[{names.index(name)}]"
     if len(args) == 2:
-        left, right = map(_compile_term, args)
-        def bind(frame, env, points):
-            c = lookup(frame, env)
-            g, h = left(frame, env, points), right(frame, env, points)
-            return lambda n: bilinear_raw(c, g(n), h(n))
-        return bind
-    arg = _compile_term(args[0])
-    if scalar:
-        def bind(frame, env, points):
-            w, g = lookup(frame, env), arg(frame, env, points)
-            return lambda n: [w * x for x in g(n)]
-    else:
-        def bind(frame, env, points):
-            rows, g = lookup(frame, env)[0], arg(frame, env, points)
-            return lambda n: apply_raw(rows, g(n))
-    return bind
+        if all(isinstance(t, int) for t in args):
+            return f"{b}[ix[{args[0]}]][ix[{args[1]}]]"
+        return f"mul({b}, {_source(args[0], names)}, {_source(args[1], names)})"
+    arg, = args
+    if name.partition(".")[0] in ("-", "w"):
+        return f"[{b} * v for v in {_source(arg, names)}]"
+    if isinstance(arg, int):
+        return f"{b}[1][ix[{arg}]]"
+    return f"app({b}[0], {_source(arg, names)})"
 
 
-def _compile_side(side):
-    """The same for a signed sum of terms."""
-    terms = [_compile_term(t) for t in side]
-    if len(terms) == 1:
-        return terms[0]
-    if not terms:
-        def bind(frame, env, points):
-            zero = [0] * len(frame["basis"])
-            return lambda n: zero
-        return bind
-
-    def bind(frame, env, points):
-        gs = [t(frame, env, points) for t in terms]
-        return lambda n: [sum(col) for col in zip(*[g(n) for g in gs])]
-    return bind
+def _side_source(side, names):
+    if not side:
+        return "[0] * len(E)"
+    if len(side) == 1:
+        return _source(side[0], names)
+    return f"[sum(col) for col in zip({', '.join(_source(t, names) for t in side)})]"
 
 
 def _slots(term):
@@ -279,21 +249,27 @@ class _Compiled(NamedTuple):
     axiom: str
     labels: tuple
     arity: int
-    lhs: object       # lhs(frame, env, points) -> function of the point index
+    refs: tuple       # per B[i]: (frame key, index of its label variable or None)
+    lhs: object       # lhs(B, E, ix) -> unreduced vector
     rhs: tuple        # the same for each right-hand side
 
-    def bind(self, frame, labs, points):
-        """The sides at the label tuple labs, as functions of the index of a
-        basis tuple in points: (lhs, [rhs, ...])."""
-        env = dict(zip(self.labels, labs))
-        return self.lhs(frame, env, points), [r(frame, env, points) for r in self.rhs]
+    def bind(self, frame, labs):
+        """B: the maps the sides read, at the label tuple labs."""
+        return tuple(frame[key] if i is None else frame[key][labs[i]]
+                     for key, i in self.refs)
 
 
 def _compile(law: _Law, role=None) -> _Compiled:
     sides = [law.lhs, *law.rhs]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
-    return _Compiled(law.axiom.format(role=role), law.labels, arity,
-                     _compile_side(law.lhs), tuple(map(_compile_side, law.rhs)))
+    names = []
+    kernels = {"mul": bilinear_raw, "app": apply_raw}
+    lhs, *rhs = [eval(f"lambda B, E, ix: {_side_source(side, names)}", kernels)
+                 for side in sides]
+    refs = tuple((key, law.labels.index(var) if var else None)
+                 for key, _, var in (name.partition(".") for name in names))
+    return _Compiled(law.axiom.format(role=role), law.labels, arity, refs,
+                     lhs, tuple(rhs))
 
 
 def _active(laws, flags):
@@ -357,15 +333,16 @@ def _violations(laws, frame, labels, field):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  The sides are compared raw and reduced only when they differ."""
     red = field.reduce
-    dim = len(frame["basis"])
+    basis = frame["basis"]
     for law in laws:
-        points = _points(dim, law.arity)
+        lhs, rhss = law.lhs, law.rhs
+        points = _points(len(basis), law.arity)
         for labs in product(labels, repeat=len(law.labels)):
-            lhs, rhss = law.bind(frame, labs, points)
-            for n, ix in enumerate(points):
-                left = lhs(n)
+            maps = law.bind(frame, labs)
+            for ix in points:
+                left = lhs(maps, basis, ix)
                 for rhs in rhss:
-                    right = rhs(n)
+                    right = rhs(maps, basis, ix)
                     if left != right:
                         lc = tuple(map(red, left))
                         rc = tuple(map(red, right))
@@ -414,8 +391,9 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
-        lhs, (rhs,) = law.bind(_frame(doc), labels, [basis])
-        return tuple(map(red, lhs(0))), tuple(map(red, rhs(0)))
+        maps, vectors = law.bind(_frame(doc), labels), _basis(doc.dim)
+        sides = law.lhs(maps, vectors, basis), law.rhs[0](maps, vectors, basis)
+        return tuple(tuple(map(red, side)) for side in sides)
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
 

@@ -594,8 +594,9 @@ REPORT_DIGEST = "55981c55da5286ede97ce0b0758eab2ccee6dfe630f8a1ba5bf4445a283006d
 
 def test_report_bytes_are_pinned():
     """Every check's serialized report over a seeded corpus hashes to a
-    digest pinned before the axiom engine was rewritten; every structure
-    witness replays to its own sides (the verbose reports hold them all)."""
+    pinned digest, so any change to a verdict, a witness or their order
+    shows; every structure witness replays to its own sides (the verbose
+    reports hold them all)."""
     digest = hashlib.sha256()
     passing = failing = 0
 
