@@ -150,9 +150,11 @@ def _r_dendriform_twist(doc, params):
     return dendriform_twist(doc, p)
 
 
-def _r_simple(name):
-    """A recipe that takes no params.  It looks the construction up when it
-    runs, so a wrapper set on this module's attribute sees the call."""
+def _r_simple(fn):
+    """A recipe that takes no params.  It looks fn up by name when it runs,
+    so a wrapper set on this module's attribute sees the call."""
+    name = fn.__name__
+
     def run(doc, params):
         _no_leftovers(params)
         return globals()[name](doc)
@@ -161,18 +163,18 @@ def _r_simple(name):
 
 _RECIPES = {
     "yau-twist": _r_yau,
-    "untwist": _r_simple("untwist"),
+    "untwist": _r_simple(untwist),
     "derived": _r_derived,
     "centroid-twist": _r_centroid,
-    "commutator": _r_simple("commutator"),
-    "prelie-commutator": _r_simple("prelie_commutator"),
+    "commutator": _r_simple(commutator),
+    "prelie-commutator": _r_simple(prelie_commutator),
     "collapse": _r_collapse,
     "dendriform-twist": _r_dendriform_twist,
-    "dendriform-sum": _r_simple("dendriform_sum"),
-    "dendriform-to-prelie": _r_simple("dendriform_to_prelie"),
-    "rb-to-dendriform": _r_simple("rb_to_dendriform"),
-    "rb-to-tridendriform": _r_simple("rb_to_tridendriform"),
-    "rb-to-prelie": _r_simple("rb_to_prelie"),
+    "dendriform-sum": _r_simple(dendriform_sum),
+    "dendriform-to-prelie": _r_simple(dendriform_to_prelie),
+    "rb-to-dendriform": _r_simple(rb_to_dendriform),
+    "rb-to-tridendriform": _r_simple(rb_to_tridendriform),
+    "rb-to-prelie": _r_simple(rb_to_prelie),
 }
 
 
