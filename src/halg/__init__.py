@@ -29,8 +29,7 @@ from .linalg import (BilinearMap, LinearMap, apply_map, bilinear_apply,
                      tensor_combine, tensor_transpose)
 from .search import (DEFAULT_BUDGET, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                      TARGET_RB_FAMILY, TARGETS, SearchResult, SearchSpec,
-                     catalog, enumerate_docs, fixture_names, seeded_sample,
-                     worker_count)
+                     catalog, enumerate_docs, fixture_names, seeded_sample)
 from .structures import (ASSOC_KINDS, ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_LIE, FORMAT_VERSION,
                          HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS, LIE_KINDS,

@@ -462,3 +462,35 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
         yield from _map_violations("morphism", frame, src, target)
         yield from _map_violations("twist-intertwine", frame, src)
     return make_report(violations())
+
+
+# --- searches ----------------------------------------------------------------
+
+def candidate_check(doc: AlgebraDoc, tag: str | None = None):
+    """ok(candidate) -> bool for a search that varies one kind of map on
+    doc.  Every candidate is decided on one frame, built once from doc, by
+    the compiled laws and the evaluator above.
+
+    Without a tag the operators vary.  candidate maps labels to operator
+    matrices (row tuples of canonical scalars), and ok decides doc's
+    structure laws with label variables over every tuple of those labels,
+    taken in candidate's order.  The laws without label variables name
+    neither P nor w, so no candidate changes their verdict: a search decides
+    them once, on doc.  With a side-condition tag, candidate is the matrix
+    of f, and ok decides the tag on doc as check_side_conditions does.
+    """
+    frame = _frame(doc)
+    field = doc.field
+    if tag is None:
+        laws = [law for law in _laws_for(doc, None, False) if law.labels]
+        ops = frame["P"]
+
+        def ok(candidate):
+            for lab, rows in candidate.items():
+                ops[lab] = rows, tuple(zip(*rows))
+            return next(_violations(laws, frame, tuple(candidate), field), None) is None
+    else:
+        def ok(candidate):
+            frame["f"] = candidate, tuple(zip(*candidate))
+            return next(_map_violations(tag, frame, doc), None) is None
+    return ok

@@ -3,15 +3,17 @@
 Docs travel as single-line JSON, one per line, so subcommands compose over
 pipes: `halg search ... | halg construct yau-twist - | halg check -`.
 
-Exit codes: 0 success, 1 usage or malformed input, 2 a failed check or an
-unmet construction precondition (the witness report is printed when one
-exists), 3 a construction whose output re-check failed.
+Exit codes: 0 success, 1 usage or malformed input, or stdout closed by its
+reader, 2 a failed check or an unmet construction precondition (the witness
+report is printed when one exists), 3 a construction whose output re-check
+failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .axioms import check_side_conditions, check_structure
@@ -346,10 +348,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except HalgError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except BrokenPipeError:
+        # The reader went away (`| head`).  Point stdout at devnull, so that
+        # the flush at exit has nowhere to fail, and end quietly.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not backed by a file descriptor
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -151,19 +151,25 @@ def kernel_vector(f: LinearMap):
     Used to witness failed invertibility checks: the returned v satisfies
     f(v) = 0 with v != 0.
     """
-    n = f.dim
-    field = f.field
-    rows = [list(r) for r in f.rows]
-    rank, pivots = _echelon(field, rows)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
-    v = [field.zero] * n
-    v[c] = field.one
-    for r, pc in enumerate(pivots):
-        v[pc] = field.neg(rows[r][c])
-    return tuple(v)
+    basis = null_space(f.field, [list(r) for r in f.rows], f.dim)
+    return tuple(basis[0]) if basis else None
+
+
+def null_space(field: Field, rows: list, n_cols: int) -> list:
+    """A basis of the solutions v of rows . v = 0, in n_cols unknowns: one
+    vector per column without a pivot, which is 1 there and 0 at every other
+    such column.  Row-reduces rows in place."""
+    _, pivots = _echelon(field, rows)
+    basis = []
+    for c in range(n_cols):
+        if c in pivots:
+            continue
+        v = [field.zero] * n_cols
+        v[c] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(rows[r][c])
+        basis.append(v)
+    return basis
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,40 @@
-"""Brute-force enumeration and seeded sampling of small structures.
+"""Exhaustive search and seeded sampling of small structures over F_p.
 
-Searches run over prime fields only, in deterministic lexicographic order
-(entry 0 of the first matrix is the most significant digit).  The candidate
-count is bounded by SearchSpec.budget up front, so a hopeless request fails
-fast instead of spinning.
+enumerate_docs returns every hit of a candidate space in lexicographic order
+(entry 0 of the first matrix is the most significant digit), but it finds
+them by structure rather than by testing each candidate:
 
-HALG_THREADS is recognized (see worker_count) but results never depend on
-it: enumeration is a single deterministic pass.
+* rb-family: operator families (P_a) on a base product.  The laws without
+  label variables (hom-assoc, hom-jacobi) do not involve the operators, so
+  the zero-operator probe decides them once.  On the diagonal pair (a, a)
+  the matching Rota-Baxter identity is the Rota-Baxter identity of weight
+  w_a for P_a alone, so each label's solutions S_a are found on their own,
+  and the tuples of S_1 x ... x S_k, walked in product order, are
+  cross-checked on every label pair.
+* endomorphism: every candidate map in turn, each decided on one frame of
+  the base.
+* commuting: f P_a = P_a f is linear in the entries of f, so the hits are
+  the elements of a solution space, listed in order and each re-checked.
+
+Docs are built for hits only.  `limit` and `truncated` read as for a plain
+loop over the whole candidate space, and SearchSpec.budget bounds that
+space's size p^entries up front, so a hopeless request fails fast.
+seeded_sample draws candidates at random and checks each one.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .axioms import check_side_conditions, structure_ok
+from .axioms import candidate_check, check_side_conditions, structure_ok
 from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
-                     PreconditionFailed, UnknownFixtureError)
+                     PreconditionFailed, TheoremCheckError,
+                     UnknownFixtureError)
 from .fields import GF, QQ, Field
-from .linalg import BilinearMap, LinearMap
+from .linalg import BilinearMap, LinearMap, _echelon, null_space
 from .structures import (ASSOC_RB_KINDS, HOM_ASSOC_MATCHING_RB,
                          MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
                          MATCHING_HOM_LIE_RB, PLAIN_ASSOC_MATCHING_RB,
@@ -99,7 +113,14 @@ def _rb_family_plan(spec: SearchSpec):
     if len(spec.weights) != spec.omega_size:
         raise ParamError(
             f"expected {spec.omega_size} weights, got {len(spec.weights)}")
-    weights = {lab: field.reduce(w) for lab, w in zip(labels, spec.weights)}
+    weights = {}
+    for i, (lab, w) in enumerate(zip(labels, spec.weights)):
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise ParamError(f"weights[{i}] must be an integer or a Fraction, "
+                             f"got {w!r}")
+        # canonical as a parsed doc has it: over F_p, a/b is a * b^-1
+        weights[lab] = field.parse_scalar(f"{w.numerator}/{w.denominator}",
+                                          f"weights[{i}]")
     if lie:
         kind = MATCHING_HOM_LIE_RB if twist is not None else PLAIN_LIE_MATCHING_RB
         role = "bracket"
@@ -125,9 +146,37 @@ def _matrices_from_digits(field, dim, labels, digits):
     return ops
 
 
+def _matrices(p: int, dim: int):
+    """Every dim x dim matrix over F_p as a row tuple, in lexicographic
+    order of its row-major digits."""
+    for digits in itertools.product(range(p), repeat=dim * dim):
+        yield tuple(digits[r * dim:(r + 1) * dim] for r in range(dim))
+
+
+def _check_budget(spec: SearchSpec, entries: int) -> None:
+    total = spec.base.field.p ** entries
+    if total > spec.budget:
+        raise BudgetExceededError(
+            f"{total} candidates exceed the budget {spec.budget}")
+
+
+def _collect(found, limit, p, emit) -> SearchResult:
+    """Emit the hits of found, in its order, up to limit.  A hit is a tuple
+    of matrices, and the candidates are every such tuple in lexicographic
+    order, so a result stopped by the limit is truncated unless the hit
+    that reached it is the last candidate, the one of all digits p - 1."""
+    hits = []
+    for ms in found:
+        hits.append(emit(ms))
+        if len(hits) == limit:
+            last = all(v == p - 1 for m in ms for row in m for v in row)
+            return SearchResult(tuple(hits), not last)
+    return SearchResult(tuple(hits), False)
+
+
 def enumerate_docs(spec: SearchSpec) -> SearchResult:
-    """Exhaustive lexicographic search.  See the target-specific helpers for
-    exactly what is enumerated; docs come back in candidate order."""
+    """Every hit of an exhaustive search, in lexicographic candidate order.
+    See the module docstring for what each target enumerates."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
     if spec.limit is not None and spec.limit < 1:
@@ -140,29 +189,26 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
 
     if spec.target == TARGET_RB_FAMILY:
         product, labels, weights, kind, role, twist = _rb_family_plan(spec)
-        entries = dim * dim * len(labels)
-        total = p ** entries
-        if total > spec.budget:
-            raise BudgetExceededError(
-                f"{total} candidates exceed the budget {spec.budget}")
+        _check_budget(spec, dim * dim * len(labels))
         zero_ops = {lab: LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
                     for lab in labels}
         probe = _rb_doc(field, dim, labels, kind, role, product, zero_ops,
                         weights, twist)
         if not structure_ok(probe):
             return SearchResult((), False)
-        hits = []
-        examined = 0
-        for digits in itertools.product(range(p), repeat=entries):
-            examined += 1
-            ops = _matrices_from_digits(field, dim, labels, digits)
-            doc = _rb_doc(field, dim, labels, kind, role, product, ops,
-                          weights, twist)
-            if structure_ok(doc):
-                hits.append(doc)
-                if spec.limit is not None and len(hits) >= spec.limit:
-                    return SearchResult(tuple(hits), examined < total)
-        return SearchResult(tuple(hits), False)
+        ok = candidate_check(probe)
+        # the diagonal instance (a, a) involves P_a alone
+        alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
+        found = itertools.product(*alone)
+        if len(labels) > 1:
+            found = (ms for ms in found if ok(dict(zip(labels, ms))))
+
+        def emit(ms):
+            # digits are canonical residues, so the rows need no reducing
+            ops = {lab: LinearMap(field, m) for lab, m in zip(labels, ms)}
+            return _rb_doc(field, dim, labels, kind, role, product, ops,
+                           weights, twist)
+        return _collect(found, spec.limit, p, emit)
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
     if base.kind not in PLAIN_RB_KINDS:
@@ -175,23 +221,55 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
     if spec.weights and tuple(spec.weights) != tuple(
             base.operators.weights[lab] for lab in base.labels):
         raise ParamError("weights cannot be changed for this target")
-    tag = "endomorphism" if spec.target == TARGET_ENDOMORPHISM else "commutes"
-    entries = dim * dim
-    total = p ** entries
-    if total > spec.budget:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the budget {spec.budget}")
-    hits = []
-    examined = 0
-    for digits in itertools.product(range(p), repeat=entries):
-        examined += 1
-        cand = LinearMap.from_rows(
-            field, [list(digits[r * dim:(r + 1) * dim]) for r in range(dim)])
-        if check_side_conditions(base, [tag], candidate=cand).passed:
-            hits.append(_with_candidate(base, cand))
-            if spec.limit is not None and len(hits) >= spec.limit:
-                return SearchResult(tuple(hits), examined < total)
-    return SearchResult(tuple(hits), False)
+    _check_budget(spec, dim * dim)
+    if spec.target == TARGET_ENDOMORPHISM:
+        ok = candidate_check(base, "endomorphism")
+        found = ((m,) for m in _matrices(p, dim) if ok(m))
+
+        def emit(ms):
+            return _with_candidate(base, LinearMap(field, ms[0]))
+    else:
+        found = ((m,) for m in _commuting_maps(base))
+
+        def emit(ms):
+            cand = LinearMap(field, ms[0])
+            report = check_side_conditions(base, ["commutes"], candidate=cand)
+            if not report.passed:
+                raise TheoremCheckError(
+                    "commuting search: a solution fails the commutes check", report)
+            return _with_candidate(base, cand)
+    return _collect(found, spec.limit, p, emit)
+
+
+def _commuting_maps(base: AlgebraDoc):
+    """Every f with f P_a = P_a f for each label a, in lexicographic order.
+
+    The condition is a linear system in the entries of f, taken row-major,
+    which is the digit order.  Its solutions are the combinations of a
+    kernel basis brought to reduced echelon form, and two of them first
+    differ at a pivot digit, where each carries its own coefficient; so
+    coefficient tuples in product order give the solutions in lexicographic
+    order.
+    """
+    field, dim = base.field, base.dim
+    n = dim * dim
+    system = []
+    for lab in base.labels:
+        P = base.operators.ops[lab].rows
+        for i in range(dim):
+            for j in range(dim):
+                # (f P - P f)[i][j] = sum_k f[i][k] P[k][j] - P[i][k] f[k][j]
+                row = [0] * n
+                for k in range(dim):
+                    row[i * dim + k] += P[k][j]
+                    row[k * dim + j] -= P[i][k]
+                system.append([field.reduce(v) for v in row])
+    basis = null_space(field, system, n)
+    _echelon(field, basis)
+    p = field.p
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        flat = [sum(c * v[t] for c, v in zip(coeffs, basis)) % p for t in range(n)]
+        yield tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
 
 
 def _with_candidate(base: AlgebraDoc, cand: LinearMap) -> AlgebraDoc:
@@ -308,18 +386,3 @@ def catalog(name: str | None = None):
     except KeyError:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}; names: {', '.join(sorted(table))}") from None
-
-
-def worker_count() -> int:
-    """Parse HALG_THREADS (default 1).  Reserved: searches are a single
-    deterministic pass, so results are identical for every setting."""
-    raw = os.environ.get("HALG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ParamError(f"HALG_THREADS must be an integer, got {raw!r}") from None
-    if k < 1:
-        raise ParamError(f"HALG_THREADS must be positive, got {k}")
-    return k

@@ -269,7 +269,8 @@ def _check_operators(doc: AlgebraDoc):
         w = ops.weights[lab]
         if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
             raise ShapeError("weights must be scalars", f"operators.weights.{lab}")
-        if doc.field.reduce(w) != w:
+        if doc.field.reduce(w) != w or (doc.field.is_prime_field
+                                        and not isinstance(w, int)):
             raise ShapeError("weight is not a canonical scalar", f"operators.weights.{lab}")
 
 

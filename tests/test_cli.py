@@ -394,3 +394,22 @@ def test_output_may_name_the_input(tmp_path, capsys):
     with open(sing, "rb") as fh:
         assert fh.read() == before
     capsys.readouterr()
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader leaves after the first line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_ends_quietly_with_exit_1(capsys, monkeypatch):
+    out = _ClosedAfterOneLine()
+    monkeypatch.setattr("sys.stdout", out)
+    argv = ["search", "--target", "rb-family", "--fixture", "Z2-F3",
+            "--omega", "2", "--weights", "0,0"]
+    assert main(argv) == 1
+    assert out.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == ""

@@ -6,6 +6,8 @@ checks moved.
 """
 
 import hashlib
+import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +15,11 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   NonFiniteFieldError, OperatorFamily, ParamError,
                   PreconditionFailed, SearchSpec, TARGET_COMMUTING,
                   TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, UnknownFixtureError,
-                  catalog, enumerate_docs, fixture_names, make_doc,
-                  seeded_sample, serialize_doc, structure_ok, worker_count,
-                  yau_twist)
+                  catalog, check_side_conditions, enumerate_docs,
+                  fixture_names, make_doc, parse_doc, seeded_sample,
+                  serialize_doc, structure_ok, yau_twist)
+from halg.errors import ZeroDenominatorError
+from halg.search import _rb_family_plan
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB)
 
@@ -241,17 +245,17 @@ def test_catalog_names_and_lookup():
         catalog("N3")
 
 
-def test_worker_count_parses_the_environment(monkeypatch):
-    monkeypatch.delenv("HALG_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("HALG_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("HALG_THREADS", "0")
-    with pytest.raises(ParamError):
-        worker_count()
-    monkeypatch.setenv("HALG_THREADS", "lots")
-    with pytest.raises(ParamError):
-        worker_count()
+def test_weights_are_canonical_scalars():
+    half = [serialize_doc(d) for d in enumerate_docs(
+        rb_spec(catalog("N2-F3"), 1, (Fraction(1, 2),)))]
+    two = [serialize_doc(d) for d in enumerate_docs(rb_spec(catalog("N2-F3"), 1, (2,)))]
+    assert half and half == two
+    assert all(serialize_doc(parse_doc(line)) == line for line in half)
+    with pytest.raises(ZeroDenominatorError):
+        enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (Fraction(1, 2),)))
+    for bad in (0.5, True):
+        with pytest.raises(ParamError):
+            enumerate_docs(rb_spec(catalog("Z2-F3"), 1, (bad,)))
 
 
 def test_result_iteration_protocol():
@@ -267,3 +271,122 @@ def test_limit_below_one_is_refused():
             enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F2"),
                                       TARGET_ENDOMORPHISM, limit=limit))
     assert len(enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (0,), limit=1))) == 1
+
+
+# --- the structured search against a plain exhaustive loop ---------------------
+
+def _brute_force(spec):
+    """(hits, truncated) from the plain loop over every candidate in
+    lexicographic digit order, building and checking a doc per candidate."""
+    base = spec.base
+    field, dim, p = base.field, base.dim, base.field.p
+    if spec.target == TARGET_RB_FAMILY:
+        product, labels, weights, kind, role, twist = _rb_family_plan(spec)
+
+        def hit(digits):
+            ops = {}
+            for n, lab in enumerate(labels):
+                chunk = digits[n * dim * dim:(n + 1) * dim * dim]
+                ops[lab] = LinearMap.from_rows(
+                    field, [chunk[r * dim:(r + 1) * dim] for r in range(dim)])
+            doc = make_doc(field, dim, labels, kind, {role: product},
+                           operators=OperatorFamily(ops=ops, weights=weights),
+                           twist=twist)
+            return doc if structure_ok(doc) else None
+        entries = dim * dim * len(labels)
+    else:
+        tag = "endomorphism" if spec.target == TARGET_ENDOMORPHISM else "commutes"
+
+        def hit(digits):
+            cand = LinearMap.from_rows(
+                field, [digits[r * dim:(r + 1) * dim] for r in range(dim)])
+            if not check_side_conditions(base, [tag], candidate=cand).passed:
+                return None
+            return make_doc(field, dim, base.omega, base.kind, base.families,
+                            operators=base.operators, twist=cand)
+        entries = dim * dim
+    hits = []
+    for digits in itertools.product(range(p), repeat=entries):
+        doc = hit(digits)
+        if doc is not None:
+            hits.append(doc)
+            if len(hits) == spec.limit:
+                return hits, any(v != p - 1 for v in digits)
+    return hits, False
+
+
+def _same_as_brute_force(spec):
+    res = enumerate_docs(spec)
+    hits, truncated = _brute_force(spec)
+    assert [serialize_doc(d) for d in res] == [serialize_doc(d) for d in hits]
+    assert res.truncated == truncated
+    return len(hits)
+
+
+def _n3_f3(op_rows):
+    """k[x]/(x^3) over F_3 with one weight-0 operator."""
+    field = GF(3)
+    c = [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)]
+    return make_doc(field, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                    {"dot": BilinearMap.from_nested(field, c)},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, op_rows)},
+                        weights={"a": 0}))
+
+
+def _broken_f2():
+    field = GF(2)
+    return make_doc(field, 2, ("a",), MATCHING_HOM_ASSOC,
+                    {"dot": {"a": BilinearMap.from_nested(
+                        field, [[[1, 0], [1, 0]], [[0, 0], [0, 0]]])}},
+                    twist=LinearMap.identity(field, 2))
+
+
+def test_rb_family_matches_brute_force_on_every_catalog_fixture():
+    f3_dim2 = 0
+    for name in fixture_names():
+        base = catalog(name)
+        if not base.field.is_prime_field:
+            continue
+        p = base.field.p
+        weights = sorted({0, 1, p - 1})
+        for w in weights:
+            _same_as_brute_force(rb_spec(base, 1, (w,)))
+        pairs = list(itertools.product(weights, repeat=2))
+        if p == 3 and base.dim == 2:
+            # 6561 candidates each: one weight pair per fixture, and a limit
+            # that keeps the all-hit Z2-F3 space short
+            pair = pairs[f3_dim2 * 4 % len(pairs)]
+            f3_dim2 += 1
+            _same_as_brute_force(rb_spec(base, 2, pair, limit=40))
+        else:
+            for pair in pairs:
+                _same_as_brute_force(rb_spec(base, 2, pair))
+
+
+def test_rb_family_matches_brute_force_on_twisted_and_broken_bases():
+    hom = _twisted_n2_f3()
+    assert _same_as_brute_force(rb_spec(hom, 1, (2,))) > 0
+    assert _same_as_brute_force(rb_spec(hom, 2, (0, 0))) == 33
+    for omega in (1, 2):
+        assert _same_as_brute_force(rb_spec(_broken_f2(), omega, (0,) * omega)) == 0
+
+
+def test_every_limit_matches_brute_force():
+    for spec in (rb_spec(catalog("N2-F2"), 2, (0, 1)),
+                 SearchSpec(catalog("N2-Pnil-w0-F3"), TARGET_COMMUTING)):
+        hits = len(enumerate_docs(spec))
+        for limit in range(1, hits + 2):
+            _same_as_brute_force(SearchSpec(spec.base, spec.target, spec.omega_size,
+                                            spec.weights, limit=limit))
+
+
+def test_map_targets_match_brute_force():
+    bases = [catalog(name) for name in fixture_names()
+             if catalog(name).kind == PLAIN_ASSOC_MATCHING_RB
+             and catalog(name).field.is_prime_field]
+    bases.append(_n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]]))
+    for base in bases:
+        for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING):
+            if structure_ok(base):
+                _same_as_brute_force(SearchSpec(base, target))

@@ -6,6 +6,7 @@ bytes, not just the structure.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -261,3 +262,14 @@ def test_parse_doc_denominator_divisible_by_p_names_the_scalar():
     with pytest.raises(ShapeError) as exc:
         parse_doc(json.dumps(obj).encode())
     assert exc.value.path == "families.dot.a[1][0][1]"
+
+
+def test_prime_field_weight_must_be_an_integer_residue():
+    field = GF(3)
+    id2 = LinearMap.identity(field, 2)
+    for weight in (Fraction(1, 2), Fraction(2, 1)):
+        with pytest.raises(ShapeError) as exc:
+            make_doc(field, 2, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                     {"dot": BilinearMap.zero(field, 2)},
+                     operators=OperatorFamily(ops={"a": id2}, weights={"a": weight}))
+        assert exc.value.path == "operators.weights.a"
