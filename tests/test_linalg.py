@@ -5,6 +5,7 @@ u the unit and t^2 = 0 (structure constants c[0][0][0] = c[0][1][1] =
 c[1][0][1] = 1), and on the nilpotent map P: u -> t, t -> 0.
 """
 
+import doctest
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,56 @@ def test_surgery_matches_pointwise_definition(m, f, x, y):
     assert bilinear_apply(precompose_left(m, f), x, y) == bilinear_apply(m, apply_map(f, x), y)
     assert bilinear_apply(precompose_right(m, f), x, y) == bilinear_apply(m, x, apply_map(f, y))
     assert bilinear_apply(tensor_transpose(m), x, y) == bilinear_apply(m, y, x)
+
+
+# --- kernel parity: the kernels against the textbook sums -----------------------
+
+FIELDS = (QQ, GF(2), GF(3), GF(5), GF(7))
+
+
+def scalars(field):
+    """Canonical scalars of field, zero drawn often."""
+    if field.is_prime_field:
+        return st.one_of(st.just(0), st.integers(0, field.p - 1))
+    return st.one_of(st.just(0), st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=7).map(QQ.reduce))
+
+
+@st.composite
+def field_dim(draw):
+    return draw(st.sampled_from(FIELDS)), draw(st.integers(1, 4))
+
+
+def nested(field, shape):
+    entry = scalars(field)
+    for n in reversed(shape):
+        entry = st.lists(entry, min_size=n, max_size=n)
+    return entry
+
+
+@given(st.data(), field_dim())
+def test_apply_map_is_the_row_sum(data, fd):
+    field, dim = fd
+    rows = data.draw(nested(field, (dim, dim)))
+    x = tuple(data.draw(nested(field, (dim,))))
+    expected = tuple(field.reduce(sum(rows[i][j] * x[j] for j in range(dim)))
+                     for i in range(dim))
+    assert apply_map(LinearMap.from_rows(field, rows), x) == expected
+
+
+@given(st.data(), field_dim())
+def test_bilinear_apply_is_the_double_sum(data, fd):
+    field, dim = fd
+    c = data.draw(nested(field, (dim, dim, dim)))
+    x = tuple(data.draw(nested(field, (dim,))))
+    y = tuple(data.draw(nested(field, (dim,))))
+    expected = tuple(field.reduce(sum(x[i] * y[j] * c[i][j][k]
+                                      for i in range(dim) for j in range(dim)))
+                     for k in range(dim))
+    assert bilinear_apply(BilinearMap.from_nested(field, c), x, y) == expected
+
+
+def test_module_examples_run():
+    import halg.linalg
+    result = doctest.testmod(halg.linalg)
+    assert result.attempted > 0 and result.failed == 0
