@@ -207,8 +207,10 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # A law compiles once per process into one Python function per side,
 # side(B, E, ix) -> the side's unreduced vector at the basis tuple ix, where
 # E is the basis and B the tuple of maps the law names, bound once per label
-# tuple.  A map on basis slots only is a table lookup (a structure constant,
-# or a column); every other node calls a linalg kernel.
+# tuple.  Linear maps are bound as their column tuples.  A map on basis
+# slots only is a table lookup (a structure constant, or a column); every
+# other node calls a linalg kernel, and a side of several terms adds them
+# coordinate by coordinate.
 
 def _source(term, names):
     """Python expression for term; each map it names is appended to names
@@ -227,8 +229,8 @@ def _source(term, names):
     if name.partition(".")[0] in ("-", "w"):
         return f"[{b} * v for v in {_source(arg, names)}]"
     if isinstance(arg, int):
-        return f"{b}[1][ix[{arg}]]"
-    return f"app({b}[0], {_source(arg, names)})"
+        return f"{b}[ix[{arg}]]"
+    return f"app({b}, {_source(arg, names)})"
 
 
 def _side_source(side, names):
@@ -236,7 +238,9 @@ def _side_source(side, names):
         return "[0] * len(E)"
     if len(side) == 1:
         return _source(side[0], names)
-    return f"[sum(col) for col in zip({', '.join(_source(t, names) for t in side)})]"
+    vs = [f"v{i}" for i in range(len(side))]
+    return (f"[{' + '.join(vs)} for {', '.join(vs)} in "
+            f"zip({', '.join(_source(t, names) for t in side)})]")
 
 
 def _slots(term):
@@ -308,23 +312,20 @@ def _points(dim, arity):
     return tuple(product(range(dim), repeat=arity))
 
 
-def _linear(f: LinearMap):
-    return f.rows, f.columns()
-
-
 def _frame(doc: AlgebraDoc) -> dict:
     """Every name a structure law may use, bound to doc's tensors and maps:
-    linear maps as (rows, columns), and m to the first role's map at the
-    first label, which is the single product of an rb kind."""
+    linear maps as their column tuples (the identity twist as the basis),
+    and m to the first role's map at the first label, which is the single
+    product of an rb kind."""
     basis = _basis(doc.dim)
     roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
              for role, fam in doc.families.items()}
     frame = dict(roles, basis=basis,
-                 p=(basis, basis) if doc.twist is None else _linear(doc.twist))
+                 p=basis if doc.twist is None else doc.twist.columns())
     frame["-"] = -1
     frame["m"] = roles[KIND_ROLES[doc.kind][0]][doc.labels[0]]
     if doc.operators is not None:
-        frame["P"] = {lab: _linear(doc.operators.ops[lab]) for lab in doc.labels}
+        frame["P"] = {lab: doc.operators.ops[lab].columns() for lab in doc.labels}
         frame["w"] = doc.operators.weights
     return frame
 
@@ -425,7 +426,7 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     if p.dim != doc.dim:
         raise DimensionMismatch("candidate map of the wrong dimension")
     frame = _frame(doc)
-    frame["f"] = _linear(p)
+    frame["f"] = p.columns()
 
     def violations():
         for tag in conditions:
@@ -456,7 +457,7 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
 
     frame = _frame(src)
     target = _frame(dst)
-    frame.update({"f": _linear(f), "p'": target["p"]})
+    frame.update({"f": f.columns(), "p'": target["p"]})
 
     def violations():
         yield from _map_violations("morphism", frame, src, target)
@@ -487,10 +488,10 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
 
         def ok(candidate):
             for lab, rows in candidate.items():
-                ops[lab] = rows, tuple(zip(*rows))
+                ops[lab] = tuple(zip(*rows))
             return next(_violations(laws, frame, tuple(candidate), field), None) is None
     else:
         def ok(candidate):
-            frame["f"] = candidate, tuple(zip(*candidate))
+            frame["f"] = tuple(zip(*candidate))
             return next(_map_violations(tag, frame, doc), None) is None
     return ok

@@ -65,19 +65,28 @@ class LinearMap:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> tuple:
-        return tuple(self.column(j) for j in range(self.dim))
+        return tuple(zip(*self.rows))
 
 
-def apply_raw(rows, x) -> list:
-    """Unreduced rows applied to x; zero coefficients of x are skipped."""
-    return [sum(r[j] * xj for j, xj in enumerate(x) if xj) for r in rows]
+def apply_raw(cols, x) -> list:
+    """Unreduced image of x under the map whose columns are cols: the sum of
+    x[j] * cols[j], skipping zero coefficients of x and zero entries of the
+    columns, so a basis-vector argument costs O(dim)."""
+    out = [0] * len(cols)
+    for j, xj in enumerate(x):
+        if not xj:
+            continue
+        for k, s in enumerate(cols[j]):
+            if s:
+                out[k] += xj * s
+    return out
 
 
 def apply_map(f: LinearMap, x: Sequence) -> Vector:
     """f(x) for a coefficient vector x."""
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
-    return tuple(map(f.field.reduce, apply_raw(f.rows, x)))
+    return tuple(map(f.field.reduce, apply_raw(f.columns(), x)))
 
 
 def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
