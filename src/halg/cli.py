@@ -81,6 +81,8 @@ def _parse_param_list(pairs) -> dict:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
             params[key] = raw
+        except RecursionError:
+            raise ParamError(f"param {key!r} is nested too deeply") from None
     return params
 
 

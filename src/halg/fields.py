@@ -123,14 +123,24 @@ class Field:
                 raise ShapeError(f"cannot parse scalar {raw!r}", path) from None
             if den == 0:
                 raise ZeroDenominatorError("zero denominator", path)
-            q = Fraction(num, den)
-            if self.kind == PRIME_FIELD:
-                if q.denominator % self.p == 0:
-                    raise ZeroDenominatorError(
-                        f"denominator of {raw!r} is zero mod {self.p}", path)
-                return self.mul(q.numerator, self.inv(q.denominator))
-            return self.reduce(q)
+            return self.canonical(Fraction(num, den), path)
         raise ShapeError(f"scalar must be an integer or string, got {type(raw).__name__}", path)
+
+    def canonical(self, v, path: str = "scalar") -> Scalar:
+        """The canonical scalar of this field equal to the int or Fraction v.
+
+        Over F_p a fraction a/b is a * b^-1, and a denominator divisible by
+        p raises ZeroDenominatorError at path; over the rationals v is kept
+        in lowest terms.  Floats, booleans and other types raise ShapeError.
+        """
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ShapeError(
+                f"scalar must be an integer or a Fraction, got {type(v).__name__}", path)
+        if self.kind == PRIME_FIELD and isinstance(v, Fraction):
+            if v.denominator % self.p == 0:
+                raise ZeroDenominatorError(f"denominator of {v} is zero mod {self.p}", path)
+            return v.numerator * self.inv(v.denominator) % self.p
+        return self.reduce(v)
 
     def format_scalar(self, v: Scalar):
         """JSON spelling of a canonical scalar: int, or "num/den" when needed."""

@@ -24,8 +24,8 @@ from .fields import Field
 
 Vector = tuple
 
-def _canon_vec(field: Field, raw: Sequence) -> Vector:
-    return tuple(field.reduce(v) for v in raw)
+def _canon_vec(field: Field, raw: Sequence, path: str) -> Vector:
+    return tuple(field.canonical(v, f"{path}[{k}]") for k, v in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class LinearMap:
 
     @staticmethod
     def from_rows(field: Field, rows, path: str = "map") -> "LinearMap":
+        """The map with these rows, each entry made canonical by
+        `Field.canonical` (errors name the entry's path)."""
         if not isinstance(rows, (list, tuple)) or not rows:
             raise ShapeError("matrix must be a non-empty array of rows", path)
         dim = len(rows)
@@ -44,7 +46,7 @@ class LinearMap:
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)) or len(row) != dim:
                 raise ShapeError(f"row {i} must have {dim} entries", path)
-            out.append(_canon_vec(field, row))
+            out.append(_canon_vec(field, row, f"{path}[{i}]"))
         return LinearMap(field, tuple(out))
 
     @staticmethod
@@ -190,6 +192,8 @@ class BilinearMap:
 
     @staticmethod
     def from_nested(field: Field, c, path: str = "tensor") -> "BilinearMap":
+        """The tensor with these constants, each made canonical by
+        `Field.canonical` (errors name the entry's path)."""
         if not isinstance(c, (list, tuple)) or not c:
             raise ShapeError("tensor must be a non-empty nested array", path)
         dim = len(c)
@@ -201,7 +205,7 @@ class BilinearMap:
             for j, row in enumerate(plane):
                 if not isinstance(row, (list, tuple)) or len(row) != dim:
                     raise ShapeError(f"c[{i}][{j}] must have {dim} entries", path)
-                rows.append(_canon_vec(field, row))
+                rows.append(_canon_vec(field, row, f"{path}[{i}][{j}]"))
             planes.append(tuple(rows))
         return BilinearMap(field, tuple(planes))
 

@@ -119,8 +119,7 @@ def _rb_family_plan(spec: SearchSpec):
             raise ParamError(f"weights[{i}] must be an integer or a Fraction, "
                              f"got {w!r}")
         # canonical as a parsed doc has it: over F_p, a/b is a * b^-1
-        weights[lab] = field.parse_scalar(f"{w.numerator}/{w.denominator}",
-                                          f"weights[{i}]")
+        weights[lab] = field.canonical(w, f"weights[{i}]")
     if lie:
         kind = MATCHING_HOM_LIE_RB if twist is not None else PLAIN_LIE_MATCHING_RB
         role = "bracket"

@@ -377,6 +377,8 @@ def parse_doc(data) -> AlgebraDoc:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise DocSyntaxError(f"not JSON: {e}") from None
+    except RecursionError:
+        raise DocSyntaxError("not JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocSyntaxError("document must be a JSON object")
 
@@ -389,7 +391,7 @@ def parse_doc(data) -> AlgebraDoc:
         raise ShapeError(f"format-version must be {FORMAT_VERSION!r}", "format-version")
 
     kind = obj.get("kind")
-    if kind not in KIND_ROLES:
+    if not isinstance(kind, str) or kind not in KIND_ROLES:
         raise ShapeError(f"unknown kind {kind!r}", "kind")
     field = field_from_jsonable(obj.get("field"))
     dim = obj.get("dim")

@@ -413,3 +413,15 @@ def test_closed_stdout_ends_quietly_with_exit_1(capsys, monkeypatch):
     assert main(argv) == 1
     assert out.getvalue().count("\n") == 1
     assert capsys.readouterr().err == ""
+
+
+def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_bytes(b"[" * 100000 + b"\n")
+    assert main(["check", str(deep)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    path = write_docs(tmp_path, "n2.jsonl", catalog("N2"))
+    assert main(["construct", "yau-twist", path, "--param", "twist=" + "[" * 100000]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

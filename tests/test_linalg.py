@@ -17,6 +17,7 @@ from halg import (GF, QQ, BilinearMap, DimensionMismatch, FieldMismatch,
                   bilinear_apply, kernel_vector, map_compose, map_invert,
                   map_power, postcompose, precompose_left, precompose_right,
                   tensor_combine, tensor_transpose)
+from halg.errors import ZeroDenominatorError
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 PNIL = [[0, 0], [1, 0]]
@@ -46,6 +47,26 @@ def test_from_rows_shape_errors():
         LinearMap.from_rows(QQ, [[1, 0], [1]])
     with pytest.raises(ShapeError):
         LinearMap.from_rows(QQ, "rows")
+
+
+def test_entries_are_made_canonical_or_refused_at_their_path():
+    assert LinearMap.from_rows(GF(3), [[Fraction(1, 2), 4], [-1, 0]]).rows == ((2, 1), (2, 0))
+    assert LinearMap.from_rows(QQ, [[Fraction(4, 2)]]).rows == ((2,),)
+    assert type(LinearMap.from_rows(QQ, [[Fraction(4, 2)]]).rows[0][0]) is int
+    assert BilinearMap.from_nested(GF(5), [[[Fraction(1, 2)]]]).c == (((3,),),)
+    with pytest.raises(ZeroDenominatorError) as exc:
+        LinearMap.from_rows(GF(2), [[1, 0], [0, Fraction(1, 2)]])
+    assert exc.value.path == "map[1][1]"
+    with pytest.raises(ZeroDenominatorError) as exc:
+        BilinearMap.from_nested(GF(3), [[[Fraction(2, 3)]]], "dot")
+    assert exc.value.path == "dot[0][0][0]"
+    for bad in (0.5, True, "1", None):
+        with pytest.raises(ShapeError) as exc:
+            LinearMap.from_rows(QQ, [[0, 0], [bad, 0]])
+        assert exc.value.path == "map[1][0]"
+        with pytest.raises(ShapeError) as exc:
+            BilinearMap.from_nested(GF(5), [[[0, 0], [0, 0]], [[0, 0], [0, bad]]])
+        assert exc.value.path == "tensor[1][1][1]"
 
 
 def test_square_of_one_plus_t_in_dual_numbers():

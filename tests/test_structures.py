@@ -9,13 +9,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halg import (GF, QQ, AlgebraDoc, BilinearMap, DocSyntaxError, LinearMap,
-                  OmegaSet, OperatorFamily, ShapeError, Violation,
+from halg import (GF, QQ, AlgebraDoc, BilinearMap, DocSyntaxError, HalgError,
+                  LinearMap, OmegaSet, OperatorFamily, ShapeError, Violation,
                   catalog, make_doc, make_report, parse_doc, report_to_jsonable,
                   serialize_doc, validate_doc)
+from halg.errors import ZeroDenominatorError
 from halg.structures import (HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_LIE, RB_KINDS,
                              PLAIN_ASSOC_MATCHING_RB)
@@ -273,3 +274,73 @@ def test_prime_field_weight_must_be_an_integer_residue():
                      {"dot": BilinearMap.zero(field, 2)},
                      operators=OperatorFamily(ops={"a": id2}, weights={"a": weight}))
         assert exc.value.path == "operators.weights.a"
+
+
+def test_matrix_entries_are_canonical_so_docs_parse_again():
+    # over F_2, 1/2 has no value: the map is refused, so no doc spells "1/2"
+    with pytest.raises(ZeroDenominatorError) as exc:
+        LinearMap.from_rows(GF(2), [[Fraction(1, 2), 0], [0, 0]], "operators.ops.a")
+    assert exc.value.path == "operators.ops.a[0][0]"
+    # over F_3, 1/2 is 2
+    field = GF(3)
+    op = LinearMap.from_rows(field, [[Fraction(1, 2), 0], [0, 0]])
+    dot = BilinearMap.from_nested(field, [[[Fraction(-1, 2), 0], [0, 0]],
+                                          [[0, 0], [0, 0]]])
+    doc = make_doc(field, 2, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": dot},
+                   operators=OperatorFamily(ops={"a": op}, weights={"a": 0}))
+    line = serialize_doc(doc)
+    assert op.rows[0][0] == 2 and dot.c[0][0][0] == 1
+    assert b"/" not in line and serialize_doc(parse_doc(line)) == line
+
+
+def test_parse_doc_refuses_a_kind_that_is_not_a_string():
+    for kind in ([1], {"a": 1}, 7):
+        with pytest.raises(ShapeError) as exc:
+            parse_doc(json.dumps({"format-version": "1", "kind": kind}))
+        assert exc.value.path == "kind"
+
+
+def test_parse_doc_refuses_nesting_too_deep_for_the_parser():
+    for data in (b"[" * 100000, "[" * 100000 + "]" * 100000, b'{"a":' * 100000):
+        with pytest.raises(DocSyntaxError):
+            parse_doc(data)
+
+
+def _value_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+FUZZ_DOCS = [json.loads(serialize_doc(doc)) for doc in
+             [*catalog().values(), *(tiny_doc(kind, GF(3)) for kind in sorted(KINDS))]]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_doc_lets_only_halg_errors_escape(data):
+    obj = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_DOCS))))
+    path = data.draw(st.sampled_from(list(_value_paths(obj))))
+    value = data.draw(JSON_VALUES)
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        obj = value
+    try:
+        parse_doc(json.dumps(obj))
+    except HalgError:
+        pass
