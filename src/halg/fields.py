@@ -74,12 +74,6 @@ class Field:
             return int(v)
         return v
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.reduce(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.reduce(a - b)
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return self.reduce(a * b)
 
@@ -96,9 +90,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.reduce(Fraction(1) / Fraction(a))
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     def parse_scalar(self, raw, path: str = "scalar") -> Scalar:
         """Read a scalar from its JSON spelling (int, or a string "a" / "a/b").
@@ -149,12 +140,6 @@ class Field:
                 return int(v)
             return f"{v.numerator}/{v.denominator}"
         return v
-
-    def elements(self):
-        """Iterate every element (prime fields only)."""
-        if self.kind != PRIME_FIELD:
-            raise DocSyntaxError("cannot enumerate the rationals")
-        return range(self.p)
 
     def random_scalar(self, rng) -> Scalar:
         if self.kind != PRIME_FIELD:
