@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
@@ -330,17 +331,23 @@ def _frame(doc: AlgebraDoc) -> dict:
     return frame
 
 
-def _violations(laws, frame, labels, field):
+def _violations(laws, frame, labels, field, points=None, mixed=False):
     """Every failed instance of the compiled laws, in (law, labels, basis)
-    order.  The sides are compared raw and reduced only when they differ."""
+    order.  The sides are compared raw and reduced only when they differ.
+
+    points, when given, replaces every basis tuple of the laws' arity; with
+    mixed set, only the label tuples naming two distinct labels are taken.
+    """
     red = field.reduce
     basis = frame["basis"]
     for law in laws:
         lhs, rhss = law.lhs, law.rhs
-        points = _points(len(basis), law.arity)
+        pts = _points(len(basis), law.arity) if points is None else points
         for labs in product(labels, repeat=len(law.labels)):
+            if mixed and len(set(labs)) < 2:
+                continue
             maps = law.bind(frame, labs)
-            for ix in points:
+            for ix in pts:
                 left = lhs(maps, basis, ix)
                 for rhs in rhss:
                     right = rhs(maps, basis, ix)
@@ -400,16 +407,17 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
 
 # --- side conditions ---------------------------------------------------------
 
-def _map_violations(tag, frame, doc, target=None):
+def _map_violations(tag, frame, doc, target=None, points=None):
     """Violations of a side-condition or morphism tag, role by role; m' is
-    bound to the morphism target's maps."""
+    bound to the morphism target's maps.  points as for _violations."""
     per_role, _ = _MAP_LAWS[tag]
     for role in KIND_ROLES[doc.kind] if per_role else (None,):
         if role is not None:
             frame["m"] = frame[role]
             if target is not None:
                 frame["m'"] = target[role]
-        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field)
+        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field,
+                               points)
 
 
 def check_side_conditions(doc: AlgebraDoc, conditions,
@@ -475,10 +483,19 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     Without a tag the operators vary.  candidate maps labels to operator
     matrices (row tuples of canonical scalars), and ok decides doc's
     structure laws with label variables over every tuple of those labels,
-    taken in candidate's order.  The laws without label variables name
-    neither P nor w, so no candidate changes their verdict: a search decides
-    them once, on doc.  With a side-condition tag, candidate is the matrix
-    of f, and ok decides the tag on doc as check_side_conditions does.
+    taken in candidate's order; ok(candidate, mixed=True) takes only the
+    tuples naming two distinct labels, the others being those of each label
+    alone.  The laws without label variables name neither P nor w, so no
+    candidate changes their verdict: a search decides them once, on doc.
+
+    With the tag "endomorphism", candidate is the matrix of f, and ok
+    decides f(x_i x_j) = f(x_i) f(x_j) on doc as check_side_conditions does.
+    The instance at the basis pair (i, j) reads only the columns
+    S_ij = {i, j} + supp(c[i][j]) of f, over every role and label.  So the
+    pairs that read the same S with |S| < dim share a table from those
+    columns to their verdict, filled by the evaluator at those pairs on
+    first use, and the pairs that read every column are decided per
+    candidate.  The tables live as long as ok does.
     """
     frame = _frame(doc)
     field = doc.field
@@ -486,12 +503,35 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
         laws = [law for law in _laws_for(doc, None, False) if law.labels]
         ops = frame["P"]
 
-        def ok(candidate):
+        def ok(candidate, mixed=False):
             for lab, rows in candidate.items():
                 ops[lab] = tuple(zip(*rows))
-            return next(_violations(laws, frame, tuple(candidate), field), None) is None
-    else:
-        def ok(candidate):
-            frame["f"] = tuple(zip(*candidate))
-            return next(_map_violations(tag, frame, doc), None) is None
+            return next(_violations(laws, frame, tuple(candidate), field,
+                                    mixed=mixed), None) is None
+        return ok
+    if tag != "endomorphism":
+        raise ParamError(f"candidate_check takes no tag {tag!r}")
+
+    def decide(points):
+        return next(_map_violations(tag, frame, doc, points=points), None) is None
+
+    tensors = [c for role in KIND_ROLES[doc.kind] for c in frame[role].values()]
+    reading = {}    # the columns read -> the pairs that read them
+    for i, j in _points(doc.dim, 2):
+        reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
+                               for c in tensors))
+        reading.setdefault(tuple(sorted(reads)), []).append((i, j))
+    full = reading.pop(tuple(range(doc.dim)), None)
+    tables = [(itemgetter(*cols), points, {}) for cols, points in reading.items()]
+
+    def ok(candidate):
+        f = frame["f"] = tuple(zip(*candidate))
+        for key, points, table in tables:
+            cols = key(f)
+            verdict = table.get(cols)
+            if verdict is None:
+                verdict = table[cols] = decide(points)
+            if not verdict:
+                return False
+        return full is None or decide(full)
     return ok

@@ -23,7 +23,7 @@ from .constructions import (centroid_twist, collapse_family, commutator,
                             prelie_commutator, rb_to_dendriform, rb_to_prelie,
                             rb_to_tridendriform, untwist, verify_diagram,
                             yau_twist)
-from .errors import DocSyntaxError, HalgError, ParamError
+from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, enumerate_docs, fixture_names, seeded_sample)
@@ -244,8 +244,13 @@ def _cmd_search(args) -> int:
         if args.weights is not None:
             weights = tuple(field.parse_scalar(tok.strip(), "weights")
                             for tok in args.weights.split(","))
+        elif args.seed is None and omega >= args.budget.bit_length():
+            # the p^(dim^2 omega) >= 2^omega candidates exceed the budget:
+            # refuse before making a weight per label
+            raise BudgetExceededError(
+                f"{omega} labels exceed the budget {args.budget}")
         else:
-            weights = (0,) * omega
+            weights = (0,) * max(omega, 0)
         spec = SearchSpec(base, args.target, omega_size=omega, weights=weights,
                           limit=args.limit, budget=args.budget)
     else:
@@ -294,8 +299,18 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: exit 1 with an
+    error: line, as for every other malformed argument.  --help still
+    exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParamError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halg",
         description="Exact checks, constructions, and searches for matching "
                     "Hom-algebraic structures.")
@@ -348,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

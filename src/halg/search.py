@@ -25,6 +25,7 @@ seeded_sample draws candidates at random and checks each one.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .structures import (ASSOC_RB_KINDS, HOM_ASSOC_MATCHING_RB,
                          MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
                          MATCHING_HOM_LIE_RB, PLAIN_ASSOC_MATCHING_RB,
                          PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RB_KINDS,
-                         AlgebraDoc, OperatorFamily, make_doc)
+                         AlgebraDoc, OperatorFamily, make_doc, swap_part)
 
 TARGET_RB_FAMILY = "rb-family"
 TARGET_ENDOMORPHISM = "endomorphism"
@@ -109,10 +110,10 @@ def _rb_family_plan(spec: SearchSpec):
         twist = None
     if spec.omega_size is None or spec.omega_size < 1:
         raise ParamError("rb-family search needs omega_size >= 1")
-    labels = _search_labels(base, spec.omega_size)
     if len(spec.weights) != spec.omega_size:
         raise ParamError(
             f"expected {spec.omega_size} weights, got {len(spec.weights)}")
+    labels = _search_labels(base, spec.omega_size)
     weights = {}
     for i, (lab, w) in enumerate(zip(labels, spec.weights)):
         if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
@@ -153,10 +154,15 @@ def _matrices(p: int, dim: int):
 
 
 def _check_budget(spec: SearchSpec, entries: int) -> None:
-    total = spec.base.field.p ** entries
-    if total > spec.budget:
+    p, budget = spec.base.field.p, spec.budget
+    # p^entries has about entries * log2(p) bits: a space that far past the
+    # budget is refused before the power is computed
+    if budget < 1 or entries * math.log2(p) > math.log2(budget) + 1:
         raise BudgetExceededError(
-            f"{total} candidates exceed the budget {spec.budget}")
+            f"{p}^{entries} candidates exceed the budget {budget}")
+    total = p ** entries
+    if total > budget:
+        raise BudgetExceededError(f"{total} candidates exceed the budget {budget}")
 
 
 def _collect(found, limit, p, emit) -> SearchResult:
@@ -200,13 +206,12 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
         alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
         found = itertools.product(*alone)
         if len(labels) > 1:
-            found = (ms for ms in found if ok(dict(zip(labels, ms))))
+            found = (ms for ms in found if ok(dict(zip(labels, ms)), mixed=True))
 
         def emit(ms):
             # digits are canonical residues, so the rows need no reducing
             ops = {lab: LinearMap(field, m) for lab, m in zip(labels, ms)}
-            return _rb_doc(field, dim, labels, kind, role, product, ops,
-                           weights, twist)
+            return swap_part(probe, operators=OperatorFamily(ops, weights))
         return _collect(found, spec.limit, p, emit)
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
@@ -226,7 +231,7 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
         found = ((m,) for m in _matrices(p, dim) if ok(m))
 
         def emit(ms):
-            return _with_candidate(base, LinearMap(field, ms[0]))
+            return swap_part(base, twist=LinearMap(field, ms[0]))
     else:
         found = ((m,) for m in _commuting_maps(base))
 
@@ -236,7 +241,7 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
             if not report.passed:
                 raise TheoremCheckError(
                     "commuting search: a solution fails the commutes check", report)
-            return _with_candidate(base, cand)
+            return swap_part(base, twist=cand)
     return _collect(found, spec.limit, p, emit)
 
 
@@ -269,13 +274,6 @@ def _commuting_maps(base: AlgebraDoc):
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         flat = [sum(c * v[t] for c, v in zip(coeffs, basis)) % p for t in range(n)]
         yield tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
-
-
-def _with_candidate(base: AlgebraDoc, cand: LinearMap) -> AlgebraDoc:
-    """Re-emit a plain doc with the found map in the candidate-twist slot.
-    An identity candidate normalizes away, by the plain-kind convention."""
-    return make_doc(base.field, base.dim, base.omega, base.kind, base.families,
-                    operators=base.operators, twist=cand)
 
 
 def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
@@ -327,7 +325,7 @@ def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
             field, [[field.random_scalar(rng) for _ in range(dim)]
                     for _ in range(dim)])
         if check_side_conditions(base, [tag], candidate=cand).passed:
-            hits.append(_with_candidate(base, cand))
+            hits.append(swap_part(base, twist=cand))
     return SearchResult(tuple(hits), len(hits) < count)
 
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import DocSyntaxError, ShapeError
+from .errors import DocSyntaxError, ParamError, ShapeError
 from .fields import Field, field_from_jsonable, field_to_jsonable
 from .linalg import BilinearMap, LinearMap
 
@@ -174,6 +175,31 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
     return doc
 
 
+def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
+              operators: OperatorFamily | None = None) -> AlgebraDoc:
+    """doc, already validated, with its twist or its operator family (give
+    exactly one) replaced.
+
+    Only the new part is checked, after make_doc's dropping of an identity
+    twist on a plain rb kind, and the result shares doc's families; a
+    search emits its hits this way, each from one validated base.
+    """
+    if (twist is None) == (operators is None):
+        raise ParamError("swap exactly one of twist and operators")
+    if operators is not None:
+        new = AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
+                         operators, doc.twist)
+        _check_operators(new)
+        return new
+    if doc.kind in PLAIN_RB_KINDS and twist.is_identity():
+        twist = None
+    new = AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
+                     doc.operators, twist)
+    if twist is not None:
+        _check_twist(new)
+    return new
+
+
 def validate_doc(doc: AlgebraDoc) -> None:
     """Raise ShapeError (with a path) on any violated shape invariant."""
     if not isinstance(doc.dim, int) or isinstance(doc.dim, bool) or doc.dim < 1:
@@ -202,6 +228,7 @@ def validate_doc(doc: AlgebraDoc) -> None:
             raise ShapeError("family role tag does not match its key", path)
         if set(fam.maps) != set(labels):
             raise ShapeError("family must define exactly one map per label", path)
+        checked = set()
         for lab in labels:
             m = fam.maps[lab]
             if not isinstance(m, BilinearMap):
@@ -211,6 +238,13 @@ def validate_doc(doc: AlgebraDoc) -> None:
             if m.dim != doc.dim:
                 raise ShapeError(f"family map has dim {m.dim}, doc has dim {doc.dim}",
                                  f"{path}.{lab}")
+            # a product shared by several labels is checked once; an rb
+            # kind's one product sits at the role's own path, as in its JSON
+            if id(m) not in checked:
+                checked.add(id(m))
+                at = path if doc.kind in RB_KINDS else f"{path}.{lab}"
+                for i, plane in enumerate(m.c):
+                    _check_entries(doc, plane, f"{at}[{i}]")
         if role == BRACKET:
             _check_alternating(doc, fam, path)
 
@@ -247,6 +281,26 @@ def _check_twist(doc: AlgebraDoc):
         raise ShapeError("twist over the wrong field", "twist")
     if t.dim != doc.dim:
         raise ShapeError(f"twist has dim {t.dim}, doc has dim {doc.dim}", "twist")
+    _check_entries(doc, t.rows, "twist")
+
+
+def _check_entries(doc: AlgebraDoc, rows, path: str):
+    """ShapeError at the first entry of the dim x dim matrix rows that is not
+    a canonical scalar of doc's field: over F_p an int in [0, p), over Q an
+    int or a Fraction whose denominator is not 1."""
+    n, p = doc.dim, doc.field.p
+    if len(rows) != n:
+        raise ShapeError(f"expected {n} rows, got {len(rows)}", path)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ShapeError(f"expected {n} entries, got {len(row)}", f"{path}[{i}]")
+        for j, v in enumerate(row):
+            if type(v) is int and (p is None or 0 <= v < p):
+                continue
+            if p is None and type(v) is Fraction and v.denominator != 1:
+                continue
+            raise ShapeError(f"entry {v!r} is not a canonical scalar",
+                             f"{path}[{i}][{j}]")
 
 
 def _check_operators(doc: AlgebraDoc):
@@ -258,7 +312,6 @@ def _check_operators(doc: AlgebraDoc):
         raise ShapeError("exactly one operator per label required", "operators.ops")
     if set(ops.weights) != set(labels):
         raise ShapeError("exactly one weight per label required", "operators.weights")
-    from fractions import Fraction
     for lab in labels:
         m = ops.ops[lab]
         if not isinstance(m, LinearMap):
@@ -266,6 +319,7 @@ def _check_operators(doc: AlgebraDoc):
         if m.field != doc.field or m.dim != doc.dim:
             raise ShapeError("operator of the wrong field or dimension",
                              f"operators.ops.{lab}")
+        _check_entries(doc, m.rows, f"operators.ops.{lab}")
         w = ops.weights[lab]
         if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
             raise ShapeError("weights must be scalars", f"operators.weights.{lab}")

@@ -1,9 +1,14 @@
 """End-to-end CLI runs through main(argv): exit codes, emitted docs, reports,
 and the pipe-style composition the docstring promises."""
 
+import contextlib
 import io
 import json
 import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halg import (GF, QQ, BilinearMap, LinearMap, OperatorFamily,
                   TheoremCheckError, catalog, check_structure, make_doc,
@@ -425,3 +430,59 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
     assert main(["construct", "yau-twist", path, "--param", "twist=" + "[" * 100000]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_a_huge_label_count_is_a_usage_error(capsys):
+    # without --weights the CLI would make one weight per label
+    argv = ["search", "--target", "rb-family", "--fixture", "N2-F3",
+            "--omega", "99999999999999999999"]
+    for extra in (["--weights", "0"], []):
+        assert main(argv + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_argument_errors_are_usage_errors_and_help_is_not(capsys):
+    search = ["search", "--target", "rb-family", "--fixture", "N2-F2"]
+    for argv in ([], ["frob"], search + ["--omega", "abc"],
+                 search + ["--limit", "x"], ["search", "--target", "nothing"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "\nerror: " in "\n" + err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
+_FUZZED = {
+    # option -> the rest of a command; every request is small
+    "--param": ["construct", "yau-twist", "{path}"],
+    "--weights": ["search", "--target", "rb-family", "--fixture", "D1-F2",
+                  "--budget", "4096"],
+    "--omega": ["search", "--target", "rb-family", "--fixture", "D1-F2",
+                "--budget", "4096"],
+    "--limit": ["search", "--target", "rb-family", "--fixture", "Z2-F2"],
+    "--budget": ["search", "--target", "rb-family", "--fixture", "D1-F2"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(option=st.sampled_from(sorted(_FUZZED) + ["--param twist"]),
+       value=st.one_of(st.text(), st.from_regex(r"-?[0-9]{1,30}(,-?[0-9/]{1,6})*",
+                                                fullmatch=True)))
+def test_cli_params_end_in_a_documented_exit_code(tmp_path_factory, option, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz-base.jsonl"
+    if not path.exists():
+        path.write_bytes(serialize_doc(catalog("N2-Pnil-w0-F3")) + b"\n")
+    if option == "--param twist":
+        option, value = "--param", "twist=" + value
+    argv = [a.format(path=path) for a in _FUZZED[option]] + [f"{option}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert any(line.startswith("error: ")
+                   for line in err.getvalue().splitlines())

@@ -17,11 +17,12 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, UnknownFixtureError,
                   catalog, check_side_conditions, enumerate_docs,
                   fixture_names, make_doc, parse_doc, seeded_sample,
-                  serialize_doc, structure_ok, yau_twist)
+                  serialize_doc, structure_ok, validate_doc, yau_twist)
 from halg.errors import ZeroDenominatorError
 from halg.search import _rb_family_plan
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
-                             MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB)
+                             MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
+                             PLAIN_LIE_MATCHING_RB)
 
 
 def rb_spec(base, omega, weights, **kw):
@@ -273,6 +274,17 @@ def test_limit_below_one_is_refused():
     assert len(enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (0,), limit=1))) == 1
 
 
+def test_a_huge_label_count_is_refused_before_anything_is_made():
+    spec = rb_spec(catalog("N2-F3"), 10**20, (0,))
+    with pytest.raises(ParamError, match="expected 100000000000000000000 weights"):
+        enumerate_docs(spec)
+    with pytest.raises(ParamError):
+        seeded_sample(spec, seed=0, count=1)
+    # a space far past the budget is refused without computing its size
+    with pytest.raises(BudgetExceededError, match=r"3\^400000 candidates"):
+        enumerate_docs(rb_spec(catalog("N2-F3"), 10**5, (0,) * 10**5))
+
+
 # --- the structured search against a plain exhaustive loop ---------------------
 
 def _brute_force(spec):
@@ -320,6 +332,9 @@ def _same_as_brute_force(spec):
     hits, truncated = _brute_force(spec)
     assert [serialize_doc(d) for d in res] == [serialize_doc(d) for d in hits]
     assert res.truncated == truncated
+    for doc in res:
+        validate_doc(doc)
+        assert parse_doc(serialize_doc(doc)) == doc
     return len(hits)
 
 
@@ -331,6 +346,27 @@ def _n3_f3(op_rows):
                     {"dot": BilinearMap.from_nested(field, c)},
                     operators=OperatorFamily(
                         ops={"a": LinearMap.from_rows(field, op_rows)},
+                        weights={"a": 0}))
+
+
+def _zero3_f2():
+    field = GF(2)
+    return make_doc(field, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                    {"dot": BilinearMap.zero(field, 3)},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, [[0] * 3] * 3)},
+                        weights={"a": 0}))
+
+
+def _aff2_lie_f3():
+    """The nonabelian 2-dim Lie algebra over F_3 with a weight-0 operator;
+    [e0, e1] = e1 reads both columns of f, [e0, e0] = 0 only the first."""
+    field = GF(3)
+    return make_doc(field, 2, ("a",), PLAIN_LIE_MATCHING_RB,
+                    {"bracket": BilinearMap.from_nested(
+                        field, [[[0, 0], [0, 1]], [[0, 2], [0, 0]]])},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, [[0, 0], [1, 0]])},
                         weights={"a": 0}))
 
 
@@ -374,7 +410,8 @@ def test_rb_family_matches_brute_force_on_twisted_and_broken_bases():
 
 def test_every_limit_matches_brute_force():
     for spec in (rb_spec(catalog("N2-F2"), 2, (0, 1)),
-                 SearchSpec(catalog("N2-Pnil-w0-F3"), TARGET_COMMUTING)):
+                 SearchSpec(catalog("N2-Pnil-w0-F3"), TARGET_COMMUTING),
+                 SearchSpec(_aff2_lie_f3(), TARGET_ENDOMORPHISM)):
         hits = len(enumerate_docs(spec))
         for limit in range(1, hits + 2):
             _same_as_brute_force(SearchSpec(spec.base, spec.target, spec.omega_size,
@@ -385,7 +422,7 @@ def test_map_targets_match_brute_force():
     bases = [catalog(name) for name in fixture_names()
              if catalog(name).kind == PLAIN_ASSOC_MATCHING_RB
              and catalog(name).field.is_prime_field]
-    bases.append(_n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]]))
+    bases += [_n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]]), _zero3_f2(), _aff2_lie_f3()]
     for base in bases:
         for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING):
             if structure_ok(base):

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halg import (GF, QQ, AlgebraDoc, BilinearMap, DocSyntaxError, HalgError,
-                  LinearMap, OmegaSet, OperatorFamily, ShapeError, Violation,
-                  catalog, make_doc, make_report, parse_doc, report_to_jsonable,
-                  serialize_doc, validate_doc)
+                  LinearMap, OmegaSet, OperatorFamily, ParamError, ShapeError,
+                  Violation, catalog, make_doc, make_report, parse_doc,
+                  report_to_jsonable, serialize_doc, validate_doc)
 from halg.errors import ZeroDenominatorError
 from halg.structures import (HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_LIE, RB_KINDS,
-                             PLAIN_ASSOC_MATCHING_RB)
+                             PLAIN_ASSOC_MATCHING_RB, swap_part)
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 BR2 = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
@@ -291,6 +291,83 @@ def test_matrix_entries_are_canonical_so_docs_parse_again():
     line = serialize_doc(doc)
     assert op.rows[0][0] == 2 and dot.c[0][0][0] == 1
     assert b"/" not in line and serialize_doc(parse_doc(line)) == line
+
+
+def test_validate_doc_refuses_non_canonical_entries_at_their_path():
+    # the constructors take entries as given; validate_doc refuses a doc
+    # that would not parse again
+    f2 = GF(2)
+    with pytest.raises(ShapeError) as exc:
+        make_doc(f2, 2, ("a",), "plain-assoc-matching-rb",
+                 {"dot": BilinearMap.zero(f2, 2)},
+                 operators=OperatorFamily(
+                     ops={"a": LinearMap(f2, ((Fraction(1, 2), 0), (0, 0)))},
+                     weights={"a": 0}))
+    assert exc.value.path == "operators.ops.a[0][0]"
+
+    def bad_rows(v, dim=2):
+        return tuple(tuple(v if (i, j) == (dim - 1, 0) else 0 for j in range(dim))
+                     for i in range(dim))
+
+    zero = BilinearMap.zero(f2, 2)
+    ops = OperatorFamily(ops={"a": LinearMap.identity(f2, 2)}, weights={"a": 0})
+    for v in (2, -1, True, 1.0, Fraction(1, 1)):
+        with pytest.raises(ShapeError) as exc:
+            make_doc(f2, 2, ("a",), MATCHING_HOM_ASSOC, {"dot": {"a": zero}},
+                     twist=LinearMap(f2, bad_rows(v)))
+        assert exc.value.path == "twist[1][0]"
+        tensor = BilinearMap(f2, (bad_rows(0), bad_rows(v)))
+        with pytest.raises(ShapeError) as exc:
+            make_doc(f2, 2, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": tensor},
+                     operators=ops)
+        assert exc.value.path == "families.dot[1][1][0]"
+        with pytest.raises(ShapeError) as exc:
+            make_doc(f2, 2, ("a", "b"), MATCHING_HOM_ASSOC,
+                     {"dot": {"a": zero, "b": tensor}},
+                     twist=LinearMap.identity(f2, 2))
+        assert exc.value.path == "families.dot.b[1][1][0]"
+    # over Q: ints and fractions that are not integers
+    for v in (Fraction(2, 1), 0.5, True):
+        with pytest.raises(ShapeError) as exc:
+            make_doc(QQ, 2, ("a",), MATCHING_HOM_ASSOC,
+                     {"dot": {"a": BilinearMap.zero(QQ, 2)}},
+                     twist=LinearMap(QQ, bad_rows(v)))
+        assert exc.value.path == "twist[1][0]"
+    doc = make_doc(QQ, 2, ("a",), MATCHING_HOM_ASSOC,
+                   {"dot": {"a": BilinearMap.zero(QQ, 2)}},
+                   twist=LinearMap(QQ, bad_rows(Fraction(-1, 2))))
+    assert parse_doc(serialize_doc(doc)) == doc
+    # a ragged matrix is refused at its row
+    with pytest.raises(ShapeError) as exc:
+        make_doc(f2, 2, ("a",), MATCHING_HOM_ASSOC, {"dot": {"a": zero}},
+                 twist=LinearMap(f2, ((1, 0), (1,))))
+    assert exc.value.path == "twist[1]"
+
+
+def test_swap_part_checks_the_new_part_and_shares_the_rest():
+    base = catalog("N2-Pnil-w0-F3")
+    field = base.field
+    cand = LinearMap.from_rows(field, [[1, 0], [0, 0]])
+    doc = swap_part(base, twist=cand)
+    assert doc.families is base.families and doc.operators is base.operators
+    assert doc == make_doc(field, 2, base.omega, base.kind, base.families,
+                           operators=base.operators, twist=cand)
+    assert swap_part(base, twist=LinearMap.identity(field, 2)).twist is None
+    ops = OperatorFamily(ops={"a": LinearMap.identity(field, 2)}, weights={"a": 2})
+    doc = swap_part(base, operators=ops)
+    assert doc.operators is ops and doc.families is base.families
+    validate_doc(doc)
+    with pytest.raises(ShapeError) as exc:
+        swap_part(base, twist=LinearMap(field, ((3, 0), (0, 1))))
+    assert exc.value.path == "twist[0][0]"
+    with pytest.raises(ShapeError) as exc:
+        swap_part(base, operators=OperatorFamily(
+            ops={"a": LinearMap(field, ((0, 0), (0, -1)))}, weights={"a": 0}))
+    assert exc.value.path == "operators.ops.a[1][1]"
+    with pytest.raises(ParamError):
+        swap_part(base)
+    with pytest.raises(ParamError):
+        swap_part(base, twist=cand, operators=ops)
 
 
 def test_parse_doc_refuses_a_kind_that_is_not_a_string():
