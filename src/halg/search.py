@@ -10,13 +10,19 @@ them by structure rather than by testing each candidate:
   the matching Rota-Baxter identity is the Rota-Baxter identity of weight
   w_a for P_a alone, so each label's solutions S_a are found on their own,
   and the tuples of S_1 x ... x S_k, walked in product order, are
-  cross-checked on every label pair.
-* endomorphism: every candidate map in turn, each decided on one frame of
-  the base.
+  cross-checked on the label pairs (a, b) with a != b.
+* endomorphism: every candidate map in lexicographic order, decided from
+  verdict tables per basis pair.  f(x_i x_j) = f(x_i) f(x_j) reads only the
+  columns i, j and supp(x_i x_j) of f, so a pair that reads fewer than all
+  columns is evaluated once per assignment of those columns and looked up
+  after that (see axioms.candidate_check); the pairs that read every column
+  are evaluated per candidate.
 * commuting: f P_a = P_a f is linear in the entries of f, so the hits are
   the elements of a solution space, listed in order and each re-checked.
 
-Docs are built for hits only.  `limit` and `truncated` read as for a plain
+Docs are built for hits only, each from one validated doc (the base, or the
+rb-family probe) with its twist or operators swapped in and only that part
+checked (structures.swap_part).  `limit` and `truncated` read as for a plain
 loop over the whole candidate space, and SearchSpec.budget bounds that
 space's size p^entries up front, so a hopeless request fails fast.
 seeded_sample draws candidates at random and checks each one.

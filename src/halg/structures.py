@@ -4,8 +4,9 @@ An `AlgebraDoc` packages a finite-dimensional carrier over an exact field,
 an ordered label set Omega, one bilinear family per role the kind requires,
 an optional Omega-indexed operator family with weights, and an optional
 twist map.  Docs are immutable; every constructor path (parsing or
-:func:`make_doc`) runs full shape validation, so a doc in hand is always
-well-formed.
+:func:`make_doc`) runs full shape validation, entries included, and
+:func:`swap_part` checks the one part it replaces in a validated doc, so a
+doc in hand is always well-formed.
 
 Representation notes, fixed here once for the whole package:
 
