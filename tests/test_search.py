@@ -18,6 +18,7 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   catalog, check_side_conditions, enumerate_docs,
                   fixture_names, make_doc, parse_doc, seeded_sample,
                   serialize_doc, structure_ok, validate_doc, yau_twist)
+from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
 from halg.search import _rb_family_plan
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
@@ -283,6 +284,12 @@ def test_a_huge_label_count_is_refused_before_anything_is_made():
     # a space far past the budget is refused without computing its size
     with pytest.raises(BudgetExceededError, match=r"3\^400000 candidates"):
         enumerate_docs(rb_spec(catalog("N2-F3"), 10**5, (0,) * 10**5))
+
+
+def test_candidate_tables_serve_the_endomorphism_law_only():
+    # the tables key each pair by the columns the endomorphism law reads
+    with pytest.raises(ParamError):
+        candidate_check(catalog("N2-Pnil-w0-F3"), "commutes")
 
 
 # --- the structured search against a plain exhaustive loop ---------------------
