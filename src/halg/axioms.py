@@ -33,8 +33,13 @@ optionally tagged with a flag it runs under.
   bracket role.
 
 Each row compiles once per process into one Python function per side and
-binds to a doc's maps per call.  The evaluator compares the two sides
-unreduced and reduces them only when they differ.  Plain kinds are written
+binds to a doc's maps per call; a product that a side multiplies through is
+bound in its sparse form, made once per call.  Each row also compiles a
+guard from the same terms: at a basis tuple where every side is provably
+the zero vector (a structure constant or column it looks up is zero, or a
+weight it scales by is 0), the evaluator skips the instance, which cannot
+fail.  It compares the other instances' sides unreduced and reduces them
+only when they differ.  Plain kinds are written
 with p = id, so a stored candidate twist takes no part in their structure
 check; side conditions are what test that slot.  The one check outside the
 table is the invertible tag, whose witness is a kernel vector.
@@ -68,7 +73,7 @@ from typing import NamedTuple
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
                      ShapeError, UnknownConditionError)
 from .linalg import (LinearMap, apply_map, apply_raw, bilinear_raw,
-                     kernel_vector)
+                     kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
                          MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -211,7 +216,34 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # tuple.  Linear maps are bound as their column tuples.  A map on basis
 # slots only is a table lookup (a structure constant, or a column); every
 # other node calls a linalg kernel, and a side of several terms adds them
-# coordinate by coordinate.
+# coordinate by coordinate.  A bilinear map that a side multiplies through
+# is read in its sparse form (linalg.sparse_tensor), bound under its name
+# with "~" after the role ("dot~.a", "m~"); lookups read the dense tensor.
+#
+# From the same term trees each law also compiles its guard,
+# zero(B, E, ix), which holds when every side is provably the zero vector
+# at ix: a term is provably zero when a structure constant c[i][j] or a
+# column it looks up is the zero vector, when it scales by a weight w that
+# is 0, or when a map is applied to a provably zero term.  A side is zero
+# when all its terms are (the empty side always is).  The guard reads only
+# lookups and weights, so it costs far less than the sides; an instance it
+# holds at cannot fail, and the evaluator skips it.
+
+def _ref(name, names):
+    """B[...] for the map name; appended to names on first use."""
+    if name not in names:
+        names.append(name)
+    return f"B[{names.index(name)}]"
+
+
+def _is_scalar(name):
+    return name.partition(".")[0] in ("-", "w")
+
+
+def _lookup(term):
+    """Whether term is a map applied to basis slots only: a table lookup."""
+    return not _is_scalar(term[0]) and all(isinstance(t, int) for t in term[1:])
+
 
 def _source(term, names):
     """Python expression for term; each map it names is appended to names
@@ -219,19 +251,29 @@ def _source(term, names):
     if isinstance(term, int):
         return f"E[ix[{term}]]"
     name, *args = term
-    if name not in names:
-        names.append(name)
-    b = f"B[{names.index(name)}]"
+    if _lookup(term):
+        return _ref(name, names) + "".join(f"[ix[{t}]]" for t in args)
     if len(args) == 2:
-        if all(isinstance(t, int) for t in args):
-            return f"{b}[ix[{args[0]}]][ix[{args[1]}]]"
-        return f"mul({b}, {_source(args[0], names)}, {_source(args[1], names)})"
+        key, dot, var = name.partition(".")
+        return (f"mul({_ref(key + '~' + dot + var, names)}, "
+                f"{_source(args[0], names)}, {_source(args[1], names)})")
     arg, = args
-    if name.partition(".")[0] in ("-", "w"):
-        return f"[{b} * v for v in {_source(arg, names)}]"
-    if isinstance(arg, int):
-        return f"{b}[ix[{arg}]]"
-    return f"app({b}, {_source(arg, names)})"
+    if _is_scalar(name):
+        return f"[{_ref(name, names)} * v for v in {_source(arg, names)}]"
+    return f"app({_ref(name, names)}, {_source(arg, names)})"
+
+
+def _zero_source(term, names):
+    """Python condition under which term is provably the zero vector, or
+    None when nothing can prove it (a basis slot)."""
+    if isinstance(term, int):
+        return None
+    if _lookup(term):
+        return f"not any({_source(term, names)})"
+    name, *args = term
+    conds = [f"not {_ref(name, names)}"] if name.partition(".")[0] == "w" else []
+    conds += filter(None, (_zero_source(t, names) for t in args))
+    return " or ".join(conds) or None
 
 
 def _side_source(side, names):
@@ -242,6 +284,13 @@ def _side_source(side, names):
     vs = [f"v{i}" for i in range(len(side))]
     return (f"[{' + '.join(vs)} for {', '.join(vs)} in "
             f"zip({', '.join(_source(t, names) for t in side)})]")
+
+
+def _guard_source(sides, names):
+    conds = [_zero_source(t, names) for side in sides for t in side]
+    if None in conds:
+        return "False"
+    return " and ".join(f"({c})" for c in conds) or "True"
 
 
 def _slots(term):
@@ -257,6 +306,7 @@ class _Compiled(NamedTuple):
     refs: tuple       # per B[i]: (frame key, index of its label variable or None)
     lhs: object       # lhs(B, E, ix) -> unreduced vector
     rhs: tuple        # the same for each right-hand side
+    zero: object      # zero(B, E, ix) -> whether every side is provably zero
 
     def bind(self, frame, labs):
         """B: the maps the sides read, at the label tuple labs."""
@@ -269,12 +319,13 @@ def _compile(law: _Law, role=None) -> _Compiled:
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     names = []
     kernels = {"mul": bilinear_raw, "app": apply_raw}
-    lhs, *rhs = [eval(f"lambda B, E, ix: {_side_source(side, names)}", kernels)
-                 for side in sides]
+    zero, lhs, *rhs = [eval(f"lambda B, E, ix: {source}", kernels) for source in
+                       (_guard_source(sides, names),
+                        *(_side_source(side, names) for side in sides))]
     refs = tuple((key, law.labels.index(var) if var else None)
                  for key, _, var in (name.partition(".") for name in names))
     return _Compiled(law.axiom.format(role=role), law.labels, arity, refs,
-                     lhs, tuple(rhs))
+                     lhs, tuple(rhs), zero)
 
 
 def _active(laws, flags):
@@ -313,7 +364,25 @@ def _points(dim, arity):
     return tuple(product(range(dim), repeat=arity))
 
 
-def _frame(doc: AlgebraDoc) -> dict:
+class _Frame(dict):
+    """Names bound to maps.  A key "n~" not yet bound is made on first use
+    as the sparse form of n's tensor, or of each of its per-label tensors,
+    so a frame makes sparse forms only for the tensors its laws multiply
+    through, and keeps them no longer than itself."""
+
+    def __missing__(self, key):
+        if not key.endswith("~"):
+            raise KeyError(key)
+        dense = self[key[:-1]]
+        if isinstance(dense, dict):
+            sparse = {lab: sparse_tensor(c) for lab, c in dense.items()}
+        else:
+            sparse = sparse_tensor(dense)
+        self[key] = sparse
+        return sparse
+
+
+def _frame(doc: AlgebraDoc) -> _Frame:
     """Every name a structure law may use, bound to doc's tensors and maps:
     linear maps as their column tuples (the identity twist as the basis),
     and m to the first role's map at the first label, which is the single
@@ -321,8 +390,8 @@ def _frame(doc: AlgebraDoc) -> dict:
     basis = _basis(doc.dim)
     roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
              for role, fam in doc.families.items()}
-    frame = dict(roles, basis=basis,
-                 p=basis if doc.twist is None else doc.twist.columns())
+    frame = _Frame(roles, basis=basis,
+                   p=basis if doc.twist is None else doc.twist.columns())
     frame["-"] = -1
     frame["m"] = roles[KIND_ROLES[doc.kind][0]][doc.labels[0]]
     if doc.operators is not None:
@@ -333,7 +402,8 @@ def _frame(doc: AlgebraDoc) -> dict:
 
 def _violations(laws, frame, labels, field, points=None, mixed=False):
     """Every failed instance of the compiled laws, in (law, labels, basis)
-    order.  The sides are compared raw and reduced only when they differ.
+    order.  An instance whose guard proves every side zero is skipped; the
+    others compare their sides raw and reduce them only when they differ.
 
     points, when given, replaces every basis tuple of the laws' arity; with
     mixed set, only the label tuples naming two distinct labels are taken.
@@ -341,13 +411,15 @@ def _violations(laws, frame, labels, field, points=None, mixed=False):
     red = field.reduce
     basis = frame["basis"]
     for law in laws:
-        lhs, rhss = law.lhs, law.rhs
+        zero, lhs, rhss = law.zero, law.lhs, law.rhs
         pts = _points(len(basis), law.arity) if points is None else points
         for labs in product(labels, repeat=len(law.labels)):
             if mixed and len(set(labs)) < 2:
                 continue
             maps = law.bind(frame, labs)
             for ix in pts:
+                if zero(maps, basis, ix):
+                    continue
                 left = lhs(maps, basis, ix)
                 for rhs in rhss:
                     right = rhs(maps, basis, ix)
@@ -409,13 +481,14 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
 
 def _map_violations(tag, frame, doc, target=None, points=None):
     """Violations of a side-condition or morphism tag, role by role; m' is
-    bound to the morphism target's maps.  points as for _violations."""
+    bound to the morphism target's maps, and m~ and m'~ to their sparse
+    forms.  points as for _violations."""
     per_role, _ = _MAP_LAWS[tag]
     for role in KIND_ROLES[doc.kind] if per_role else (None,):
         if role is not None:
-            frame["m"] = frame[role]
+            frame["m"], frame["m~"] = frame[role], frame[role + "~"]
             if target is not None:
-                frame["m'"] = target[role]
+                frame["m'"], frame["m'~"] = target[role], target[role + "~"]
         yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field,
                                points)
 
@@ -427,7 +500,11 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     The map under test is `candidate` when given, else the doc's stored twist
     (identity if none).  Tags: endomorphism, multiplicative (the same
     equation, named for its two uses), commutes, centroid, invertible.
+    conditions is a sequence of those tags: a list or a tuple.
     """
+    if not isinstance(conditions, (list, tuple)):
+        raise ParamError("side conditions must be a sequence of tags, not a "
+                         + type(conditions).__name__)
     p = candidate if candidate is not None else doc.twist_map()
     if p.field != doc.field:
         raise FieldMismatch("candidate map over the wrong field")

@@ -26,7 +26,8 @@ from .constructions import (centroid_twist, collapse_family, commutator,
 from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
-                     catalog, enumerate_docs, fixture_names, seeded_sample)
+                     catalog, check_sample_size, enumerate_docs, fixture_names,
+                     seeded_sample)
 from .structures import (parse_doc, report_to_jsonable, serialize_doc)
 
 
@@ -244,12 +245,14 @@ def _cmd_search(args) -> int:
         if args.weights is not None:
             weights = tuple(field.parse_scalar(tok.strip(), "weights")
                             for tok in args.weights.split(","))
-        elif args.seed is None and omega >= args.budget.bit_length():
-            # the p^(dim^2 omega) >= 2^omega candidates exceed the budget:
-            # refuse before making a weight per label
-            raise BudgetExceededError(
-                f"{omega} labels exceed the budget {args.budget}")
         else:
+            # refuse a huge label count before making a weight per label
+            if args.seed is not None:
+                check_sample_size(base.dim, omega)
+            elif omega >= args.budget.bit_length():
+                # the p^(dim^2 omega) >= 2^omega candidates exceed the budget
+                raise BudgetExceededError(
+                    f"{omega} labels exceed the budget {args.budget}")
             weights = (0,) * max(omega, 0)
         spec = SearchSpec(base, args.target, omega_size=omega, weights=weights,
                           limit=args.limit, budget=args.budget)

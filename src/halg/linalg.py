@@ -6,6 +6,12 @@ the basis vector ``e_j``.  A `BilinearMap` is a structure-constant tensor
 tuples of scalars.  All operations are exact and total on valid shapes;
 inverting a singular map raises instead of approximating.
 
+The bilinear kernel, `bilinear_raw`, reads a tensor in its sparse form
+(`sparse_tensor`): per i, only the rows c[i][j] that are not zero, each as
+its nonzero (k, c[i][j][k]) entries.  Most structure constants in use are
+mostly zero, so the kernel walks only the entries that can contribute; a
+caller that multiplies through one tensor many times makes the form once.
+
 >>> from .fields import QQ
 >>> f = LinearMap.from_rows(QQ, [[1, 1], [0, 1]])
 >>> apply_map(f, (0, 1))
@@ -17,6 +23,7 @@ inverting a singular map raises instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, ShapeError, SingularMapError
@@ -221,23 +228,43 @@ class BilinearMap:
         return len(self.c)
 
 
-def bilinear_raw(c, x, y) -> list:
-    """Unreduced (x, y) under structure constants c.
+_second = itemgetter(1)
 
-    Skips zero coefficients, so basis-vector arguments cost O(dim).
+
+def sparse_tensor(c) -> tuple:
+    """The sparse form of structure constants c, which bilinear_raw reads:
+    per i, the pairs (j, ((k, c[i][j][k]), ...)) for every j whose row
+    c[i][j] is not the zero vector, with that row's nonzero entries.
+
+    >>> sparse_tensor((((1, 0), (0, 1)), ((0, 1), (0, 0))))
+    (((0, ((0, 1),)), (1, ((1, 1),))), ((0, ((1, 1),)),))
     """
-    out = [0] * len(c)
+    out = []
+    for plane in c:
+        rows = []
+        for j, row in enumerate(plane):
+            if any(row):
+                rows.append((j, tuple(filter(_second, enumerate(row)))))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def bilinear_raw(s, x, y) -> list:
+    """Unreduced (x, y) under the structure constants whose sparse form is s.
+
+    Skips zero coefficients of x and y and the zero entries of the tensor,
+    so basis-vector arguments cost O(dim) at most.
+    """
+    out = [0] * len(s)
     for i, xi in enumerate(x):
         if not xi:
             continue
-        plane = c[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            w = xi * yj
-            for k, s in enumerate(plane[j]):
-                if s:
-                    out[k] += w * s
+        for j, row in s[i]:
+            yj = y[j]
+            if yj:
+                w = xi * yj
+                for k, c in row:
+                    out[k] += w * c
     return out
 
 
@@ -246,7 +273,7 @@ def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
     dim = m.dim
     if len(x) != dim or len(y) != dim:
         raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
-    return tuple(map(m.field.reduce, bilinear_raw(m.c, x, y)))
+    return tuple(map(m.field.reduce, bilinear_raw(sparse_tensor(m.c), x, y)))
 
 
 # Tensor surgery used by the constructions: post/pre-composition with a

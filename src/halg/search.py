@@ -282,9 +282,25 @@ def _commuting_maps(base: AlgebraDoc):
         yield tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
 
 
+# seeded_sample gives up after max(_MIN_ATTEMPTS, 1000 * count) attempts
+_MIN_ATTEMPTS = 100000
+
+
+def check_sample_size(dim: int, omega_size) -> None:
+    """Refuse an rb-family sample of omega_size labels on a dim-dimensional
+    base when one attempt would draw more operator digits (dim^2 per label)
+    than the smallest attempt cap has attempts.  It runs before any label
+    or weight is made, so a huge label count costs nothing."""
+    if omega_size is not None and dim * dim * omega_size > _MIN_ATTEMPTS:
+        raise ParamError(
+            f"{omega_size} labels of {dim}x{dim} operators draw more digits in "
+            f"one attempt than a sample's {_MIN_ATTEMPTS} attempts")
+
+
 def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
     """Sample candidates with replacement until `count` hits or the attempt
-    cap; deterministic for a given seed.  truncated means a shortfall."""
+    cap; deterministic for a given seed.  truncated means a shortfall.
+    rb-family label counts are bounded by check_sample_size."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
     if count < 0:
@@ -294,9 +310,10 @@ def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
     _require_finite(field, "seeded_sample")
     dim = base.dim
     rng = random.Random(seed)
-    cap = max(100000, 1000 * count)
+    cap = max(_MIN_ATTEMPTS, 1000 * count)
 
     if spec.target == TARGET_RB_FAMILY:
+        check_sample_size(dim, spec.omega_size)
         product, labels, weights, kind, role, twist = _rb_family_plan(spec)
         entries = dim * dim * len(labels)
         zero_ops = {lab: LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])

@@ -7,6 +7,7 @@ with the basis-triple engine is what multilinearity promises.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,7 +21,8 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   check_structure, dendriform_sum, make_doc, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import DENDRIFORM_AXIOM3_TWIST
+from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frame,
+                         _map_laws, _structure_laws)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -146,6 +148,13 @@ def test_side_condition_unknown_tag_and_mismatches():
     with pytest.raises(DimensionMismatch):
         check_side_conditions(n2doc(), ["endomorphism"],
                               candidate=LinearMap.identity(QQ, 3))
+
+
+def test_side_conditions_must_be_a_sequence_of_tags():
+    for conditions in ("endomorphism", None, {"endomorphism"}, 3):
+        with pytest.raises(ParamError, match="sequence of tags"):
+            check_side_conditions(n2doc(), conditions)
+    assert check_side_conditions(n2doc(), ("endomorphism",)).passed
 
 
 def dendriform_split_doc(field=QQ):
@@ -645,3 +654,73 @@ def test_replay_refuses_witness_coordinates_outside_the_doc():
         foreign = Violation("matching-hom-assoc", labels, basis, (), ())
         with pytest.raises(ParamError):
             replay_violation(doc, foreign)
+
+
+# --- the zero guard: an instance it skips has every side zero ------------------
+
+def _guarded_sides(laws, frame, labels, dim):
+    """(law, sides) at every instance where the law's guard holds, with the
+    sides evaluated raw; and the number of instances tried."""
+    basis = _basis(dim)
+    tried = 0
+    held = []
+    for law in laws:
+        for labs in itertools.product(labels, repeat=len(law.labels)):
+            maps = law.bind(frame, labs)
+            for ix in itertools.product(range(dim), repeat=law.arity):
+                tried += 1
+                if law.zero(maps, basis, ix):
+                    held.append((law, [law.lhs(maps, basis, ix)]
+                                 + [rhs(maps, basis, ix) for rhs in law.rhs]))
+    return held, tried
+
+
+def _guard_corpus():
+    """(doc, morphism partner, candidate map): seeded docs of every kind
+    over F_2, F_3 and Q at dims 1 to 3 with one or two labels, sparse
+    tensors, zero operator and twist columns, zero weights (half the seeded
+    weights are 0), and the catalog fixtures."""
+    rng = random.Random(1001)
+    out = []
+    for field in (GF(2), GF(3), QQ):
+        for kind in KINDS:
+            for dim in (1, 2, 3):
+                for labels in (("a",), ("a", "b")):
+                    group = [_seeded_doc(field, kind, dim, labels, density, rng)
+                             for density in (0.0, 0.25, 0.6)]
+                    out += [(d, group[i - 1], _seeded_map(field, dim, rng, 0.5))
+                            for i, d in enumerate(group)]
+    for doc in catalog().values():
+        out.append((doc, doc, _seeded_map(doc.field, doc.dim, rng, 0.5)))
+    return out
+
+
+def test_the_zero_guard_holds_only_where_every_side_is_zero():
+    """Every compiled structure law (all kinds, both dendriform readings,
+    verbose on) and every map tag, at every instance over a seeded corpus:
+    where the guard holds, lhs and every rhs are the zero vector.  Every
+    law meets its guard somewhere, so none is compiled to never hold."""
+    seen, held_by = set(), set()
+    skipped = tried = 0
+    for doc, partner, cand in _guard_corpus():
+        frame, target = _frame(doc), _frame(partner)
+        frame.update({"f": cand.columns(), "p'": target["p"]})
+        runs = [(None, _structure_laws(doc.kind, twist3, True))
+                for twist3 in (True, False)]
+        for tag, (per_role, _) in _MAP_LAWS.items():
+            if tag != "commutes" or doc.operators is not None:
+                runs += [(role, _map_laws(tag, role))
+                         for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
+        for role, laws in runs:
+            if role is not None:
+                frame["m"], frame["m~"] = frame[role], frame[role + "~"]
+                frame["m'"], frame["m'~"] = target[role], target[role + "~"]
+            held, n = _guarded_sides(laws, frame, doc.labels, doc.dim)
+            seen.update(laws)
+            tried += n
+            skipped += len(held)
+            for law, sides in held:
+                held_by.add(law)
+                assert all(not any(side) for side in sides), (doc, law.axiom, sides)
+    assert seen == held_by, [law.axiom for law in seen - held_by]
+    assert 0 < skipped < tried, (skipped, tried)

@@ -433,10 +433,11 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_huge_label_count_is_a_usage_error(capsys):
-    # without --weights the CLI would make one weight per label
+    # without --weights the CLI would make one weight per label, whether it
+    # enumerates or samples
     argv = ["search", "--target", "rb-family", "--fixture", "N2-F3",
             "--omega", "99999999999999999999"]
-    for extra in (["--weights", "0"], []):
+    for extra in (["--weights", "0"], [], ["--seed", "1", "--count", "1"]):
         assert main(argv + extra) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")

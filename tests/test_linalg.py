@@ -18,6 +18,7 @@ from halg import (GF, QQ, BilinearMap, DimensionMismatch, FieldMismatch,
                   map_power, postcompose, precompose_left, precompose_right,
                   tensor_combine, tensor_transpose)
 from halg.errors import ZeroDenominatorError
+from halg.linalg import bilinear_raw, sparse_tensor
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 PNIL = [[0, 0], [1, 0]]
@@ -235,6 +236,25 @@ def nested(field, shape):
     return entry
 
 
+def zero_planes(c, data):
+    """c with a drawn set of its planes c[i] made all zero."""
+    dim = len(c)
+    zeros = data.draw(st.sets(st.integers(0, dim - 1)))
+    return [[[0] * dim for _ in range(dim)] if i in zeros else plane
+            for i, plane in enumerate(c)]
+
+
+def dense(s):
+    """The tensor whose sparse form is s."""
+    dim = len(s)
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, rows in enumerate(s):
+        for j, entries in rows:
+            for k, v in entries:
+                c[i][j][k] = v
+    return c
+
+
 @given(st.data(), field_dim())
 def test_apply_map_is_the_row_sum(data, fd):
     field, dim = fd
@@ -247,14 +267,28 @@ def test_apply_map_is_the_row_sum(data, fd):
 
 @given(st.data(), field_dim())
 def test_bilinear_apply_is_the_double_sum(data, fd):
+    """bilinear_apply and the sparse kernel under it, all-zero planes
+    included, against the textbook sum."""
     field, dim = fd
-    c = data.draw(nested(field, (dim, dim, dim)))
+    c = zero_planes(data.draw(nested(field, (dim, dim, dim))), data)
     x = tuple(data.draw(nested(field, (dim,))))
     y = tuple(data.draw(nested(field, (dim,))))
-    expected = tuple(field.reduce(sum(x[i] * y[j] * c[i][j][k]
-                                      for i in range(dim) for j in range(dim)))
-                     for k in range(dim))
-    assert bilinear_apply(BilinearMap.from_nested(field, c), x, y) == expected
+    raw = [sum(x[i] * y[j] * c[i][j][k] for i in range(dim) for j in range(dim))
+           for k in range(dim)]
+    m = BilinearMap.from_nested(field, c)
+    assert bilinear_raw(sparse_tensor(m.c), x, y) == raw
+    assert bilinear_apply(m, x, y) == tuple(map(field.reduce, raw))
+
+
+@given(st.data(), field_dim())
+def test_sparse_form_rebuilds_the_tensor(data, fd):
+    field, dim = fd
+    c = BilinearMap.from_nested(
+        field, zero_planes(data.draw(nested(field, (dim, dim, dim))), data)).c
+    s = sparse_tensor(c)
+    assert dense(s) == [[list(row) for row in plane] for plane in c]
+    assert all(v for rows in s for _, entries in rows for _, v in entries)
+    assert all(entries for rows in s for _, entries in rows)
 
 
 def test_module_examples_run():

@@ -20,7 +20,7 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   serialize_doc, structure_ok, validate_doc, yau_twist)
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
-from halg.search import _rb_family_plan
+from halg.search import _rb_family_plan, check_sample_size
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
                              PLAIN_LIE_MATCHING_RB)
@@ -279,8 +279,13 @@ def test_a_huge_label_count_is_refused_before_anything_is_made():
     spec = rb_spec(catalog("N2-F3"), 10**20, (0,))
     with pytest.raises(ParamError, match="expected 100000000000000000000 weights"):
         enumerate_docs(spec)
-    with pytest.raises(ParamError):
-        seeded_sample(spec, seed=0, count=1)
+    # a sample draws dim^2 digits per label in one attempt: no more than the
+    # 100000 attempts of the smallest cap, whatever the weights
+    for omega in (10**20, 25001):
+        with pytest.raises(ParamError, match=f"^{omega} labels of 2x2 operators"):
+            seeded_sample(rb_spec(catalog("N2-F3"), omega, (0,)), seed=0, count=1)
+    check_sample_size(2, 25000)
+    check_sample_size(1, 100000)
     # a space far past the budget is refused without computing its size
     with pytest.raises(BudgetExceededError, match=r"3\^400000 candidates"):
         enumerate_docs(rb_spec(catalog("N2-F3"), 10**5, (0,) * 10**5))
