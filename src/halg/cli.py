@@ -3,6 +3,15 @@
 Docs travel as single-line JSON, one per line, so subcommands compose over
 pipes: `halg search ... | halg construct yau-twist - | halg check -`.
 
+Every subcommand streams: it parses one doc, decides or transforms it,
+writes the result and flushes stdout before it reads the next line, and
+search writes each hit as the search makes it.  So each stage of a pipe
+starts on the first doc while the stage before it still runs, and `--limit`
+or a reader that leaves (`| head -1`) ends a search early.  After a failed
+doc the rest of the input is still read and parsed, so a malformed doc
+anywhere is a usage error; the output for the docs before it has already
+been written.  `-o FILE` writes only once every doc exists.
+
 Exit codes: 0 success, 1 usage or malformed input, or stdout closed by its
 reader, 2 a failed check or an unmet construction precondition (the witness
 report is printed when one exists), 3 a construction whose output re-check
@@ -27,32 +36,51 @@ from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, check_sample_size, enumerate_docs, fixture_names,
-                     seeded_sample)
+                     sample_hits, search_hits, seeded_sample)
 from .structures import (parse_doc, report_to_jsonable, serialize_doc)
 
 
 def _read_docs(path: str):
+    """The docs at path, each parsed as it is asked for.  A file is read in
+    one go, so that -o may name it; stdin is read a line at a time, so that
+    a doc is handled as soon as its line arrives."""
     if path == "-":
-        data = sys.stdin.buffer.read()
+        lines = (line.rstrip(b"\n") for line in sys.stdin.buffer)
     else:
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                lines = fh.read().split(b"\n")
         except OSError as e:
             raise DocSyntaxError(f"cannot read {path}: {e}") from None
-    docs = [parse_doc(line) for line in data.split(b"\n") if line.strip()]
-    if not docs:
+    found = False
+    for line in lines:
+        if line.strip():
+            found = True
+            yield parse_doc(line)
+    if not found:
         raise DocSyntaxError(f"no docs found in {path}")
-    return docs
+
+
+def _drain(docs) -> None:
+    """Parse the rest of the input after a failure, so that a malformed doc
+    anywhere in it is still a usage error."""
+    for _ in docs:
+        pass
 
 
 def _emit_doc(doc, out) -> None:
     out.write(serialize_doc(doc).decode("utf-8") + "\n")
 
 
+def _print_doc(doc) -> None:
+    _emit_doc(doc, sys.stdout)
+    sys.stdout.flush()
+
+
 def _emit_report(report, field) -> None:
     payload = report_to_jsonable(report, field)
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    sys.stdout.flush()
 
 
 def _to_stdout(path) -> bool:
@@ -195,7 +223,8 @@ def _parse_toggles(pairs) -> dict:
 
 def _cmd_check(args) -> int:
     toggles = _parse_toggles(args.axiom_toggle)
-    for doc in _read_docs(args.path):
+    docs = _read_docs(args.path)
+    for doc in docs:
         report = check_structure(doc, verbose=args.verbose, axiom_toggles=toggles)
         if args.verbose and doc.twist is not None:
             tags = ["multiplicative"] + (["commutes"] if doc.operators else [])
@@ -204,6 +233,7 @@ def _cmd_check(args) -> int:
             print(f"info: twist {'/'.join(tags)}: {state}", file=sys.stderr)
         _emit_report(report, doc.field)
         if not report.passed:
+            _drain(docs)
             return 2
     return 0
 
@@ -212,16 +242,18 @@ def _cmd_construct(args) -> int:
     recipe = _RECIPES[args.recipe]
     params = _parse_param_list(args.param)
     made = []
-    for doc in _read_docs(args.path):
+    docs = _read_docs(args.path)
+    for doc in docs:
         try:
             result = recipe(doc, dict(params))
         except HalgError as e:
             print(f"error: {e}", file=sys.stderr)
             if getattr(e, "report", None) is not None:
                 _emit_report(e.report, doc.field)
+            _drain(docs)
             return e.exit_code
         if _to_stdout(args.out):
-            _emit_doc(result, sys.stdout)
+            _print_doc(result)
         else:
             made.append(result)
     if not _to_stdout(args.out):
@@ -235,7 +267,7 @@ def _cmd_search(args) -> int:
     if args.fixture is not None:
         base = catalog(args.fixture)
     else:
-        docs = _read_docs(args.base)
+        docs = list(_read_docs(args.base))
         if len(docs) != 1:
             raise ParamError("search takes a single base doc")
         base = docs[0]
@@ -265,18 +297,23 @@ def _cmd_search(args) -> int:
                           weights=weights, limit=args.limit, budget=args.budget)
     if (args.seed is None) != (args.count is None):
         raise ParamError("--seed and --count go together")
-    if args.seed is not None:
-        result = seeded_sample(spec, args.seed, args.count)
-    else:
-        result = enumerate_docs(spec)
+    sampled = args.seed is not None
     if _to_stdout(args.out):
-        for doc in result.docs:
-            _emit_doc(doc, sys.stdout)
+        hits = (sample_hits(spec, args.seed, args.count) if sampled
+                else search_hits(spec))
+        found = 0
+        for doc in hits:
+            _print_doc(doc)
+            found += 1
+        truncated = hits.truncated
     else:
+        result = (seeded_sample(spec, args.seed, args.count) if sampled
+                  else enumerate_docs(spec))
         _write_file(args.out, result.docs)
-    if result.truncated:
-        if args.seed is not None:
-            print(f"note: only {len(result.docs)} of {args.count} samples found",
+        found, truncated = len(result), result.truncated
+    if truncated:
+        if sampled:
+            print(f"note: only {found} of {args.count} samples found",
                   file=sys.stderr)
         else:
             print(f"note: stopped at the {args.limit}-doc limit "
@@ -294,10 +331,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    for doc in _read_docs(args.path):
+    docs = _read_docs(args.path)
+    for doc in docs:
         report = verify_diagram(doc)
         _emit_report(report, doc.field)
         if not report.passed:
+            _drain(docs)
             return 2
     return 0
 

@@ -25,7 +25,16 @@ rb-family probe) with its twist or operators swapped in and only that part
 checked (structures.swap_part).  `limit` and `truncated` read as for a plain
 loop over the whole candidate space, and SearchSpec.budget bounds that
 space's size p^entries up front, so a hopeless request fails fast.
-seeded_sample draws candidates at random and checks each one.
+
+seeded_sample draws candidates at random with replacement and decides each
+with the same deciders: axioms.candidate_check on the rb-family probe or on
+the endomorphism base, check_side_conditions for commuting maps.
+
+Both are a stream of hits.  search_hits and sample_hits return a Hits that
+makes each hit as it is iterated, so a reader can write the first hit while
+the search goes on and stop it early; every refusal is raised by the call
+itself, before the first hit.  enumerate_docs and seeded_sample collect that
+stream into a SearchResult.
 """
 
 from __future__ import annotations
@@ -56,10 +65,17 @@ TARGETS = (TARGET_RB_FAMILY, TARGET_ENDOMORPHISM, TARGET_COMMUTING)
 DEFAULT_BUDGET = 1 << 24
 
 
+def _require_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """What to enumerate: a base doc, the label count and weights to search
-    operator families over (rb-family target only), and a hit limit."""
+    operator families over (rb-family target only), and a hit limit.
+    omega_size, limit and budget are ints (the first two may be None);
+    anything else is refused with ParamError."""
 
     base: AlgebraDoc
     target: str
@@ -67,6 +83,12 @@ class SearchSpec:
     weights: tuple = ()
     limit: int | None = None
     budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        for name in ("omega_size", "limit", "budget"):
+            value = getattr(self, name)
+            if value is not None or name == "budget":
+                _require_int(value, name)
 
 
 @dataclass(frozen=True)
@@ -79,6 +101,23 @@ class SearchResult:
 
     def __len__(self) -> int:
         return len(self.docs)
+
+
+class Hits:
+    """The hits of one search, each made as it is iterated; iterate it once.
+    When the iteration has ended, truncated reads as SearchResult's."""
+
+    def __init__(self, stream):
+        self._stream = stream   # a generator that returns truncated
+        self.truncated = None
+
+    def __iter__(self):
+        self.truncated = yield from self._stream
+
+
+def _result(hits: Hits) -> SearchResult:
+    docs = tuple(hits)
+    return SearchResult(docs, hits.truncated)
 
 
 def _require_finite(field: Field, what: str) -> None:
@@ -136,27 +175,35 @@ def _rb_family_plan(spec: SearchSpec):
     return product, labels, weights, kind, role, twist
 
 
-def _rb_doc(field, dim, labels, kind, role, product, ops, weights, twist):
+def _rb_probe(spec: SearchSpec, budget: bool) -> AlgebraDoc:
+    """The searched family's doc with every operator zero.  With budget,
+    the space of operator digits is held to spec.budget first."""
+    product, labels, weights, kind, role, twist = _rb_family_plan(spec)
+    field, dim = spec.base.field, spec.base.dim
+    if budget:
+        _check_budget(spec, dim * dim * len(labels))
+    zero = LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
     return make_doc(field, dim, labels, kind, {role: product},
-                    operators=OperatorFamily(ops=ops, weights=weights),
+                    operators=OperatorFamily({lab: zero for lab in labels}, weights),
                     twist=twist)
 
 
-def _matrices_from_digits(field, dim, labels, digits):
-    per = dim * dim
-    ops = {}
-    for idx, lab in enumerate(labels):
-        chunk = digits[idx * per:(idx + 1) * per]
-        rows = [list(chunk[r * dim:(r + 1) * dim]) for r in range(dim)]
-        ops[lab] = LinearMap.from_rows(field, rows)
-    return ops
+def _rb_emit(probe: AlgebraDoc):
+    """emit(ms): the probe with the matrices ms as its operators, one per
+    label in label order."""
+    field, labels, weights = probe.field, probe.labels, probe.operators.weights
+
+    def emit(ms):
+        # digits are canonical residues, so the rows need no reducing
+        ops = {lab: LinearMap(field, m) for lab, m in zip(labels, ms)}
+        return swap_part(probe, operators=OperatorFamily(ops, weights))
+    return emit
 
 
 def _matrices(p: int, dim: int):
     """Every dim x dim matrix over F_p as a row tuple, in lexicographic
     order of its row-major digits."""
-    for digits in itertools.product(range(p), repeat=dim * dim):
-        yield tuple(digits[r * dim:(r + 1) * dim] for r in range(dim))
+    return itertools.product(itertools.product(range(p), repeat=dim), repeat=dim)
 
 
 def _check_budget(spec: SearchSpec, entries: int) -> None:
@@ -171,23 +218,36 @@ def _check_budget(spec: SearchSpec, entries: int) -> None:
         raise BudgetExceededError(f"{total} candidates exceed the budget {budget}")
 
 
-def _collect(found, limit, p, emit) -> SearchResult:
-    """Emit the hits of found, in its order, up to limit.  A hit is a tuple
-    of matrices, and the candidates are every such tuple in lexicographic
-    order, so a result stopped by the limit is truncated unless the hit
-    that reached it is the last candidate, the one of all digits p - 1."""
-    hits = []
+def _first(found, limit, p, emit):
+    """Yield emit(ms) for the hits ms of found, in its order, up to limit,
+    and return truncated.  A hit is a tuple of matrices, and the candidates
+    are every such tuple in lexicographic order, so a stream stopped by the
+    limit is truncated unless the hit that reached it is the last
+    candidate, the one of all digits p - 1."""
+    made = 0
     for ms in found:
-        hits.append(emit(ms))
-        if len(hits) == limit:
-            last = all(v == p - 1 for m in ms for row in m for v in row)
-            return SearchResult(tuple(hits), not last)
-    return SearchResult(tuple(hits), False)
+        yield emit(ms)
+        made += 1
+        if made == limit:
+            return not all(v == p - 1 for m in ms for row in m for v in row)
+    return False
 
 
-def enumerate_docs(spec: SearchSpec) -> SearchResult:
-    """Every hit of an exhaustive search, in lexicographic candidate order.
-    See the module docstring for what each target enumerates."""
+def _check_map_base(spec: SearchSpec) -> None:
+    """Refuse a map target's base unless it is a plain matching RB doc that
+    passes its check."""
+    base = spec.base
+    if base.kind not in PLAIN_RB_KINDS:
+        raise PreconditionFailed(
+            f"{spec.target} search needs a plain matching RB base")
+    if not structure_ok(base):
+        raise PreconditionFailed(f"{spec.target} search: base fails its check")
+
+
+def search_hits(spec: SearchSpec) -> Hits:
+    """The hits of an exhaustive search, in lexicographic candidate order,
+    as a stream.  See the module docstring for what each target
+    enumerates."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
     if spec.limit is not None and spec.limit < 1:
@@ -199,33 +259,20 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
     p = field.p
 
     if spec.target == TARGET_RB_FAMILY:
-        product, labels, weights, kind, role, twist = _rb_family_plan(spec)
-        _check_budget(spec, dim * dim * len(labels))
-        zero_ops = {lab: LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
-                    for lab in labels}
-        probe = _rb_doc(field, dim, labels, kind, role, product, zero_ops,
-                        weights, twist)
+        probe = _rb_probe(spec, budget=True)
+        labels = probe.labels
         if not structure_ok(probe):
-            return SearchResult((), False)
+            return Hits(_first((), spec.limit, p, None))
         ok = candidate_check(probe)
         # the diagonal instance (a, a) involves P_a alone
         alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
         found = itertools.product(*alone)
         if len(labels) > 1:
             found = (ms for ms in found if ok(dict(zip(labels, ms)), mixed=True))
-
-        def emit(ms):
-            # digits are canonical residues, so the rows need no reducing
-            ops = {lab: LinearMap(field, m) for lab, m in zip(labels, ms)}
-            return swap_part(probe, operators=OperatorFamily(ops, weights))
-        return _collect(found, spec.limit, p, emit)
+        return Hits(_first(found, spec.limit, p, _rb_emit(probe)))
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
-    if base.kind not in PLAIN_RB_KINDS:
-        raise PreconditionFailed(
-            f"{spec.target} search needs a plain matching RB base")
-    if not structure_ok(base):
-        raise PreconditionFailed(f"{spec.target} search: base fails its check")
+    _check_map_base(spec)
     if spec.omega_size is not None and spec.omega_size != len(base.labels):
         raise ParamError("omega_size cannot be changed for this target")
     if spec.weights and tuple(spec.weights) != tuple(
@@ -248,7 +295,12 @@ def enumerate_docs(spec: SearchSpec) -> SearchResult:
                 raise TheoremCheckError(
                     "commuting search: a solution fails the commutes check", report)
             return swap_part(base, twist=cand)
-    return _collect(found, spec.limit, p, emit)
+    return Hits(_first(found, spec.limit, p, emit))
+
+
+def enumerate_docs(spec: SearchSpec) -> SearchResult:
+    """Every hit of search_hits(spec), collected."""
+    return _result(search_hits(spec))
 
 
 def _commuting_maps(base: AlgebraDoc):
@@ -297,12 +349,28 @@ def check_sample_size(dim: int, omega_size) -> None:
             f"one attempt than a sample's {_MIN_ATTEMPTS} attempts")
 
 
-def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
-    """Sample candidates with replacement until `count` hits or the attempt
-    cap; deterministic for a given seed.  truncated means a shortfall.
-    rb-family label counts are bounded by check_sample_size."""
+def _drawn(draw, ok, emit, count, attempts):
+    """Yield emit(c) for each candidate c = draw() that ok accepts, until
+    count hits or the attempts run out, and return whether the hits fell
+    short of count."""
+    made = 0
+    for _ in range(attempts):
+        if made >= count:
+            break
+        c = draw()
+        if ok(c):
+            yield emit(c)
+            made += 1
+    return made < count
+
+
+def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
+    """Candidates drawn with replacement until `count` hits or the attempt
+    cap, as a stream; deterministic for a given seed.  truncated means a
+    shortfall.  rb-family label counts are bounded by check_sample_size."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
+    _require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")
     base = spec.base
@@ -312,44 +380,38 @@ def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
     rng = random.Random(seed)
     cap = max(_MIN_ATTEMPTS, 1000 * count)
 
+    def matrix():
+        return tuple(tuple(field.random_scalar(rng) for _ in range(dim))
+                     for _ in range(dim))
+
     if spec.target == TARGET_RB_FAMILY:
         check_sample_size(dim, spec.omega_size)
-        product, labels, weights, kind, role, twist = _rb_family_plan(spec)
-        entries = dim * dim * len(labels)
-        zero_ops = {lab: LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
-                    for lab in labels}
-        probe = _rb_doc(field, dim, labels, kind, role, product, zero_ops,
-                        weights, twist)
+        probe = _rb_probe(spec, budget=False)
+        labels = probe.labels
         if not structure_ok(probe):
-            return SearchResult((), count > 0)
-        hits = []
-        for _ in range(cap):
-            if len(hits) >= count:
-                break
-            digits = tuple(field.random_scalar(rng) for _ in range(entries))
-            ops = _matrices_from_digits(field, dim, labels, digits)
-            doc = _rb_doc(field, dim, labels, kind, role, product, ops,
-                          weights, twist)
-            if structure_ok(doc):
-                hits.append(doc)
-        return SearchResult(tuple(hits), len(hits) < count)
+            cap = 0   # no operators mend the laws without label variables
+        # the probe decides the laws without label variables, so ok decides
+        # the rest of each candidate's structure check
+        ok = candidate_check(probe)
+        return Hits(_drawn(lambda: tuple(matrix() for _ in labels),
+                           lambda ms: ok(dict(zip(labels, ms))),
+                           _rb_emit(probe), count, cap))
 
-    if base.kind not in PLAIN_RB_KINDS:
-        raise PreconditionFailed(
-            f"{spec.target} search needs a plain matching RB base")
-    if not structure_ok(base):
-        raise PreconditionFailed(f"{spec.target} search: base fails its check")
-    tag = "endomorphism" if spec.target == TARGET_ENDOMORPHISM else "commutes"
-    hits = []
-    for _ in range(cap):
-        if len(hits) >= count:
-            break
-        cand = LinearMap.from_rows(
-            field, [[field.random_scalar(rng) for _ in range(dim)]
-                    for _ in range(dim)])
-        if check_side_conditions(base, [tag], candidate=cand).passed:
-            hits.append(swap_part(base, twist=cand))
-    return SearchResult(tuple(hits), len(hits) < count)
+    _check_map_base(spec)
+    if spec.target == TARGET_ENDOMORPHISM:
+        ok = candidate_check(base, "endomorphism")
+    else:
+        def ok(m):
+            cand = LinearMap(field, m)
+            return check_side_conditions(base, ["commutes"], candidate=cand).passed
+    return Hits(_drawn(matrix, ok,
+                       lambda m: swap_part(base, twist=LinearMap(field, m)),
+                       count, cap))
+
+
+def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:
+    """Every hit of sample_hits(spec, seed, count), collected."""
+    return _result(sample_hits(spec, seed, count))
 
 
 def _fixtures_over(field: Field) -> dict:

@@ -4,6 +4,10 @@ and the pipe-style composition the docstring promises."""
 import contextlib
 import io
 import json
+import os
+import select
+import subprocess
+import sys
 import types
 
 import pytest
@@ -14,6 +18,7 @@ from halg import (GF, QQ, BilinearMap, LinearMap, OperatorFamily,
                   TheoremCheckError, catalog, check_structure, make_doc,
                   make_report, parse_doc, rb_to_dendriform, serialize_doc,
                   structure_ok, yau_twist)
+import halg.search
 from halg.cli import main
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              PLAIN_ASSOC_MATCHING_RB, Violation)
@@ -418,6 +423,66 @@ def test_closed_stdout_ends_quietly_with_exit_1(capsys, monkeypatch):
     assert main(argv) == 1
     assert out.getvalue().count("\n") == 1
     assert capsys.readouterr().err == ""
+
+
+def _zero3_f3():
+    """The zero product on F_3^3 with a zero operator: each of its 19683
+    linear maps is an endomorphism."""
+    field = GF(3)
+    return make_doc(field, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                    {"dot": BilinearMap.zero(field, 3)},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, [[0] * 3] * 3)},
+                        weights={"a": 0}))
+
+
+def test_a_search_ends_when_its_reader_leaves(tmp_path, capsys, monkeypatch):
+    # each hit is written as it is made, so a reader that leaves after the
+    # first line stops the search at the second hit
+    path = write_docs(tmp_path, "zero3.jsonl", _zero3_f3())
+    made = []
+    swap_part = halg.search.swap_part
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return swap_part(*args, **kwargs)
+    monkeypatch.setattr(halg.search, "swap_part", counted)
+    out = _ClosedAfterOneLine()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["search", "--target", "endomorphism", "--base", path]) == 1
+    assert out.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == ""
+    assert len(made) <= 2
+
+
+def test_output_before_a_malformed_doc_is_already_written(tmp_path, capsys):
+    path = tmp_path / "then-garbage.jsonl"
+    path.write_bytes(serialize_doc(catalog("N2")) + b"\n{not json\n")
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ['{"verdict":"pass","violations":[]}']
+    assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_check_reports_a_doc_before_its_input_ends():
+    # a real pipe, since only a process shows stdout's buffering: the first
+    # report must arrive while the writer still holds stdin open
+    src = os.path.dirname(os.path.dirname(halg.search.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "halg.cli", "check", "-"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, env=env) as proc:
+        try:
+            proc.stdin.write(serialize_doc(catalog("N2")) + b"\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no report within 10 s of the first doc"
+            assert proc.stdout.readline() == b'{"verdict":"pass","violations":[]}\n'
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
 
 
 def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):

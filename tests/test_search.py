@@ -16,8 +16,9 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   PreconditionFailed, SearchSpec, TARGET_COMMUTING,
                   TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, UnknownFixtureError,
                   catalog, check_side_conditions, enumerate_docs,
-                  fixture_names, make_doc, parse_doc, seeded_sample,
-                  serialize_doc, structure_ok, validate_doc, yau_twist)
+                  fixture_names, make_doc, parse_doc, sample_hits,
+                  search_hits, seeded_sample, serialize_doc, structure_ok,
+                  validate_doc, yau_twist)
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
 from halg.search import _rb_family_plan, check_sample_size
@@ -273,6 +274,38 @@ def test_limit_below_one_is_refused():
             enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F2"),
                                       TARGET_ENDOMORPHISM, limit=limit))
     assert len(enumerate_docs(rb_spec(catalog("Z2-F2"), 1, (0,), limit=1))) == 1
+
+
+def test_search_arguments_must_be_integers():
+    base = catalog("Z2-F2")
+    for name in ("omega_size", "limit", "budget"):
+        for bad in ("2", 2.5, True):
+            with pytest.raises(ParamError, match=f"^{name} must be an integer"):
+                SearchSpec(base, TARGET_RB_FAMILY, **{name: bad})
+    with pytest.raises(ParamError, match="^budget must be an integer"):
+        SearchSpec(base, TARGET_RB_FAMILY, budget=None)
+    for bad in (150.5, "4", True):
+        with pytest.raises(ParamError, match="^count must be an integer"):
+            seeded_sample(rb_spec(base, 1, (0,)), seed=1, count=bad)
+
+
+def test_hit_streams_refuse_up_front_and_collect_to_the_results():
+    # a refusal comes from the call, before anything is iterated
+    with pytest.raises(BudgetExceededError):
+        search_hits(rb_spec(catalog("N2-F2"), 1, (0,), budget=10))
+    with pytest.raises(PreconditionFailed):
+        sample_hits(SearchSpec(catalog("N2-F2"), TARGET_ENDOMORPHISM), seed=1, count=1)
+    for limit in (5, 16):
+        spec = rb_spec(catalog("Z2-F2"), 1, (0,), limit=limit)
+        hits = search_hits(spec)
+        res = enumerate_docs(spec)
+        assert [serialize_doc(d) for d in hits] == [serialize_doc(d) for d in res]
+        assert hits.truncated == res.truncated == (limit == 5)
+    spec = SearchSpec(catalog("N2-Pnil-w0-F2"), TARGET_ENDOMORPHISM)
+    hits = sample_hits(spec, seed=3, count=5)
+    res = seeded_sample(spec, seed=3, count=5)
+    assert [serialize_doc(d) for d in hits] == [serialize_doc(d) for d in res]
+    assert hits.truncated is res.truncated is False
 
 
 def test_a_huge_label_count_is_refused_before_anything_is_made():
