@@ -8,9 +8,9 @@ writes the result and flushes stdout before it reads the next line, and
 search writes each hit as the search makes it.  So each stage of a pipe
 starts on the first doc while the stage before it still runs, and `--limit`
 or a reader that leaves (`| head -1`) ends a search early.  After a failed
-doc the rest of the input is still read and parsed, so a malformed doc
-anywhere is a usage error; the output for the docs before it has already
-been written.  `-o FILE` writes only once every doc exists.
+doc or an error raised on one, the rest of the input is still read and
+parsed, so a malformed doc anywhere is a usage error; the output for the
+docs before it has already been written.  `-o FILE` writes only once every doc exists.
 
 Exit codes: 0 success, 1 usage or malformed input, or stdout closed by its
 reader, 2 a failed check or an unmet construction precondition (the witness
@@ -35,8 +35,11 @@ from .constructions import (centroid_twist, collapse_family, commutator,
 from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
-                     catalog, check_sample_size, enumerate_docs, fixture_names,
-                     sample_hits, search_hits, seeded_sample)
+                     catalog, check_sample_size, fixture_names, sample_hits,
+                     search_hits)
+# not called here: bound so that a wrapper set on halg.cli.enumerate_docs,
+# as perfbench/tracing.py sets one, still finds the name
+from .search import enumerate_docs  # noqa: F401
 from .structures import (parse_doc, report_to_jsonable, serialize_doc)
 
 
@@ -66,6 +69,24 @@ def _drain(docs) -> None:
     anywhere in it is still a usage error."""
     for _ in docs:
         pass
+
+
+def _each_doc(path: str, handle) -> int:
+    """Run handle(doc) on each doc at path in turn and return 0, or the
+    first nonzero code it returns.  A nonzero code or a HalgError ends the
+    run, but only after the rest of the input is drained."""
+    docs = _read_docs(path)
+    code = 0
+    try:
+        for doc in docs:
+            code = handle(doc)
+            if code:
+                break
+    except HalgError:
+        _drain(docs)
+        raise
+    _drain(docs)
+    return code
 
 
 def _emit_doc(doc, out) -> None:
@@ -223,8 +244,8 @@ def _parse_toggles(pairs) -> dict:
 
 def _cmd_check(args) -> int:
     toggles = _parse_toggles(args.axiom_toggle)
-    docs = _read_docs(args.path)
-    for doc in docs:
+
+    def handle(doc):
         report = check_structure(doc, verbose=args.verbose, axiom_toggles=toggles)
         if args.verbose and doc.twist is not None:
             tags = ["multiplicative"] + (["commutes"] if doc.operators else [])
@@ -232,33 +253,32 @@ def _cmd_check(args) -> int:
             state = "pass" if side.passed else "fail"
             print(f"info: twist {'/'.join(tags)}: {state}", file=sys.stderr)
         _emit_report(report, doc.field)
-        if not report.passed:
-            _drain(docs)
-            return 2
-    return 0
+        return 0 if report.passed else 2
+    return _each_doc(args.path, handle)
 
 
 def _cmd_construct(args) -> int:
     recipe = _RECIPES[args.recipe]
     params = _parse_param_list(args.param)
     made = []
-    docs = _read_docs(args.path)
-    for doc in docs:
+
+    def handle(doc):
         try:
             result = recipe(doc, dict(params))
         except HalgError as e:
             print(f"error: {e}", file=sys.stderr)
             if getattr(e, "report", None) is not None:
                 _emit_report(e.report, doc.field)
-            _drain(docs)
             return e.exit_code
         if _to_stdout(args.out):
             _print_doc(result)
         else:
             made.append(result)
-    if not _to_stdout(args.out):
+        return 0
+    code = _each_doc(args.path, handle)
+    if code == 0 and not _to_stdout(args.out):
         _write_file(args.out, made)
-    return 0
+    return code
 
 
 def _cmd_search(args) -> int:
@@ -298,19 +318,18 @@ def _cmd_search(args) -> int:
     if (args.seed is None) != (args.count is None):
         raise ParamError("--seed and --count go together")
     sampled = args.seed is not None
+    hits = (sample_hits(spec, args.seed, args.count) if sampled
+            else search_hits(spec))
     if _to_stdout(args.out):
-        hits = (sample_hits(spec, args.seed, args.count) if sampled
-                else search_hits(spec))
         found = 0
         for doc in hits:
             _print_doc(doc)
             found += 1
-        truncated = hits.truncated
     else:
-        result = (seeded_sample(spec, args.seed, args.count) if sampled
-                  else enumerate_docs(spec))
-        _write_file(args.out, result.docs)
-        found, truncated = len(result), result.truncated
+        made = tuple(hits)
+        _write_file(args.out, made)
+        found = len(made)
+    truncated = hits.truncated
     if truncated:
         if sampled:
             print(f"note: only {found} of {args.count} samples found",
@@ -331,14 +350,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    docs = _read_docs(args.path)
-    for doc in docs:
+    def handle(doc):
         report = verify_diagram(doc)
         _emit_report(report, doc.field)
-        if not report.passed:
-            _drain(docs)
-            return 2
-    return 0
+        return 0 if report.passed else 2
+    return _each_doc(args.path, handle)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -175,13 +175,11 @@ def _rb_family_plan(spec: SearchSpec):
     return product, labels, weights, kind, role, twist
 
 
-def _rb_probe(spec: SearchSpec, budget: bool) -> AlgebraDoc:
-    """The searched family's doc with every operator zero.  With budget,
-    the space of operator digits is held to spec.budget first."""
-    product, labels, weights, kind, role, twist = _rb_family_plan(spec)
-    field, dim = spec.base.field, spec.base.dim
-    if budget:
-        _check_budget(spec, dim * dim * len(labels))
+def _rb_probe(base: AlgebraDoc, plan) -> AlgebraDoc:
+    """The doc that _rb_family_plan's plan searches on base, with every
+    operator zero."""
+    product, labels, weights, kind, role, twist = plan
+    field, dim = base.field, base.dim
     zero = LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
     return make_doc(field, dim, labels, kind, {role: product},
                     operators=OperatorFamily({lab: zero for lab in labels}, weights),
@@ -259,8 +257,10 @@ def search_hits(spec: SearchSpec) -> Hits:
     p = field.p
 
     if spec.target == TARGET_RB_FAMILY:
-        probe = _rb_probe(spec, budget=True)
-        labels = probe.labels
+        plan = _rb_family_plan(spec)
+        labels = plan[1]
+        _check_budget(spec, dim * dim * len(labels))
+        probe = _rb_probe(base, plan)
         if not structure_ok(probe):
             return Hits(_first((), spec.limit, p, None))
         ok = candidate_check(probe)
@@ -386,7 +386,7 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
 
     if spec.target == TARGET_RB_FAMILY:
         check_sample_size(dim, spec.omega_size)
-        probe = _rb_probe(spec, budget=False)
+        probe = _rb_probe(base, _rb_family_plan(spec))
         labels = probe.labels
         if not structure_ok(probe):
             cap = 0   # no operators mend the laws without label variables

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halg import (GF, QQ, BilinearMap, LinearMap, OperatorFamily,
-                  TheoremCheckError, catalog, check_structure, make_doc,
-                  make_report, parse_doc, rb_to_dendriform, serialize_doc,
-                  structure_ok, yau_twist)
+                  PreconditionFailed, TheoremCheckError, catalog,
+                  check_structure, make_doc, make_report, parse_doc,
+                  rb_to_dendriform, serialize_doc, structure_ok, yau_twist)
+import halg.cli
 import halg.search
 from halg.cli import main
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
@@ -462,6 +463,28 @@ def test_output_before_a_malformed_doc_is_already_written(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == ['{"verdict":"pass","violations":[]}']
     assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_garbage_after_a_raised_error_is_still_a_usage_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # alone, each first doc ends its command with exit 2 by a raised error;
+    # the garbage after it must still be read, parsed and refused
+    def then_garbage(name, doc):
+        path = tmp_path / name
+        path.write_bytes(serialize_doc(doc) + b"\n{not json\n")
+        return str(path)
+    weighted = then_garbage("weighted.jsonl", catalog("N2-id-wm1"))
+    assert main(["diagram", weighted]) == 1
+    assert main(["diagram", then_garbage("lie.jsonl", catalog("aff2"))]) == 1
+    crush = LinearMap.from_rows(QQ, [[1, 0], [0, 0]])
+    singular = then_garbage("sing.jsonl", yau_twist(n2_p0(), crush))
+    assert main(["construct", "untwist", singular]) == 1
+
+    def refuse(doc, **kw):
+        raise PreconditionFailed("refused")
+    monkeypatch.setattr(halg.cli, "check_structure", refuse)
+    assert main(["check", then_garbage("n2.jsonl", catalog("N2"))]) == 1
+    capsys.readouterr()
 
 
 def test_check_reports_a_doc_before_its_input_ends():

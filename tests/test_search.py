@@ -16,12 +16,12 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   PreconditionFailed, SearchSpec, TARGET_COMMUTING,
                   TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, UnknownFixtureError,
                   catalog, check_side_conditions, enumerate_docs,
-                  fixture_names, make_doc, parse_doc, sample_hits,
-                  search_hits, seeded_sample, serialize_doc, structure_ok,
-                  validate_doc, yau_twist)
+                  fixture_names, make_doc, parse_doc, seeded_sample,
+                  serialize_doc, structure_ok, validate_doc, yau_twist)
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
-from halg.search import _rb_family_plan, check_sample_size
+from halg.search import (_rb_family_plan, check_sample_size, sample_hits,
+                         search_hits)
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
                              PLAIN_LIE_MATCHING_RB)
