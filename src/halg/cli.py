@@ -291,13 +291,14 @@ def _cmd_search(args) -> int:
         if len(docs) != 1:
             raise ParamError("search takes a single base doc")
         base = docs[0]
-    field = base.field
+    omega, weights = args.omega, ()
+    if args.weights is not None:
+        weights = tuple(base.field.parse_scalar(tok.strip(), "weights")
+                        for tok in args.weights.split(","))
     if args.target == TARGET_RB_FAMILY:
-        omega = args.omega if args.omega is not None else len(base.labels)
-        if args.weights is not None:
-            weights = tuple(field.parse_scalar(tok.strip(), "weights")
-                            for tok in args.weights.split(","))
-        else:
+        if omega is None:
+            omega = len(base.labels)
+        if args.weights is None:
             # refuse a huge label count before making a weight per label
             if args.seed is not None:
                 check_sample_size(base.dim, omega)
@@ -306,15 +307,8 @@ def _cmd_search(args) -> int:
                 raise BudgetExceededError(
                     f"{omega} labels exceed the budget {args.budget}")
             weights = (0,) * max(omega, 0)
-        spec = SearchSpec(base, args.target, omega_size=omega, weights=weights,
-                          limit=args.limit, budget=args.budget)
-    else:
-        weights = ()
-        if args.weights is not None:
-            weights = tuple(field.parse_scalar(tok.strip(), "weights")
-                            for tok in args.weights.split(","))
-        spec = SearchSpec(base, args.target, omega_size=args.omega,
-                          weights=weights, limit=args.limit, budget=args.budget)
+    spec = SearchSpec(base, args.target, omega_size=omega, weights=weights,
+                      limit=args.limit, budget=args.budget)
     if (args.seed is None) != (args.count is None):
         raise ParamError("--seed and --count go together")
     sampled = args.seed is not None

@@ -1,34 +1,35 @@
 """Exhaustive search and seeded sampling of small structures over F_p.
 
-enumerate_docs returns every hit of a candidate space in lexicographic order
-(entry 0 of the first matrix is the most significant digit), but it finds
-them by structure rather than by testing each candidate:
+One driver serves both: _resolve refuses a bad SearchSpec, the same way for
+either, and resolves its target to one decider ok and one emitter emit.
 
-* rb-family: operator families (P_a) on a base product.  The laws without
-  label variables (hom-assoc, hom-jacobi) do not involve the operators, so
-  the zero-operator probe decides them once.  On the diagonal pair (a, a)
-  the matching Rota-Baxter identity is the Rota-Baxter identity of weight
-  w_a for P_a alone, so each label's solutions S_a are found on their own,
-  and the tuples of S_1 x ... x S_k, walked in product order, are
-  cross-checked on the label pairs (a, b) with a != b.
-* endomorphism: every candidate map in lexicographic order, decided from
-  verdict tables per basis pair.  f(x_i x_j) = f(x_i) f(x_j) reads only the
-  columns i, j and supp(x_i x_j) of f, so a pair that reads fewer than all
-  columns is evaluated once per assignment of those columns and looked up
-  after that (see axioms.candidate_check); the pairs that read every column
-  are evaluated per candidate.
-* commuting: f P_a = P_a f is linear in the entries of f, so the hits are
-  the elements of a solution space, listed in order and each re-checked.
+* rb-family: a candidate is an operator P_a per label on a base product.
+  The laws without label variables (hom-assoc, hom-jacobi) do not involve
+  the operators, so the zero-operator probe decides them once, and ok,
+  axioms.candidate_check on the probe, decides the rest.
+* endomorphism: a candidate is the matrix of f, and ok decides
+  f(x_i x_j) = f(x_i) f(x_j) from verdict tables per basis pair, as
+  axioms.candidate_check describes.
+* commuting: a candidate is the matrix of f, and ok is the commutes side
+  condition.
 
-Docs are built for hits only, each from one validated doc (the base, or the
-rb-family probe) with its twist or operators swapped in and only that part
-checked (structures.swap_part).  `limit` and `truncated` read as for a plain
-loop over the whole candidate space, and SearchSpec.budget bounds that
-space's size p^entries up front, so a hopeless request fails fast.
+Docs are built for hits only, each from one validated doc (the probe, or
+the base) with the candidate swapped in and only that part checked
+(structures.swap_part).
 
-seeded_sample draws candidates at random with replacement and decides each
-with the same deciders: axioms.candidate_check on the rb-family probe or on
-the endomorphism base, check_side_conditions for commuting maps.
+search_hits walks the whole candidate space in lexicographic order (entry 0
+of the first matrix is the most significant digit), by structure rather
+than candidate by candidate.  On the diagonal pair (a, a) the matching
+Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
+alone, so each label's solutions are found alone, and the tuples of them,
+in product order, are cross-checked on the label pairs (a, b) with a != b.
+f P_a = P_a f is linear in f, so the commuting hits are the solutions of
+that system, listed in order and each re-checked with ok.  `limit` and
+`truncated` read as for a plain loop over the whole space, and
+SearchSpec.budget bounds that space's size p^entries up front, so a
+hopeless request fails fast.  sample_hits draws candidates at random with
+replacement and decides each with the same ok; check_sample_size bounds a
+draw in place of the budget.
 
 Both are a stream of hits.  search_hits and sample_hits return a Hits that
 makes each hit as it is iterated, so a reader can write the first hit while
@@ -120,11 +121,6 @@ def _result(hits: Hits) -> SearchResult:
     return SearchResult(docs, hits.truncated)
 
 
-def _require_finite(field: Field, what: str) -> None:
-    if not field.is_prime_field:
-        raise NonFiniteFieldError(f"{what} requires a prime field")
-
-
 def _search_labels(base: AlgebraDoc, omega_size: int):
     if len(base.labels) == omega_size:
         return base.labels
@@ -133,7 +129,8 @@ def _search_labels(base: AlgebraDoc, omega_size: int):
 
 
 def _rb_family_plan(spec: SearchSpec):
-    """Resolve label set, weights, output kind/twist and the zero-op probe."""
+    """The product, labels, weights, output kind, role and twist of an
+    rb-family search; the zero-operator probe is made from them."""
     base = spec.base
     field = base.field
     if base.kind in RB_KINDS:
@@ -175,29 +172,6 @@ def _rb_family_plan(spec: SearchSpec):
     return product, labels, weights, kind, role, twist
 
 
-def _rb_probe(base: AlgebraDoc, plan) -> AlgebraDoc:
-    """The doc that _rb_family_plan's plan searches on base, with every
-    operator zero."""
-    product, labels, weights, kind, role, twist = plan
-    field, dim = base.field, base.dim
-    zero = LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
-    return make_doc(field, dim, labels, kind, {role: product},
-                    operators=OperatorFamily({lab: zero for lab in labels}, weights),
-                    twist=twist)
-
-
-def _rb_emit(probe: AlgebraDoc):
-    """emit(ms): the probe with the matrices ms as its operators, one per
-    label in label order."""
-    field, labels, weights = probe.field, probe.labels, probe.operators.weights
-
-    def emit(ms):
-        # digits are canonical residues, so the rows need no reducing
-        ops = {lab: LinearMap(field, m) for lab, m in zip(labels, ms)}
-        return swap_part(probe, operators=OperatorFamily(ops, weights))
-    return emit
-
-
 def _matrices(p: int, dim: int):
     """Every dim x dim matrix over F_p as a row tuple, in lexicographic
     order of its row-major digits."""
@@ -216,86 +190,121 @@ def _check_budget(spec: SearchSpec, entries: int) -> None:
         raise BudgetExceededError(f"{total} candidates exceed the budget {budget}")
 
 
-def _first(found, limit, p, emit):
-    """Yield emit(ms) for the hits ms of found, in its order, up to limit,
-    and return truncated.  A hit is a tuple of matrices, and the candidates
-    are every such tuple in lexicographic order, so a stream stopped by the
-    limit is truncated unless the hit that reached it is the last
-    candidate, the one of all digits p - 1."""
-    made = 0
-    for ms in found:
-        yield emit(ms)
-        made += 1
-        if made == limit:
-            return not all(v == p - 1 for m in ms for row in m for v in row)
-    return False
+# seeded_sample gives up after max(_MIN_ATTEMPTS, 1000 * count) attempts
+_MIN_ATTEMPTS = 100000
 
 
-def _check_map_base(spec: SearchSpec) -> None:
-    """Refuse a map target's base unless it is a plain matching RB doc that
-    passes its check."""
-    base = spec.base
-    if base.kind not in PLAIN_RB_KINDS:
-        raise PreconditionFailed(
-            f"{spec.target} search needs a plain matching RB base")
-    if not structure_ok(base):
-        raise PreconditionFailed(f"{spec.target} search: base fails its check")
+def check_sample_size(dim: int, omega_size) -> None:
+    """Refuse an rb-family sample of omega_size labels on a dim-dimensional
+    base when one attempt would draw more operator digits (dim^2 per label)
+    than the smallest attempt cap has attempts.  It runs before any label
+    or weight is made, so a huge label count costs nothing."""
+    if omega_size is not None and dim * dim * omega_size > _MIN_ATTEMPTS:
+        raise ParamError(
+            f"{omega_size} labels of {dim}x{dim} operators draw more digits in "
+            f"one attempt than a sample's {_MIN_ATTEMPTS} attempts")
 
 
-def search_hits(spec: SearchSpec) -> Hits:
-    """The hits of an exhaustive search, in lexicographic candidate order,
-    as a stream.  See the module docstring for what each target
-    enumerates."""
+def _resolve(spec: SearchSpec, what: str):
+    """Refuse spec as `what` (enumerate_docs or seeded_sample) does, then
+    return (labels, ok, emit) for its target.  An rb-family candidate maps
+    each of labels, in order, to its operator's matrix, and ok is None when
+    the probe fails the laws that no operators mend; a map target's
+    candidate is the matrix of f, and labels is None.  The budget (for
+    enumerate_docs) or check_sample_size (for seeded_sample) refuses before
+    the probe is made."""
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
     if spec.limit is not None and spec.limit < 1:
         raise ParamError(f"limit must be at least 1, got {spec.limit!r}")
     base = spec.base
-    field = base.field
-    _require_finite(field, "enumerate_docs")
-    dim = base.dim
-    p = field.p
+    field, dim = base.field, base.dim
+    if not field.is_prime_field:
+        raise NonFiniteFieldError(f"{what} requires a prime field")
+    enumerating = what == "enumerate_docs"
 
     if spec.target == TARGET_RB_FAMILY:
-        plan = _rb_family_plan(spec)
-        labels = plan[1]
-        _check_budget(spec, dim * dim * len(labels))
-        probe = _rb_probe(base, plan)
-        if not structure_ok(probe):
-            return Hits(_first((), spec.limit, p, None))
-        ok = candidate_check(probe)
-        # the diagonal instance (a, a) involves P_a alone
-        alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
-        found = itertools.product(*alone)
-        if len(labels) > 1:
-            found = (ms for ms in found if ok(dict(zip(labels, ms)), mixed=True))
-        return Hits(_first(found, spec.limit, p, _rb_emit(probe)))
+        if not enumerating:
+            check_sample_size(dim, spec.omega_size)
+        product, labels, weights, kind, role, twist = _rb_family_plan(spec)
+        if enumerating:
+            _check_budget(spec, dim * dim * len(labels))
+        zero = LinearMap.from_rows(field, [[0] * dim for _ in range(dim)])
+        probe = make_doc(field, dim, labels, kind, {role: product},
+                         operators=OperatorFamily(dict.fromkeys(labels, zero), weights),
+                         twist=twist)
+
+        def emit(ops):
+            # digits are canonical residues, so the rows need no reducing
+            return swap_part(probe, operators=OperatorFamily(
+                {lab: LinearMap(field, m) for lab, m in ops.items()}, weights))
+        return labels, candidate_check(probe) if structure_ok(probe) else None, emit
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
-    _check_map_base(spec)
+    if base.kind not in PLAIN_RB_KINDS:
+        raise PreconditionFailed(
+            f"{spec.target} search needs a plain matching RB base")
+    if not structure_ok(base):
+        raise PreconditionFailed(f"{spec.target} search: base fails its check")
     if spec.omega_size is not None and spec.omega_size != len(base.labels):
         raise ParamError("omega_size cannot be changed for this target")
     if spec.weights and tuple(spec.weights) != tuple(
             base.operators.weights[lab] for lab in base.labels):
         raise ParamError("weights cannot be changed for this target")
-    _check_budget(spec, dim * dim)
+    if enumerating:
+        _check_budget(spec, dim * dim)
     if spec.target == TARGET_ENDOMORPHISM:
         ok = candidate_check(base, "endomorphism")
-        found = ((m,) for m in _matrices(p, dim) if ok(m))
-
-        def emit(ms):
-            return swap_part(base, twist=LinearMap(field, ms[0]))
     else:
-        found = ((m,) for m in _commuting_maps(base))
+        def ok(m):
+            cand = LinearMap(field, m)
+            return check_side_conditions(base, ["commutes"], candidate=cand).passed
+    return None, ok, lambda m: swap_part(base, twist=LinearMap(field, m))
 
-        def emit(ms):
-            cand = LinearMap(field, ms[0])
-            report = check_side_conditions(base, ["commutes"], candidate=cand)
-            if not report.passed:
+
+def _first(found, limit, last, emit):
+    """Yield emit(c) for the hits c of found, in its order, up to limit,
+    and return truncated.  The candidates run in lexicographic order up to
+    last, the one of all digits p - 1, so a stream stopped by the limit is
+    truncated unless the hit that reached it is last."""
+    made = 0
+    for c in found:
+        yield emit(c)
+        made += 1
+        if made == limit:
+            return c != last
+    return False
+
+
+def search_hits(spec: SearchSpec) -> Hits:
+    """The hits of an exhaustive search, in lexicographic candidate order,
+    as a stream.  See the module docstring for how each target's candidate
+    space is walked."""
+    labels, ok, emit = _resolve(spec, "enumerate_docs")
+    base = spec.base
+    p, dim = base.field.p, base.dim
+    last = ((p - 1,) * dim,) * dim   # the last matrix: every digit p - 1
+    if labels is not None:
+        found = ()
+        if ok is not None:
+            # the diagonal instance (a, a) involves P_a alone
+            alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
+            found = (dict(zip(labels, ms)) for ms in itertools.product(*alone))
+            if len(labels) > 1:
+                found = (c for c in found if ok(c, mixed=True))
+        last = dict.fromkeys(labels, last)
+    elif spec.target == TARGET_ENDOMORPHISM:
+        found = (m for m in _matrices(p, dim) if ok(m))
+    else:
+        def sound(m):
+            if not ok(m):
+                report = check_side_conditions(base, ["commutes"],
+                                               candidate=LinearMap(base.field, m))
                 raise TheoremCheckError(
                     "commuting search: a solution fails the commutes check", report)
-            return swap_part(base, twist=cand)
-    return Hits(_first(found, spec.limit, p, emit))
+            return m
+        found = map(sound, _commuting_maps(base))
+    return Hits(_first(found, spec.limit, last, emit))
 
 
 def enumerate_docs(spec: SearchSpec) -> SearchResult:
@@ -334,21 +343,6 @@ def _commuting_maps(base: AlgebraDoc):
         yield tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
 
 
-# seeded_sample gives up after max(_MIN_ATTEMPTS, 1000 * count) attempts
-_MIN_ATTEMPTS = 100000
-
-
-def check_sample_size(dim: int, omega_size) -> None:
-    """Refuse an rb-family sample of omega_size labels on a dim-dimensional
-    base when one attempt would draw more operator digits (dim^2 per label)
-    than the smallest attempt cap has attempts.  It runs before any label
-    or weight is made, so a huge label count costs nothing."""
-    if omega_size is not None and dim * dim * omega_size > _MIN_ATTEMPTS:
-        raise ParamError(
-            f"{omega_size} labels of {dim}x{dim} operators draw more digits in "
-            f"one attempt than a sample's {_MIN_ATTEMPTS} attempts")
-
-
 def _drawn(draw, ok, emit, count, attempts):
     """Yield emit(c) for each candidate c = draw() that ok accepts, until
     count hits or the attempts run out, and return whether the hits fell
@@ -367,46 +361,22 @@ def _drawn(draw, ok, emit, count, attempts):
 def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     """Candidates drawn with replacement until `count` hits or the attempt
     cap, as a stream; deterministic for a given seed.  truncated means a
-    shortfall.  rb-family label counts are bounded by check_sample_size."""
-    if spec.target not in TARGETS:
-        raise ParamError(f"unknown search target {spec.target!r}")
+    shortfall.  A spec is refused as by search_hits, except that
+    check_sample_size bounds rb-family label counts in place of the budget."""
     _require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")
-    base = spec.base
-    field = base.field
-    _require_finite(field, "seeded_sample")
-    dim = base.dim
+    labels, ok, emit = _resolve(spec, "seeded_sample")
+    field, dim = spec.base.field, spec.base.dim
     rng = random.Random(seed)
-    cap = max(_MIN_ATTEMPTS, 1000 * count)
 
     def matrix():
         return tuple(tuple(field.random_scalar(rng) for _ in range(dim))
                      for _ in range(dim))
 
-    if spec.target == TARGET_RB_FAMILY:
-        check_sample_size(dim, spec.omega_size)
-        probe = _rb_probe(base, _rb_family_plan(spec))
-        labels = probe.labels
-        if not structure_ok(probe):
-            cap = 0   # no operators mend the laws without label variables
-        # the probe decides the laws without label variables, so ok decides
-        # the rest of each candidate's structure check
-        ok = candidate_check(probe)
-        return Hits(_drawn(lambda: tuple(matrix() for _ in labels),
-                           lambda ms: ok(dict(zip(labels, ms))),
-                           _rb_emit(probe), count, cap))
-
-    _check_map_base(spec)
-    if spec.target == TARGET_ENDOMORPHISM:
-        ok = candidate_check(base, "endomorphism")
-    else:
-        def ok(m):
-            cand = LinearMap(field, m)
-            return check_side_conditions(base, ["commutes"], candidate=cand).passed
-    return Hits(_drawn(matrix, ok,
-                       lambda m: swap_part(base, twist=LinearMap(field, m)),
-                       count, cap))
+    draw = matrix if labels is None else lambda: {lab: matrix() for lab in labels}
+    cap = max(_MIN_ATTEMPTS, 1000 * count) if ok is not None else 0
+    return Hits(_drawn(draw, ok, emit, count, cap))
 
 
 def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:

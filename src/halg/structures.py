@@ -285,22 +285,30 @@ def _check_twist(doc: AlgebraDoc):
     _check_entries(doc, t.rows, "twist")
 
 
+def _noncanonical(values, p):
+    """The index of the first of values that is not a canonical scalar of
+    the field of characteristic p (None for Q), or None.  Over F_p an int in
+    [0, p) is canonical, over Q an int or a Fraction whose denominator is
+    not 1."""
+    for j, v in enumerate(values):
+        if not (type(v) is int and (p is None or 0 <= v < p)
+                or p is None and type(v) is Fraction and v.denominator != 1):
+            return j
+    return None
+
+
 def _check_entries(doc: AlgebraDoc, rows, path: str):
     """ShapeError at the first entry of the dim x dim matrix rows that is not
-    a canonical scalar of doc's field: over F_p an int in [0, p), over Q an
-    int or a Fraction whose denominator is not 1."""
+    a canonical scalar of doc's field."""
     n, p = doc.dim, doc.field.p
     if len(rows) != n:
         raise ShapeError(f"expected {n} rows, got {len(rows)}", path)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ShapeError(f"expected {n} entries, got {len(row)}", f"{path}[{i}]")
-        for j, v in enumerate(row):
-            if type(v) is int and (p is None or 0 <= v < p):
-                continue
-            if p is None and type(v) is Fraction and v.denominator != 1:
-                continue
-            raise ShapeError(f"entry {v!r} is not a canonical scalar",
+        j = _noncanonical(row, p)
+        if j is not None:
+            raise ShapeError(f"entry {row[j]!r} is not a canonical scalar",
                              f"{path}[{i}][{j}]")
 
 
@@ -322,11 +330,9 @@ def _check_operators(doc: AlgebraDoc):
                              f"operators.ops.{lab}")
         _check_entries(doc, m.rows, f"operators.ops.{lab}")
         w = ops.weights[lab]
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-            raise ShapeError("weights must be scalars", f"operators.weights.{lab}")
-        if doc.field.reduce(w) != w or (doc.field.is_prime_field
-                                        and not isinstance(w, int)):
-            raise ShapeError("weight is not a canonical scalar", f"operators.weights.{lab}")
+        if _noncanonical((w,), doc.field.p) is not None:
+            raise ShapeError(f"weight {w!r} is not a canonical scalar",
+                             f"operators.weights.{lab}")
 
 
 def _check_alternating(doc: AlgebraDoc, fam: BilinearFamily, path: str):

@@ -342,7 +342,8 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
     empty.write_bytes(b"\n\n")
     assert main(["check", str(empty)]) == 1
     assert main(["check", str(tmp_path / "missing.jsonl")]) == 1
-    # docs are parsed up front: garbage after a failing doc is still usage
+    # docs are parsed one at a time, and after a failing doc the rest of
+    # the input is drained: garbage after it is still usage
     mixed = tmp_path / "mixed.jsonl"
     mixed.write_bytes(serialize_doc(bad_doc()) + b"\n{not json\n")
     assert main(["check", str(mixed)]) == 1
@@ -518,6 +519,21 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
     assert main(["construct", "yau-twist", path, "--param", "twist=" + "[" * 100000]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_a_sample_refuses_what_an_enumeration_refuses(capsys):
+    for argv, sample in (
+            (["--target", "endomorphism", "--fixture", "N2-Pnil-w0-F2",
+              "--omega", "3", "--weights", "1,1,1"], ["--seed", "1", "--count", "2"]),
+            (["--target", "commuting", "--fixture", "N2-Pnil-w0-F3",
+              "--weights", "2"], ["--seed", "4", "--count", "1"]),
+            (["--target", "rb-family", "--fixture", "Z2-F2", "--limit", "0"],
+             ["--seed", "1", "--count", "1"])):
+        assert main(["search"] + argv) == 1
+        out, enumerated = capsys.readouterr()
+        assert out == "" and enumerated.startswith("error: ")
+        assert main(["search"] + argv + sample) == 1
+        assert capsys.readouterr() == ("", enumerated)
 
 
 def test_a_huge_label_count_is_a_usage_error(capsys):

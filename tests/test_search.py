@@ -14,10 +14,12 @@ import pytest
 from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   NonFiniteFieldError, OperatorFamily, ParamError,
                   PreconditionFailed, SearchSpec, TARGET_COMMUTING,
-                  TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, UnknownFixtureError,
-                  catalog, check_side_conditions, enumerate_docs,
-                  fixture_names, make_doc, parse_doc, seeded_sample,
-                  serialize_doc, structure_ok, validate_doc, yau_twist)
+                  TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, TheoremCheckError,
+                  UnknownFixtureError, catalog, check_side_conditions,
+                  enumerate_docs, fixture_names, make_doc, parse_doc,
+                  seeded_sample, serialize_doc, structure_ok, validate_doc,
+                  yau_twist)
+import halg.search
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
 from halg.search import (_rb_family_plan, check_sample_size, sample_hits,
@@ -130,6 +132,21 @@ def test_search_parameter_guards():
                                   target=TARGET_ENDOMORPHISM, weights=(1,)))
 
 
+def test_a_sample_refuses_what_an_enumeration_refuses():
+    base = catalog("N2-Pnil-w0-F2")
+    specs = [SearchSpec(base, target, **kw)
+             for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING)
+             for kw in ({"omega_size": 2}, {"weights": (1,)}, {"limit": 0})]
+    specs.append(rb_spec(catalog("Z2-F2"), 1, (0,), limit=0))
+    for spec in specs:
+        with pytest.raises(ParamError) as enumerated:
+            enumerate_docs(spec)
+        for sample in (seeded_sample, sample_hits):
+            with pytest.raises(ParamError) as sampled:
+                sample(spec, seed=1, count=1)
+            assert str(sampled.value) == str(enumerated.value)
+
+
 def test_search_base_kind_guards():
     field = GF(2)
     dend = make_doc(field, 2, ("a",), MATCHING_HOM_DENDRIFORM,
@@ -173,6 +190,16 @@ def test_commuting_target_is_the_centralizer():
                                     target=TARGET_COMMUTING))
     # matrices commuting with the nilpotent shift: [[a,0],[b,a]] over F_2
     assert len(res) == 4
+
+
+def test_a_commuting_solution_that_fails_the_recheck_is_a_theorem_failure(
+        monkeypatch):
+    # f = [[1,0],[0,0]] does not commute with the shift [[0,0],[1,0]]
+    monkeypatch.setattr(halg.search, "_commuting_maps",
+                        lambda base: iter([((1, 0), (0, 0))]))
+    with pytest.raises(TheoremCheckError) as exc:
+        enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F2"), TARGET_COMMUTING))
+    assert not exc.value.report.passed
 
 
 def test_seeded_sample_is_deterministic():

@@ -266,9 +266,10 @@ def test_parse_doc_denominator_divisible_by_p_names_the_scalar():
 
 
 def test_prime_field_weight_must_be_an_integer_residue():
-    field = GF(3)
-    id2 = LinearMap.identity(field, 2)
-    for weight in (Fraction(1, 2), Fraction(2, 1)):
+    # over Q, 2/1 is not canonical either: as a matrix entry it is refused
+    for field, weight in ((GF(3), Fraction(1, 2)), (GF(3), Fraction(2, 1)),
+                          (QQ, Fraction(2, 1))):
+        id2 = LinearMap.identity(field, 2)
         with pytest.raises(ShapeError) as exc:
             make_doc(field, 2, ("a",), PLAIN_ASSOC_MATCHING_RB,
                      {"dot": BilinearMap.zero(field, 2)},
