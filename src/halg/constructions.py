@@ -25,8 +25,8 @@ from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
                          MATCHING_HOM_TRIDENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
                          PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RB_KINDS,
-                         TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc, Violation,
-                         make_doc, make_report)
+                         RB_TWINS, TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc,
+                         Violation, make_doc, make_report)
 
 MAX_DERIVED_LEVEL = 16
 
@@ -59,6 +59,20 @@ def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:
     return doc
 
 
+def _output(doc: AlgebraDoc, what: str, kind: str, families: dict,
+            twist) -> AlgebraDoc:
+    """The checked doc of kind with families and twist on doc's carrier."""
+    return _checked_output(make_doc(doc.field, doc.dim, doc.omega, kind, families,
+                                    twist=twist), what)
+
+
+def _rb_output(doc: AlgebraDoc, what: str, kind: str, product, twist) -> AlgebraDoc:
+    """The checked rb doc of kind with product, doc's operators and twist."""
+    out = make_doc(doc.field, doc.dim, doc.omega, kind, {KIND_ROLES[kind][0]: product},
+                   operators=doc.operators, twist=twist)
+    return _checked_output(out, what)
+
+
 def _structure_twist(doc: AlgebraDoc) -> LinearMap:
     """The twist the structure is checked with: id for plain kinds, always."""
     if doc.kind in PLAIN_RB_KINDS:
@@ -66,8 +80,21 @@ def _structure_twist(doc: AlgebraDoc) -> LinearMap:
     return doc.twist_map()
 
 
+def _commuting_twist(doc: AlgebraDoc, what: str) -> LinearMap:
+    """The structure twist, once it is checked to commute with every operator."""
+    p = _structure_twist(doc)
+    _checked_sides(doc, p, ["commutes"], what)
+    return p
+
+
 def _weights_zero(doc: AlgebraDoc) -> bool:
     return all(w == 0 for w in doc.operators.weights.values())
+
+
+def _antisymmetrized(m):
+    """(x, y) -> m(x, y) - m(y, x)."""
+    field = m.field
+    return tensor_combine(field, [(field.one, m), (-field.one, tensor_transpose(m))])
 
 
 def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
@@ -79,13 +106,8 @@ def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
     """
     _checked_input(doc, PLAIN_RB_KINDS, "yau_twist")
     _checked_sides(doc, p, ["endomorphism", "commutes"], "yau_twist")
-    role = KIND_ROLES[doc.kind][0]
-    out_kind = (HOM_ASSOC_MATCHING_RB if doc.kind == PLAIN_ASSOC_MATCHING_RB
-                else MATCHING_HOM_LIE_RB)
-    out = make_doc(doc.field, doc.dim, doc.omega, out_kind,
-                   {role: postcompose(doc.product(), p)},
-                   operators=doc.operators, twist=p)
-    return _checked_output(out, "yau_twist")
+    return _rb_output(doc, "yau_twist", RB_TWINS[doc.kind][1],
+                      postcompose(doc.product(), p), p)
 
 
 def untwist(doc: AlgebraDoc) -> AlgebraDoc:
@@ -97,13 +119,8 @@ def untwist(doc: AlgebraDoc) -> AlgebraDoc:
     _checked_input(doc, RB_KINDS, "untwist")
     p = _structure_twist(doc)
     _checked_sides(doc, p, ["multiplicative", "commutes", "invertible"], "untwist")
-    role = KIND_ROLES[doc.kind][0]
-    out_kind = (PLAIN_ASSOC_MATCHING_RB if doc.kind in ASSOC_RB_KINDS
-                else PLAIN_LIE_MATCHING_RB)
-    out = make_doc(doc.field, doc.dim, doc.omega, out_kind,
-                   {role: postcompose(doc.product(), map_invert(p))},
-                   operators=doc.operators, twist=None)
-    return _checked_output(out, "untwist")
+    return _rb_output(doc, "untwist", RB_TWINS[doc.kind][0],
+                      postcompose(doc.product(), map_invert(p)), None)
 
 
 def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
@@ -127,13 +144,9 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
         prod_pow, twist_pow = n, n + 1
     else:
         prod_pow, twist_pow = (1 << n) - 1, 1 << n
-    role = KIND_ROLES[doc.kind][0]
-    out_kind = (HOM_ASSOC_MATCHING_RB if doc.kind in ASSOC_RB_KINDS
-                else MATCHING_HOM_LIE_RB)
-    out = make_doc(doc.field, doc.dim, doc.omega, out_kind,
-                   {role: postcompose(doc.product(), map_power(p, prod_pow))},
-                   operators=doc.operators, twist=map_power(p, twist_pow))
-    return _checked_output(out, "derived_algebra")
+    return _rb_output(doc, "derived_algebra", RB_TWINS[doc.kind][1],
+                      postcompose(doc.product(), map_power(p, prod_pow)),
+                      map_power(p, twist_pow))
 
 
 def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDoc:
@@ -146,16 +159,10 @@ def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDo
         raise ParamError(f"variant must be 1 or 2, got {variant!r}")
     _checked_input(doc, PLAIN_RB_KINDS, "centroid_twist")
     _checked_sides(doc, p, ["centroid", "commutes"], "centroid_twist")
-    prod = doc.product()
-    new = precompose_left(prod, p)
+    new = precompose_left(doc.product(), p)
     if variant == 2:
         new = precompose_right(new, p)
-    role = KIND_ROLES[doc.kind][0]
-    out_kind = (HOM_ASSOC_MATCHING_RB if doc.kind == PLAIN_ASSOC_MATCHING_RB
-                else MATCHING_HOM_LIE_RB)
-    out = make_doc(doc.field, doc.dim, doc.omega, out_kind, {role: new},
-                   operators=doc.operators, twist=p)
-    return _checked_output(out, "centroid_twist")
+    return _rb_output(doc, "centroid_twist", RB_TWINS[doc.kind][1], new, p)
 
 
 _COMMUTATOR_KIND = {
@@ -172,52 +179,39 @@ def commutator(doc: AlgebraDoc) -> AlgebraDoc:
 
     Kind mapping: matching/compatible Hom-associative give compatible
     Hom-Lie, totally compatible gives matching Hom-Lie, and matching RB
-    docs keep their operators and become matching RB Lie docs.  RB inputs
-    must have weight 0 or a singleton label set: with mixed weights the
-    induced bracket picks up w_b P_a(x.y) - w_a P_b(y.x) in place of the
-    Lie-side w_b P_a([x,y]) term, and the theorem genuinely fails.
+    docs keep their operators and become matching RB Lie docs (a plain
+    doc's candidate twist is dropped).  RB inputs must have weight 0 or a
+    singleton label set: with mixed weights the induced bracket picks up
+    w_b P_a(x.y) - w_a P_b(y.x) in place of the Lie-side w_b P_a([x,y])
+    term, and the theorem genuinely fails.
     """
     _checked_input(doc, _COMMUTATOR_KIND, "commutator")
     if doc.kind in RB_KINDS and len(doc.labels) > 1 and not _weights_zero(doc):
         raise PreconditionFailed(
             "commutator on a matching RB doc requires weight 0 or one label")
-    field = doc.field
-    role = KIND_ROLES[doc.kind][0]
-    brackets = {
-        lab: tensor_combine(field, [(field.one, m), (-field.one, tensor_transpose(m))])
-        for lab, m in doc.families[role].maps.items()
-    }
     out_kind = _COMMUTATOR_KIND[doc.kind]
     if doc.kind in RB_KINDS:
-        out = make_doc(field, doc.dim, doc.omega, out_kind,
-                       {"bracket": brackets[doc.labels[0]]},
-                       operators=doc.operators,
-                       twist=doc.twist if doc.kind == HOM_ASSOC_MATCHING_RB else None)
-    else:
-        out = make_doc(field, doc.dim, doc.omega, out_kind, {"bracket": brackets},
-                       twist=doc.twist)
-    return _checked_output(out, "commutator")
+        return _rb_output(doc, "commutator", out_kind,
+                          _antisymmetrized(doc.product()), _structure_twist(doc))
+    brackets = {lab: _antisymmetrized(m) for lab, m in doc.families["dot"].maps.items()}
+    return _output(doc, "commutator", out_kind, {"bracket": brackets}, doc.twist)
 
 
 def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:
     """Antisymmetrize a matching Hom-pre-Lie family into compatible Hom-Lie."""
     _checked_input(doc, (MATCHING_HOM_PRELIE,), "prelie_commutator")
-    field = doc.field
-    brackets = {
-        lab: tensor_combine(field, [(field.one, m), (-field.one, tensor_transpose(m))])
-        for lab, m in doc.families["star"].maps.items()
-    }
-    out = make_doc(field, doc.dim, doc.omega, COMPATIBLE_HOM_LIE,
-                   {"bracket": brackets}, twist=doc.twist)
-    return _checked_output(out, "prelie_commutator")
+    brackets = {lab: _antisymmetrized(m) for lab, m in doc.families["star"].maps.items()}
+    return _output(doc, "prelie_commutator", COMPATIBLE_HOM_LIE, {"bracket": brackets},
+                   doc.twist)
 
 
 def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     """Collapse an Omega-indexed family to one operation over {"*"}.
 
     Each role becomes sum_w a_w * op_w; the kind tag is kept.  Defined for
-    every non-RB kind (the RB kinds carry a single product already).  The
-    output re-check can genuinely fail for the compatible kinds over
+    every non-RB kind (the RB kinds carry a single product already).  Each
+    coefficient is made canonical in the doc's field, so 1/2 over F_3 is 2.
+    The output re-check can genuinely fail for the compatible kinds over
     characteristic 2, where the diagonal halving argument is unavailable;
     that failure is raised, not masked.
     """
@@ -232,12 +226,10 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     if extra:
         raise ParamError(f"coefficients for unknown labels {extra}")
     field = doc.field
-    a = {lab: field.reduce(raw[lab]) for lab in doc.labels}
-    families = {}
-    for role in KIND_ROLES[doc.kind]:
-        maps = doc.families[role].maps
-        families[role] = {"*": tensor_combine(
-            field, [(a[lab], maps[lab]) for lab in doc.labels])}
+    a = {lab: field.canonical(raw[lab], f"coeffs.{lab}") for lab in doc.labels}
+    families = {role: {"*": tensor_combine(field, [(a[lab], fam.maps[lab])
+                                                   for lab in doc.labels])}
+                for role, fam in doc.families.items()}
     out = make_doc(field, doc.dim, ("*",), doc.kind, families, twist=doc.twist)
     return _checked_output(out, "collapse_family")
 
@@ -257,8 +249,7 @@ def dendriform_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
         raise PreconditionFailed("dendriform_twist: map is not a self-morphism", report)
     families = {role: {lab: postcompose(m, p) for lab, m in fam.maps.items()}
                 for role, fam in doc.families.items()}
-    out = make_doc(doc.field, doc.dim, doc.omega, doc.kind, families, twist=p)
-    return _checked_output(out, "dendriform_twist")
+    return _output(doc, "dendriform_twist", doc.kind, families, p)
 
 
 def dendriform_sum(doc: AlgebraDoc) -> AlgebraDoc:
@@ -266,31 +257,22 @@ def dendriform_sum(doc: AlgebraDoc) -> AlgebraDoc:
     _checked_input(doc, (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM),
                    "dendriform_sum")
     field = doc.field
-    roles = KIND_ROLES[doc.kind]
-    dots = {
-        lab: tensor_combine(field, [(field.one, doc.families[role].maps[lab])
-                                    for role in roles])
-        for lab in doc.labels
-    }
-    out = make_doc(field, doc.dim, doc.omega, COMPATIBLE_HOM_ASSOC, {"dot": dots},
-                   twist=doc.twist)
-    return _checked_output(out, "dendriform_sum")
+    dots = {lab: tensor_combine(field, [(field.one, fam.maps[lab])
+                                        for fam in doc.families.values()])
+            for lab in doc.labels}
+    return _output(doc, "dendriform_sum", COMPATIBLE_HOM_ASSOC, {"dot": dots}, doc.twist)
 
 
 def dendriform_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     """x * y = x > y - y < x, label by label, giving matching Hom-pre-Lie."""
     _checked_input(doc, (MATCHING_HOM_DENDRIFORM,), "dendriform_to_prelie")
     field = doc.field
-    stars = {
-        lab: tensor_combine(field, [
-            (field.one, doc.families["right"].maps[lab]),
-            (-field.one, tensor_transpose(doc.families["left"].maps[lab])),
-        ])
-        for lab in doc.labels
-    }
-    out = make_doc(field, doc.dim, doc.omega, MATCHING_HOM_PRELIE, {"star": stars},
-                   twist=doc.twist)
-    return _checked_output(out, "dendriform_to_prelie")
+    left, right = doc.families["left"].maps, doc.families["right"].maps
+    stars = {lab: tensor_combine(field, [(field.one, right[lab]),
+                                         (-field.one, tensor_transpose(left[lab]))])
+             for lab in doc.labels}
+    return _output(doc, "dendriform_to_prelie", MATCHING_HOM_PRELIE, {"star": stars},
+                   doc.twist)
 
 
 def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -300,8 +282,7 @@ def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
     requiring the twist to commute with every operator.
     """
     _checked_input(doc, ASSOC_RB_KINDS, "rb_to_dendriform")
-    p = _structure_twist(doc)
-    _checked_sides(doc, p, ["commutes"], "rb_to_dendriform")
+    p = _commuting_twist(doc, "rb_to_dendriform")
     field = doc.field
     prod = doc.product()
     left, right = {}, {}
@@ -311,9 +292,8 @@ def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
         left[lab] = tensor_combine(field, [(field.one, precompose_right(prod, op)),
                                            (w, prod)])
         right[lab] = precompose_left(prod, op)
-    out = make_doc(field, doc.dim, doc.omega, MATCHING_HOM_DENDRIFORM,
-                   {"left": left, "right": right}, twist=p)
-    return _checked_output(out, "rb_to_dendriform")
+    return _output(doc, "rb_to_dendriform", MATCHING_HOM_DENDRIFORM,
+                   {"left": left, "right": right}, p)
 
 
 def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -322,8 +302,7 @@ def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
     x <_w y = x . P_w(y),  x >_w y = P_w(x) . y,  x ._w y = w_weight x . y.
     """
     _checked_input(doc, ASSOC_RB_KINDS, "rb_to_tridendriform")
-    p = _structure_twist(doc)
-    _checked_sides(doc, p, ["commutes"], "rb_to_tridendriform")
+    p = _commuting_twist(doc, "rb_to_tridendriform")
     field = doc.field
     prod = doc.product()
     left, middle, right = {}, {}, {}
@@ -333,9 +312,8 @@ def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
         left[lab] = precompose_right(prod, op)
         right[lab] = precompose_left(prod, op)
         middle[lab] = tensor_combine(field, [(w, prod)])
-    out = make_doc(field, doc.dim, doc.omega, MATCHING_HOM_TRIDENDRIFORM,
-                   {"left": left, "middle": middle, "right": right}, twist=p)
-    return _checked_output(out, "rb_to_tridendriform")
+    return _output(doc, "rb_to_tridendriform", MATCHING_HOM_TRIDENDRIFORM,
+                   {"left": left, "middle": middle, "right": right}, p)
 
 
 def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
@@ -345,34 +323,24 @@ def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     Lie route (weight 0 only):      x *_w y = [P_w(x), y].
     Both require the twist to commute with the operators.
     """
-    if doc.kind in ASSOC_RB_KINDS:
-        _checked_input(doc, ASSOC_RB_KINDS, "rb_to_prelie")
-        p = _structure_twist(doc)
-        _checked_sides(doc, p, ["commutes"], "rb_to_prelie")
-        field = doc.field
-        prod = doc.product()
-        stars = {}
-        for lab in doc.labels:
-            op = doc.operators.ops[lab]
-            w = doc.operators.weights[lab]
+    assoc = doc.kind in ASSOC_RB_KINDS
+    _checked_input(doc, ASSOC_RB_KINDS if assoc else LIE_RB_KINDS, "rb_to_prelie")
+    if not assoc and not _weights_zero(doc):
+        raise NonzeroWeightError("the Lie route to pre-Lie requires weight 0")
+    p = _commuting_twist(doc, "rb_to_prelie")
+    field = doc.field
+    prod = doc.product()
+    stars = {}
+    for lab in doc.labels:
+        op = doc.operators.ops[lab]
+        stars[lab] = precompose_left(prod, op)
+        if assoc:
             stars[lab] = tensor_combine(field, [
-                (field.one, precompose_left(prod, op)),
+                (field.one, stars[lab]),
                 (-field.one, tensor_transpose(precompose_right(prod, op))),
-                (field.reduce(-w), tensor_transpose(prod)),
+                (field.reduce(-doc.operators.weights[lab]), tensor_transpose(prod)),
             ])
-    else:
-        _checked_input(doc, LIE_RB_KINDS, "rb_to_prelie")
-        if not _weights_zero(doc):
-            raise NonzeroWeightError("the Lie route to pre-Lie requires weight 0")
-        p = _structure_twist(doc)
-        _checked_sides(doc, p, ["commutes"], "rb_to_prelie")
-        field = doc.field
-        prod = doc.product()
-        stars = {lab: precompose_left(prod, doc.operators.ops[lab])
-                 for lab in doc.labels}
-    out = make_doc(field, doc.dim, doc.omega, MATCHING_HOM_PRELIE, {"star": stars},
-                   twist=p)
-    return _checked_output(out, "rb_to_prelie")
+    return _output(doc, "rb_to_prelie", MATCHING_HOM_PRELIE, {"star": stars}, p)
 
 
 def verify_diagram(doc: AlgebraDoc):
@@ -387,7 +355,7 @@ def verify_diagram(doc: AlgebraDoc):
     _checked_input(doc, ASSOC_RB_KINDS, "verify_diagram")
     if not _weights_zero(doc):
         raise NonzeroWeightError("the diagram is stated for weight 0 only")
-    _checked_sides(doc, _structure_twist(doc), ["commutes"], "verify_diagram")
+    _commuting_twist(doc, "verify_diagram")
 
     try:
         path_a = dendriform_to_prelie(rb_to_dendriform(doc))
@@ -399,24 +367,20 @@ def verify_diagram(doc: AlgebraDoc):
             [Violation("diagram-intermediate", (), (), (), ())])
 
     violations = []
-    diff = _first_tensor_diff(path_a.families["star"].maps,
-                              path_b.families["star"].maps, doc.labels)
-    if diff is not None:
-        lab, i, j, row_a, row_b = diff
-        violations.append(Violation("diagram-star", (lab,), (i, j), row_a, row_b))
-    diff = _first_tensor_diff(bracket_a.families["bracket"].maps,
-                              bracket_b.families["bracket"].maps, doc.labels)
-    if diff is not None:
-        lab, i, j, row_a, row_b = diff
-        violations.append(Violation("diagram-bracket", (lab,), (i, j), row_a, row_b))
+    for axiom, role, a, b in (("diagram-star", "star", path_a, path_b),
+                              ("diagram-bracket", "bracket", bracket_a, bracket_b)):
+        violations += _first_tensor_diff(axiom, a.families[role].maps,
+                                         b.families[role].maps, doc.labels)
     return make_report(violations)
 
 
-def _first_tensor_diff(maps_a, maps_b, labels):
+def _first_tensor_diff(axiom, maps_a, maps_b, labels) -> list:
+    """[the axiom's Violation at the first row where maps_a and maps_b
+    differ], or [] when they agree."""
     for lab in labels:
         ca, cb = maps_a[lab].c, maps_b[lab].c
         for i in range(len(ca)):
             for j in range(len(ca)):
                 if ca[i][j] != cb[i][j]:
-                    return lab, i, j, ca[i][j], cb[i][j]
-    return None
+                    return [Violation(axiom, (lab,), (i, j), ca[i][j], cb[i][j])]
+    return []

@@ -52,11 +52,10 @@ from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
                      UnknownFixtureError)
 from .fields import GF, QQ, Field
 from .linalg import BilinearMap, LinearMap, _echelon, null_space
-from .structures import (ASSOC_RB_KINDS, HOM_ASSOC_MATCHING_RB,
-                         MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
-                         MATCHING_HOM_LIE_RB, PLAIN_ASSOC_MATCHING_RB,
-                         PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RB_KINDS,
-                         AlgebraDoc, OperatorFamily, make_doc, swap_part)
+from .structures import (KIND_ROLES, MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
+                         PLAIN_ASSOC_MATCHING_RB, PLAIN_RB_KINDS, RB_KINDS,
+                         RB_TWINS, AlgebraDoc, OperatorFamily, make_doc,
+                         swap_part)
 
 TARGET_RB_FAMILY = "rb-family"
 TARGET_ENDOMORPHISM = "endomorphism"
@@ -128,48 +127,42 @@ def _search_labels(base: AlgebraDoc, omega_size: int):
     return tuple(names[i] if i < len(names) else f"w{i}" for i in range(omega_size))
 
 
+def _spec_weights(spec: SearchSpec) -> tuple:
+    """spec.weights as canonical scalars of the base's field, as a parsed
+    doc has them: over F_p, a/b is a * b^-1."""
+    field = spec.base.field
+    out = []
+    for i, w in enumerate(spec.weights):
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise ParamError(f"weights[{i}] must be an integer or a Fraction, "
+                             f"got {w!r}")
+        out.append(field.canonical(w, f"weights[{i}]"))
+    return tuple(out)
+
+
 def _rb_family_plan(spec: SearchSpec):
     """The product, labels, weights, output kind, role and twist of an
     rb-family search; the zero-operator probe is made from them."""
     base = spec.base
-    field = base.field
-    if base.kind in RB_KINDS:
-        product = base.product()
-        lie = base.kind not in ASSOC_RB_KINDS
-        twist = base.twist_map() if base.kind not in PLAIN_RB_KINDS else None
-    elif base.kind in (MATCHING_HOM_ASSOC, MATCHING_HOM_LIE):
-        if len(base.labels) != 1:
-            raise PreconditionFailed(
-                "rb-family search needs a single product on the base")
-        role = "dot" if base.kind == MATCHING_HOM_ASSOC else "bracket"
-        product = base.families[role].maps[base.labels[0]]
-        lie = base.kind == MATCHING_HOM_LIE
-        twist = base.twist_map()
-    else:
+    if base.kind not in RB_TWINS:
         raise PreconditionFailed(
             f"rb-family search does not accept kind {base.kind!r}")
+    if base.kind not in RB_KINDS and len(base.labels) != 1:
+        raise PreconditionFailed(
+            "rb-family search needs a single product on the base")
+    twist = None if base.kind in PLAIN_RB_KINDS else base.twist_map()
     if twist is not None and twist.is_identity():
         twist = None
+    kind = RB_TWINS[base.kind][twist is not None]
+    role = KIND_ROLES[kind][0]
+    product = base.families[role].maps[base.labels[0]]
     if spec.omega_size is None or spec.omega_size < 1:
         raise ParamError("rb-family search needs omega_size >= 1")
     if len(spec.weights) != spec.omega_size:
         raise ParamError(
             f"expected {spec.omega_size} weights, got {len(spec.weights)}")
     labels = _search_labels(base, spec.omega_size)
-    weights = {}
-    for i, (lab, w) in enumerate(zip(labels, spec.weights)):
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-            raise ParamError(f"weights[{i}] must be an integer or a Fraction, "
-                             f"got {w!r}")
-        # canonical as a parsed doc has it: over F_p, a/b is a * b^-1
-        weights[lab] = field.canonical(w, f"weights[{i}]")
-    if lie:
-        kind = MATCHING_HOM_LIE_RB if twist is not None else PLAIN_LIE_MATCHING_RB
-        role = "bracket"
-    else:
-        kind = HOM_ASSOC_MATCHING_RB if twist is not None else PLAIN_ASSOC_MATCHING_RB
-        role = "dot"
-    return product, labels, weights, kind, role, twist
+    return product, labels, dict(zip(labels, _spec_weights(spec))), kind, role, twist
 
 
 def _matrices(p: int, dim: int):
@@ -248,7 +241,7 @@ def _resolve(spec: SearchSpec, what: str):
         raise PreconditionFailed(f"{spec.target} search: base fails its check")
     if spec.omega_size is not None and spec.omega_size != len(base.labels):
         raise ParamError("omega_size cannot be changed for this target")
-    if spec.weights and tuple(spec.weights) != tuple(
+    if spec.weights and _spec_weights(spec) != tuple(
             base.operators.weights[lab] for lab in base.labels):
         raise ParamError("weights cannot be changed for this target")
     if enumerating:

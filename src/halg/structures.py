@@ -3,10 +3,11 @@
 An `AlgebraDoc` packages a finite-dimensional carrier over an exact field,
 an ordered label set Omega, one bilinear family per role the kind requires,
 an optional Omega-indexed operator family with weights, and an optional
-twist map.  Docs are immutable; every constructor path (parsing or
-:func:`make_doc`) runs full shape validation, entries included, and
-:func:`swap_part` checks the one part it replaces in a validated doc, so a
-doc in hand is always well-formed.
+twist map.  Docs are immutable.  :func:`validate_doc` decides every shape rule,
+entries included, and every constructor path runs it: :func:`make_doc`
+directly, and :func:`parse_doc`, which only reads the JSON into scalars and
+leaves the shape to make_doc.  :func:`swap_part` checks the one part it
+replaces in a validated doc, so a doc in hand is always well-formed.
 
 Representation notes, fixed here once for the whole package:
 
@@ -80,6 +81,15 @@ LIE_RB_KINDS = frozenset({MATCHING_HOM_LIE_RB, PLAIN_LIE_MATCHING_RB})
 ASSOC_KINDS = frozenset({MATCHING_HOM_ASSOC, TOTALLY_COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_ASSOC})
 LIE_KINDS = frozenset({MATCHING_HOM_LIE, COMPATIBLE_HOM_LIE})
+# (plain, Hom) rb kinds on the one product of each rb kind and of the
+# matching kind with that product: a Yau twist leads from the first to the
+# second, an untwist back
+RB_TWINS = {
+    **dict.fromkeys((MATCHING_HOM_ASSOC, *ASSOC_RB_KINDS),
+                    (PLAIN_ASSOC_MATCHING_RB, HOM_ASSOC_MATCHING_RB)),
+    **dict.fromkeys((MATCHING_HOM_LIE, *LIE_RB_KINDS),
+                    (PLAIN_LIE_MATCHING_RB, MATCHING_HOM_LIE_RB)),
+}
 
 FORMAT_VERSION = "1"
 
@@ -169,11 +179,19 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
             fams[role] = BilinearFamily(role, {lab: val for lab in omega.labels})
         else:
             fams[role] = BilinearFamily(role, dict(val))
-    if kind in PLAIN_RB_KINDS and twist is not None and twist.is_identity():
-        twist = None
-    doc = AlgebraDoc(field, dim, omega, kind, fams, operators, twist)
+    doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
+                     _stored_twist(kind, dim, twist))
     validate_doc(doc)
     return doc
+
+
+def _stored_twist(kind: str, dim, twist):
+    """twist as a doc of kind stores it: None for a dim x dim identity on a
+    plain rb kind.  A twist of any other shape is left to validate_doc."""
+    if (kind in PLAIN_RB_KINDS and twist is not None and twist.is_identity()
+            and twist.dim == dim and all(len(row) == dim for row in twist.rows)):
+        return None
+    return twist
 
 
 def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
@@ -192,8 +210,7 @@ def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
                          operators, doc.twist)
         _check_operators(new)
         return new
-    if doc.kind in PLAIN_RB_KINDS and twist.is_identity():
-        twist = None
+    twist = _stored_twist(doc.kind, doc.dim, twist)
     new = AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
                      doc.operators, twist)
     if twist is not None:
@@ -236,14 +253,14 @@ def validate_doc(doc: AlgebraDoc) -> None:
                 raise ShapeError("family entries must be bilinear maps", f"{path}.{lab}")
             if m.field != doc.field:
                 raise ShapeError("family map over the wrong field", f"{path}.{lab}")
+            # an rb kind's one product sits at the role's own path, as in its
+            # JSON; a product shared by several labels is checked once
+            at = path if doc.kind in RB_KINDS else f"{path}.{lab}"
             if m.dim != doc.dim:
-                raise ShapeError(f"family map has dim {m.dim}, doc has dim {doc.dim}",
-                                 f"{path}.{lab}")
-            # a product shared by several labels is checked once; an rb
-            # kind's one product sits at the role's own path, as in its JSON
+                raise ShapeError(
+                    f"family map has dim {m.dim}, doc has dim {doc.dim}", at)
             if id(m) not in checked:
                 checked.add(id(m))
-                at = path if doc.kind in RB_KINDS else f"{path}.{lab}"
                 for i, plane in enumerate(m.c):
                     _check_entries(doc, plane, f"{at}[{i}]")
         if role == BRACKET:
@@ -400,31 +417,28 @@ def serialize_doc(doc: AlgebraDoc) -> bytes:
                       ensure_ascii=False).encode("utf-8")
 
 
-def _parse_tensor(field: Field, raw, dim: int, path: str) -> BilinearMap:
-    m = BilinearMap.from_nested(field, _walk_scalars(field, raw, 3, path), path)
-    if m.dim != dim:
-        raise ShapeError(f"tensor has dim {m.dim}, doc has dim {dim}", path)
-    return m
-
-
-def _parse_matrix(field: Field, raw, dim: int, path: str) -> LinearMap:
-    f = LinearMap.from_rows(field, _walk_scalars(field, raw, 2, path), path)
-    if f.dim != dim:
-        raise ShapeError(f"matrix has dim {f.dim}, doc has dim {dim}", path)
-    return f
-
-
 def _walk_scalars(field: Field, raw, depth: int, path: str):
+    """raw read as arrays nested depth deep, as tuples of parsed scalars;
+    their lengths are left to validate_doc."""
     if depth == 0:
         return field.parse_scalar(raw, path)
     if not isinstance(raw, list):
         raise ShapeError("expected a JSON array", path)
-    return [_walk_scalars(field, v, depth - 1, f"{path}[{i}]") for i, v in enumerate(raw)]
+    return tuple(_walk_scalars(field, v, depth - 1, f"{path}[{i}]")
+                 for i, v in enumerate(raw))
+
+
+def _object(raw, message: str, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ShapeError(message, path)
+    return raw
 
 
 def parse_doc(data) -> AlgebraDoc:
     """Parse UTF-8 JSON bytes/text into a validated doc.
 
+    Parsing reads the JSON: it refuses only what it cannot walk, and
+    make_doc's validate_doc decides the shape (roles, labels, dimensions).
     Non-canonical but well-formed input (unreduced residues, "2/4", explicit
     identity twist on a plain kind) is accepted and normalized, so one
     round-trip always lands on canonical bytes.
@@ -455,33 +469,21 @@ def parse_doc(data) -> AlgebraDoc:
     if not isinstance(kind, str) or kind not in KIND_ROLES:
         raise ShapeError(f"unknown kind {kind!r}", "kind")
     field = field_from_jsonable(obj.get("field"))
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ShapeError("dim must be a positive integer", "dim")
-    omega_raw = obj.get("omega")
-    if not isinstance(omega_raw, list):
+    omega = obj.get("omega")
+    if not isinstance(omega, list):
         raise ShapeError("omega must be an array of labels", "omega")
-    omega = OmegaSet(tuple(omega_raw))
 
-    fams_raw = obj.get("families")
-    if not isinstance(fams_raw, dict):
-        raise ShapeError("families must be an object", "families")
-    required = KIND_ROLES[kind]
-    if set(fams_raw) != set(required):
-        raise ShapeError(f"{kind} requires exactly the roles {list(required)}", "families")
     families = {}
-    for role in required:
-        raw = fams_raw[role]
+    for role, raw in _object(obj.get("families"), "families must be an object",
+                             "families").items():
         path = f"families.{role}"
         if kind in RB_KINDS:
-            families[role] = _parse_tensor(field, raw, dim, path)
+            families[role] = BilinearMap(field, _walk_scalars(field, raw, 3, path))
         else:
-            if not isinstance(raw, dict):
-                raise ShapeError("family must map labels to tensors", path)
-            if set(raw) != set(omega.labels):
-                raise ShapeError("family must define exactly one map per label", path)
-            families[role] = {lab: _parse_tensor(field, raw[lab], dim, f"{path}.{lab}")
-                              for lab in omega.labels}
+            families[role] = {
+                lab: BilinearMap(field, _walk_scalars(field, t, 3, f"{path}.{lab}"))
+                for lab, t in _object(raw, "family must map labels to tensors",
+                                      path).items()}
 
     operators = None
     if "operators" in obj:
@@ -489,23 +491,19 @@ def parse_doc(data) -> AlgebraDoc:
         if not isinstance(raw, dict) or set(raw) != {"ops", "weights"}:
             raise ShapeError("operators must be an object with ops and weights",
                              "operators")
-        ops_raw, w_raw = raw["ops"], raw["weights"]
-        if not isinstance(ops_raw, dict) or set(ops_raw) != set(omega.labels):
-            raise ShapeError("exactly one operator per label required", "operators.ops")
-        if not isinstance(w_raw, dict) or set(w_raw) != set(omega.labels):
-            raise ShapeError("exactly one weight per label required", "operators.weights")
+        ops = _object(raw["ops"], "ops must map labels to matrices", "operators.ops")
+        weights = _object(raw["weights"], "weights must map labels to scalars",
+                          "operators.weights")
         operators = OperatorFamily(
-            ops={lab: _parse_matrix(field, ops_raw[lab], dim, f"operators.ops.{lab}")
-                 for lab in omega.labels},
-            weights={lab: field.parse_scalar(w_raw[lab], f"operators.weights.{lab}")
-                     for lab in omega.labels},
-        )
+            ops={lab: LinearMap(field, _walk_scalars(field, m, 2, f"operators.ops.{lab}"))
+                 for lab, m in ops.items()},
+            weights={lab: field.parse_scalar(w, f"operators.weights.{lab}")
+                     for lab, w in weights.items()})
 
     twist = None
     if "twist" in obj:
-        twist = _parse_matrix(field, obj["twist"], dim, "twist")
-
-    return make_doc(field, dim, omega, kind, families, operators, twist)
+        twist = LinearMap(field, _walk_scalars(field, obj["twist"], 2, "twist"))
+    return make_doc(field, obj.get("dim"), omega, kind, families, operators, twist)
 
 
 # --- check reports ----------------------------------------------------------

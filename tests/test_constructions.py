@@ -5,13 +5,14 @@ tests were run; tensors are asserted entrywise, not just re-checked.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from halg import (GF, QQ, BilinearMap, CoefficientFamily, LinearMap,
                   MissingCoefficientError, NonzeroWeightError, OperatorFamily,
                   ParamError, PowerBoundError, PreconditionFailed,
-                  TheoremCheckError, catalog, centroid_twist, check_structure,
+                  ShapeError, TheoremCheckError, catalog, centroid_twist, check_structure,
                   collapse_family, commutator, dendriform_sum,
                   dendriform_to_prelie, dendriform_twist, derived_algebra,
                   make_doc, parse_doc, prelie_commutator, rb_to_dendriform,
@@ -24,7 +25,7 @@ from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
                              MATCHING_HOM_TRIDENDRIFORM,
                              PLAIN_ASSOC_MATCHING_RB, PLAIN_LIE_MATCHING_RB,
-                             TOTALLY_COMPATIBLE_HOM_ASSOC)
+                             TOTALLY_COMPATIBLE_HOM_ASSOC, swap_part)
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 UT = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]  # e11, e12 upper-triangular units
@@ -226,6 +227,31 @@ def test_collapse_family_scales_lie_brackets_exactly():
                    twist=LinearMap.identity(field, 2))
     out = collapse_family(doc, {"a": 3, "b": Fraction(1, 2)})
     assert out.families["bracket"].maps["*"].c[0][1] == (0, 4)
+
+
+def test_commutator_drops_a_plain_candidate_twist():
+    # a plain doc's stored twist is a candidate map, not part of the structure
+    base = catalog("N2-Pnil-w0-F3")
+    doc = swap_part(base, twist=LinearMap.from_rows(base.field, [[1, 0], [0, 0]]))
+    assert doc.twist is not None
+    out = commutator(doc)
+    assert out.kind == PLAIN_LIE_MATCHING_RB and out.twist is None
+
+
+def test_collapse_family_coefficients_are_canonical_scalars():
+    field = GF(3)
+    doc = make_doc(field, 2, ("a", "b"), MATCHING_HOM_ASSOC,
+                   {"dot": {"a": BilinearMap.from_nested(field, UT),
+                            "b": BilinearMap.zero(field, 2)}},
+                   twist=LinearMap.identity(field, 2))
+    # 1/2 is 2 in F_3: the product e0.e0 = e0 becomes 2 e0
+    half = collapse_family(doc, {"a": Fraction(1, 2), "b": 1})
+    assert half.families["dot"].maps["*"].c[0][0] == (2, 0)
+    assert half == collapse_family(doc, {"a": 2, "b": 1})
+    for bad in (0.5, True):
+        with pytest.raises(ShapeError) as exc:
+            collapse_family(doc, {"a": bad, "b": 1})
+        assert exc.value.path == "coeffs.a"
 
 
 def test_collapse_family_error_paths():

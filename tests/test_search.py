@@ -288,6 +288,20 @@ def test_weights_are_canonical_scalars():
             enumerate_docs(rb_spec(catalog("Z2-F3"), 1, (bad,)))
 
 
+def test_map_target_weights_are_canonical_scalars():
+    # 3 is 0 in F_3, so weights (3,) are the base's own weight 0
+    base = catalog("N2-Pnil-w0-F3")
+    for target, hits in ((TARGET_ENDOMORPHISM, 4), (TARGET_COMMUTING, 9)):
+        same = [serialize_doc(d) for d in enumerate_docs(
+            SearchSpec(base, target, weights=(0,)))]
+        assert len(same) == hits
+        assert [serialize_doc(d) for d in enumerate_docs(
+            SearchSpec(base, target, weights=(3,)))] == same
+        for bad in (0.5, True):
+            with pytest.raises(ParamError):
+                enumerate_docs(SearchSpec(base, target, weights=(bad,)))
+
+
 def test_result_iteration_protocol():
     res = enumerate_docs(rb_spec(catalog("D1-F2"), 1, (1,)))
     assert len(list(res)) == len(res) == 2

@@ -419,6 +419,49 @@ def test_parse_doc_lets_only_halg_errors_escape(data):
     else:
         obj = value
     try:
-        parse_doc(json.dumps(obj))
+        doc = parse_doc(json.dumps(obj))
     except HalgError:
-        pass
+        return
+    assert parse_doc(serialize_doc(doc)) == doc
+
+
+def _malformed(doc, edit):
+    obj = json.loads(serialize_doc(doc))
+    edit(obj)
+    return obj
+
+
+ZEROS3 = [[[0] * 3] * 3] * 3
+PLAIN_RB2 = tiny_doc(PLAIN_ASSOC_MATCHING_RB, GF(3))   # labels a, b
+HOM_ASSOC2 = tiny_doc(MATCHING_HOM_ASSOC, GF(3))       # labels a, b
+MALFORMED_DOCS = [
+    # (doc, edit, path of the refusal)
+    (HOM_ASSOC2, lambda o: o["families"].pop("dot"), "families"),
+    (HOM_ASSOC2, lambda o: o["families"].update(star=o["families"]["dot"]), "families"),
+    (PLAIN_RB2, lambda o: o["families"].update(bracket=o["families"]["dot"]), "families"),
+    (HOM_ASSOC2, lambda o: o["families"]["dot"].pop("b"), "families.dot"),
+    (HOM_ASSOC2, lambda o: o["families"]["dot"].update(c=o["families"]["dot"]["a"]),
+     "families.dot"),
+    (PLAIN_RB2, lambda o: o["operators"]["ops"].pop("b"), "operators.ops"),
+    (PLAIN_RB2, lambda o: o["operators"]["weights"].pop("a"), "operators.weights"),
+    (PLAIN_RB2, lambda o: o["families"].update(dot=ZEROS3), "families.dot"),
+    (HOM_ASSOC2, lambda o: o["families"]["dot"].update(b=ZEROS3), "families.dot.b"),
+    (HOM_ASSOC2, lambda o: o.update(twist=ZEROS3[0]), "twist"),
+    (PLAIN_RB2, lambda o: o.update(twist=ZEROS3[0]), "twist"),
+    # on a plain kind, only the dim x dim identity is dropped
+    (PLAIN_RB2, lambda o: o.update(twist=[[1]]), "twist"),
+    (PLAIN_RB2, lambda o: o.update(twist=[[1], [0, 1]]), "twist[0]"),
+    (PLAIN_RB2, lambda o: o.update(twist=[[1, 0, 0], [0, 1, 0]]), "twist[0]"),
+    (PLAIN_RB2, lambda o: o["operators"]["ops"]["a"][1].pop(), "operators.ops.a[1]"),
+    *((doc, lambda o, d=d: o.update(dim=d), "dim")
+      for doc in (PLAIN_RB2, HOM_ASSOC2) for d in (0, "2", True)),
+]
+
+
+def test_malformed_docs_are_refused_at_their_json_path():
+    # parse_doc only reads the JSON; these are refused by validate_doc
+    for doc, edit, path in MALFORMED_DOCS:
+        with pytest.raises(ShapeError) as exc:
+            parse_doc(json.dumps(_malformed(doc, edit)))
+        assert exc.value.path == path, exc.value
+
