@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
                      ShapeError, UnknownConditionError)
-from .linalg import (LinearMap, apply_map, apply_raw, bilinear_raw,
+from .linalg import (LinearMap, _basis, apply_map, apply_raw, bilinear_raw,
                      kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
@@ -355,11 +355,6 @@ def _map_laws(tag, role):
 # --- frames and the evaluator --------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _basis(dim):
-    return tuple(tuple(int(i == k) for i in range(dim)) for k in range(dim))
-
-
-@lru_cache(maxsize=32)
 def _points(dim, arity):
     return tuple(product(range(dim), repeat=arity))
 
@@ -551,6 +546,27 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
 
 
 # --- searches ----------------------------------------------------------------
+
+def linear_system(doc: AlgebraDoc, tag: str) -> list:
+    """The rows, over the entries of f taken row-major, of the linear system
+    that the map law `tag` imposes on doc.  Column r * dim + s binds f to the
+    matrix unit E_rs; there each failed instance's reduced lhs - rhs is its
+    residual, and the instances that hold have residual 0.  A row is keyed by
+    (axiom, labels, basis, coordinate).  Sound only for laws with one
+    right-hand side, such as commutes."""
+    dim, red = doc.dim, doc.field.reduce
+    frame = _frame(doc)
+    unit, zero = frame["basis"], (0,) * dim
+    rows = {}
+    for col, (r, s) in enumerate(_points(dim, 2)):
+        frame["f"] = tuple(unit[r] if t == s else zero for t in range(dim))
+        for v in _map_violations(tag, frame, doc):
+            for k, (a, b) in enumerate(zip(v.lhs, v.rhs)):
+                if a != b:
+                    key = (v.axiom, v.labels, v.basis, k)
+                    rows.setdefault(key, [0] * dim * dim)[col] = red(a - b)
+    return list(rows.values())
+
 
 def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     """ok(candidate) -> bool for a search that varies one kind of map on

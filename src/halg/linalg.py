@@ -11,6 +11,9 @@ The bilinear kernel, `bilinear_raw`, reads a tensor in its sparse form
 its nonzero (k, c[i][j][k]) entries.  Most structure constants in use are
 mostly zero, so the kernel walks only the entries that can contribute; a
 caller that multiplies through one tensor many times makes the form once.
+The linear kernel, `apply_raw`, likewise skips zero coefficients.  Composing
+maps and the tensor surgery of the constructions are built on these two
+kernels: each output column or row c'[i][j] is one kernel call.
 
 >>> from .fields import QQ
 >>> f = LinearMap.from_rows(QQ, [[1, 1], [0, 1]])
@@ -23,6 +26,7 @@ caller that multiplies through one tensor many times makes the form once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -67,14 +71,19 @@ class LinearMap:
         return len(self.rows)
 
     def is_identity(self) -> bool:
-        return all(v == (1 if i == j else 0)
-                   for i, row in enumerate(self.rows) for j, v in enumerate(row))
+        """Whether rows are the dim x dim identity (ragged rows are not)."""
+        return tuple(map(tuple, self.rows)) == _basis(self.dim)
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> tuple:
         return tuple(zip(*self.rows))
+
+
+@lru_cache(maxsize=32)
+def _basis(dim):
+    return tuple(tuple(int(i == k) for i in range(dim)) for k in range(dim))
 
 
 def apply_raw(cols, x) -> list:
@@ -105,11 +114,9 @@ def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
     if f.dim != g.dim:
         raise DimensionMismatch(f"composing dim {f.dim} with dim {g.dim}")
     red = f.field.reduce
-    n = f.dim
-    rows = tuple(tuple(red(sum(f.rows[i][m] * g.rows[m][j] for m in range(n)))
-                       for j in range(n))
-                 for i in range(n))
-    return LinearMap(f.field, rows)
+    fc = f.columns()
+    cols = [map(red, apply_raw(fc, gc)) for gc in g.columns()]
+    return LinearMap(f.field, tuple(zip(*cols)))
 
 
 def map_power(f: LinearMap, n: int) -> LinearMap:
@@ -279,46 +286,32 @@ def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
 # Tensor surgery used by the constructions: post/pre-composition with a
 # linear map, pointwise combinations, and the transpose of the two inputs.
 
+def _tensor(field: Field, dim: int, row) -> BilinearMap:
+    """The tensor whose row c[i][j] is row(i, j), reduced."""
+    red = field.reduce
+    return BilinearMap(field, tuple(tuple(tuple(map(red, row(i, j))) for j in range(dim))
+                                    for i in range(dim)))
+
+
 def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
     """(x, y) -> f(m(x, y))."""
     _check_pair(m, f)
-    n = m.dim
-    red = m.field.reduce
-    rows = f.rows
-    c = m.c
-    out = tuple(tuple(tuple(red(sum(rows[k][s] * c[i][j][s] for s in range(n)))
-                            for k in range(n))
-                      for j in range(n))
-                for i in range(n))
-    return BilinearMap(m.field, out)
+    cols, c = f.columns(), m.c
+    return _tensor(m.field, m.dim, lambda i, j: apply_raw(cols, c[i][j]))
 
 
 def precompose_left(m: BilinearMap, f: LinearMap) -> BilinearMap:
     """(x, y) -> m(f(x), y)."""
     _check_pair(m, f)
-    n = m.dim
-    red = m.field.reduce
-    rows = f.rows
-    c = m.c
-    out = tuple(tuple(tuple(red(sum(rows[s][i] * c[s][j][k] for s in range(n)))
-                            for k in range(n))
-                      for j in range(n))
-                for i in range(n))
-    return BilinearMap(m.field, out)
+    s, cols, e = sparse_tensor(m.c), f.columns(), _basis(m.dim)
+    return _tensor(m.field, m.dim, lambda i, j: bilinear_raw(s, cols[i], e[j]))
 
 
 def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
     """(x, y) -> m(x, f(y))."""
     _check_pair(m, f)
-    n = m.dim
-    red = m.field.reduce
-    rows = f.rows
-    c = m.c
-    out = tuple(tuple(tuple(red(sum(rows[s][j] * c[i][s][k] for s in range(n)))
-                            for k in range(n))
-                      for j in range(n))
-                for i in range(n))
-    return BilinearMap(m.field, out)
+    s, cols, e = sparse_tensor(m.c), f.columns(), _basis(m.dim)
+    return _tensor(m.field, m.dim, lambda i, j: bilinear_raw(s, e[i], cols[j]))
 
 
 def tensor_combine(field: Field, terms) -> BilinearMap:
@@ -327,17 +320,13 @@ def tensor_combine(field: Field, terms) -> BilinearMap:
     if not terms:
         raise ShapeError("empty combination", "tensor")
     dim = terms[0][1].dim
-    red = field.reduce
     for _, m in terms:
         if m.field != field:
             raise FieldMismatch("combining tensors over different fields")
         if m.dim != dim:
             raise DimensionMismatch("combining tensors of different dimensions")
-    out = tuple(tuple(tuple(red(sum(a * m.c[i][j][k] for a, m in terms))
-                            for k in range(dim))
-                      for j in range(dim))
-                for i in range(dim))
-    return BilinearMap(field, out)
+    return _tensor(field, dim, lambda i, j: [sum(a * m.c[i][j][k] for a, m in terms)
+                                             for k in range(dim)])
 
 
 def tensor_transpose(m: BilinearMap) -> BilinearMap:

@@ -24,9 +24,9 @@ Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
 alone, so each label's solutions are found alone, and the tuples of them,
 in product order, are cross-checked on the label pairs (a, b) with a != b.
 f P_a = P_a f is linear in f, so the commuting hits are the solutions of
-that system, listed in order and each re-checked with ok.  `limit` and
-`truncated` read as for a plain loop over the whole space, and
-SearchSpec.budget bounds that space's size p^entries up front, so a
+the system read from that law, listed in order and each re-checked with
+ok.  `limit` and `truncated` read as for a plain loop over the whole space,
+and SearchSpec.budget bounds that space's size p^entries up front, so a
 hopeless request fails fast.  sample_hits draws candidates at random with
 replacement and decides each with the same ok; check_sample_size bounds a
 draw in place of the budget.
@@ -46,7 +46,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import candidate_check, check_side_conditions, structure_ok
+from .axioms import (candidate_check, check_side_conditions, linear_system,
+                     structure_ok)
 from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
                      PreconditionFailed, TheoremCheckError,
                      UnknownFixtureError)
@@ -309,7 +310,8 @@ def _commuting_maps(base: AlgebraDoc):
     """Every f with f P_a = P_a f for each label a, in lexicographic order.
 
     The condition is a linear system in the entries of f, taken row-major,
-    which is the digit order.  Its solutions are the combinations of a
+    which is the digit order; axioms.linear_system reads it from the
+    compiled commutes law.  Its solutions are the combinations of a
     kernel basis brought to reduced echelon form, and two of them first
     differ at a pivot digit, where each carries its own coefficient; so
     coefficient tuples in product order give the solutions in lexicographic
@@ -317,18 +319,7 @@ def _commuting_maps(base: AlgebraDoc):
     """
     field, dim = base.field, base.dim
     n = dim * dim
-    system = []
-    for lab in base.labels:
-        P = base.operators.ops[lab].rows
-        for i in range(dim):
-            for j in range(dim):
-                # (f P - P f)[i][j] = sum_k f[i][k] P[k][j] - P[i][k] f[k][j]
-                row = [0] * n
-                for k in range(dim):
-                    row[i * dim + k] += P[k][j]
-                    row[k * dim + j] -= P[i][k]
-                system.append([field.reduce(v) for v in row])
-    basis = null_space(field, system, n)
+    basis = null_space(field, linear_system(base, "commutes"), n)
     _echelon(field, basis)
     p = field.p
     for coeffs in itertools.product(range(p), repeat=len(basis)):

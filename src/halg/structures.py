@@ -189,7 +189,7 @@ def _stored_twist(kind: str, dim, twist):
     """twist as a doc of kind stores it: None for a dim x dim identity on a
     plain rb kind.  A twist of any other shape is left to validate_doc."""
     if (kind in PLAIN_RB_KINDS and twist is not None and twist.is_identity()
-            and twist.dim == dim and all(len(row) == dim for row in twist.rows)):
+            and twist.dim == dim):
         return None
     return twist
 
@@ -263,8 +263,8 @@ def validate_doc(doc: AlgebraDoc) -> None:
                 checked.add(id(m))
                 for i, plane in enumerate(m.c):
                     _check_entries(doc, plane, f"{at}[{i}]")
-        if role == BRACKET:
-            _check_alternating(doc, fam, path)
+                if role == BRACKET:
+                    _check_alternating(doc, m, at)
 
     if doc.kind in RB_KINDS:
         role = required[0]
@@ -352,22 +352,20 @@ def _check_operators(doc: AlgebraDoc):
                              f"operators.weights.{lab}")
 
 
-def _check_alternating(doc: AlgebraDoc, fam: BilinearFamily, path: str):
+def _check_alternating(doc: AlgebraDoc, m: BilinearMap, path: str):
     # [x, x] = 0 at basis level plus full antisymmetry; both are shape
     # invariants here, so axiom checks may assume them.
     red = doc.field.reduce
     n = doc.dim
-    for lab, m in fam.maps.items():
-        c = m.c
-        for i in range(n):
-            if any(v != 0 for v in c[i][i]):
-                raise ShapeError(f"bracket is not alternating at ({i},{i})", f"{path}.{lab}")
-            for j in range(i + 1, n):
-                for k in range(n):
-                    if red(c[i][j][k] + c[j][i][k]) != 0:
-                        raise ShapeError(
-                            f"bracket is not antisymmetric at ({i},{j},{k})",
-                            f"{path}.{lab}")
+    c = m.c
+    for i in range(n):
+        if any(v != 0 for v in c[i][i]):
+            raise ShapeError(f"bracket is not alternating at ({i},{i})", path)
+        for j in range(i + 1, n):
+            for k in range(n):
+                if red(c[i][j][k] + c[j][i][k]) != 0:
+                    raise ShapeError(
+                        f"bracket is not antisymmetric at ({i},{j},{k})", path)
 
 
 # --- canonical JSON ---------------------------------------------------------

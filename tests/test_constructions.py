@@ -5,27 +5,32 @@ tests were run; tensors are asserted entrywise, not just re-checked.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from halg import (GF, QQ, BilinearMap, CoefficientFamily, LinearMap,
-                  MissingCoefficientError, NonzeroWeightError, OperatorFamily,
-                  ParamError, PowerBoundError, PreconditionFailed,
-                  ShapeError, TheoremCheckError, catalog, centroid_twist, check_structure,
-                  collapse_family, commutator, dendriform_sum,
-                  dendriform_to_prelie, dendriform_twist, derived_algebra,
-                  make_doc, parse_doc, prelie_commutator, rb_to_dendriform,
-                  rb_to_prelie, rb_to_tridendriform, serialize_doc,
-                  structure_ok, untwist, verify_diagram, yau_twist)
+from halg import (GF, QQ, TARGET_RB_FAMILY, BilinearMap, CoefficientFamily,
+                  LinearMap, MissingCoefficientError, NonzeroWeightError,
+                  OperatorFamily, ParamError, PowerBoundError,
+                  PreconditionFailed, SearchSpec, ShapeError,
+                  TheoremCheckError, catalog, centroid_twist, check_morphism,
+                  check_structure, collapse_family, commutator,
+                  dendriform_sum, dendriform_to_prelie, dendriform_twist,
+                  derived_algebra, kernel_vector, make_doc, map_compose,
+                  map_invert, parse_doc, postcompose, precompose_left,
+                  precompose_right, prelie_commutator, rb_to_dendriform,
+                  rb_to_prelie, rb_to_tridendriform, seeded_sample,
+                  serialize_doc, structure_ok, untwist, verify_diagram,
+                  yau_twist)
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
-                             HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
+                             HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, MATCHING_HOM_LIE,
                              MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
                              MATCHING_HOM_TRIDENDRIFORM,
                              PLAIN_ASSOC_MATCHING_RB, PLAIN_LIE_MATCHING_RB,
-                             TOTALLY_COMPATIBLE_HOM_ASSOC, swap_part)
+                             RB_KINDS, TOTALLY_COMPATIBLE_HOM_ASSOC, swap_part)
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 UT = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]  # e11, e12 upper-triangular units
@@ -399,3 +404,88 @@ def test_checked_output_raises_on_failing_doc():
     with pytest.raises(TheoremCheckError) as exc:
         _checked_output(bad, "unit-test")
     assert exc.value.report is not None and not exc.value.report.passed
+
+
+# --- functoriality: isomorphic inputs give isomorphic outputs --------------------
+
+FUNCTORS = {
+    "rb_to_dendriform": rb_to_dendriform,
+    "rb_to_tridendriform": rb_to_tridendriform,
+    "rb_to_prelie": rb_to_prelie,
+    "commutator": commutator,
+    "dendriform_sum after rb_to_dendriform":
+        lambda d: dendriform_sum(rb_to_dendriform(d)),
+    "dendriform_to_prelie after rb_to_dendriform":
+        lambda d: dendriform_to_prelie(rb_to_dendriform(d)),
+    "prelie_commutator after rb_to_prelie":
+        lambda d: prelie_commutator(rb_to_prelie(d)),
+}
+
+
+def _rb_docs():
+    """The catalog's rb docs and seeded 1- and 2-label families over F_2
+    and F_3 on the zero product, the dual numbers, the ground field and the
+    nonabelian Lie algebra."""
+    docs = [d for _, d in sorted(catalog().items()) if d.kind in RB_KINDS]
+    rng = random.Random(5)
+    for p in (2, 3):
+        for name in ("Z2", "N2", "D1", "aff2"):
+            for k in (1, 2):
+                weights = tuple(rng.randrange(p) for _ in range(k))
+                spec = SearchSpec(catalog(f"{name}-F{p}"), TARGET_RB_FAMILY,
+                                  omega_size=k, weights=weights)
+                docs += seeded_sample(spec, rng.randrange(1 << 30), 4).docs
+    return docs
+
+
+def _random_invertible(field, dim, rng):
+    """A random invertible map other than the identity, or None when the
+    identity is the only one (dim 1 over F_2)."""
+    if field == GF(2) and dim == 1:
+        return None
+    while True:
+        g = LinearMap.from_rows(field, [
+            [field.random_scalar(rng) if field.is_prime_field else rng.randrange(-2, 3)
+             for _ in range(dim)] for _ in range(dim)])
+        if not g.is_identity() and kernel_vector(g) is None:
+            return g
+
+
+def _conjugated(doc, g):
+    """g.doc, with product g m(g^-1 x, g^-1 y), operators g P g^-1 and
+    twist g p g^-1, so that g is an isomorphism from doc to it."""
+    ginv = map_invert(g)
+
+    def conj(f):
+        return map_compose(map_compose(g, f), ginv)
+    prod = postcompose(precompose_right(precompose_left(doc.product(), ginv), ginv), g)
+    ops = OperatorFamily({lab: conj(P) for lab, P in doc.operators.ops.items()},
+                         doc.operators.weights)
+    return make_doc(doc.field, doc.dim, doc.omega, doc.kind,
+                    {KIND_ROLES[doc.kind][0]: prod}, operators=ops,
+                    twist=None if doc.twist is None else conj(doc.twist))
+
+
+def test_constructions_carry_isomorphisms_to_morphisms():
+    # a construction F is a functor: an isomorphism g from A to g.A must be
+    # a morphism from F(A) to F(g.A); each pair skipped is one that F
+    # refuses on a precondition, which holds for A exactly when for g.A
+    rng = random.Random(11)
+    ran = dict.fromkeys(FUNCTORS, 0)
+    for doc in _rb_docs():
+        for _ in range(2):
+            g = _random_invertible(doc.field, doc.dim, rng)
+            if g is None:
+                continue
+            moved = _conjugated(doc, g)
+            assert check_morphism(g, doc, moved).passed
+            for name, functor in FUNCTORS.items():
+                try:
+                    out = functor(doc)
+                except (PreconditionFailed, NonzeroWeightError) as e:
+                    with pytest.raises(type(e)):
+                        functor(moved)
+                    continue
+                assert check_morphism(g, out, functor(moved)).passed, (name, doc, g)
+                ran[name] += 1
+    assert all(n >= 50 for n in ran.values()), ran

@@ -82,6 +82,9 @@ def test_nilpotent_squares_to_zero():
     assert map_compose(p, p).rows == ((0, 0), (0, 0))
     assert not p.is_identity()
     assert LinearMap.identity(QQ, 2).is_identity()
+    # ragged rows are not the identity, even when every entry present fits
+    assert not LinearMap(QQ, ((1,), (0, 1))).is_identity()
+    assert not LinearMap(QQ, ((1, 0, 0), (0, 1, 0))).is_identity()
 
 
 def test_map_power():

@@ -456,6 +456,18 @@ def _aff2_lie_f3():
                         weights={"a": 0}))
 
 
+def _two_operators_f3():
+    """The zero product over F_3 with two different operators: f commutes
+    with the first alone on 9 maps, with both only on the 3 scalars."""
+    field = GF(3)
+    return make_doc(field, 2, ("a", "b"), PLAIN_ASSOC_MATCHING_RB,
+                    {"dot": BilinearMap.zero(field, 2)},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, [[0, 0], [1, 0]]),
+                             "b": LinearMap.from_rows(field, [[0, 1], [0, 0]])},
+                        weights={"a": 0, "b": 1}))
+
+
 def _broken_f2():
     field = GF(2)
     return make_doc(field, 2, ("a",), MATCHING_HOM_ASSOC,
@@ -508,7 +520,8 @@ def test_map_targets_match_brute_force():
     bases = [catalog(name) for name in fixture_names()
              if catalog(name).kind == PLAIN_ASSOC_MATCHING_RB
              and catalog(name).field.is_prime_field]
-    bases += [_n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]]), _zero3_f2(), _aff2_lie_f3()]
+    bases += [_n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]]), _zero3_f2(), _aff2_lie_f3(),
+              _two_operators_f3()]
     for base in bases:
         for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING):
             if structure_ok(base):

@@ -19,7 +19,8 @@ from halg import (GF, QQ, AlgebraDoc, BilinearMap, DocSyntaxError, HalgError,
 from halg.errors import ZeroDenominatorError
 from halg.structures import (HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_LIE, RB_KINDS,
-                             PLAIN_ASSOC_MATCHING_RB, swap_part)
+                             PLAIN_ASSOC_MATCHING_RB, PLAIN_LIE_MATCHING_RB,
+                             swap_part)
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 BR2 = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
@@ -432,6 +433,10 @@ def _malformed(doc, edit):
 
 
 ZEROS3 = [[[0] * 3] * 3] * 3
+
+
+def _as_lie_rb(obj, bracket):
+    obj.update(kind=PLAIN_LIE_MATCHING_RB, families={"bracket": bracket})
 PLAIN_RB2 = tiny_doc(PLAIN_ASSOC_MATCHING_RB, GF(3))   # labels a, b
 HOM_ASSOC2 = tiny_doc(MATCHING_HOM_ASSOC, GF(3))       # labels a, b
 MALFORMED_DOCS = [
@@ -453,6 +458,11 @@ MALFORMED_DOCS = [
     (PLAIN_RB2, lambda o: o.update(twist=[[1], [0, 1]]), "twist[0]"),
     (PLAIN_RB2, lambda o: o.update(twist=[[1, 0, 0], [0, 1, 0]]), "twist[0]"),
     (PLAIN_RB2, lambda o: o["operators"]["ops"]["a"][1].pop(), "operators.ops.a[1]"),
+    # an rb Lie kind's one bracket is refused where the JSON stores it,
+    # with one label or with several
+    (catalog("N2-Pnil-w0-F3"), lambda o: _as_lie_rb(o, o["families"]["dot"]),
+     "families.bracket"),
+    (PLAIN_RB2, lambda o: _as_lie_rb(o, N2), "families.bracket"),
     *((doc, lambda o, d=d: o.update(dim=d), "dim")
       for doc in (PLAIN_RB2, HOM_ASSOC2) for d in (0, "2", True)),
 ]
