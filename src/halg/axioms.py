@@ -454,6 +454,8 @@ def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
+    if not isinstance(violation, Violation):
+        raise ParamError(f"a witness is a Violation, not a {type(violation).__name__}")
     laws = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
     red = doc.field.reduce
     for law in laws:
@@ -500,6 +502,8 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     if not isinstance(conditions, (list, tuple)):
         raise ParamError("side conditions must be a sequence of tags, not a "
                          + type(conditions).__name__)
+    if candidate is not None and not isinstance(candidate, LinearMap):
+        raise ParamError(f"candidate must be a LinearMap, not a {type(candidate).__name__}")
     p = candidate if candidate is not None else doc.twist_map()
     if p.field != doc.field:
         raise FieldMismatch("candidate map over the wrong field")
@@ -526,6 +530,8 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
 def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckReport:
     """Check that f carries src's structure to dst's: f(x * y) = f(x) *' f(y)
     per role and label, and the twists intertwine (p' o f = f o p)."""
+    if not isinstance(f, LinearMap):
+        raise ParamError(f"a morphism is a LinearMap, not a {type(f).__name__}")
     if src.field != dst.field or f.field != src.field:
         raise FieldMismatch("morphism requires one common field")
     if src.kind != dst.kind:

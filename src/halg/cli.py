@@ -7,10 +7,12 @@ Every subcommand streams: it parses one doc, decides or transforms it,
 writes the result and flushes stdout before it reads the next line, and
 search writes each hit as the search makes it.  So each stage of a pipe
 starts on the first doc while the stage before it still runs, and `--limit`
-or a reader that leaves (`| head -1`) ends a search early.  After a failed
-doc or an error raised on one, the rest of the input is still read and
-parsed, so a malformed doc anywhere is a usage error; the output for the
-docs before it has already been written.  `-o FILE` writes only once every doc exists.
+or a reader that leaves (`| head -1`) ends a search early.  An error raised
+on a doc prints its error: line, and its witness report when it has one, in
+check, diagram and construct alike, before the rest of the input is read.
+After a failed or raised doc that rest is still read and parsed, so a
+malformed doc anywhere is a usage error; the output for the docs before it
+has already been written.  `-o FILE` writes only once every doc exists.
 
 Exit codes: 0 success, 1 usage or malformed input, or stdout closed by its
 reader, 2 a failed check or an unmet construction precondition (the witness
@@ -25,13 +27,9 @@ import json
 import os
 import sys
 
+from . import constructions
 from .axioms import check_side_conditions, check_structure
-from .constructions import (centroid_twist, collapse_family, commutator,
-                            dendriform_sum, dendriform_to_prelie,
-                            dendriform_twist, derived_algebra,
-                            prelie_commutator, rb_to_dendriform, rb_to_prelie,
-                            rb_to_tridendriform, untwist, verify_diagram,
-                            yau_twist)
+from .constructions import verify_diagram
 from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
 from .linalg import LinearMap
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
@@ -64,28 +62,27 @@ def _read_docs(path: str):
         raise DocSyntaxError(f"no docs found in {path}")
 
 
-def _drain(docs) -> None:
-    """Parse the rest of the input after a failure, so that a malformed doc
-    anywhere in it is still a usage error."""
-    for _ in docs:
-        pass
-
-
 def _each_doc(path: str, handle) -> int:
     """Run handle(doc) on each doc at path in turn and return 0, or the
-    first nonzero code it returns.  A nonzero code or a HalgError ends the
-    run, but only after the rest of the input is drained."""
+    first nonzero code it returns.  A HalgError raised on a doc prints its
+    error: line, and its report when it has one, and ends the run with the
+    error's exit code.  Either way the rest of the input is then drained."""
     docs = _read_docs(path)
     code = 0
-    try:
-        for doc in docs:
+    for doc in docs:
+        try:
             code = handle(doc)
-            if code:
-                break
-    except HalgError:
-        _drain(docs)
-        raise
-    _drain(docs)
+        except HalgError as e:
+            print(f"error: {e}", file=sys.stderr)
+            if getattr(e, "report", None) is not None:
+                _emit_report(e.report, doc.field)
+            code = e.exit_code
+        if code:
+            break
+    # parse the rest of the input, so that a malformed doc anywhere in it
+    # is still a usage error
+    for _ in docs:
+        pass
     return code
 
 
@@ -136,100 +133,74 @@ def _parse_param_list(pairs) -> dict:
     return params
 
 
-def _no_leftovers(params) -> None:
-    if params:
-        raise ParamError(f"unknown params: {', '.join(sorted(params))}")
+def _twist(required: bool):
+    """The reader of --param twist; unless required, a doc's stored candidate
+    twist stands in for it."""
+    def read(doc, params):
+        if "twist" in params:
+            value = params.pop("twist")
+            if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+                raise ParamError("twist must be a JSON matrix (list of rows)")
+            rows = [[doc.field.parse_scalar(v, "twist") for v in row] for row in value]
+            return LinearMap.from_rows(doc.field, rows, path="twist")
+        if not required and doc.twist is not None:
+            return doc.twist
+        raise ParamError("this recipe needs --param twist=[[...],...]"
+                         + ("" if required else " or a doc with a stored candidate twist"))
+    return read
 
 
-def _matrix_param(doc, value, name: str) -> LinearMap:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise ParamError(f"{name} must be a JSON matrix (list of rows)")
-    rows = [[doc.field.parse_scalar(v, name) for v in row] for row in value]
-    return LinearMap.from_rows(doc.field, rows, path=name)
+def _int(name: str, default=None):
+    """The reader of --param name=<int>, required unless it has a default."""
+    def read(doc, params):
+        if name not in params:
+            if default is None:
+                raise ParamError(f"this recipe needs --param {name}=<int>")
+            return default
+        value = params.pop(name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParamError(f"{name} must be an integer, got {value!r}")
+        return value
+    return read
 
 
-def _twist_param(doc, params, required: bool) -> LinearMap:
-    if "twist" in params:
-        return _matrix_param(doc, params.pop("twist"), "twist")
-    if not required and doc.twist is not None:
-        return doc.twist
-    raise ParamError("this recipe needs --param twist=[[...],...]"
-                     + ("" if required else " or a doc with a stored candidate twist"))
-
-
-def _int_param(params, name: str, default=None):
-    if name not in params:
-        if default is None:
-            raise ParamError(f"this recipe needs --param {name}=<int>")
-        return default
-    value = params.pop(name)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParamError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _r_yau(doc, params):
-    p = _twist_param(doc, params, required=False)
-    _no_leftovers(params)
-    return yau_twist(doc, p)
-
-
-def _r_derived(doc, params):
-    n = _int_param(params, "n")
-    variant = _int_param(params, "variant", default=1)
-    _no_leftovers(params)
-    return derived_algebra(doc, n, variant)
-
-
-def _r_centroid(doc, params):
-    p = _twist_param(doc, params, required=False)
-    variant = _int_param(params, "variant", default=1)
-    _no_leftovers(params)
-    return centroid_twist(doc, p, variant)
-
-
-def _r_collapse(doc, params):
+def _coeffs(doc, params):
+    """The reader of --param coeffs={"label":scalar,...}."""
     raw = params.pop("coeffs", None)
     if not isinstance(raw, dict):
         raise ParamError('collapse needs --param coeffs={"label":scalar,...}')
-    coeffs = {lab: doc.field.parse_scalar(v, f"coeffs.{lab}")
-              for lab, v in raw.items()}
-    _no_leftovers(params)
-    return collapse_family(doc, coeffs)
+    return {lab: doc.field.parse_scalar(v, f"coeffs.{lab}") for lab, v in raw.items()}
 
 
-def _r_dendriform_twist(doc, params):
-    p = _twist_param(doc, params, required=True)
-    _no_leftovers(params)
-    return dendriform_twist(doc, p)
-
-
-def _r_simple(fn):
-    """A recipe that takes no params.  It looks fn up by name when it runs,
-    so a wrapper set on this module's attribute sees the call."""
-    name = fn.__name__
-
-    def run(doc, params):
-        _no_leftovers(params)
-        return globals()[name](doc)
-    return run
-
-
+# recipe -> (its function in halg.constructions, a reader per argument after
+# the doc, in the order the function takes them)
 _RECIPES = {
-    "yau-twist": _r_yau,
-    "untwist": _r_simple(untwist),
-    "derived": _r_derived,
-    "centroid-twist": _r_centroid,
-    "commutator": _r_simple(commutator),
-    "prelie-commutator": _r_simple(prelie_commutator),
-    "collapse": _r_collapse,
-    "dendriform-twist": _r_dendriform_twist,
-    "dendriform-sum": _r_simple(dendriform_sum),
-    "dendriform-to-prelie": _r_simple(dendriform_to_prelie),
-    "rb-to-dendriform": _r_simple(rb_to_dendriform),
-    "rb-to-tridendriform": _r_simple(rb_to_tridendriform),
-    "rb-to-prelie": _r_simple(rb_to_prelie),
+    "yau-twist": ("yau_twist", (_twist(required=False),)),
+    "untwist": ("untwist", ()),
+    "derived": ("derived_algebra", (_int("n"), _int("variant", default=1))),
+    "centroid-twist": ("centroid_twist",
+                       (_twist(required=False), _int("variant", default=1))),
+    "commutator": ("commutator", ()),
+    "prelie-commutator": ("prelie_commutator", ()),
+    "collapse": ("collapse_family", (_coeffs,)),
+    "dendriform-twist": ("dendriform_twist", (_twist(required=True),)),
+    "dendriform-sum": ("dendriform_sum", ()),
+    "dendriform-to-prelie": ("dendriform_to_prelie", ()),
+    "rb-to-dendriform": ("rb_to_dendriform", ()),
+    "rb-to-tridendriform": ("rb_to_tridendriform", ()),
+    "rb-to-prelie": ("rb_to_prelie", ()),
 }
+
+
+def _run_recipe(recipe: str, doc, params: dict):
+    """Read recipe's arguments from params in order, refuse any left over,
+    and apply its construction.  The construction is looked up when it runs,
+    so a wrapper set on halg.constructions sees the call."""
+    name, readers = _RECIPES[recipe]
+    args = [read(doc, params) for read in readers]
+    if params:
+        raise ParamError(f"unknown params: {', '.join(sorted(params))}")
+    return getattr(constructions, name)(doc, *args)
 
 
 def _parse_toggles(pairs) -> dict:
@@ -258,18 +229,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    recipe = _RECIPES[args.recipe]
     params = _parse_param_list(args.param)
     made = []
 
     def handle(doc):
-        try:
-            result = recipe(doc, dict(params))
-        except HalgError as e:
-            print(f"error: {e}", file=sys.stderr)
-            if getattr(e, "report", None) is not None:
-                _emit_report(e.report, doc.field)
-            return e.exit_code
+        result = _run_recipe(args.recipe, doc, dict(params))
         if _to_stdout(args.out):
             _print_doc(result)
         else:

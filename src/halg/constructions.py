@@ -218,7 +218,10 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     if doc.kind in RB_KINDS:
         raise PreconditionFailed("collapse_family needs an Omega-indexed family")
     _checked_input(doc, KIND_ROLES, "collapse_family")
-    raw = coeffs.coeffs if isinstance(coeffs, CoefficientFamily) else dict(coeffs)
+    raw = coeffs.coeffs if isinstance(coeffs, CoefficientFamily) else coeffs
+    if not isinstance(raw, dict):
+        raise ParamError("coefficients must be a dict of label to scalar, not a "
+                         + type(raw).__name__)
     missing = [lab for lab in doc.labels if lab not in raw]
     if missing:
         raise MissingCoefficientError(f"no coefficient for labels {missing}")

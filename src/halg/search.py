@@ -75,8 +75,9 @@ def _require_int(value, name: str) -> None:
 class SearchSpec:
     """What to enumerate: a base doc, the label count and weights to search
     operator families over (rb-family target only), and a hit limit.
-    omega_size, limit and budget are ints (the first two may be None);
-    anything else is refused with ParamError."""
+    base is an AlgebraDoc, weights a tuple or list, and omega_size, limit
+    and budget are ints (the first two may be None); anything else is
+    refused with ParamError."""
 
     base: AlgebraDoc
     target: str
@@ -86,6 +87,10 @@ class SearchSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if not isinstance(self.base, AlgebraDoc):
+            raise ParamError(f"base must be an AlgebraDoc, not a {type(self.base).__name__}")
+        if not isinstance(self.weights, (tuple, list)):
+            raise ParamError(f"weights must be a sequence, not a {type(self.weights).__name__}")
         for name in ("omega_size", "limit", "budget"):
             value = getattr(self, name)
             if value is not None or name == "budget":

@@ -171,18 +171,33 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
     """
     if not isinstance(omega, OmegaSet):
         omega = OmegaSet(tuple(omega))
+    if not isinstance(families, dict):
+        raise ShapeError("families must be a dict of roles", "families")
+    # _stored_twist reads the twist before validate_doc sees it
+    if twist is not None and not _is_map(twist, LinearMap):
+        raise ShapeError("twist must be a linear map", "twist")
     fams = {}
     for role, val in families.items():
         if isinstance(val, BilinearFamily):
             fams[role] = val
         elif isinstance(val, BilinearMap):
             fams[role] = BilinearFamily(role, {lab: val for lab in omega.labels})
-        else:
+        elif isinstance(val, dict):
             fams[role] = BilinearFamily(role, dict(val))
+        else:
+            raise ShapeError("a family is a bilinear map or a dict of label to one",
+                             f"families.{role}")
     doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
                      _stored_twist(kind, dim, twist))
     validate_doc(doc)
     return doc
+
+
+def _is_map(m, cls) -> bool:
+    """Whether m is a cls (LinearMap or BilinearMap) over an array, so that
+    its dim can be read."""
+    return isinstance(m, cls) and isinstance(m.rows if cls is LinearMap else m.c,
+                                             (tuple, list))
 
 
 def _stored_twist(kind: str, dim, twist):
@@ -249,7 +264,7 @@ def validate_doc(doc: AlgebraDoc) -> None:
         checked = set()
         for lab in labels:
             m = fam.maps[lab]
-            if not isinstance(m, BilinearMap):
+            if not _is_map(m, BilinearMap):
                 raise ShapeError("family entries must be bilinear maps", f"{path}.{lab}")
             if m.field != doc.field:
                 raise ShapeError("family map over the wrong field", f"{path}.{lab}")
@@ -280,6 +295,8 @@ def validate_doc(doc: AlgebraDoc) -> None:
     elif doc.operators is not None:
         raise ShapeError(f"{doc.kind} carries no operator family", "operators")
 
+    if doc.twist is not None and not _is_map(doc.twist, LinearMap):
+        raise ShapeError("twist must be a linear map", "twist")
     if doc.kind in PLAIN_RB_KINDS:
         if doc.twist is not None:
             _check_twist(doc)
@@ -441,6 +458,8 @@ def parse_doc(data) -> AlgebraDoc:
     identity twist on a plain kind) is accepted and normalized, so one
     round-trip always lands on canonical bytes.
     """
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise ParamError(f"parse_doc reads str or bytes, not {type(data).__name__}")
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

@@ -222,14 +222,14 @@ def test_construct_multiple_docs_stream_through(tmp_path, capsys):
 
 def test_construct_theorem_failure_exits_three(tmp_path, capsys, monkeypatch):
     # the theorems themselves hold on every valid input, so the exit-3
-    # branch is driven by substituting a recipe that raises the error
-    import halg.cli as cli_mod
+    # branch is driven by substituting a construction that raises the error
+    import halg.constructions
     report = make_report([Violation("unit", (), (), (0,), (1,))])
 
-    def explode(doc, params):
+    def explode(doc):
         raise TheoremCheckError("unit-test theorem failure", report)
 
-    monkeypatch.setitem(cli_mod._RECIPES, "untwist", explode)
+    monkeypatch.setattr(halg.constructions, "untwist", explode)
     path = write_docs(tmp_path, "base.jsonl", catalog("N2-id-wm1"))
     assert main(["construct", "untwist", path]) == 3
     payloads, err = last_json(capsys)
@@ -486,6 +486,65 @@ def test_garbage_after_a_raised_error_is_still_a_usage_error(tmp_path, capsys,
     monkeypatch.setattr(halg.cli, "check_structure", refuse)
     assert main(["check", then_garbage("n2.jsonl", catalog("N2"))]) == 1
     capsys.readouterr()
+
+
+def test_diagram_prints_the_report_of_a_raised_precondition(tmp_path, capsys):
+    # an operator that is not Rota-Baxter: the diagram refuses its input,
+    # and the refusal's witness report is printed as construct prints one
+    doc = make_doc(QQ, 2, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                   {"dot": BilinearMap.from_nested(QQ, N2)},
+                   operators=OperatorFamily(
+                       ops={"a": LinearMap.from_rows(QQ, [[1, 0], [0, 0]])},
+                       weights={"a": 0}))
+    path = write_docs(tmp_path, "not-rb.jsonl", doc)
+    assert main(["diagram", path]) == 2
+    payloads, err = last_json(capsys)
+    assert err.startswith("error: verify_diagram: input fails")
+    assert [p["verdict"] for p in payloads] == ["fail"]
+    assert {v["axiom-id"] for v in payloads[0]["violations"]} == {"matching-rb"}
+
+
+def test_a_raised_error_prints_before_a_later_malformed_doc(tmp_path, capsys):
+    path = tmp_path / "n2-then-garbage.jsonl"
+    path.write_bytes(serialize_doc(catalog("N2")) + b"\n{not json\n")
+    assert main(["check", "--axiom-toggle", "bogus=on", str(path)]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 2
+    assert lines[0] == "error: unknown axiom toggles ['bogus']"
+    assert lines[1].startswith("error: not JSON")
+
+
+def _readme_recipes():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### construct\n", 1)[1].split("\n### ", 1)[0]
+    return {row.split("`")[1] for row in section.splitlines()
+            if row.startswith("| `")}
+
+
+def test_every_recipe_names_a_construction_and_is_documented():
+    import halg.constructions
+    for recipe, (name, readers) in halg.cli._RECIPES.items():
+        assert callable(getattr(halg.constructions, name)), recipe
+        assert all(callable(read) for read in readers), recipe
+    assert set(halg.cli._RECIPES) == _readme_recipes()
+
+
+# the params each recipe needs before it gets to refusing leftovers
+_NEEDED = {"yau-twist": ["twist=[[1,0],[0,1]]"], "derived": ["n=1"],
+           "centroid-twist": ["twist=[[1,0],[0,1]]"], "collapse": ['coeffs={"a":1}'],
+           "dendriform-twist": ["twist=[[1,0],[0,1]]"]}
+
+
+def test_every_recipe_refuses_an_unknown_param(tmp_path, capsys):
+    path = write_docs(tmp_path, "n2.jsonl", catalog("N2-Pnil-w0"))
+    for recipe in sorted(halg.cli._RECIPES):
+        params = _NEEDED.get(recipe, []) + ["bogus=1"]
+        argv = ["construct", recipe, path] + [a for p in params for a in ("--param", p)]
+        assert main(argv) == 1, recipe
+        assert capsys.readouterr() == ("", "error: unknown params: bogus\n"), recipe
 
 
 def test_check_reports_a_doc_before_its_input_ends():
