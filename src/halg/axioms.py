@@ -73,7 +73,7 @@ from typing import NamedTuple
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
                      ShapeError, UnknownConditionError)
 from .linalg import (LinearMap, _basis, apply_map, apply_raw, bilinear_raw,
-                     kernel_vector, sparse_tensor)
+                     check_map, kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
                          MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -476,12 +476,17 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
 
 # --- side conditions ---------------------------------------------------------
 
+def _roles(tag, doc):
+    """The roles a map tag is checked on: doc's, or None for a tag that is
+    not checked per role."""
+    return KIND_ROLES[doc.kind] if _MAP_LAWS[tag][0] else (None,)
+
+
 def _map_violations(tag, frame, doc, target=None, points=None):
     """Violations of a side-condition or morphism tag, role by role; m' is
     bound to the morphism target's maps, and m~ and m'~ to their sparse
     forms.  points as for _violations."""
-    per_role, _ = _MAP_LAWS[tag]
-    for role in KIND_ROLES[doc.kind] if per_role else (None,):
+    for role in _roles(tag, doc):
         if role is not None:
             frame["m"], frame["m~"] = frame[role], frame[role + "~"]
             if target is not None:
@@ -507,8 +512,10 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     p = candidate if candidate is not None else doc.twist_map()
     if p.field != doc.field:
         raise FieldMismatch("candidate map over the wrong field")
-    if p.dim != doc.dim:
+    if isinstance(p.rows, (list, tuple)) and p.dim != doc.dim:
         raise DimensionMismatch("candidate map of the wrong dimension")
+    if candidate is not None:
+        check_map(candidate, LinearMap, doc.field, doc.dim, "candidate")
     frame = _frame(doc)
     frame["f"] = p.columns()
 
@@ -538,8 +545,9 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
         raise KindMismatch(f"morphism between {src.kind} and {dst.kind}")
     if src.labels != dst.labels:
         raise KindMismatch("morphism requires identical label sets")
-    if src.dim != dst.dim or f.dim != src.dim:
+    if src.dim != dst.dim or isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
+    check_map(f, LinearMap, src.field, src.dim, "morphism")
 
     frame = _frame(src)
     target = _frame(dst)
@@ -559,7 +567,11 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     matrix unit E_rs; there each failed instance's reduced lhs - rhs is its
     residual, and the instances that hold have residual 0.  A row is keyed by
     (axiom, labels, basis, coordinate).  Sound only for laws with one
-    right-hand side, such as commutes."""
+    right-hand side, such as commutes; a tag with a law of several on doc's
+    roles (centroid on a product that is not alternating) is refused."""
+    if any(len(law.rhs) > 1 for role in _roles(tag, doc) for law in _map_laws(tag, role)):
+        raise ParamError(f"{tag} has a law with several right-hand sides on "
+                         f"{doc.kind}, so it is not one linear system")
     dim, red = doc.dim, doc.field.reduce
     frame = _frame(doc)
     unit, zero = frame["basis"], (0,) * dim

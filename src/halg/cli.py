@@ -31,7 +31,7 @@ from . import constructions
 from .axioms import check_side_conditions, check_structure
 from .constructions import verify_diagram
 from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
-from .linalg import LinearMap
+from .linalg import LinearMap, read_array
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, check_sample_size, fixture_names, sample_hits,
                      search_hits)
@@ -138,10 +138,8 @@ def _twist(required: bool):
     twist stands in for it."""
     def read(doc, params):
         if "twist" in params:
-            value = params.pop("twist")
-            if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-                raise ParamError("twist must be a JSON matrix (list of rows)")
-            rows = [[doc.field.parse_scalar(v, "twist") for v in row] for row in value]
+            rows = read_array(params.pop("twist"), 2, "twist",
+                              lambda v, _: doc.field.parse_scalar(v, "twist"))
             return LinearMap.from_rows(doc.field, rows, path="twist")
         if not required and doc.twist is not None:
             return doc.twist

@@ -133,6 +133,17 @@ class Field:
             return v.numerator * self.inv(v.denominator) % self.p
         return self.reduce(v)
 
+    def first_noncanonical(self, row):
+        """The index of the first entry of row that is not a canonical scalar
+        of this field, or None: over F_p an int in [0, p), over the
+        rationals an int or a Fraction whose denominator is not 1."""
+        p = self.p
+        for j, v in enumerate(row):
+            if not (type(v) is int and (p is None or 0 <= v < p)
+                    or p is None and type(v) is Fraction and v.denominator != 1):
+                return j
+        return None
+
     def format_scalar(self, v: Scalar):
         """JSON spelling of a canonical scalar: int, or "num/den" when needed."""
         if isinstance(v, Fraction):

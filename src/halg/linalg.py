@@ -34,9 +34,52 @@ from .errors import DimensionMismatch, FieldMismatch, ShapeError, SingularMapErr
 from .fields import Field
 
 Vector = tuple
+_ARRAY = (list, tuple)
 
-def _canon_vec(field: Field, raw: Sequence, path: str) -> Vector:
-    return tuple(field.canonical(v, f"{path}[{k}]") for k, v in enumerate(raw))
+
+def read_array(raw, depth: int, path: str, read) -> tuple:
+    """raw, non-empty arrays (lists or tuples) nested depth deep, as nested
+    tuples of read(leaf, its path); ShapeError at the path of anything
+    else.  Lengths are left to check_map."""
+    if not isinstance(raw, _ARRAY) or not raw:
+        raise ShapeError("expected a non-empty array", path)
+    if depth == 1:
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(raw))
+    return tuple(read_array(v, depth - 1, f"{path}[{i}]", read)
+                 for i, v in enumerate(raw))
+
+
+def check_map(m, cls, field: Field, dim: int, path: str) -> None:
+    """The one rule for every matrix and tensor halg reads: m is a cls
+    (LinearMap or BilinearMap) over field whose data is a dim x dim (x dim)
+    array of canonical scalars of field.  Raises ShapeError at the first
+    offending path otherwise."""
+    if not isinstance(m, cls):
+        raise ShapeError(f"expected a {cls.__name__}", path)
+    if m.field is not field and m.field != field:
+        raise ShapeError(f"{cls.__name__} over the wrong field", path)
+    if cls is LinearMap:
+        matrices = ((path, m.rows),)
+    else:
+        if not isinstance(m.c, _ARRAY) or len(m.c) != dim:
+            raise _size_error(m.c, dim, path)
+        matrices = [(f"{path}[{i}]", plane) for i, plane in enumerate(m.c)]
+    noncanonical = field.first_noncanonical
+    for at, rows in matrices:
+        if not isinstance(rows, _ARRAY) or len(rows) != dim:
+            raise _size_error(rows, dim, at)
+        for i, row in enumerate(rows):
+            if not isinstance(row, _ARRAY) or len(row) != dim:
+                raise _size_error(row, dim, f"{at}[{i}]")
+            j = noncanonical(row)
+            if j is not None:
+                raise ShapeError(f"entry {row[j]!r} is not a canonical scalar",
+                                 f"{at}[{i}][{j}]")
+
+
+def _size_error(a, dim: int, path: str) -> ShapeError:
+    got = len(a) if isinstance(a, _ARRAY) else type(a).__name__
+    return ShapeError(f"expected {dim} entries, got {got}", path)
 
 
 @dataclass(frozen=True)
@@ -50,15 +93,9 @@ class LinearMap:
     def from_rows(field: Field, rows, path: str = "map") -> "LinearMap":
         """The map with these rows, each entry made canonical by
         `Field.canonical` (errors name the entry's path)."""
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise ShapeError("matrix must be a non-empty array of rows", path)
-        dim = len(rows)
-        out = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, (list, tuple)) or len(row) != dim:
-                raise ShapeError(f"row {i} must have {dim} entries", path)
-            out.append(_canon_vec(field, row, f"{path}[{i}]"))
-        return LinearMap(field, tuple(out))
+        m = LinearMap(field, read_array(rows, 2, path, field.canonical))
+        check_map(m, LinearMap, field, m.dim, path)
+        return m
 
     @staticmethod
     def identity(field: Field, dim: int) -> "LinearMap":
@@ -208,20 +245,9 @@ class BilinearMap:
     def from_nested(field: Field, c, path: str = "tensor") -> "BilinearMap":
         """The tensor with these constants, each made canonical by
         `Field.canonical` (errors name the entry's path)."""
-        if not isinstance(c, (list, tuple)) or not c:
-            raise ShapeError("tensor must be a non-empty nested array", path)
-        dim = len(c)
-        planes = []
-        for i, plane in enumerate(c):
-            if not isinstance(plane, (list, tuple)) or len(plane) != dim:
-                raise ShapeError(f"c[{i}] must have {dim} rows", path)
-            rows = []
-            for j, row in enumerate(plane):
-                if not isinstance(row, (list, tuple)) or len(row) != dim:
-                    raise ShapeError(f"c[{i}][{j}] must have {dim} entries", path)
-                rows.append(_canon_vec(field, row, f"{path}[{i}][{j}]"))
-            planes.append(tuple(rows))
-        return BilinearMap(field, tuple(planes))
+        m = BilinearMap(field, read_array(c, 3, path, field.canonical))
+        check_map(m, BilinearMap, field, m.dim, path)
+        return m
 
     @staticmethod
     def zero(field: Field, dim: int) -> "BilinearMap":

@@ -5,9 +5,12 @@ an ordered label set Omega, one bilinear family per role the kind requires,
 an optional Omega-indexed operator family with weights, and an optional
 twist map.  Docs are immutable.  :func:`validate_doc` decides every shape rule,
 entries included, and every constructor path runs it: :func:`make_doc`
-directly, and :func:`parse_doc`, which only reads the JSON into scalars and
-leaves the shape to make_doc.  :func:`swap_part` checks the one part it
-replaces in a validated doc, so a doc in hand is always well-formed.
+directly, and :func:`parse_doc`, which only reads the JSON into scalars
+(`linalg.read_array`) and leaves the shape to make_doc.  :func:`swap_part`
+checks the one part it replaces in a validated doc, so a doc in hand is
+always well-formed.  Every family map, operator and twist is checked by the
+one map rule, `linalg.check_map`: the right type over the doc's field, dim
+entries at every level, each a canonical scalar.
 
 Representation notes, fixed here once for the whole package:
 
@@ -28,11 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DocSyntaxError, ParamError, ShapeError
 from .fields import Field, field_from_jsonable, field_to_jsonable
-from .linalg import BilinearMap, LinearMap
+from .linalg import BilinearMap, LinearMap, check_map, read_array
 
 MATCHING_HOM_ASSOC = "matching-hom-assoc"
 TOTALLY_COMPATIBLE_HOM_ASSOC = "totally-compatible-hom-assoc"
@@ -165,17 +167,14 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
              twist: LinearMap | None = None) -> AlgebraDoc:
     """Assemble and validate a doc.
 
-    `omega` may be an OmegaSet or a sequence of labels.  For rb kinds,
+    `omega` may be an OmegaSet or a list or tuple of labels.  For rb kinds,
     `families` may map the role to a single BilinearMap, which is expanded
     to every label.  An identity twist on a plain rb kind is dropped.
     """
     if not isinstance(omega, OmegaSet):
-        omega = OmegaSet(tuple(omega))
+        omega = OmegaSet(tuple(omega) if isinstance(omega, list) else omega)
     if not isinstance(families, dict):
         raise ShapeError("families must be a dict of roles", "families")
-    # _stored_twist reads the twist before validate_doc sees it
-    if twist is not None and not _is_map(twist, LinearMap):
-        raise ShapeError("twist must be a linear map", "twist")
     fams = {}
     for role, val in families.items():
         if isinstance(val, BilinearFamily):
@@ -187,26 +186,13 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
         else:
             raise ShapeError("a family is a bilinear map or a dict of label to one",
                              f"families.{role}")
+    # a plain kind's twist is optional, so it is swapped in last, where an
+    # identity is dropped
+    plain = kind in PLAIN_RB_KINDS
     doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
-                     _stored_twist(kind, dim, twist))
+                     None if plain else twist)
     validate_doc(doc)
-    return doc
-
-
-def _is_map(m, cls) -> bool:
-    """Whether m is a cls (LinearMap or BilinearMap) over an array, so that
-    its dim can be read."""
-    return isinstance(m, cls) and isinstance(m.rows if cls is LinearMap else m.c,
-                                             (tuple, list))
-
-
-def _stored_twist(kind: str, dim, twist):
-    """twist as a doc of kind stores it: None for a dim x dim identity on a
-    plain rb kind.  A twist of any other shape is left to validate_doc."""
-    if (kind in PLAIN_RB_KINDS and twist is not None and twist.is_identity()
-            and twist.dim == dim):
-        return None
-    return twist
+    return swap_part(doc, twist=twist) if plain and twist is not None else doc
 
 
 def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
@@ -214,9 +200,9 @@ def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
     """doc, already validated, with its twist or its operator family (give
     exactly one) replaced.
 
-    Only the new part is checked, after make_doc's dropping of an identity
-    twist on a plain rb kind, and the result shares doc's families; a
-    search emits its hits this way, each from one validated base.
+    Only the new part is checked, and an identity twist on a plain rb kind
+    is dropped; the result shares doc's families.  A search emits its hits
+    this way, each from one validated base.
     """
     if (twist is None) == (operators is None):
         raise ParamError("swap exactly one of twist and operators")
@@ -225,12 +211,11 @@ def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
                          operators, doc.twist)
         _check_operators(new)
         return new
-    twist = _stored_twist(doc.kind, doc.dim, twist)
-    new = AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
-                     doc.operators, twist)
-    if twist is not None:
-        _check_twist(new)
-    return new
+    check_map(twist, LinearMap, doc.field, doc.dim, "twist")
+    if doc.kind in PLAIN_RB_KINDS and twist.is_identity():
+        twist = None
+    return AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
+                      doc.operators, twist)
 
 
 def validate_doc(doc: AlgebraDoc) -> None:
@@ -259,25 +244,17 @@ def validate_doc(doc: AlgebraDoc) -> None:
         path = f"families.{role}"
         if not isinstance(fam, BilinearFamily) or fam.role != role:
             raise ShapeError("family role tag does not match its key", path)
-        if set(fam.maps) != set(labels):
+        if not isinstance(fam.maps, dict) or set(fam.maps) != set(labels):
             raise ShapeError("family must define exactly one map per label", path)
         checked = set()
         for lab in labels:
             m = fam.maps[lab]
-            if not _is_map(m, BilinearMap):
-                raise ShapeError("family entries must be bilinear maps", f"{path}.{lab}")
-            if m.field != doc.field:
-                raise ShapeError("family map over the wrong field", f"{path}.{lab}")
             # an rb kind's one product sits at the role's own path, as in its
             # JSON; a product shared by several labels is checked once
             at = path if doc.kind in RB_KINDS else f"{path}.{lab}"
-            if m.dim != doc.dim:
-                raise ShapeError(
-                    f"family map has dim {m.dim}, doc has dim {doc.dim}", at)
             if id(m) not in checked:
                 checked.add(id(m))
-                for i, plane in enumerate(m.c):
-                    _check_entries(doc, plane, f"{at}[{i}]")
+                check_map(m, BilinearMap, doc.field, doc.dim, at)
                 if role == BRACKET:
                     _check_alternating(doc, m, at)
 
@@ -295,55 +272,12 @@ def validate_doc(doc: AlgebraDoc) -> None:
     elif doc.operators is not None:
         raise ShapeError(f"{doc.kind} carries no operator family", "operators")
 
-    if doc.twist is not None and not _is_map(doc.twist, LinearMap):
-        raise ShapeError("twist must be a linear map", "twist")
-    if doc.kind in PLAIN_RB_KINDS:
-        if doc.twist is not None:
-            _check_twist(doc)
-            if doc.twist.is_identity():
-                raise ShapeError("identity twist on a plain kind must be omitted", "twist")
-    else:
-        if doc.twist is None:
-            raise ShapeError(f"{doc.kind} requires a twist map", "twist")
-        _check_twist(doc)
-
-
-def _check_twist(doc: AlgebraDoc):
-    t = doc.twist
-    if not isinstance(t, LinearMap):
-        raise ShapeError("twist must be a linear map", "twist")
-    if t.field != doc.field:
-        raise ShapeError("twist over the wrong field", "twist")
-    if t.dim != doc.dim:
-        raise ShapeError(f"twist has dim {t.dim}, doc has dim {doc.dim}", "twist")
-    _check_entries(doc, t.rows, "twist")
-
-
-def _noncanonical(values, p):
-    """The index of the first of values that is not a canonical scalar of
-    the field of characteristic p (None for Q), or None.  Over F_p an int in
-    [0, p) is canonical, over Q an int or a Fraction whose denominator is
-    not 1."""
-    for j, v in enumerate(values):
-        if not (type(v) is int and (p is None or 0 <= v < p)
-                or p is None and type(v) is Fraction and v.denominator != 1):
-            return j
-    return None
-
-
-def _check_entries(doc: AlgebraDoc, rows, path: str):
-    """ShapeError at the first entry of the dim x dim matrix rows that is not
-    a canonical scalar of doc's field."""
-    n, p = doc.dim, doc.field.p
-    if len(rows) != n:
-        raise ShapeError(f"expected {n} rows, got {len(rows)}", path)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ShapeError(f"expected {n} entries, got {len(row)}", f"{path}[{i}]")
-        j = _noncanonical(row, p)
-        if j is not None:
-            raise ShapeError(f"entry {row[j]!r} is not a canonical scalar",
-                             f"{path}[{i}][{j}]")
+    if doc.twist is not None:
+        check_map(doc.twist, LinearMap, doc.field, doc.dim, "twist")
+        if doc.kind in PLAIN_RB_KINDS and doc.twist.is_identity():
+            raise ShapeError("identity twist on a plain kind must be omitted", "twist")
+    elif doc.kind not in PLAIN_RB_KINDS:
+        raise ShapeError(f"{doc.kind} requires a twist map", "twist")
 
 
 def _check_operators(doc: AlgebraDoc):
@@ -351,20 +285,14 @@ def _check_operators(doc: AlgebraDoc):
     if not isinstance(ops, OperatorFamily):
         raise ShapeError("operators must be an operator family", "operators")
     labels = doc.omega.labels
-    if set(ops.ops) != set(labels):
+    if not isinstance(ops.ops, dict) or set(ops.ops) != set(labels):
         raise ShapeError("exactly one operator per label required", "operators.ops")
-    if set(ops.weights) != set(labels):
+    if not isinstance(ops.weights, dict) or set(ops.weights) != set(labels):
         raise ShapeError("exactly one weight per label required", "operators.weights")
     for lab in labels:
-        m = ops.ops[lab]
-        if not isinstance(m, LinearMap):
-            raise ShapeError("operator entries must be linear maps", f"operators.ops.{lab}")
-        if m.field != doc.field or m.dim != doc.dim:
-            raise ShapeError("operator of the wrong field or dimension",
-                             f"operators.ops.{lab}")
-        _check_entries(doc, m.rows, f"operators.ops.{lab}")
+        check_map(ops.ops[lab], LinearMap, doc.field, doc.dim, f"operators.ops.{lab}")
         w = ops.weights[lab]
-        if _noncanonical((w,), doc.field.p) is not None:
+        if doc.field.first_noncanonical((w,)) is not None:
             raise ShapeError(f"weight {w!r} is not a canonical scalar",
                              f"operators.weights.{lab}")
 
@@ -432,17 +360,6 @@ def serialize_doc(doc: AlgebraDoc) -> bytes:
                       ensure_ascii=False).encode("utf-8")
 
 
-def _walk_scalars(field: Field, raw, depth: int, path: str):
-    """raw read as arrays nested depth deep, as tuples of parsed scalars;
-    their lengths are left to validate_doc."""
-    if depth == 0:
-        return field.parse_scalar(raw, path)
-    if not isinstance(raw, list):
-        raise ShapeError("expected a JSON array", path)
-    return tuple(_walk_scalars(field, v, depth - 1, f"{path}[{i}]")
-                 for i, v in enumerate(raw))
-
-
 def _object(raw, message: str, path: str) -> dict:
     if not isinstance(raw, dict):
         raise ShapeError(message, path)
@@ -486,6 +403,7 @@ def parse_doc(data) -> AlgebraDoc:
     if not isinstance(kind, str) or kind not in KIND_ROLES:
         raise ShapeError(f"unknown kind {kind!r}", "kind")
     field = field_from_jsonable(obj.get("field"))
+    read = field.parse_scalar
     omega = obj.get("omega")
     if not isinstance(omega, list):
         raise ShapeError("omega must be an array of labels", "omega")
@@ -495,10 +413,10 @@ def parse_doc(data) -> AlgebraDoc:
                              "families").items():
         path = f"families.{role}"
         if kind in RB_KINDS:
-            families[role] = BilinearMap(field, _walk_scalars(field, raw, 3, path))
+            families[role] = BilinearMap(field, read_array(raw, 3, path, read))
         else:
             families[role] = {
-                lab: BilinearMap(field, _walk_scalars(field, t, 3, f"{path}.{lab}"))
+                lab: BilinearMap(field, read_array(t, 3, f"{path}.{lab}", read))
                 for lab, t in _object(raw, "family must map labels to tensors",
                                       path).items()}
 
@@ -512,14 +430,14 @@ def parse_doc(data) -> AlgebraDoc:
         weights = _object(raw["weights"], "weights must map labels to scalars",
                           "operators.weights")
         operators = OperatorFamily(
-            ops={lab: LinearMap(field, _walk_scalars(field, m, 2, f"operators.ops.{lab}"))
+            ops={lab: LinearMap(field, read_array(m, 2, f"operators.ops.{lab}", read))
                  for lab, m in ops.items()},
-            weights={lab: field.parse_scalar(w, f"operators.weights.{lab}")
+            weights={lab: read(w, f"operators.weights.{lab}")
                      for lab, w in weights.items()})
 
     twist = None
     if "twist" in obj:
-        twist = LinearMap(field, _walk_scalars(field, obj["twist"], 2, "twist"))
+        twist = LinearMap(field, read_array(obj["twist"], 2, "twist", read))
     return make_doc(field, obj.get("dim"), omega, kind, families, operators, twist)
 
 

@@ -724,3 +724,16 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
                 assert all(not any(side) for side in sides), (doc, law.axiom, sides)
     assert seen == held_by, [law.axiom for law in seen - held_by]
     assert 0 < skipped < tried, (skipped, tried)
+
+
+def test_linear_system_refuses_a_law_with_several_right_hand_sides():
+    # centroid reads f(xy) = f(x)y = xf(y) on a product that is not
+    # alternating: two right-hand sides would share one row key
+    from halg import commutator
+    from halg.axioms import linear_system
+    rb = catalog("N2-Pnil-w0-F3")
+    with pytest.raises(ParamError, match="several right-hand sides"):
+        linear_system(rb, "centroid")
+    assert linear_system(rb, "commutes")
+    # on a bracket, centroid has one right-hand side and is one system
+    assert linear_system(commutator(rb), "centroid") is not None

@@ -1,16 +1,23 @@
 """Every library entry point refuses an argument of the wrong type with a
 HalgError: a ParamError, or a ShapeError naming the path of a doc part.
-None of these calls may end in a raw AttributeError or TypeError."""
+A matrix or tensor is refused at the path of its first bad level or entry.
+None of these calls may end in a raw AttributeError, IndexError or
+TypeError."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halg import (QQ, BilinearMap, HalgError, LinearMap, ParamError,
-                  SearchSpec, ShapeError, catalog, centroid_twist,
+from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, BilinearFamily,
+                  BilinearMap, HalgError, LinearMap, OperatorFamily,
+                  ParamError, SearchSpec, ShapeError, catalog, centroid_twist,
                   check_morphism, check_side_conditions, collapse_family,
                   dendriform_twist, enumerate_docs, make_doc, parse_doc,
-                  rb_to_dendriform, replay_violation, validate_doc, yau_twist)
+                  rb_to_dendriform, replay_violation, serialize_doc,
+                  validate_doc, yau_twist)
 from halg.structures import MATCHING_HOM_ASSOC
 
 ID2 = [[1, 0], [0, 1]]
@@ -18,6 +25,11 @@ ID2 = [[1, 0], [0, 1]]
 
 def _hom_assoc(families, twist=LinearMap.identity(QQ, 2)):
     return make_doc(QQ, 2, ("a",), MATCHING_HOM_ASSOC, families, twist=twist)
+
+
+def _plain(field, product, op, twist=None, omega=("a",)):
+    return make_doc(field, 2, omega, PLAIN_ASSOC_MATCHING_RB, {"dot": product},
+                    operators=OperatorFamily({"a": op}, {"a": 0}), twist=twist)
 
 
 def _cases():
@@ -59,6 +71,49 @@ def _cases():
         lambda: enumerate_docs(SearchSpec(catalog("Z2-F2"), "rb-family",
                                           omega_size=1, weights=None))
     yield "replay witness", ParamError, None, lambda: replay_violation(rb, "x")
+    # a matrix or tensor of the wrong shape or with an entry that is not
+    # canonical, and a container that is not a dict, wherever one is read
+    two_by_three = LinearMap(QQ, ((1, 0, 0), (0, 1, 0)))
+    ragged = LinearMap(QQ, ((1, 0), (0,)))
+    floats = LinearMap(QQ, ((1.0, 0), (0, 1.0)))
+    zero2, id2 = BilinearMap.zero(QQ, 2), LinearMap.identity(QQ, 2)
+    yield "invertible 2x3 candidate", ShapeError, "candidate[0]", \
+        lambda: check_side_conditions(rb, ["invertible"], candidate=two_by_three)
+    yield "float candidate", ShapeError, "candidate[0][0]", \
+        lambda: check_side_conditions(rb, ["endomorphism"], candidate=floats)
+    f2 = GF(2)
+    yield "1/2 candidate over F_2", ShapeError, "candidate[0][0]", \
+        lambda: check_side_conditions(catalog("N2-Pnil-w0-F2"), ["endomorphism"],
+                                      candidate=LinearMap(f2, ((Fraction(1, 2), 0),
+                                                               (0, 1))))
+    yield "ragged candidate", ShapeError, "candidate[1]", \
+        lambda: check_side_conditions(rb, ["endomorphism"], candidate=ragged)
+    yield "ragged morphism", ShapeError, "morphism[1]", \
+        lambda: check_morphism(ragged, rb, rb)
+    yield "ragged dendriform_twist", ShapeError, "morphism[1]", \
+        lambda: dendriform_twist(dend, ragged)
+    yield "centroid_twist 2x3", ShapeError, "candidate[0]", \
+        lambda: centroid_twist(rb, two_by_three)
+    yield "yau_twist float", ShapeError, "candidate[0][0]", \
+        lambda: yau_twist(rb, floats)
+    yield "make_doc twist (5, 6)", ShapeError, "twist[0]", \
+        lambda: _hom_assoc(zero, twist=LinearMap(QQ, (5, 6)))
+    yield "make_doc operator (5, 6)", ShapeError, "operators.ops.a[0]", \
+        lambda: _plain(QQ, zero2, LinearMap(QQ, (5, 6)))
+    yield "make_doc operator 5", ShapeError, "operators.ops.a", \
+        lambda: _plain(QQ, zero2, LinearMap(QQ, 5))
+    yield "make_doc product (5, 6)", ShapeError, "families.dot.a[0]", \
+        lambda: _hom_assoc({"dot": {"a": BilinearMap(QQ, (5, 6))}})
+    yield "OperatorFamily ops 5", ShapeError, "operators.ops", \
+        lambda: make_doc(QQ, 2, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": zero2},
+                         operators=OperatorFamily(5, 6))
+    yield "OperatorFamily weights 6", ShapeError, "operators.weights", \
+        lambda: make_doc(QQ, 2, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": zero2},
+                         operators=OperatorFamily({"a": id2}, 6))
+    yield "BilinearFamily maps 5", ShapeError, "families.dot", \
+        lambda: _hom_assoc({"dot": BilinearFamily("dot", 5)})
+    yield "make_doc omega 5", ShapeError, "omega", \
+        lambda: _plain(QQ, zero2, id2, omega=5)
 
 
 _CASES = list(_cases())
@@ -72,3 +127,72 @@ def test_a_wrong_typed_argument_raises_a_halg_error(name, error, path, call):
     assert isinstance(exc.value, error)
     if path is not None:
         assert exc.value.path == path
+
+
+def test_a_plain_kind_drops_an_identity_twist_with_list_rows():
+    zero = BilinearMap.zero(QQ, 2)
+    doc = _plain(QQ, zero, LinearMap.identity(QQ, 2),
+                 twist=LinearMap(QQ, [[1, 0], [0, 1]]))
+    assert doc.twist is None
+
+
+_LEAF = st.one_of(st.integers(-2, 4), st.floats(allow_nan=False), st.booleans(),
+                  st.fractions(max_denominator=4), st.text(max_size=2), st.none())
+
+
+def _arrays(leaf):
+    return st.one_of(st.lists(leaf, max_size=3), st.lists(leaf, max_size=3).map(tuple))
+
+
+def _pairs(item):
+    return st.one_of(st.lists(item, min_size=2, max_size=2), st.tuples(item, item))
+
+
+# mostly a 0 or a 1, canonical in every field
+_ENTRY = st.one_of(*[st.integers(0, 1)] * 4, _LEAF)
+
+# junk nested at any depth, short arrays of junk, and 2 x 2 (x 2) arrays of
+# mostly canonical entries, so that maps are accepted as well as refused
+_JUNK = st.one_of(st.recursive(_LEAF, _arrays, max_leaves=20),
+                  _arrays(_arrays(_LEAF)), _pairs(_pairs(_ENTRY)),
+                  _pairs(_pairs(_pairs(_ENTRY))))
+
+
+def _exact(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def _accepted_or_halg_error(call):
+    try:
+        return call()
+    except HalgError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixture=st.sampled_from(["N2-Pnil-w0", "N2-Pnil-w0-F2", "N2-Pnil-w0-F3"]),
+       junk=_JUNK)
+def test_junk_maps_are_accepted_canonical_or_refused(fixture, junk):
+    """Junk as a map's data is accepted or refused with a HalgError at every
+    entry point; an accepted doc serializes to bytes that parse again, and
+    an accepted candidate holds exactly the canonical scalars of its rows."""
+    rb = catalog(fixture)
+    field = rb.field
+    linear, bilinear = LinearMap(field, junk), BilinearMap(field, junk)
+    ops = rb.operators.ops["a"]
+    for call in (lambda: _plain(field, rb.product(), linear),
+                 lambda: _plain(field, rb.product(), ops, twist=linear),
+                 lambda: _plain(field, bilinear, ops)):
+        doc = _accepted_or_halg_error(call)
+        if doc is not None:
+            line = serialize_doc(doc)
+            assert serialize_doc(parse_doc(line)) == line
+    report = _accepted_or_halg_error(
+        lambda: check_side_conditions(rb, ["endomorphism", "invertible"],
+                                      candidate=linear))
+    if report is not None:
+        assert _exact(LinearMap.from_rows(field, linear.rows).rows) == \
+            _exact(linear.rows)
+    _accepted_or_halg_error(lambda: check_morphism(linear, rb, rb))
+    _accepted_or_halg_error(lambda: LinearMap.from_rows(field, junk))
+    _accepted_or_halg_error(lambda: BilinearMap.from_nested(field, junk))
