@@ -11,10 +11,11 @@ from .axioms import (DENDRIFORM_AXIOM3_TWIST, SIDE_CONDITIONS, check_morphism,
 from .constructions import (MAX_DERIVED_LEVEL, CoefficientFamily,
                             centroid_twist, collapse_family, commutator,
                             dendriform_sum, dendriform_to_prelie,
-                            dendriform_twist, derived_algebra,
+                            dendriform_twist, derived_algebra, postcompose,
+                            precompose_left, precompose_right,
                             prelie_commutator, rb_to_dendriform, rb_to_prelie,
-                            rb_to_tridendriform, untwist, verify_diagram,
-                            yau_twist)
+                            rb_to_tridendriform, tensor_transpose, untwist,
+                            verify_diagram, yau_twist)
 from .errors import (BudgetExceededError, DimensionMismatch, DocSyntaxError,
                      FieldMismatch, HalgError, KindMismatch,
                      MissingCoefficientError, NonFiniteFieldError,
@@ -25,8 +26,7 @@ from .errors import (BudgetExceededError, DimensionMismatch, DocSyntaxError,
 from .fields import GF, PRIME_FIELD, QQ, RATIONALS, Field, Scalar
 from .linalg import (BilinearMap, LinearMap, apply_map, bilinear_apply,
                      kernel_vector, map_compose, map_invert, map_power,
-                     postcompose, precompose_left, precompose_right,
-                     tensor_combine, tensor_transpose)
+                     tensor_combine)
 from .search import (DEFAULT_BUDGET, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                      TARGET_RB_FAMILY, TARGETS, SearchResult, SearchSpec,
                      catalog, enumerate_docs, fixture_names, seeded_sample)

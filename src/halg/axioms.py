@@ -44,6 +44,11 @@ with p = id, so a stored candidate twist takes no part in their structure
 check; side conditions are what test that slot.  The one check outside the
 table is the invertible tag, whose witness is a kernel vector.
 
+Every tensor the constructions derive is one side in the same language,
+written as Python source, such as ``"m(X, P.a(Y)) + w.a(m(X, Y))"`` (X, Y,
+Z the slots, a call applying a map, a term after ``-`` negated).  `fill`
+compiles it once per process and fills c'[i][j] with it, reduced, at (i, j).
+
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
 
@@ -65,15 +70,16 @@ a = b, with p the twist):
 
 from __future__ import annotations
 
+import ast
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
-                     ShapeError, UnknownConditionError)
-from .linalg import (LinearMap, _basis, apply_map, apply_raw, bilinear_raw,
-                     check_map, kernel_vector, sparse_tensor)
+                     ShapeError, UnknownConditionError, require)
+from .linalg import (BilinearMap, LinearMap, _basis, apply_map, apply_raw,
+                     bilinear_raw, check_map, kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
                          MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -377,11 +383,13 @@ class _Frame(dict):
         return sparse
 
 
-def _frame(doc: AlgebraDoc) -> _Frame:
+def _frame(doc: AlgebraDoc, name: str = "doc") -> _Frame:
     """Every name a structure law may use, bound to doc's tensors and maps:
     linear maps as their column tuples (the identity twist as the basis),
     and m to the first role's map at the first label, which is the single
-    product of an rb kind."""
+    product of an rb kind.  A doc that is not an AlgebraDoc is a ParamError
+    naming the argument name."""
+    require(doc, AlgebraDoc, name)
     basis = _basis(doc.dim)
     roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
              for role, fam in doc.families.items()}
@@ -426,7 +434,9 @@ def _violations(laws, frame, labels, field, points=None, mixed=False):
 
 
 def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
-    if toggles:
+    require(doc, AlgebraDoc, "doc")
+    if toggles is not None:
+        require(toggles, dict, "axiom_toggles")
         unknown = set(toggles) - _KNOWN_TOGGLES
         if unknown:
             raise ParamError(f"unknown axiom toggles {sorted(unknown)}")
@@ -454,8 +464,7 @@ def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
-    if not isinstance(violation, Violation):
-        raise ParamError(f"a witness is a Violation, not a {type(violation).__name__}")
+    require(violation, Violation, "violation")
     laws = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
     red = doc.field.reduce
     for law in laws:
@@ -507,8 +516,9 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     if not isinstance(conditions, (list, tuple)):
         raise ParamError("side conditions must be a sequence of tags, not a "
                          + type(conditions).__name__)
-    if candidate is not None and not isinstance(candidate, LinearMap):
-        raise ParamError(f"candidate must be a LinearMap, not a {type(candidate).__name__}")
+    if candidate is not None:
+        require(candidate, LinearMap, "candidate")
+    frame = _frame(doc)
     p = candidate if candidate is not None else doc.twist_map()
     if p.field != doc.field:
         raise FieldMismatch("candidate map over the wrong field")
@@ -516,7 +526,6 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
         raise DimensionMismatch("candidate map of the wrong dimension")
     if candidate is not None:
         check_map(candidate, LinearMap, doc.field, doc.dim, "candidate")
-    frame = _frame(doc)
     frame["f"] = p.columns()
 
     def violations():
@@ -537,8 +546,8 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
 def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckReport:
     """Check that f carries src's structure to dst's: f(x * y) = f(x) *' f(y)
     per role and label, and the twists intertwine (p' o f = f o p)."""
-    if not isinstance(f, LinearMap):
-        raise ParamError(f"a morphism is a LinearMap, not a {type(f).__name__}")
+    require(f, LinearMap, "f")
+    frame, target = _frame(src, "src"), _frame(dst, "dst")
     if src.field != dst.field or f.field != src.field:
         raise FieldMismatch("morphism requires one common field")
     if src.kind != dst.kind:
@@ -548,15 +557,40 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     if src.dim != dst.dim or isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
     check_map(f, LinearMap, src.field, src.dim, "morphism")
-
-    frame = _frame(src)
-    target = _frame(dst)
     frame.update({"f": f.columns(), "p'": target["p"]})
 
     def violations():
         yield from _map_violations("morphism", frame, src, target)
         yield from _map_violations("twist-intertwine", frame, src)
     return make_report(violations())
+
+
+# --- tensors filled from a side ------------------------------------------------
+
+def _terms(node):
+    if isinstance(node, ast.BinOp):
+        right = _terms(node.right)
+        if isinstance(node.op, ast.Sub):
+            right = [("-", t) for t in right]
+        return _terms(node.left) + right
+    if isinstance(node, ast.Call):
+        return [(ast.unparse(node.func), *(t for t, in map(_terms, node.args)))]
+    return ["XYZ".index(node.id)]
+
+
+@lru_cache(maxsize=None)
+def _filler(side):
+    return _compile(_law("fill", ("a",), _terms(ast.parse(side, mode="eval").body)))
+
+
+def fill(side, field, dim, frame, lab=None) -> BilinearMap:
+    """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced;
+    side reads its names from frame (a dict, as _frame binds them), with the
+    label variable a bound to lab."""
+    law, basis, red, n = _filler(side), _basis(dim), field.reduce, range(dim)
+    maps = law.bind(frame if isinstance(frame, _Frame) else _Frame(frame), (lab,))
+    return BilinearMap(field, tuple(tuple(tuple(map(red, law.lhs(maps, basis, (i, j))))
+                                          for j in n) for i in n))
 
 
 # --- searches ----------------------------------------------------------------

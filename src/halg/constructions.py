@@ -6,18 +6,25 @@ constants, then run the full check on the output and raise TheoremCheckError
 if it fails.  Output checks are never skipped; a red output check means the
 input slipped past a hypothesis or the transform is wrong, and both must be
 loud.
+
+Every derived tensor is one row, a side in the law table's terms that
+axioms.fill evaluates at each basis pair: x <_a y is m(X, P.a(Y)) +
+w.a(m(X, Y)), and postcompose, the precompositions and tensor_transpose are
+a row each.  Preconditions and the twist rules (powers, inverse) stay code,
+and collapse_family's sum over labels is linalg.tensor_combine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import check_morphism, check_side_conditions, check_structure
-from .errors import (MissingCoefficientError, NonzeroWeightError, ParamError,
-                     PowerBoundError, PreconditionFailed, TheoremCheckError)
-from .linalg import (LinearMap, map_invert, map_power, postcompose,
-                     precompose_left, precompose_right, tensor_combine,
-                     tensor_transpose)
+from .axioms import (_frame, check_morphism, check_side_conditions,
+                     check_structure, fill)
+from .errors import (DimensionMismatch, FieldMismatch, MissingCoefficientError,
+                     NonzeroWeightError, ParamError, PowerBoundError,
+                     PreconditionFailed, TheoremCheckError, require)
+from .linalg import (BilinearMap, LinearMap, map_invert, map_power,
+                     tensor_combine)
 from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_LIE, HOM_ASSOC_MATCHING_RB,
                          KIND_ROLES, LIE_RB_KINDS, MATCHING_HOM_ASSOC,
@@ -31,6 +38,42 @@ from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
 MAX_DERIVED_LEVEL = 16
 
 
+def _filled(doc: AlgebraDoc, **sides) -> dict:
+    """{role: {label: sides[role] at that label}} on doc's maps."""
+    frame = _frame(doc)
+    return {role: {lab: fill(side, doc.field, doc.dim, frame, lab) for lab in doc.labels}
+            for role, side in sides.items()}
+
+
+def _surgery(side: str, m: BilinearMap, f: LinearMap) -> BilinearMap:
+    """side on the tensor m and the map f."""
+    if m.field != f.field:
+        raise FieldMismatch("tensor and map over different fields")
+    if m.dim != f.dim:
+        raise DimensionMismatch(f"tensor dim {m.dim} with map dim {f.dim}")
+    return fill(side, m.field, m.dim, {"m": m.c, "f": f.columns()})
+
+
+def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
+    """(x, y) -> f(m(x, y))."""
+    return _surgery("f(m(X, Y))", m, f)
+
+
+def precompose_left(m: BilinearMap, f: LinearMap) -> BilinearMap:
+    """(x, y) -> m(f(x), y)."""
+    return _surgery("m(f(X), Y)", m, f)
+
+
+def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
+    """(x, y) -> m(x, f(y))."""
+    return _surgery("m(X, f(Y))", m, f)
+
+
+def tensor_transpose(m: BilinearMap) -> BilinearMap:
+    """(x, y) -> m(y, x)."""
+    return fill("m(Y, X)", m.field, m.dim, {"m": m.c})
+
+
 @dataclass(frozen=True)
 class CoefficientFamily:
     """One scalar per Omega label, for collapsing a family to one operation."""
@@ -39,6 +82,7 @@ class CoefficientFamily:
 
 
 def _checked_input(doc: AlgebraDoc, allowed, what: str) -> None:
+    require(doc, AlgebraDoc, "doc")
     if doc.kind not in allowed:
         raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
     report = check_structure(doc)
@@ -89,12 +133,6 @@ def _commuting_twist(doc: AlgebraDoc, what: str) -> LinearMap:
 
 def _weights_zero(doc: AlgebraDoc) -> bool:
     return all(w == 0 for w in doc.operators.weights.values())
-
-
-def _antisymmetrized(m):
-    """(x, y) -> m(x, y) - m(y, x)."""
-    field = m.field
-    return tensor_combine(field, [(field.one, m), (-field.one, tensor_transpose(m))])
 
 
 def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
@@ -190,19 +228,18 @@ def commutator(doc: AlgebraDoc) -> AlgebraDoc:
         raise PreconditionFailed(
             "commutator on a matching RB doc requires weight 0 or one label")
     out_kind = _COMMUTATOR_KIND[doc.kind]
+    brackets = _filled(doc, bracket="dot.a(X, Y) - dot.a(Y, X)")
     if doc.kind in RB_KINDS:
         return _rb_output(doc, "commutator", out_kind,
-                          _antisymmetrized(doc.product()), _structure_twist(doc))
-    brackets = {lab: _antisymmetrized(m) for lab, m in doc.families["dot"].maps.items()}
-    return _output(doc, "commutator", out_kind, {"bracket": brackets}, doc.twist)
+                          brackets["bracket"][doc.labels[0]], _structure_twist(doc))
+    return _output(doc, "commutator", out_kind, brackets, doc.twist)
 
 
 def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:
     """Antisymmetrize a matching Hom-pre-Lie family into compatible Hom-Lie."""
     _checked_input(doc, (MATCHING_HOM_PRELIE,), "prelie_commutator")
-    brackets = {lab: _antisymmetrized(m) for lab, m in doc.families["star"].maps.items()}
-    return _output(doc, "prelie_commutator", COMPATIBLE_HOM_LIE, {"bracket": brackets},
-                   doc.twist)
+    return _output(doc, "prelie_commutator", COMPATIBLE_HOM_LIE,
+                   _filled(doc, bracket="star.a(X, Y) - star.a(Y, X)"), doc.twist)
 
 
 def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
@@ -215,6 +252,7 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     characteristic 2, where the diagonal halving argument is unavailable;
     that failure is raised, not masked.
     """
+    require(doc, AlgebraDoc, "doc")
     if doc.kind in RB_KINDS:
         raise PreconditionFailed("collapse_family needs an Omega-indexed family")
     _checked_input(doc, KIND_ROLES, "collapse_family")
@@ -259,23 +297,16 @@ def dendriform_sum(doc: AlgebraDoc) -> AlgebraDoc:
     """Sum the splitting roles into one compatible Hom-associative family."""
     _checked_input(doc, (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM),
                    "dendriform_sum")
-    field = doc.field
-    dots = {lab: tensor_combine(field, [(field.one, fam.maps[lab])
-                                        for fam in doc.families.values()])
-            for lab in doc.labels}
-    return _output(doc, "dendriform_sum", COMPATIBLE_HOM_ASSOC, {"dot": dots}, doc.twist)
+    dot = " + ".join(f"{role}.a(X, Y)" for role in KIND_ROLES[doc.kind])
+    return _output(doc, "dendriform_sum", COMPATIBLE_HOM_ASSOC, _filled(doc, dot=dot),
+                   doc.twist)
 
 
 def dendriform_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     """x * y = x > y - y < x, label by label, giving matching Hom-pre-Lie."""
     _checked_input(doc, (MATCHING_HOM_DENDRIFORM,), "dendriform_to_prelie")
-    field = doc.field
-    left, right = doc.families["left"].maps, doc.families["right"].maps
-    stars = {lab: tensor_combine(field, [(field.one, right[lab]),
-                                         (-field.one, tensor_transpose(left[lab]))])
-             for lab in doc.labels}
-    return _output(doc, "dendriform_to_prelie", MATCHING_HOM_PRELIE, {"star": stars},
-                   doc.twist)
+    return _output(doc, "dendriform_to_prelie", MATCHING_HOM_PRELIE,
+                   _filled(doc, star="right.a(X, Y) - left.a(Y, X)"), doc.twist)
 
 
 def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -286,17 +317,9 @@ def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
     """
     _checked_input(doc, ASSOC_RB_KINDS, "rb_to_dendriform")
     p = _commuting_twist(doc, "rb_to_dendriform")
-    field = doc.field
-    prod = doc.product()
-    left, right = {}, {}
-    for lab in doc.labels:
-        op = doc.operators.ops[lab]
-        w = doc.operators.weights[lab]
-        left[lab] = tensor_combine(field, [(field.one, precompose_right(prod, op)),
-                                           (w, prod)])
-        right[lab] = precompose_left(prod, op)
     return _output(doc, "rb_to_dendriform", MATCHING_HOM_DENDRIFORM,
-                   {"left": left, "right": right}, p)
+                   _filled(doc, left="m(X, P.a(Y)) + w.a(m(X, Y))",
+                           right="m(P.a(X), Y)"), p)
 
 
 def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -306,17 +329,9 @@ def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
     """
     _checked_input(doc, ASSOC_RB_KINDS, "rb_to_tridendriform")
     p = _commuting_twist(doc, "rb_to_tridendriform")
-    field = doc.field
-    prod = doc.product()
-    left, middle, right = {}, {}, {}
-    for lab in doc.labels:
-        op = doc.operators.ops[lab]
-        w = doc.operators.weights[lab]
-        left[lab] = precompose_right(prod, op)
-        right[lab] = precompose_left(prod, op)
-        middle[lab] = tensor_combine(field, [(w, prod)])
     return _output(doc, "rb_to_tridendriform", MATCHING_HOM_TRIDENDRIFORM,
-                   {"left": left, "middle": middle, "right": right}, p)
+                   _filled(doc, left="m(X, P.a(Y))", middle="w.a(m(X, Y))",
+                           right="m(P.a(X), Y)"), p)
 
 
 def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
@@ -331,19 +346,8 @@ def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     if not assoc and not _weights_zero(doc):
         raise NonzeroWeightError("the Lie route to pre-Lie requires weight 0")
     p = _commuting_twist(doc, "rb_to_prelie")
-    field = doc.field
-    prod = doc.product()
-    stars = {}
-    for lab in doc.labels:
-        op = doc.operators.ops[lab]
-        stars[lab] = precompose_left(prod, op)
-        if assoc:
-            stars[lab] = tensor_combine(field, [
-                (field.one, stars[lab]),
-                (-field.one, tensor_transpose(precompose_right(prod, op))),
-                (field.reduce(-doc.operators.weights[lab]), tensor_transpose(prod)),
-            ])
-    return _output(doc, "rb_to_prelie", MATCHING_HOM_PRELIE, {"star": stars}, p)
+    star = "m(P.a(X), Y)" + (" - m(Y, P.a(X)) - w.a(m(Y, X))" if assoc else "")
+    return _output(doc, "rb_to_prelie", MATCHING_HOM_PRELIE, _filled(doc, star=star), p)
 
 
 def verify_diagram(doc: AlgebraDoc):

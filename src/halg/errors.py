@@ -56,6 +56,12 @@ class ParamError(HalgError):
     """A construction or CLI parameter is missing or malformed."""
 
 
+def require(value, cls, name: str) -> None:
+    """Raise ParamError, naming the argument, unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ParamError(f"{name}: expected {cls.__name__}, got {type(value).__name__}")
+
+
 class PreconditionFailed(HalgError):
     """A construction's input fails its declared precondition.
 

@@ -11,9 +11,9 @@ The bilinear kernel, `bilinear_raw`, reads a tensor in its sparse form
 its nonzero (k, c[i][j][k]) entries.  Most structure constants in use are
 mostly zero, so the kernel walks only the entries that can contribute; a
 caller that multiplies through one tensor many times makes the form once.
-The linear kernel, `apply_raw`, likewise skips zero coefficients.  Composing
-maps and the tensor surgery of the constructions are built on these two
-kernels: each output column or row c'[i][j] is one kernel call.
+The linear kernel, `apply_raw`, likewise skips zero coefficients.  Maps
+compose through it; every derived tensor is a row that axioms.fill compiles
+onto these kernels, and `tensor_combine` is the one pointwise sum.
 
 >>> from .fields import QQ
 >>> f = LinearMap.from_rows(QQ, [[1, 1], [0, 1]])
@@ -30,7 +30,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, ShapeError, SingularMapError
+from .errors import (DimensionMismatch, FieldMismatch, ShapeError, SingularMapError,
+                     require)
 from .fields import Field
 
 Vector = tuple
@@ -93,6 +94,7 @@ class LinearMap:
     def from_rows(field: Field, rows, path: str = "map") -> "LinearMap":
         """The map with these rows, each entry made canonical by
         `Field.canonical` (errors name the entry's path)."""
+        require(field, Field, "field")
         m = LinearMap(field, read_array(rows, 2, path, field.canonical))
         check_map(m, LinearMap, field, m.dim, path)
         return m
@@ -245,6 +247,7 @@ class BilinearMap:
     def from_nested(field: Field, c, path: str = "tensor") -> "BilinearMap":
         """The tensor with these constants, each made canonical by
         `Field.canonical` (errors name the entry's path)."""
+        require(field, Field, "field")
         m = BilinearMap(field, read_array(c, 3, path, field.canonical))
         check_map(m, BilinearMap, field, m.dim, path)
         return m
@@ -309,37 +312,6 @@ def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
     return tuple(map(m.field.reduce, bilinear_raw(sparse_tensor(m.c), x, y)))
 
 
-# Tensor surgery used by the constructions: post/pre-composition with a
-# linear map, pointwise combinations, and the transpose of the two inputs.
-
-def _tensor(field: Field, dim: int, row) -> BilinearMap:
-    """The tensor whose row c[i][j] is row(i, j), reduced."""
-    red = field.reduce
-    return BilinearMap(field, tuple(tuple(tuple(map(red, row(i, j))) for j in range(dim))
-                                    for i in range(dim)))
-
-
-def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
-    """(x, y) -> f(m(x, y))."""
-    _check_pair(m, f)
-    cols, c = f.columns(), m.c
-    return _tensor(m.field, m.dim, lambda i, j: apply_raw(cols, c[i][j]))
-
-
-def precompose_left(m: BilinearMap, f: LinearMap) -> BilinearMap:
-    """(x, y) -> m(f(x), y)."""
-    _check_pair(m, f)
-    s, cols, e = sparse_tensor(m.c), f.columns(), _basis(m.dim)
-    return _tensor(m.field, m.dim, lambda i, j: bilinear_raw(s, cols[i], e[j]))
-
-
-def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
-    """(x, y) -> m(x, f(y))."""
-    _check_pair(m, f)
-    s, cols, e = sparse_tensor(m.c), f.columns(), _basis(m.dim)
-    return _tensor(m.field, m.dim, lambda i, j: bilinear_raw(s, e[i], cols[j]))
-
-
 def tensor_combine(field: Field, terms) -> BilinearMap:
     """Pointwise sum of (coefficient, BilinearMap) pairs over one field."""
     terms = list(terms)
@@ -351,19 +323,6 @@ def tensor_combine(field: Field, terms) -> BilinearMap:
             raise FieldMismatch("combining tensors over different fields")
         if m.dim != dim:
             raise DimensionMismatch("combining tensors of different dimensions")
-    return _tensor(field, dim, lambda i, j: [sum(a * m.c[i][j][k] for a, m in terms)
-                                             for k in range(dim)])
-
-
-def tensor_transpose(m: BilinearMap) -> BilinearMap:
-    """(x, y) -> m(y, x)."""
-    n = m.dim
-    out = tuple(tuple(m.c[j][i] for j in range(n)) for i in range(n))
-    return BilinearMap(m.field, out)
-
-
-def _check_pair(m: BilinearMap, f: LinearMap):
-    if m.field != f.field:
-        raise FieldMismatch("tensor and map over different fields")
-    if m.dim != f.dim:
-        raise DimensionMismatch(f"tensor dim {m.dim} with map dim {f.dim}")
+    red, n = field.reduce, range(dim)
+    return BilinearMap(field, tuple(tuple(tuple(red(sum(a * m.c[i][j][k] for a, m in terms))
+                                                for k in n) for j in n) for i in n))

@@ -50,7 +50,7 @@ from .axioms import (candidate_check, check_side_conditions, linear_system,
                      structure_ok)
 from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
                      PreconditionFailed, TheoremCheckError,
-                     UnknownFixtureError)
+                     UnknownFixtureError, require)
 from .fields import GF, QQ, Field
 from .linalg import BilinearMap, LinearMap, _echelon, null_space
 from .structures import (KIND_ROLES, MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
@@ -87,8 +87,7 @@ class SearchSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not isinstance(self.base, AlgebraDoc):
-            raise ParamError(f"base must be an AlgebraDoc, not a {type(self.base).__name__}")
+        require(self.base, AlgebraDoc, "base")
         if not isinstance(self.weights, (tuple, list)):
             raise ParamError(f"weights must be a sequence, not a {type(self.weights).__name__}")
         for name in ("omega_size", "limit", "budget"):
@@ -212,6 +211,7 @@ def _resolve(spec: SearchSpec, what: str):
     candidate is the matrix of f, and labels is None.  The budget (for
     enumerate_docs) or check_sample_size (for seeded_sample) refuses before
     the probe is made."""
+    require(spec, SearchSpec, "spec")
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
     if spec.limit is not None and spec.limit < 1:
@@ -422,8 +422,7 @@ def catalog(name: str | None = None):
     table = _catalog()
     if name is None:
         return table
-    try:
-        return table[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in table:
         raise UnknownFixtureError(
-            f"unknown fixture {name!r}; names: {', '.join(sorted(table))}") from None
+            f"unknown fixture {name!r}; names: {', '.join(sorted(table))}")
+    return table[name]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DocSyntaxError, ParamError, ShapeError
+from .errors import DocSyntaxError, ParamError, ShapeError, require
 from .fields import Field, field_from_jsonable, field_to_jsonable
 from .linalg import BilinearMap, LinearMap, check_map, read_array
 
@@ -188,7 +188,7 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
                              f"families.{role}")
     # a plain kind's twist is optional, so it is swapped in last, where an
     # identity is dropped
-    plain = kind in PLAIN_RB_KINDS
+    plain = isinstance(kind, str) and kind in PLAIN_RB_KINDS
     doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
                      None if plain else twist)
     validate_doc(doc)
@@ -220,9 +220,11 @@ def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
 
 def validate_doc(doc: AlgebraDoc) -> None:
     """Raise ShapeError (with a path) on any violated shape invariant."""
+    if not isinstance(doc.field, Field):
+        raise ShapeError(f"expected a Field, got {type(doc.field).__name__}", "field")
     if not isinstance(doc.dim, int) or isinstance(doc.dim, bool) or doc.dim < 1:
         raise ShapeError("dim must be a positive integer", "dim")
-    if doc.kind not in KIND_ROLES:
+    if not isinstance(doc.kind, str) or doc.kind not in KIND_ROLES:
         raise ShapeError(f"unknown kind {doc.kind!r}", "kind")
     labels = doc.omega.labels
     required = KIND_ROLES[doc.kind]
@@ -324,6 +326,7 @@ def _matrix_jsonable(field: Field, f: LinearMap):
 
 
 def doc_to_jsonable(doc: AlgebraDoc) -> dict:
+    require(doc, AlgebraDoc, "doc")
     field = doc.field
     obj = {
         "format-version": FORMAT_VERSION,

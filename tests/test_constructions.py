@@ -4,23 +4,27 @@ Oracle values were computed by hand from the defining formulas before the
 tests were run; tensors are asserted entrywise, not just re-checked.
 """
 
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from halg import (GF, QQ, TARGET_RB_FAMILY, BilinearMap, CoefficientFamily,
-                  LinearMap, MissingCoefficientError, NonzeroWeightError,
-                  OperatorFamily, ParamError, PowerBoundError,
-                  PreconditionFailed, SearchSpec, ShapeError,
-                  TheoremCheckError, catalog, centroid_twist, check_morphism,
-                  check_structure, collapse_family, commutator,
-                  dendriform_sum, dendriform_to_prelie, dendriform_twist,
-                  derived_algebra, kernel_vector, make_doc, map_compose,
-                  map_invert, parse_doc, postcompose, precompose_left,
-                  precompose_right, prelie_commutator, rb_to_dendriform,
-                  rb_to_prelie, rb_to_tridendriform, seeded_sample,
+from halg import (GF, QQ, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
+                  TARGET_RB_FAMILY, BilinearMap, CheckReport,
+                  CoefficientFamily, HalgError, LinearMap,
+                  MissingCoefficientError, NonzeroWeightError, OperatorFamily,
+                  ParamError, PowerBoundError, PreconditionFailed, SearchSpec,
+                  ShapeError, TheoremCheckError, apply_map, bilinear_apply,
+                  catalog, centroid_twist, check_morphism, check_structure,
+                  collapse_family, commutator, dendriform_sum,
+                  dendriform_to_prelie, dendriform_twist, derived_algebra,
+                  kernel_vector, make_doc, map_compose, map_invert, parse_doc,
+                  postcompose, precompose_left, precompose_right,
+                  prelie_commutator, rb_to_dendriform, rb_to_prelie,
+                  rb_to_tridendriform, report_to_jsonable, seeded_sample,
                   serialize_doc, structure_ok, untwist, verify_diagram,
                   yau_twist)
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
@@ -489,3 +493,239 @@ def test_constructions_carry_isomorphisms_to_morphisms():
                 assert check_morphism(g, out, functor(moved)).passed, (name, doc, g)
                 ran[name] += 1
     assert all(n >= 50 for n in ran.values()), ran
+
+
+# --- bases of the seeded corpora below ------------------------------------------
+
+def _truncated_polynomials(field):
+    """k[t]/t^3: e_i e_j = e_(i+j) when i + j < 3."""
+    return BilinearMap.from_nested(field, [[[int(k == i + j) for k in range(3)]
+                                            for j in range(3)] for i in range(3)])
+
+
+def _triangular(field):
+    """The upper triangular 2 x 2 matrices on e11, e12, e22, which do not
+    commute."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][0][0] = c[0][1][1] = c[1][2][1] = c[2][2][2] = 1
+    return BilinearMap.from_nested(field, c)
+
+
+def _hom_assoc(product):
+    field, dim = product.field, product.dim
+    return make_doc(field, dim, ("a",), MATCHING_HOM_ASSOC, {"dot": {"a": product}},
+                    twist=LinearMap.identity(field, dim))
+
+
+# --- pinned bytes: every construction's output or refusal ------------------------
+
+def _bytes_corpus():
+    """The catalog, seeded rb-family samples over F_2 and F_3 (one and two
+    labels on Z2, N2, D1, aff2 and the noncommutative UT; one label on the
+    triangular matrices), and endomorphism and commuting hits, which carry a
+    stored candidate twist."""
+    docs = [doc for _, doc in sorted(catalog().items())]
+    rng = random.Random(1304)
+    for p in (2, 3):
+        field = GF(p)
+        bases = [catalog(f"{name}-F{p}") for name in ("Z2", "N2", "D1", "aff2")]
+        bases.append(_hom_assoc(BilinearMap.from_nested(field, UT)))
+        for base in bases:
+            for k in (1, 2):
+                weights = tuple(rng.randrange(p) for _ in range(k))
+                spec = SearchSpec(base, TARGET_RB_FAMILY, omega_size=k, weights=weights)
+                docs += seeded_sample(spec, rng.randrange(1 << 30), 3).docs
+        spec = SearchSpec(_hom_assoc(_triangular(field)), TARGET_RB_FAMILY, omega_size=1,
+                          weights=(rng.randrange(p),))
+        docs += seeded_sample(spec, rng.randrange(1 << 30), 3).docs
+        for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING):
+            spec = SearchSpec(catalog(f"N2-Pnil-w0-F{p}"), target)
+            docs += seeded_sample(spec, rng.randrange(1 << 30), 3).docs
+    return docs
+
+
+def _every_construction(doc):
+    """(name, thunk) for every construction and parameter set on doc."""
+    field, dim = doc.field, doc.dim
+    maps = [LinearMap.identity(field, dim),
+            LinearMap.from_rows(field, [[2 if i == j else 0 for j in range(dim)]
+                                        for i in range(dim)])]
+    if doc.twist is not None:
+        maps.append(doc.twist)
+    for n, p in enumerate(maps):
+        yield f"yau_twist[{n}]", lambda p=p: yau_twist(doc, p)
+        for variant in (1, 2):
+            yield f"centroid_twist[{n}, {variant}]", \
+                lambda p=p, v=variant: centroid_twist(doc, p, v)
+        yield f"dendriform_twist[{n}]", lambda p=p: dendriform_twist(doc, p)
+    yield "untwist", lambda: untwist(doc)
+    for n, variant in ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2)):
+        yield f"derived[{n}, {variant}]", lambda n=n, v=variant: derived_algebra(doc, n, v)
+    yield "collapse ones", lambda: collapse_family(doc, dict.fromkeys(doc.labels, 1))
+    yield "collapse", lambda: collapse_family(doc, CoefficientFamily(
+        {lab: Fraction(i + 1, 2) for i, lab in enumerate(doc.labels)}))
+    for f in (commutator, prelie_commutator, dendriform_sum, dendriform_to_prelie,
+              rb_to_dendriform, rb_to_tridendriform, rb_to_prelie, verify_diagram):
+        yield f.__name__, lambda f=f: f(doc)
+
+
+CONSTRUCTION_DIGEST = (
+    "7d22a00f6b78a35132c379376c8587f50ca137e2ca5a820e150b25704c2dcbaa")
+
+
+def test_construction_bytes_are_pinned():
+    """Every construction and parameter set on a seeded corpus and on one
+    chained level of its outputs: the bytes of each output, or the class,
+    message and report of each refusal, hash to a pinned digest."""
+    digest = hashlib.sha256()
+    counts = {"applied": 0, "refused": 0, "report": 0}
+    level = _bytes_corpus()
+    for depth in (0, 1):
+        outputs = []
+        for n, doc in enumerate(level):
+            for name, run in _every_construction(doc):
+                try:
+                    out = run()
+                except HalgError as e:
+                    report = getattr(e, "report", None)
+                    payload = ["refused", type(e).__name__, str(e), None if report is None
+                               else report_to_jsonable(report, doc.field)]
+                else:
+                    if isinstance(out, CheckReport):
+                        payload = ["report", report_to_jsonable(out, doc.field)]
+                    else:
+                        payload = ["applied", serialize_doc(out).decode()]
+                        outputs.append(out)
+                counts[payload[0]] += 1
+                digest.update(json.dumps([depth, n, name, payload],
+                                         separators=(",", ":")).encode())
+                digest.update(b"\n")
+        level = outputs[::4]
+    assert min(counts.values()) > 20, counts
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST, counts
+
+
+# --- the rows against the paper's formulas, entry by entry ----------------------
+
+def _oracle_docs():
+    """rb docs that pass their check, over F_3 and Q at dims 2 and 3 with
+    one and two labels: the catalog's, seeded rb-family hits over F_3, and
+    over Q, multiples of the integration operator t^i -> t^(i+1)/(i+1) on
+    Q[t]/t^3 (weight 0) and -w id on the triangular matrices (weight w)."""
+    f3 = GF(3)
+    docs = [d for _, d in sorted(catalog().items())
+            if d.kind in RB_KINDS and d.field in (f3, QQ)]
+    heisenberg = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    heisenberg[0][1][2], heisenberg[1][0][2] = 1, 2
+    bases = [
+        (catalog("N2-F3"), [(0,), (2,), (0, 0), (1, 2)]),
+        (_hom_assoc(BilinearMap.from_nested(f3, UT)), [(1,), (2,), (0, 1), (1, 2)]),
+        (catalog("aff2-F3"), [(0,), (1,), (0, 0)]),
+        (_hom_assoc(_truncated_polynomials(f3)), [(0,), (2,)]),
+        (_hom_assoc(_triangular(f3)), [(0,), (1,), (2,)]),
+        (make_doc(f3, 3, ("a",), MATCHING_HOM_LIE,
+                  {"bracket": {"a": BilinearMap.from_nested(f3, heisenberg)}},
+                  twist=LinearMap.identity(f3, 3)), [(0,), (1,)]),
+    ]
+    rng = random.Random(2003)
+    for base, weight_sets in bases:
+        for weights in weight_sets:
+            spec = SearchSpec(base, TARGET_RB_FAMILY, omega_size=len(weights),
+                              weights=weights)
+            docs += seeded_sample(spec, rng.randrange(1 << 30), 3).docs
+    integrate = [[0, 0, 0], [1, 0, 0], [0, Fraction(1, 2), 0]]
+    for scales in ((1,), (1, -2)):
+        labels = ("a", "b")[:len(scales)]
+        docs.append(make_doc(QQ, 3, labels, PLAIN_ASSOC_MATCHING_RB,
+                             {"dot": _truncated_polynomials(QQ)},
+                             operators=OperatorFamily(
+                                 {lab: LinearMap.from_rows(QQ, [[s * v for v in row]
+                                                                for row in integrate])
+                                  for lab, s in zip(labels, scales)},
+                                 dict.fromkeys(labels, 0))))
+    for w in (2, Fraction(-1, 2)):
+        scaled = LinearMap.from_rows(QQ, [[-w * int(i == j) for j in range(3)]
+                                          for i in range(3)])
+        docs.append(make_doc(QQ, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                             {"dot": _triangular(QQ)},
+                             operators=OperatorFamily({"a": scaled}, {"a": w})))
+    assert all(structure_ok(d) for d in docs)
+    return docs
+
+
+def test_rows_match_the_paper_formulas_entrywise():
+    """Each row-built tensor, entry by entry, against its formula evaluated
+    on basis vectors with bilinear_apply and apply_map."""
+    seen = {}
+
+    def compare(name, out, role, formula):
+        dim = out.dim
+        basis = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
+        for lab in out.labels:
+            c = out.families[role].maps[lab].c
+            for i, j in itertools.product(range(dim), repeat=2):
+                assert c[i][j] == formula(lab, basis[i], basis[j]), (name, lab, i, j)
+        seen[name] = seen.get(name, 0) + 1
+
+    def attempt(construction, doc):
+        try:
+            return construction(doc)
+        except (PreconditionFailed, NonzeroWeightError):
+            return None
+
+    for doc in _oracle_docs():
+        field, dim = doc.field, doc.dim
+
+        def comb(*terms):
+            return tuple(field.reduce(sum(a * v[k] for a, v in terms)) for k in range(dim))
+
+        def on(m):
+            return lambda x, y: bilinear_apply(m, x, y)
+
+        mul = on(doc.product())
+        w = doc.operators.weights
+
+        def P(lab, x):
+            return apply_map(doc.operators.ops[lab], x)
+
+        assoc = doc.kind in (PLAIN_ASSOC_MATCHING_RB, HOM_ASSOC_MATCHING_RB)
+        prelie = attempt(rb_to_prelie, doc)
+        if prelie is not None:
+            if assoc:
+                compare("rb_to_prelie, associative", prelie, "star",
+                        lambda a, x, y: comb((1, mul(P(a, x), y)), (-1, mul(y, P(a, x))),
+                                             (-w[a], mul(y, x))))
+            else:
+                compare("rb_to_prelie, Lie", prelie, "star",
+                        lambda a, x, y: mul(P(a, x), y))
+            star = prelie.families["star"].maps
+            compare("prelie_commutator", prelie_commutator(prelie), "bracket",
+                    lambda a, x, y: comb((1, on(star[a])(x, y)), (-1, on(star[a])(y, x))))
+        if not assoc:
+            continue
+        lie = attempt(commutator, doc)
+        if lie is not None:
+            compare("commutator, rb", lie, "bracket",
+                    lambda a, x, y: comb((1, mul(x, y)), (-1, mul(y, x))))
+        dend = rb_to_dendriform(doc)
+        compare("rb_to_dendriform, left", dend, "left",
+                lambda a, x, y: comb((1, mul(x, P(a, y))), (w[a], mul(x, y))))
+        compare("rb_to_dendriform, right", dend, "right",
+                lambda a, x, y: mul(P(a, x), y))
+        tri = rb_to_tridendriform(doc)
+        for role, formula in (("left", lambda a, x, y: mul(x, P(a, y))),
+                              ("middle", lambda a, x, y: comb((w[a], mul(x, y)))),
+                              ("right", lambda a, x, y: mul(P(a, x), y))):
+            compare(f"rb_to_tridendriform, {role}", tri, role, formula)
+        left, right = dend.families["left"].maps, dend.families["right"].maps
+        compare("dendriform_to_prelie", dendriform_to_prelie(dend), "star",
+                lambda a, x, y: comb((1, on(right[a])(x, y)), (-1, on(left[a])(y, x))))
+        for split in (dend, tri):
+            summed = dendriform_sum(split)
+            compare("dendriform_sum", summed, "dot",
+                    lambda a, x, y: comb(*((1, on(fam.maps[a])(x, y))
+                                           for fam in split.families.values())))
+            dot = summed.families["dot"].maps
+            compare("commutator, family", commutator(summed), "bracket",
+                    lambda a, x, y: comb((1, on(dot[a])(x, y)), (-1, on(dot[a])(y, x))))
+    assert min(seen.values()) >= 8 and len(seen) == 12, seen

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, BilinearFamily,
                   BilinearMap, HalgError, LinearMap, OperatorFamily,
-                  ParamError, SearchSpec, ShapeError, catalog, centroid_twist,
-                  check_morphism, check_side_conditions, collapse_family,
-                  dendriform_twist, enumerate_docs, make_doc, parse_doc,
-                  rb_to_dendriform, replay_violation, serialize_doc,
-                  validate_doc, yau_twist)
+                  ParamError, SearchSpec, ShapeError, UnknownFixtureError,
+                  Violation, catalog, centroid_twist, check_morphism,
+                  check_side_conditions, check_structure, collapse_family,
+                  commutator, dendriform_twist, enumerate_docs, make_doc,
+                  parse_doc, rb_to_dendriform, replay_violation,
+                  serialize_doc, structure_ok, validate_doc, verify_diagram,
+                  yau_twist)
 from halg.structures import MATCHING_HOM_ASSOC
 
 ID2 = [[1, 0], [0, 1]]
@@ -114,6 +116,31 @@ def _cases():
         lambda: _hom_assoc({"dot": BilinearFamily("dot", 5)})
     yield "make_doc omega 5", ShapeError, "omega", \
         lambda: _plain(QQ, zero2, id2, omega=5)
+    # a kind that is not hashable, a field that is not a Field, and a doc,
+    # spec or toggle table that is not one, wherever a call reads one
+    yield "make_doc kind list", ShapeError, "kind", \
+        lambda: make_doc(QQ, 2, ("a",), ["x"], zero, twist=id2)
+    yield "catalog list", UnknownFixtureError, None, lambda: catalog(["x"])
+    yield "make_doc field 5", ShapeError, "field", \
+        lambda: make_doc(5, 2, ("a",), MATCHING_HOM_ASSOC, zero, twist=id2)
+    yield "from_rows field 5", ParamError, None, lambda: LinearMap.from_rows(5, [[1]])
+    yield "from_nested field 5", ParamError, None, \
+        lambda: BilinearMap.from_nested(5, [[[1]]])
+    witness = Violation("hom-assoc", (), (0, 0, 0), (0, 0), (0, 0))
+    for name, call in (
+            ("check_structure 5", lambda: check_structure(5)),
+            ("structure_ok str", lambda: structure_ok("x")),
+            ("replay_violation 5", lambda: replay_violation(5, witness)),
+            ("check_side_conditions 5", lambda: check_side_conditions(5, [])),
+            ("check_morphism src 5", lambda: check_morphism(id2, 5, rb)),
+            ("yau_twist 5", lambda: yau_twist(5, id2)),
+            ("commutator None", lambda: commutator(None)),
+            ("collapse_family 5", lambda: collapse_family(5, {})),
+            ("verify_diagram 5", lambda: verify_diagram(5)),
+            ("serialize_doc 5", lambda: serialize_doc(5)),
+            ("enumerate_docs 5", lambda: enumerate_docs(5)),
+            ("axiom_toggles 5", lambda: check_structure(rb, axiom_toggles=5))):
+        yield name, ParamError, None, call
 
 
 _CASES = list(_cases())

@@ -206,8 +206,11 @@ def test_invert_is_two_sided_when_defined(f):
             map_invert(f)
 
 
-@given(tensors(3, 2), matrices(3, 2), vectors(3, 2), vectors(3, 2))
-def test_surgery_matches_pointwise_definition(m, f, x, y):
+@given(st.data(), st.sampled_from([GF(3), QQ]), st.integers(2, 3))
+def test_surgery_matches_pointwise_definition(data, field, dim):
+    m = BilinearMap.from_nested(field, data.draw(nested(field, (dim, dim, dim))))
+    f = LinearMap.from_rows(field, data.draw(nested(field, (dim, dim))))
+    x, y = (tuple(data.draw(nested(field, (dim,)))) for _ in range(2))
     assert bilinear_apply(postcompose(m, f), x, y) == apply_map(f, bilinear_apply(m, x, y))
     assert bilinear_apply(precompose_left(m, f), x, y) == bilinear_apply(m, apply_map(f, x), y)
     assert bilinear_apply(precompose_right(m, f), x, y) == bilinear_apply(m, x, apply_map(f, y))
