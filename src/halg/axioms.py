@@ -22,7 +22,8 @@ optionally tagged with a flag it runs under.
   of an rb kind, or in a side condition or morphism the role being checked,
   whose map in the morphism's target is ``m'``.  Linear maps: ``p`` the twist
   and ``p'`` the morphism target's twist, ``f`` the map under test, ``P`` the
-  operators, and the scalars ``-`` (that is, -1) and ``w`` (the weights).
+  operators and ``P'`` the morphism target's, and the scalars ``-`` (that
+  is, -1) and ``w`` (the weights).
 * Quantifiers.  The label variables range over all ordered tuples of the
   doc's labels (a law without any has one instance), and then the slots
   over all basis tuples.  A witness carries the bound labels and the basis
@@ -86,7 +87,7 @@ from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          MATCHING_HOM_LIE, MATCHING_HOM_LIE_RB,
                          MATCHING_HOM_PRELIE, MATCHING_HOM_TRIDENDRIFORM,
                          MIDDLE, PLAIN_ASSOC_MATCHING_RB,
-                         PLAIN_LIE_MATCHING_RB, RIGHT, STAR,
+                         PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RIGHT, STAR,
                          TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc,
                          CheckReport, Violation, make_report)
 
@@ -124,7 +125,7 @@ def _tables():
     X, Y, Z = 0, 1, 2
     AB = ("a", "b")
     p, f, neg, p_ = _lin("p"), _lin("f"), _lin("-"), _lin("p'")
-    Pa, Pb, wb = _lin("P.a"), _lin("P.b"), _lin("w.b")
+    Pa, Pb, wb, Pa_ = _lin("P.a"), _lin("P.b"), _lin("w.b"), _lin("P'.a")
     m, ma, ma_ = _bil("m"), _bil("m.a"), _bil("m'.a")
     da, db = _bil(DOT + ".a"), _bil(DOT + ".b")
     ba, bb = _bil(BRACKET + ".a"), _bil(BRACKET + ".b")
@@ -207,6 +208,8 @@ def _tables():
             _law("morphism-{role}", ("a",), [f(ma(X, Y))], [ma_(f(X), f(Y))]),)),
         "twist-intertwine": (False, (
             _law("twist-intertwine", (), [p_(f(X))], [f(p(X))]),)),
+        "operator-intertwine": (False, (
+            _law("operator-intertwine", ("a",), [f(Pa(X))], [Pa_(f(X))]),)),
     }
     return structure, maps
 
@@ -545,7 +548,9 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
 
 def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckReport:
     """Check that f carries src's structure to dst's: f(x * y) = f(x) *' f(y)
-    per role and label, and the twists intertwine (p' o f = f o p)."""
+    per role and label, the structure twists intertwine (p' o f = f o p;
+    a plain kind's is the identity, whatever candidate it stores), and on
+    rb kinds the operators too (f o P_a = P'_a o f per label)."""
     require(f, LinearMap, "f")
     frame, target = _frame(src, "src"), _frame(dst, "dst")
     if src.field != dst.field or f.field != src.field:
@@ -557,11 +562,17 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     if src.dim != dst.dim or isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
     check_map(f, LinearMap, src.field, src.dim, "morphism")
+    if src.kind in PLAIN_RB_KINDS:
+        # a plain twist slot holds a candidate map, not the structure twist
+        frame["p"] = target["p"] = frame["basis"]
     frame.update({"f": f.columns(), "p'": target["p"]})
 
     def violations():
         yield from _map_violations("morphism", frame, src, target)
         yield from _map_violations("twist-intertwine", frame, src)
+        if src.operators is not None:
+            frame["P'"] = target["P"]
+            yield from _map_violations("operator-intertwine", frame, src)
     return make_report(violations())
 
 

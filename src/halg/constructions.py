@@ -47,6 +47,8 @@ def _filled(doc: AlgebraDoc, **sides) -> dict:
 
 def _surgery(side: str, m: BilinearMap, f: LinearMap) -> BilinearMap:
     """side on the tensor m and the map f."""
+    require(m, BilinearMap, "m")
+    require(f, LinearMap, "f")
     if m.field != f.field:
         raise FieldMismatch("tensor and map over different fields")
     if m.dim != f.dim:
@@ -71,6 +73,7 @@ def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
 
 def tensor_transpose(m: BilinearMap) -> BilinearMap:
     """(x, y) -> m(y, x)."""
+    require(m, BilinearMap, "m")
     return fill("m(Y, X)", m.field, m.dim, {"m": m.c})
 
 

@@ -101,6 +101,7 @@ class LinearMap:
 
     @staticmethod
     def identity(field: Field, dim: int) -> "LinearMap":
+        require(field, Field, "field")
         one, zero = field.one, field.zero
         return LinearMap(field, tuple(tuple(one if i == j else zero for j in range(dim))
                                       for i in range(dim)))
@@ -254,6 +255,7 @@ class BilinearMap:
 
     @staticmethod
     def zero(field: Field, dim: int) -> "BilinearMap":
+        require(field, Field, "field")
         z = field.zero
         return BilinearMap(field, tuple(tuple(tuple(z for _ in range(dim))
                                               for _ in range(dim))
@@ -314,15 +316,16 @@ def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
 
 def tensor_combine(field: Field, terms) -> BilinearMap:
     """Pointwise sum of (coefficient, BilinearMap) pairs over one field."""
+    require(field, Field, "field")
     terms = list(terms)
     if not terms:
         raise ShapeError("empty combination", "tensor")
-    dim = terms[0][1].dim
-    for _, m in terms:
+    for i, (_, m) in enumerate(terms):
+        require(m, BilinearMap, f"terms[{i}]")
         if m.field != field:
             raise FieldMismatch("combining tensors over different fields")
-        if m.dim != dim:
+        if m.dim != terms[0][1].dim:
             raise DimensionMismatch("combining tensors of different dimensions")
-    red, n = field.reduce, range(dim)
+    red, n = field.reduce, range(terms[0][1].dim)
     return BilinearMap(field, tuple(tuple(tuple(red(sum(a * m.c[i][j][k] for a, m in terms))
                                                 for k in n) for j in n) for i in n))

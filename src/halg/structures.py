@@ -8,9 +8,11 @@ entries included, and every constructor path runs it: :func:`make_doc`
 directly, and :func:`parse_doc`, which only reads the JSON into scalars
 (`linalg.read_array`) and leaves the shape to make_doc.  :func:`swap_part`
 checks the one part it replaces in a validated doc, so a doc in hand is
-always well-formed.  Every family map, operator and twist is checked by the
-one map rule, `linalg.check_map`: the right type over the doc's field, dim
-entries at every level, each a canonical scalar.
+always well-formed; :func:`with_part` makes the same doc without the check,
+for a caller whose part is canonical by construction, as a search's hits
+are.  Every family map, operator and twist is checked by the one map rule,
+`linalg.check_map`: the right type over the doc's field, dim entries at
+every level, each a canonical scalar.
 
 Representation notes, fixed here once for the whole package:
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import DocSyntaxError, ParamError, ShapeError, require
 from .fields import Field, field_from_jsonable, field_to_jsonable
-from .linalg import BilinearMap, LinearMap, check_map, read_array
+from .linalg import BilinearMap, LinearMap, _basis, check_map, read_array
 
 MATCHING_HOM_ASSOC = "matching-hom-assoc"
 TOTALLY_COMPATIBLE_HOM_ASSOC = "totally-compatible-hom-assoc"
@@ -198,21 +200,34 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
 def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
               operators: OperatorFamily | None = None) -> AlgebraDoc:
     """doc, already validated, with its twist or its operator family (give
-    exactly one) replaced.
-
-    Only the new part is checked, and an identity twist on a plain rb kind
-    is dropped; the result shares doc's families.  A search emits its hits
-    this way, each from one validated base.
+    exactly one) replaced: the new part is checked, then with_part builds
+    the doc.  A twist's rows may be lists or tuples.
     """
     if (twist is None) == (operators is None):
         raise ParamError("swap exactly one of twist and operators")
     if operators is not None:
-        new = AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
-                         operators, doc.twist)
+        new = with_part(doc, operators=operators)
         _check_operators(new)
         return new
     check_map(twist, LinearMap, doc.field, doc.dim, "twist")
     if doc.kind in PLAIN_RB_KINDS and twist.is_identity():
+        # with_part knows the identity by its row tuples; these may be lists
+        twist = LinearMap.identity(doc.field, doc.dim)
+    return with_part(doc, twist=twist)
+
+
+def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,
+              operators: OperatorFamily | None = None) -> AlgebraDoc:
+    """doc, already validated, with its twist or, when operators is given,
+    its operator family replaced by a part that the caller vouches for:
+    nothing is checked.  The result shares doc's families, and a twist whose
+    rows are the identity's row tuples is dropped on a plain rb kind.  A
+    search emits its hits this way, each from one validated base.
+    """
+    if operators is not None:
+        return AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
+                          operators, doc.twist)
+    if doc.kind in PLAIN_RB_KINDS and twist.rows == _basis(doc.dim):
         twist = None
     return AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
                       doc.operators, twist)

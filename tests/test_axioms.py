@@ -192,6 +192,33 @@ def test_check_morphism_twist_intertwine():
     assert any(v.axiom == "twist-intertwine" for v in report.violations)
 
 
+def test_check_morphism_reads_a_plain_kinds_twist_as_the_identity():
+    # a plain doc's stored twist is a candidate map, not its structure twist
+    doc = catalog("N2-Pnil-w0-F3")
+    field = doc.field
+    cand = make_doc(field, 2, doc.omega, doc.kind, doc.families,
+                    operators=doc.operators,
+                    twist=LinearMap.from_rows(field, [[1, 0], [0, 2]]))
+    ident = LinearMap.identity(field, 2)
+    assert check_morphism(ident, cand, doc).passed
+    assert check_morphism(ident, doc, cand).passed
+
+
+def test_check_morphism_intertwines_the_operators():
+    doc = catalog("N2-Pnil-w0-F3")
+    field = doc.field
+    zero_op = make_doc(field, 2, doc.omega, doc.kind, doc.families,
+                       operators=OperatorFamily(
+                           ops={"a": LinearMap.from_rows(field, [[0, 0], [0, 0]])},
+                           weights=doc.operators.weights))
+    assert structure_ok(doc) and structure_ok(zero_op)
+    report = check_morphism(LinearMap.identity(field, 2), doc, zero_op)
+    # f P_a(u) = t while P'_a f(u) = 0
+    assert [(v.axiom, v.labels, v.basis, v.lhs, v.rhs) for v in report.violations] \
+        == [("operator-intertwine", ("a",), (0,), (0, 1), (0, 0))]
+    assert check_morphism(LinearMap.identity(field, 2), doc, doc).passed
+
+
 def test_check_morphism_mismatches():
     doc = dendriform_split_doc()
     with pytest.raises(KindMismatch):
@@ -598,7 +625,7 @@ def _report_corpus():
     return out
 
 
-REPORT_DIGEST = "55981c55da5286ede97ce0b0758eab2ccee6dfe630f8a1ba5bf4445a283006d7"
+REPORT_DIGEST = "1b6db2622ae04b6666c12845024cab5e3ceaf4cf42cd2e6f62de754f1867afac"
 
 
 def test_report_bytes_are_pinned():
@@ -705,10 +732,12 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
     for doc, partner, cand in _guard_corpus():
         frame, target = _frame(doc), _frame(partner)
         frame.update({"f": cand.columns(), "p'": target["p"]})
+        if doc.operators is not None:
+            frame["P'"] = target["P"]
         runs = [(None, _structure_laws(doc.kind, twist3, True))
                 for twist3 in (True, False)]
         for tag, (per_role, _) in _MAP_LAWS.items():
-            if tag != "commutes" or doc.operators is not None:
+            if tag not in ("commutes", "operator-intertwine") or doc.operators is not None:
                 runs += [(role, _map_laws(tag, role))
                          for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
         for role, laws in runs:

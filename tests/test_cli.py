@@ -443,12 +443,12 @@ def test_a_search_ends_when_its_reader_leaves(tmp_path, capsys, monkeypatch):
     # first line stops the search at the second hit
     path = write_docs(tmp_path, "zero3.jsonl", _zero3_f3())
     made = []
-    swap_part = halg.search.swap_part
+    with_part = halg.search.with_part
 
     def counted(*args, **kwargs):
         made.append(1)
-        return swap_part(*args, **kwargs)
-    monkeypatch.setattr(halg.search, "swap_part", counted)
+        return with_part(*args, **kwargs)
+    monkeypatch.setattr(halg.search, "with_part", counted)
     out = _ClosedAfterOneLine()
     monkeypatch.setattr("sys.stdout", out)
     assert main(["search", "--target", "endomorphism", "--base", path]) == 1

@@ -17,9 +17,10 @@ from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, BilinearFamily,
                   Violation, catalog, centroid_twist, check_morphism,
                   check_side_conditions, check_structure, collapse_family,
                   commutator, dendriform_twist, enumerate_docs, make_doc,
-                  parse_doc, rb_to_dendriform, replay_violation,
-                  serialize_doc, structure_ok, validate_doc, verify_diagram,
-                  yau_twist)
+                  parse_doc, postcompose, precompose_left, precompose_right,
+                  rb_to_dendriform, replay_violation, serialize_doc,
+                  structure_ok, tensor_combine, tensor_transpose,
+                  validate_doc, verify_diagram, yau_twist)
 from halg.structures import MATCHING_HOM_ASSOC
 
 ID2 = [[1, 0], [0, 1]]
@@ -139,7 +140,17 @@ def _cases():
             ("verify_diagram 5", lambda: verify_diagram(5)),
             ("serialize_doc 5", lambda: serialize_doc(5)),
             ("enumerate_docs 5", lambda: enumerate_docs(5)),
-            ("axiom_toggles 5", lambda: check_structure(rb, axiom_toggles=5))):
+            ("axiom_toggles 5", lambda: check_structure(rb, axiom_toggles=5)),
+            # a field, tensor or map that is not one, given to a constructor
+            # or a tensor operation
+            ("LinearMap.identity field 5", lambda: LinearMap.identity(5, 2)),
+            ("BilinearMap.zero field 5", lambda: BilinearMap.zero(5, 2)),
+            ("postcompose 5", lambda: postcompose(5, id2)),
+            ("postcompose map 5", lambda: postcompose(zero2, 5)),
+            ("precompose_left 5", lambda: precompose_left(5, id2)),
+            ("precompose_right 5", lambda: precompose_right(5, id2)),
+            ("tensor_transpose 5", lambda: tensor_transpose(5)),
+            ("tensor_combine term 5", lambda: tensor_combine(QQ, [(1, 5)]))):
         yield name, ParamError, None, call
 
 

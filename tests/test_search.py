@@ -224,7 +224,8 @@ def _twisted_n2_f3():
 
 def test_seeded_sample_bytes_are_pinned():
     # the closure benchmark pool is drawn from seeded_sample, so its output
-    # bytes for fixed seeds stay exactly as they are
+    # bytes for fixed seeds stay exactly as they are; hits are emitted
+    # unchecked, so each must still be a valid doc that round-trips
     specs = [rb_spec(base, len(weights), weights)
              for base in (catalog("Z2-F2"), catalog("N2-F2"), catalog("N2-F3"),
                           _twisted_n2_f3())
@@ -236,6 +237,8 @@ def test_seeded_sample_bytes_are_pinned():
         res = seeded_sample(spec, seed=seed, count=4)
         assert len(res) == 4 and not res.truncated
         for doc in res:
+            validate_doc(doc)
+            assert parse_doc(serialize_doc(doc)) == doc
             digest.update(serialize_doc(doc) + b"\n")
     assert digest.hexdigest() == PINNED_SAMPLE_DIGEST
 
