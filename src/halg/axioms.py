@@ -10,25 +10,25 @@ Identities are data: every law is a row of a table, and one evaluator
 decides them all.  A row is ``(axiom-id, label variables, lhs, rhs, ...)``,
 optionally tagged with a flag it runs under.
 
-* Sides.  A side is a signed sum of terms, written as a list; ``[]`` is the
-  zero vector.  With several right-hand sides, each basis tuple compares the
-  left side with each of them in turn.
-* Terms.  A term is a tree: ``0``, ``1``, ``2`` are the basis slots x, y, z;
-  ``(name, t)`` applies the linear map `name` to the term t, and
-  ``(name, t, u)`` applies the bilinear map `name` to the terms t and u.
-* Names.  ``"n.v"`` is the map n at the label bound to the variable v; a
-  bare ``"n"`` takes no label.  Bilinear maps: each role (``"dot.a"``,
-  ``"left.b"``, ...), and ``m``, the product under test: the single product
-  of an rb kind, or in a side condition or morphism the role being checked,
-  whose map in the morphism's target is ``m'``.  Linear maps: ``p`` the twist
-  and ``p'`` the morphism target's twist, ``f`` the map under test, ``P`` the
-  operators and ``P'`` the morphism target's, and the scalars ``-`` (that
-  is, -1) and ``w`` (the weights).
+* Sides.  Every side, of a law or of a constructed tensor, is written in
+  one notation, Python source read by `_terms`: ``"dot.b(dot.a(X, Y),
+  p(Z))"``.  X, Y, Z are the basis slots; a call applies a linear map to one
+  argument or a bilinear map to two; ``+`` and ``-`` add and subtract
+  terms, and ``0`` is the zero vector.  With several right-hand sides, each
+  basis tuple compares the left side with each of them in turn.
+* Names.  ``n.v`` is the map n at the label bound to the variable v; a bare
+  ``n`` takes no label.  Bilinear maps: each role (``dot.a``, ``left.b``,
+  ...), and ``m``, the product under test: the single product of an rb kind,
+  or, in a side condition or a law between two docs, the role being
+  checked, whose map in the second doc (a morphism's target) is ``m2``.
+  Linear maps: ``p`` the structure twist and ``p2`` the second doc's, ``f``
+  the map under test, ``P`` the operators and ``P2`` the second doc's, and
+  the weights ``w``, which scale.
 * Quantifiers.  The label variables range over all ordered tuples of the
   doc's labels (a law without any has one instance), and then the slots
   over all basis tuples.  A witness carries the bound labels and the basis
-  tuple.  A side condition or morphism law marked per role runs once for
-  each role of the kind, in role order.
+  tuple.  A side condition or a law between two docs marked per role runs
+  once for each role of the kind, in role order.
 * Flags.  A law tagged `when` runs only under that flag (``"!flag"``: only
   without it): "verbose", the dendriform toggle, and "alternating" for the
   bracket role.
@@ -40,15 +40,13 @@ guard from the same terms: at a basis tuple where every side is provably
 the zero vector (a structure constant or column it looks up is zero, or a
 weight it scales by is 0), the evaluator skips the instance, which cannot
 fail.  It compares the other instances' sides unreduced and reduces them
-only when they differ.  Plain kinds are written
-with p = id, so a stored candidate twist takes no part in their structure
-check; side conditions are what test that slot.  The one check outside the
-table is the invertible tag, whose witness is a kernel vector.
-
-Every tensor the constructions derive is one side in the same language,
-written as Python source, such as ``"m(X, P.a(Y)) + w.a(m(X, Y))"`` (X, Y,
-Z the slots, a call applying a map, a term after ``-`` negated).  `fill`
-compiles it once per process and fills c'[i][j] with it, reduced, at (i, j).
+only when they differ.  Plain kinds are written without p, and their
+frames bind p to the identity (`structure_twist`), so a stored candidate
+twist takes no part in their checks; side conditions test that slot.  The
+one check outside the table is the invertible tag, whose witness is a
+kernel vector.  `fill` fills c'[i][j] of a constructed tensor with its
+side, reduced, at (i, j); `first_difference` compares two docs' tensors by
+the row "diagram-{role}".
 
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
@@ -82,14 +80,12 @@ from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
 from .linalg import (BilinearMap, LinearMap, _basis, apply_map, apply_raw,
                      bilinear_raw, check_map, kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
-                         DOT, HOM_ASSOC_MATCHING_RB, KIND_ROLES, LEFT,
-                         MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
-                         MATCHING_HOM_LIE, MATCHING_HOM_LIE_RB,
-                         MATCHING_HOM_PRELIE, MATCHING_HOM_TRIDENDRIFORM,
-                         MIDDLE, PLAIN_ASSOC_MATCHING_RB,
-                         PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RIGHT, STAR,
-                         TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc,
-                         CheckReport, Violation, make_report)
+                         HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
+                         MATCHING_HOM_DENDRIFORM, MATCHING_HOM_LIE,
+                         MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
+                         MATCHING_HOM_TRIDENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
+                         PLAIN_LIE_MATCHING_RB, TOTALLY_COMPATIBLE_HOM_ASSOC,
+                         AlgebraDoc, CheckReport, Violation, make_report)
 
 DENDRIFORM_AXIOM3_TWIST = "dendriform-axiom3-twist"
 _KNOWN_TOGGLES = frozenset({DENDRIFORM_AXIOM3_TWIST})
@@ -102,8 +98,8 @@ SIDE_CONDITIONS = ("endomorphism", "multiplicative", "commutes", "centroid",
 
 class _Law(NamedTuple):
     axiom: str
-    labels: tuple     # label variables, quantified over ordered label tuples
-    lhs: list
+    labels: str       # label variables, quantified over ordered label tuples
+    lhs: str
     rhs: tuple        # right-hand sides, compared with lhs in turn
     when: str | None
 
@@ -112,104 +108,100 @@ def _law(axiom, labels, lhs, *rhs, when=None):
     return _Law(axiom, labels, lhs, rhs, when)
 
 
-def _lin(name):
-    return lambda t: (name, t)
-
-
-def _bil(name):
-    return lambda t, u: (name, t, u)
-
-
 def _tables():
     """(laws per structure kind, (per-role flag, laws) per map tag)."""
-    X, Y, Z = 0, 1, 2
-    AB = ("a", "b")
-    p, f, neg, p_ = _lin("p"), _lin("f"), _lin("-"), _lin("p'")
-    Pa, Pb, wb, Pa_ = _lin("P.a"), _lin("P.b"), _lin("w.b"), _lin("P'.a")
-    m, ma, ma_ = _bil("m"), _bil("m.a"), _bil("m'.a")
-    da, db = _bil(DOT + ".a"), _bil(DOT + ".b")
-    ba, bb = _bil(BRACKET + ".a"), _bil(BRACKET + ".b")
-    sa, sb = _bil(STAR + ".a"), _bil(STAR + ".b")
-    La, Lb = _bil(LEFT + ".a"), _bil(LEFT + ".b")
-    Ma, Mb = _bil(MIDDLE + ".a"), _bil(MIDDLE + ".b")
-    Ra, Rb = _bil(RIGHT + ".a"), _bil(RIGHT + ".b")
-
     def rb(lie, p):
+        # p(slot) is the twisted slot, or the bare slot on a plain kind
+        x, y, z = map(p, "XYZ")
         if lie:
-            single = _law("hom-jacobi", (),
-                          [m(p(X), m(Y, Z)), m(p(Y), m(Z, X)), m(p(Z), m(X, Y))], [])
+            single = _law("hom-jacobi", "", f"m({x}, m(Y, Z)) + m({y}, m(Z, X))"
+                                            f" + m({z}, m(X, Y))", "0")
         else:
-            single = _law("hom-assoc", (), [m(m(X, Y), p(Z))], [m(p(X), m(Y, Z))])
+            single = _law("hom-assoc", "", f"m(m(X, Y), {z})", f"m({x}, m(Y, Z))")
         return (single,
-                _law("matching-rb", AB, [m(Pa(X), Pb(Y))],
-                     [Pa(m(X, Pb(Y))), Pb(m(Pa(X), Y)), wb(Pa(m(X, Y)))]))
+                _law("matching-rb", "ab", "m(P.a(X), P.b(Y))",
+                     "P.a(m(X, P.b(Y))) + P.b(m(P.a(X), Y)) + w.b(P.a(m(X, Y)))"))
 
+    dendriform_3 = "right.a(left.b(X, Y), p(Z)) + right.b(right.a(X, Y), p(Z))"
     structure = {
         MATCHING_HOM_ASSOC: (
-            _law("matching-hom-assoc", AB, [db(da(X, Y), p(Z))], [da(p(X), db(Y, Z))]),),
+            _law("matching-hom-assoc", "ab", "dot.b(dot.a(X, Y), p(Z))",
+                 "dot.a(p(X), dot.b(Y, Z))"),),
         TOTALLY_COMPATIBLE_HOM_ASSOC: (
-            _law("totally-compatible-hom-assoc", AB,
-                 [db(da(X, Y), p(Z))], [db(p(X), da(Y, Z))]),),
+            _law("totally-compatible-hom-assoc", "ab", "dot.b(dot.a(X, Y), p(Z))",
+                 "dot.b(p(X), dot.a(Y, Z))"),),
         COMPATIBLE_HOM_ASSOC: (
-            _law("compatible-hom-assoc", AB,
-                 [db(da(X, Y), p(Z)), da(db(X, Y), p(Z))],
-                 [da(p(X), db(Y, Z)), db(p(X), da(Y, Z))]),),
+            _law("compatible-hom-assoc", "ab",
+                 "dot.b(dot.a(X, Y), p(Z)) + dot.a(dot.b(X, Y), p(Z))",
+                 "dot.a(p(X), dot.b(Y, Z)) + dot.b(p(X), dot.a(Y, Z))"),),
         MATCHING_HOM_LIE: (
-            _law("matching-hom-jacobi", AB,
-                 [ba(p(X), bb(Y, Z)), bb(p(Y), ba(Z, X)), bb(p(Z), ba(X, Y))], []),
-            _law("mhl-symmetry", AB, [bb(p(X), ba(Y, Z))], [ba(p(X), bb(Y, Z))],
-                 when="verbose")),
+            _law("matching-hom-jacobi", "ab",
+                 "bracket.a(p(X), bracket.b(Y, Z)) + bracket.b(p(Y), bracket.a(Z, X))"
+                 " + bracket.b(p(Z), bracket.a(X, Y))", "0"),
+            _law("mhl-symmetry", "ab", "bracket.b(p(X), bracket.a(Y, Z))",
+                 "bracket.a(p(X), bracket.b(Y, Z))", when="verbose")),
         COMPATIBLE_HOM_LIE: (
-            _law("compatible-hom-jacobi", AB,
-                 [bb(p(X), ba(Y, Z)), bb(p(Y), ba(Z, X)), bb(p(Z), ba(X, Y)),
-                  ba(p(X), bb(Y, Z)), ba(p(Y), bb(Z, X)), ba(p(Z), bb(X, Y))], []),),
+            _law("compatible-hom-jacobi", "ab",
+                 "bracket.b(p(X), bracket.a(Y, Z)) + bracket.b(p(Y), bracket.a(Z, X))"
+                 " + bracket.b(p(Z), bracket.a(X, Y)) + bracket.a(p(X), bracket.b(Y, Z))"
+                 " + bracket.a(p(Y), bracket.b(Z, X)) + bracket.a(p(Z), bracket.b(X, Y))",
+                 "0"),),
         MATCHING_HOM_PRELIE: (
-            _law("matching-hom-prelie", AB,
-                 [sa(p(X), sb(Y, Z)), neg(sb(sa(X, Y), p(Z)))],
-                 [sb(p(Y), sa(X, Z)), neg(sa(sb(Y, X), p(Z)))]),),
+            _law("matching-hom-prelie", "ab",
+                 "star.a(p(X), star.b(Y, Z)) - star.b(star.a(X, Y), p(Z))",
+                 "star.b(p(Y), star.a(X, Z)) - star.a(star.b(Y, X), p(Z))"),),
         MATCHING_HOM_DENDRIFORM: (
-            _law("dendriform-1", AB, [Lb(La(X, Y), p(Z))],
-                 [La(p(X), Lb(Y, Z)), Lb(p(X), Ra(Y, Z))]),
-            _law("dendriform-2", AB, [Lb(Ra(X, Y), p(Z))], [Ra(p(X), Lb(Y, Z))]),
-            _law("dendriform-3", AB, [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z))],
-                 [Ra(p(X), Rb(Y, Z))], when=DENDRIFORM_AXIOM3_TWIST),
-            _law("dendriform-3", AB, [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z))],
-                 [Ra(X, Rb(Y, Z))], when="!" + DENDRIFORM_AXIOM3_TWIST)),
+            _law("dendriform-1", "ab", "left.b(left.a(X, Y), p(Z))",
+                 "left.a(p(X), left.b(Y, Z)) + left.b(p(X), right.a(Y, Z))"),
+            _law("dendriform-2", "ab", "left.b(right.a(X, Y), p(Z))",
+                 "right.a(p(X), left.b(Y, Z))"),
+            _law("dendriform-3", "ab", dendriform_3, "right.a(p(X), right.b(Y, Z))",
+                 when=DENDRIFORM_AXIOM3_TWIST),
+            _law("dendriform-3", "ab", dendriform_3, "right.a(X, right.b(Y, Z))",
+                 when="!" + DENDRIFORM_AXIOM3_TWIST)),
         MATCHING_HOM_TRIDENDRIFORM: (
-            _law("tridendriform-1", AB, [Lb(La(X, Y), p(Z))],
-                 [La(p(X), Lb(Y, Z)), Lb(p(X), Ra(Y, Z)), La(p(X), Mb(Y, Z))]),
-            _law("tridendriform-2", AB, [Lb(Ra(X, Y), p(Z))], [Ra(p(X), Lb(Y, Z))]),
-            _law("tridendriform-3", AB, [Ra(p(X), Rb(Y, Z))],
-                 [Ra(Lb(X, Y), p(Z)), Rb(Ra(X, Y), p(Z)), Ra(Mb(X, Y), p(Z))]),
-            _law("tridendriform-4", AB, [Mb(Ra(X, Y), p(Z))], [Ra(p(X), Mb(Y, Z))]),
-            _law("tridendriform-5", AB, [Mb(La(X, Y), p(Z))], [Mb(p(X), Ra(Y, Z))]),
-            _law("tridendriform-6", AB, [Lb(Ma(X, Y), p(Z))], [Ma(p(X), Lb(Y, Z))]),
-            _law("tridendriform-7", AB, [Mb(Ma(X, Y), p(Z))], [Ma(p(X), Mb(Y, Z))])),
-        HOM_ASSOC_MATCHING_RB: rb(False, p),
-        MATCHING_HOM_LIE_RB: rb(True, p),
-        PLAIN_ASSOC_MATCHING_RB: rb(False, lambda t: t),
-        PLAIN_LIE_MATCHING_RB: rb(True, lambda t: t),
+            _law("tridendriform-1", "ab", "left.b(left.a(X, Y), p(Z))",
+                 "left.a(p(X), left.b(Y, Z)) + left.b(p(X), right.a(Y, Z))"
+                 " + left.a(p(X), middle.b(Y, Z))"),
+            _law("tridendriform-2", "ab", "left.b(right.a(X, Y), p(Z))",
+                 "right.a(p(X), left.b(Y, Z))"),
+            _law("tridendriform-3", "ab", "right.a(p(X), right.b(Y, Z))",
+                 "right.a(left.b(X, Y), p(Z)) + right.b(right.a(X, Y), p(Z))"
+                 " + right.a(middle.b(X, Y), p(Z))"),
+            _law("tridendriform-4", "ab", "middle.b(right.a(X, Y), p(Z))",
+                 "right.a(p(X), middle.b(Y, Z))"),
+            _law("tridendriform-5", "ab", "middle.b(left.a(X, Y), p(Z))",
+                 "middle.b(p(X), right.a(Y, Z))"),
+            _law("tridendriform-6", "ab", "left.b(middle.a(X, Y), p(Z))",
+                 "middle.a(p(X), left.b(Y, Z))"),
+            _law("tridendriform-7", "ab", "middle.b(middle.a(X, Y), p(Z))",
+                 "middle.a(p(X), middle.b(Y, Z))")),
+        HOM_ASSOC_MATCHING_RB: rb(False, "p({})".format),
+        MATCHING_HOM_LIE_RB: rb(True, "p({})".format),
+        PLAIN_ASSOC_MATCHING_RB: rb(False, str),
+        PLAIN_LIE_MATCHING_RB: rb(True, str),
     }
 
-    # Hypotheses on the map f.  A per-role tag is checked once per role of
-    # the doc, with m bound to that role's maps and "{role}" in its axiom-id
-    # filled in; the flag "alternating" is set for the bracket role.
-    mult = [f(ma(X, Y))], [ma(f(X), f(Y))]
+    # Laws on the map f, and between two docs.  A per-role tag is checked
+    # once per role of the doc, with m bound to that role's maps and m2 to
+    # the second doc's, and "{role}" in its axiom-id filled in; the flag
+    # "alternating" is set for the bracket role.
+    mult = "f(m.a(X, Y))", "m.a(f(X), f(Y))"
     maps = {
-        "endomorphism": (True, (_law("endomorphism", ("a",), *mult),)),
-        "multiplicative": (True, (_law("multiplicative", ("a",), *mult),)),
-        "commutes": (False, (_law("commutes", ("a",), [f(Pa(X))], [Pa(f(X))]),)),
+        "endomorphism": (True, (_law("endomorphism", "a", *mult),)),
+        "multiplicative": (True, (_law("multiplicative", "a", *mult),)),
+        "commutes": (False, (_law("commutes", "a", "f(P.a(X))", "P.a(f(X))"),)),
         "centroid": (True, (
-            _law("centroid", ("a",), [f(ma(X, Y))], [ma(f(X), Y)],
-                 when="alternating"),
-            _law("centroid", ("a",), [f(ma(X, Y))], [ma(f(X), Y)], [ma(X, f(Y))],
+            _law("centroid", "a", "f(m.a(X, Y))", "m.a(f(X), Y)", when="alternating"),
+            _law("centroid", "a", "f(m.a(X, Y))", "m.a(f(X), Y)", "m.a(X, f(Y))",
                  when="!alternating"))),
         "morphism": (True, (
-            _law("morphism-{role}", ("a",), [f(ma(X, Y))], [ma_(f(X), f(Y))]),)),
+            _law("morphism-{role}", "a", "f(m.a(X, Y))", "m2.a(f(X), f(Y))"),)),
         "twist-intertwine": (False, (
-            _law("twist-intertwine", (), [p_(f(X))], [f(p(X))]),)),
+            _law("twist-intertwine", "", "p2(f(X))", "f(p(X))"),)),
         "operator-intertwine": (False, (
-            _law("operator-intertwine", ("a",), [f(Pa(X))], [Pa_(f(X))]),)),
+            _law("operator-intertwine", "a", "f(P.a(X))", "P2.a(f(X))"),)),
+        "diagram": (True, (_law("diagram-{role}", "a", "m.a(X, Y)", "m2.a(X, Y)"),)),
     }
     return structure, maps
 
@@ -237,6 +229,21 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # when all its terms are (the empty side always is).  The guard reads only
 # lookups and weights, so it costs far less than the sides; an instance it
 # holds at cannot fail, and the evaluator skips it.
+
+def _terms(node):
+    """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
+    or (name, t, u) for a call, and ("-", t) for a subtracted term t."""
+    if isinstance(node, ast.BinOp):
+        right = _terms(node.right)
+        if isinstance(node.op, ast.Sub):
+            right = [("-", t) for t in right]
+        return _terms(node.left) + right
+    if isinstance(node, ast.Call):
+        return [(ast.unparse(node.func), *(t for t, in map(_terms, node.args)))]
+    if isinstance(node, ast.Constant) and node.value == 0:
+        return []
+    return ["XYZ".index(node.id)]
+
 
 def _ref(name, names):
     """B[...] for the map name; appended to names on first use."""
@@ -310,7 +317,7 @@ def _slots(term):
 
 class _Compiled(NamedTuple):
     axiom: str
-    labels: tuple
+    labels: str
     arity: int
     refs: tuple       # per B[i]: (frame key, index of its label variable or None)
     lhs: object       # lhs(B, E, ix) -> unreduced vector
@@ -324,7 +331,7 @@ class _Compiled(NamedTuple):
 
 
 def _compile(law: _Law, role=None) -> _Compiled:
-    sides = [law.lhs, *law.rhs]
+    sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     names = []
     kernels = {"mul": bilinear_raw, "app": apply_raw}
@@ -388,16 +395,17 @@ class _Frame(dict):
 
 def _frame(doc: AlgebraDoc, name: str = "doc") -> _Frame:
     """Every name a structure law may use, bound to doc's tensors and maps:
-    linear maps as their column tuples (the identity twist as the basis),
-    and m to the first role's map at the first label, which is the single
-    product of an rb kind.  A doc that is not an AlgebraDoc is a ParamError
-    naming the argument name."""
+    linear maps as their column tuples, p as the structure twist's (the
+    identity's as the basis), and m to the first role's map at the first
+    label, which is the single product of an rb kind.  A doc that is not an
+    AlgebraDoc is a ParamError naming the argument name."""
     require(doc, AlgebraDoc, name)
     basis = _basis(doc.dim)
     roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
              for role, fam in doc.families.items()}
+    twist = doc.structure_twist()
     frame = _Frame(roles, basis=basis,
-                   p=basis if doc.twist is None else doc.twist.columns())
+                   p=basis if twist.rows is basis else twist.columns())
     frame["-"] = -1
     frame["m"] = roles[KIND_ROLES[doc.kind][0]][doc.labels[0]]
     if doc.operators is not None:
@@ -495,16 +503,32 @@ def _roles(tag, doc):
 
 
 def _map_violations(tag, frame, doc, target=None, points=None):
-    """Violations of a side-condition or morphism tag, role by role; m' is
-    bound to the morphism target's maps, and m~ and m'~ to their sparse
-    forms.  points as for _violations."""
+    """Violations of a map or two-doc tag, role by role; m2 is bound to the
+    second doc's maps, and m~ and m2~ to their sparse forms.  points as for
+    _violations."""
     for role in _roles(tag, doc):
         if role is not None:
             frame["m"], frame["m~"] = frame[role], frame[role + "~"]
             if target is not None:
-                frame["m'"], frame["m'~"] = target[role], target[role + "~"]
+                frame["m2"], frame["m2~"] = target[role], target[role + "~"]
         yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field,
                                points)
+
+
+def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str):
+    """The frames of two docs of one field, kind, label set, weights and
+    carrier, for a law between them; any other pair is refused."""
+    frame, target = _frame(src, "src"), _frame(dst, "dst")
+    if src.field != dst.field:
+        raise FieldMismatch(f"{what} requires one common field")
+    if src.kind != dst.kind:
+        raise KindMismatch(f"{what} between {src.kind} and {dst.kind}")
+    if src.labels != dst.labels or src.operators and (src.operators.weights
+                                                      != dst.operators.weights):
+        raise KindMismatch(f"{what} requires identical labels and weights")
+    if src.dim != dst.dim:
+        raise DimensionMismatch(f"{what} requires one carrier dimension")
+    return frame, target
 
 
 def check_side_conditions(doc: AlgebraDoc, conditions,
@@ -550,48 +574,38 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     """Check that f carries src's structure to dst's: f(x * y) = f(x) *' f(y)
     per role and label, the structure twists intertwine (p' o f = f o p;
     a plain kind's is the identity, whatever candidate it stores), and on
-    rb kinds the operators too (f o P_a = P'_a o f per label)."""
+    rb kinds the operators too (f o P_a = P'_a o f per label).  src and dst
+    must share their field, kind, labels, weights and dimension."""
     require(f, LinearMap, "f")
-    frame, target = _frame(src, "src"), _frame(dst, "dst")
-    if src.field != dst.field or f.field != src.field:
+    frame, target = _pair(src, dst, "morphism")
+    if f.field != src.field:
         raise FieldMismatch("morphism requires one common field")
-    if src.kind != dst.kind:
-        raise KindMismatch(f"morphism between {src.kind} and {dst.kind}")
-    if src.labels != dst.labels:
-        raise KindMismatch("morphism requires identical label sets")
-    if src.dim != dst.dim or isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
+    if isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
     check_map(f, LinearMap, src.field, src.dim, "morphism")
-    if src.kind in PLAIN_RB_KINDS:
-        # a plain twist slot holds a candidate map, not the structure twist
-        frame["p"] = target["p"] = frame["basis"]
-    frame.update({"f": f.columns(), "p'": target["p"]})
+    frame.update({"f": f.columns(), "p2": target["p"]})
 
     def violations():
         yield from _map_violations("morphism", frame, src, target)
         yield from _map_violations("twist-intertwine", frame, src)
         if src.operators is not None:
-            frame["P'"] = target["P"]
+            frame["P2"] = target["P"]
             yield from _map_violations("operator-intertwine", frame, src)
     return make_report(violations())
 
 
+def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
+    """The first entry where src's and dst's tensors differ, in (role, label,
+    i, j) order, as a diagram-{role} witness; None when they agree."""
+    frame, target = _pair(src, dst, "comparison")
+    return next(_map_violations("diagram", frame, src, target), None)
+
+
 # --- tensors filled from a side ------------------------------------------------
-
-def _terms(node):
-    if isinstance(node, ast.BinOp):
-        right = _terms(node.right)
-        if isinstance(node.op, ast.Sub):
-            right = [("-", t) for t in right]
-        return _terms(node.left) + right
-    if isinstance(node, ast.Call):
-        return [(ast.unparse(node.func), *(t for t, in map(_terms, node.args)))]
-    return ["XYZ".index(node.id)]
-
 
 @lru_cache(maxsize=None)
 def _filler(side):
-    return _compile(_law("fill", ("a",), _terms(ast.parse(side, mode="eval").body)))
+    return _compile(_law("fill", "a", side))
 
 
 def fill(side, field, dim, frame, lab=None) -> BilinearMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import (_frame, check_morphism, check_side_conditions,
-                     check_structure, fill)
+                     check_structure, fill, first_difference)
 from .errors import (DimensionMismatch, FieldMismatch, MissingCoefficientError,
                      NonzeroWeightError, ParamError, PowerBoundError,
                      PreconditionFailed, TheoremCheckError, require)
@@ -120,16 +120,9 @@ def _rb_output(doc: AlgebraDoc, what: str, kind: str, product, twist) -> Algebra
     return _checked_output(out, what)
 
 
-def _structure_twist(doc: AlgebraDoc) -> LinearMap:
-    """The twist the structure is checked with: id for plain kinds, always."""
-    if doc.kind in PLAIN_RB_KINDS:
-        return LinearMap.identity(doc.field, doc.dim)
-    return doc.twist_map()
-
-
 def _commuting_twist(doc: AlgebraDoc, what: str) -> LinearMap:
     """The structure twist, once it is checked to commute with every operator."""
-    p = _structure_twist(doc)
+    p = doc.structure_twist()
     _checked_sides(doc, p, ["commutes"], what)
     return p
 
@@ -158,7 +151,7 @@ def untwist(doc: AlgebraDoc) -> AlgebraDoc:
     be invertible.  untwist(yau_twist(d, p)) = d for canonical plain d.
     """
     _checked_input(doc, RB_KINDS, "untwist")
-    p = _structure_twist(doc)
+    p = doc.structure_twist()
     _checked_sides(doc, p, ["multiplicative", "commutes", "invertible"], "untwist")
     return _rb_output(doc, "untwist", RB_TWINS[doc.kind][0],
                       postcompose(doc.product(), map_invert(p)), None)
@@ -179,7 +172,7 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
     _checked_input(doc, RB_KINDS, "derived_algebra")
     if variant == 2 and doc.kind in LIE_RB_KINDS:
         raise ParamError("variant 2 is undefined for Lie docs")
-    p = _structure_twist(doc)
+    p = doc.structure_twist()
     _checked_sides(doc, p, ["multiplicative", "commutes"], "derived_algebra")
     if variant == 1:
         prod_pow, twist_pow = n, n + 1
@@ -234,7 +227,7 @@ def commutator(doc: AlgebraDoc) -> AlgebraDoc:
     brackets = _filled(doc, bracket="dot.a(X, Y) - dot.a(Y, X)")
     if doc.kind in RB_KINDS:
         return _rb_output(doc, "commutator", out_kind,
-                          brackets["bracket"][doc.labels[0]], _structure_twist(doc))
+                          brackets["bracket"][doc.labels[0]], doc.structure_twist())
     return _output(doc, "commutator", out_kind, brackets, doc.twist)
 
 
@@ -376,21 +369,5 @@ def verify_diagram(doc: AlgebraDoc):
         return e.report if e.report is not None else make_report(
             [Violation("diagram-intermediate", (), (), (), ())])
 
-    violations = []
-    for axiom, role, a, b in (("diagram-star", "star", path_a, path_b),
-                              ("diagram-bracket", "bracket", bracket_a, bracket_b)):
-        violations += _first_tensor_diff(axiom, a.families[role].maps,
-                                         b.families[role].maps, doc.labels)
-    return make_report(violations)
-
-
-def _first_tensor_diff(axiom, maps_a, maps_b, labels) -> list:
-    """[the axiom's Violation at the first row where maps_a and maps_b
-    differ], or [] when they agree."""
-    for lab in labels:
-        ca, cb = maps_a[lab].c, maps_b[lab].c
-        for i in range(len(ca)):
-            for j in range(len(ca)):
-                if ca[i][j] != cb[i][j]:
-                    return [Violation(axiom, (lab,), (i, j), ca[i][j], cb[i][j])]
-    return []
+    diffs = first_difference(path_a, path_b), first_difference(bracket_a, bracket_b)
+    return make_report(v for v in diffs if v is not None)

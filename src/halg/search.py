@@ -156,8 +156,8 @@ def _rb_family_plan(spec: SearchSpec):
     if base.kind not in RB_KINDS and len(base.labels) != 1:
         raise PreconditionFailed(
             "rb-family search needs a single product on the base")
-    twist = None if base.kind in PLAIN_RB_KINDS else base.twist_map()
-    if twist is not None and twist.is_identity():
+    twist = base.structure_twist()
+    if twist.is_identity():
         twist = None
     kind = RB_TWINS[base.kind][twist is not None]
     role = KIND_ROLES[kind][0]

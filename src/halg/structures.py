@@ -159,9 +159,14 @@ class AlgebraDoc:
 
     def twist_map(self) -> LinearMap:
         """The stored twist, or the identity when none is stored."""
-        if self.twist is not None:
-            return self.twist
-        return LinearMap.identity(self.field, self.dim)
+        return self.twist or LinearMap(self.field, _basis(self.dim))
+
+    def structure_twist(self) -> LinearMap:
+        """The twist the structure is checked with: the identity on a plain
+        rb kind, whatever candidate its twist slot holds, else twist_map()."""
+        if self.kind in PLAIN_RB_KINDS:
+            return LinearMap(self.field, _basis(self.dim))
+        return self.twist_map()
 
 
 def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
@@ -241,6 +246,9 @@ def validate_doc(doc: AlgebraDoc) -> None:
         raise ShapeError("dim must be a positive integer", "dim")
     if not isinstance(doc.kind, str) or doc.kind not in KIND_ROLES:
         raise ShapeError(f"unknown kind {doc.kind!r}", "kind")
+    if not isinstance(doc.omega, OmegaSet):
+        raise ShapeError(f"expected an OmegaSet, got {type(doc.omega).__name__}",
+                         "omega")
     labels = doc.omega.labels
     required = KIND_ROLES[doc.kind]
 

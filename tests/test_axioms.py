@@ -227,6 +227,71 @@ def test_check_morphism_mismatches():
         check_morphism(LinearMap.identity(QQ, 3), doc, doc)
 
 
+def test_check_morphism_refuses_docs_of_different_weights():
+    # the zero product with P_a = 0 is Rota-Baxter at every weight, but the
+    # docs at weight 0 and weight 1 are not one structure
+    field = GF(3)
+    zero_op = LinearMap.from_rows(field, [[0, 0], [0, 0]])
+    at0, at1 = (make_doc(field, 2, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                         {"dot": BilinearMap.zero(field, 2)},
+                         operators=OperatorFamily({"a": zero_op}, {"a": w}))
+                for w in (0, 1))
+    assert structure_ok(at0) and structure_ok(at1)
+    with pytest.raises(KindMismatch, match="weights"):
+        check_morphism(LinearMap.identity(field, 2), at0, at1)
+
+
+def _with_entries(doc, edits):
+    """doc with c[i][j] of role at lab replaced by vec, per (role, lab, i, j, vec)."""
+    families = {role: {lab: [[list(v) for v in row] for row in fam.maps[lab].c]
+                       for lab in doc.labels}
+                for role, fam in doc.families.items()}
+    for role, lab, i, j, vec in edits:
+        families[role][lab][i][j] = vec
+    return make_doc(doc.field, doc.dim, doc.omega, doc.kind,
+                    {role: {lab: BilinearMap.from_nested(doc.field, c)
+                            for lab, c in fam.items()}
+                     for role, fam in families.items()},
+                    twist=doc.twist)
+
+
+def test_first_difference_reports_the_first_entry_in_role_label_basis_order():
+    from halg.axioms import first_difference
+    f3 = GF(3)
+    fam = n2doc(f3, labels=("a", "b"))
+    # 4 and -1 are read as 1 and 2 over F_3
+    other = _with_entries(fam, [("dot", "b", 0, 0, [4, 0]), ("dot", "a", 1, 1, [0, -1]),
+                                ("dot", "a", 1, 0, [2, 2])])
+    v = first_difference(fam, other)
+    assert (v.axiom, v.labels, v.basis, v.lhs, v.rhs) \
+        == ("diagram-dot", ("a",), (1, 0), (0, 1), (2, 2))
+    v = first_difference(other, fam)
+    assert (v.labels, v.basis, v.lhs, v.rhs) == (("a",), (1, 0), (2, 2), (0, 1))
+    only_b = _with_entries(fam, [("dot", "b", 1, 1, [-1, 4])])
+    v = first_difference(fam, only_b)
+    assert (v.labels, v.basis, v.lhs, v.rhs) == (("b",), (1, 1), (0, 0), (2, 1))
+    # the left role comes before the right one, whatever the entries
+    dend = dendriform_split_doc(f3)
+    moved = _with_entries(dend, [("right", "a", 0, 0, [0, 0]), ("left", "a", 1, 1, [1, 0])])
+    v = first_difference(dend, moved)
+    assert (v.axiom, v.labels, v.basis, v.lhs, v.rhs) \
+        == ("diagram-left", ("a",), (1, 1), (0, 0), (1, 0))
+    v = first_difference(dend, _with_entries(dend, [("right", "a", 0, 1, [0, 2])]))
+    assert (v.axiom, v.labels, v.basis, v.lhs, v.rhs) \
+        == ("diagram-right", ("a",), (0, 1), (0, 1), (0, 2))
+
+
+def test_first_difference_finds_none_between_identical_docs():
+    from halg.axioms import first_difference
+    fam, dend = n2doc(GF(3), labels=("a", "b")), dendriform_split_doc()
+    for doc, copy in ((fam, _with_entries(fam, [])), (dend, _with_entries(dend, [])),
+                      (catalog("N2-Pnil-w0-F3"), catalog("N2-Pnil-w0-F3"))):
+        assert first_difference(doc, doc) is None
+        assert first_difference(doc, copy) is None
+    with pytest.raises(KindMismatch):
+        first_difference(dendriform_split_doc(), n2doc())
+
+
 # frozen discriminators over F_2, dim 2, |Omega| = 2: the three associative
 # compatibility kinds genuinely differ (found by exhaustive search over
 # pairs of associative tensors; bit strings are row-major c[i][j][k])
@@ -625,7 +690,7 @@ def _report_corpus():
     return out
 
 
-REPORT_DIGEST = "1b6db2622ae04b6666c12845024cab5e3ceaf4cf42cd2e6f62de754f1867afac"
+REPORT_DIGEST = "ce28df7be139fe94770f26f6a9653a35048e12539a7befa330dba0dcbb252bda"
 
 
 def test_report_bytes_are_pinned():
@@ -731,9 +796,9 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
     skipped = tried = 0
     for doc, partner, cand in _guard_corpus():
         frame, target = _frame(doc), _frame(partner)
-        frame.update({"f": cand.columns(), "p'": target["p"]})
+        frame.update({"f": cand.columns(), "p2": target["p"]})
         if doc.operators is not None:
-            frame["P'"] = target["P"]
+            frame["P2"] = target["P"]
         runs = [(None, _structure_laws(doc.kind, twist3, True))
                 for twist3 in (True, False)]
         for tag, (per_role, _) in _MAP_LAWS.items():
@@ -743,7 +808,7 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
         for role, laws in runs:
             if role is not None:
                 frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-                frame["m'"], frame["m'~"] = target[role], target[role + "~"]
+                frame["m2"], frame["m2~"] = target[role], target[role + "~"]
             held, n = _guarded_sides(laws, frame, doc.labels, doc.dim)
             seen.update(laws)
             tried += n

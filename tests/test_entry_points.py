@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, BilinearFamily,
+from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, AlgebraDoc, BilinearFamily,
                   BilinearMap, HalgError, LinearMap, OperatorFamily,
                   ParamError, SearchSpec, ShapeError, UnknownFixtureError,
                   Violation, catalog, centroid_twist, check_morphism,
@@ -117,6 +117,10 @@ def _cases():
         lambda: _hom_assoc({"dot": BilinearFamily("dot", 5)})
     yield "make_doc omega 5", ShapeError, "omega", \
         lambda: _plain(QQ, zero2, id2, omega=5)
+    d = catalog("N2-F3")
+    yield "validate_doc omega tuple", ShapeError, "omega", \
+        lambda: validate_doc(AlgebraDoc(d.field, d.dim, ("a",), d.kind, d.families,
+                                        None, d.twist))
     # a kind that is not hashable, a field that is not a Field, and a doc,
     # spec or toggle table that is not one, wherever a call reads one
     yield "make_doc kind list", ShapeError, "kind", \
