@@ -34,13 +34,22 @@ optionally tagged with a flag it runs under.
   bracket role.
 
 Each row compiles once per process into one Python function per side and
-binds to a doc's maps per call; a product that a side multiplies through is
-bound in its sparse form, made once per call.  Each row also compiles a
-guard from the same terms: at a basis tuple where every side is provably
-the zero vector (a structure constant or column it looks up is zero, or a
-weight it scales by is 0), the evaluator skips the instance, which cannot
-fail.  It compares the other instances' sides unreduced and reduces them
-only when they differ.  Plain kinds are written without p, and their
+binds to a doc's maps per call, through a frame; a product that a side
+multiplies through is bound in its sparse form, made once per call.  Over Q
+a frame binds every tensor, twist, operator column, weight and candidate
+map as ints times one common denominator D, the lcm of every denominator it
+binds (for a law between two docs, of both docs' and the map's), so the
+evaluator runs on ints alone; over F_p, D = 1.  A row's degree K is the
+most maps and weights one of its terms applies, and where D is not 1 it
+compiles each term of a lower degree k times D^(K - k), so every side is
+D^K times its value.  Each row also compiles a guard from the same terms:
+at a basis tuple where every side is provably the zero vector (a structure
+constant or column it looks up is zero, or a weight it scales by is 0),
+the evaluator skips the instance, which cannot fail.  It compares the
+other instances' sides as they are and only when they differ divides them
+by D^K and reduces them; `replay_violation`, `fill` and so `linear_system`
+divide back the same way, so every value that leaves the evaluator is
+exact and canonical.  Plain kinds are written without p, and their
 frames bind p to the identity (`structure_twist`), so a stored candidate
 twist takes no part in their checks; side conditions test that slot.  The
 one check outside the table is the invertible tag, whose witness is a
@@ -70,13 +79,16 @@ a = b, with p the twist):
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import (DimensionMismatch, FieldMismatch, KindMismatch, ParamError,
-                     ShapeError, UnknownConditionError, require)
+from .errors import (DimensionMismatch, FieldMismatch, KindMismatch,
+                     NonFiniteFieldError, ParamError, ShapeError,
+                     UnknownConditionError, require)
 from .linalg import (BilinearMap, LinearMap, _basis, apply_map, apply_raw,
                      bilinear_raw, check_map, kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
@@ -229,6 +241,13 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # when all its terms are (the empty side always is).  The guard reads only
 # lookups and weights, so it costs far less than the sides; an instance it
 # holds at cannot fail, and the evaluator skips it.
+#
+# A law's degree K is the largest number of maps and weights one of its
+# terms applies ("-" is a sign, not a map).  A frame binds every scalar
+# times its D (_scaled), so a term of degree k evaluates to D^k times its
+# value; compiled with pad set, for a frame whose D is not 1, a law
+# multiplies each such term by D^(K - k), read as the scalar name "D".
+# Frames with D = 1, every frame over F_p, run the law compiled without it.
 
 def _terms(node):
     """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
@@ -253,7 +272,21 @@ def _ref(name, names):
 
 
 def _is_scalar(name):
-    return name.partition(".")[0] in ("-", "w")
+    return name.partition(".")[0] in ("-", "w", "D")
+
+
+def _degree(term):
+    """The number of maps and weights term applies."""
+    if isinstance(term, int):
+        return 0
+    return (term[0] != "-") + sum(map(_degree, term[1:]))
+
+
+def _padded(term, n):
+    """term multiplied by D^n."""
+    for _ in range(n):
+        term = ("D", term)
+    return term
 
 
 def _lookup(term):
@@ -319,6 +352,7 @@ class _Compiled(NamedTuple):
     axiom: str
     labels: str
     arity: int
+    degree: int       # K: every side is D^K times its value
     refs: tuple       # per B[i]: (frame key, index of its label variable or None)
     lhs: object       # lhs(B, E, ix) -> unreduced vector
     rhs: tuple        # the same for each right-hand side
@@ -330,9 +364,18 @@ class _Compiled(NamedTuple):
                      for key, i in self.refs)
 
 
-def _compile(law: _Law, role=None) -> _Compiled:
+@lru_cache(maxsize=None)
+def _compile(law: _Law, role, pad) -> _Compiled:
+    """law compiled; with pad set, each term is brought to the law's degree
+    by powers of D, so a law whose terms all have its degree is the one
+    compiled without pad."""
     sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
+    degree = max(_degree(t) for side in sides for t in side)
+    if pad:
+        if all(_degree(t) == degree for side in sides for t in side):
+            return _compile(law, role, False)
+        sides = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
     names = []
     kernels = {"mul": bilinear_raw, "app": apply_raw}
     zero, lhs, *rhs = [eval(f"lambda B, E, ix: {source}", kernels) for source in
@@ -340,7 +383,7 @@ def _compile(law: _Law, role=None) -> _Compiled:
                         *(_side_source(side, names) for side in sides))]
     refs = tuple((key, law.labels.index(var) if var else None)
                  for key, _, var in (name.partition(".") for name in names))
-    return _Compiled(law.axiom.format(role=role), law.labels, arity, refs,
+    return _Compiled(law.axiom.format(role=role), law.labels, arity, degree, refs,
                      lhs, tuple(rhs), zero)
 
 
@@ -355,17 +398,18 @@ def _active(laws, flags):
 
 
 @lru_cache(maxsize=None)
-def _structure_laws(kind, twist3, verbose):
+def _structure_laws(kind, twist3, verbose, pad):
     flags = {DENDRIFORM_AXIOM3_TWIST} if twist3 else set()
     if verbose:
         flags.add("verbose")
-    return tuple(map(_compile, _active(_STRUCTURE_LAWS[kind], flags)))
+    return tuple(_compile(law, None, pad)
+                 for law in _active(_STRUCTURE_LAWS[kind], flags))
 
 
 @lru_cache(maxsize=None)
-def _map_laws(tag, role):
+def _map_laws(tag, role, pad):
     flags = {"alternating"} if role == BRACKET else set()
-    return tuple(_compile(law, role) for law in _active(_MAP_LAWS[tag][1], flags))
+    return tuple(_compile(law, role, pad) for law in _active(_MAP_LAWS[tag][1], flags))
 
 
 # --- frames and the evaluator --------------------------------------------------
@@ -379,7 +423,9 @@ class _Frame(dict):
     """Names bound to maps.  A key "n~" not yet bound is made on first use
     as the sparse form of n's tensor, or of each of its per-label tensors,
     so a frame makes sparse forms only for the tensors its laws multiply
-    through, and keeps them no longer than itself."""
+    through, and keeps them no longer than itself.  D, the common
+    denominator its maps are scaled by, is bound only where it is not 1
+    (_scaled), so frames over F_p hold no more names than they read."""
 
     def __missing__(self, key):
         if not key.endswith("~"):
@@ -393,39 +439,113 @@ class _Frame(dict):
         return sparse
 
 
-def _frame(doc: AlgebraDoc, name: str = "doc") -> _Frame:
-    """Every name a structure law may use, bound to doc's tensors and maps:
-    linear maps as their column tuples, p as the structure twist's (the
-    identity's as the basis), and m to the first role's map at the first
-    label, which is the single product of an rb kind.  A doc that is not an
-    AlgebraDoc is a ParamError naming the argument name."""
-    require(doc, AlgebraDoc, name)
-    basis = _basis(doc.dim)
-    roles = {role: {lab: fam.maps[lab].c for lab in doc.labels}
-             for role, fam in doc.families.items()}
-    twist = doc.structure_twist()
-    frame = _Frame(roles, basis=basis,
+_NESTED = (dict, list, tuple)
+
+
+def _denominators(v, out: set) -> set:
+    """out with the denominator of every scalar of v added.  v is a dict,
+    list or tuple whose items are all scalars or all such containers."""
+    items = tuple(v.values()) if isinstance(v, dict) else v
+    if items and isinstance(items[0], _NESTED):
+        for x in items:
+            _denominators(x, out)
+    else:
+        out.update(x.denominator for x in items if type(x) is not int)
+    return out
+
+
+def _times(v, d):
+    """v, nested as for _denominators, with each scalar x replaced by the
+    int d * x; d is a multiple of every denominator in v."""
+    if isinstance(v, dict):
+        return dict(zip(v, _times(tuple(v.values()), d)))
+    if v and isinstance(v[0], _NESTED):
+        return tuple(_times(x, d) for x in v)
+    return tuple(x * d if type(x) is int else x.numerator * (d // x.denominator)
+                 for x in v)
+
+
+def _names(doc: AlgebraDoc, f) -> _Frame:
+    """Every name a law may use, bound to doc's tensors and maps as they
+    are: linear maps as their column tuples, p as the structure twist's (the
+    identity's as the basis), f to the columns f unless None, m to the
+    first role's map at the first label, which is the single product of an
+    rb kind, and the basis and the sign "-"."""
+    twist, basis = doc.structure_twist(), _basis(doc.dim)
+    names = _Frame({role: {lab: fam.maps[lab].c for lab in doc.labels}
+                    for role, fam in doc.families.items()}, basis=basis,
                    p=basis if twist.rows is basis else twist.columns())
-    frame["-"] = -1
-    frame["m"] = roles[KIND_ROLES[doc.kind][0]][doc.labels[0]]
+    names["-"] = -1
+    if f is not None:
+        names["f"] = f
+    names["m"] = names[KIND_ROLES[doc.kind][0]][doc.labels[0]]
     if doc.operators is not None:
-        frame["P"] = {lab: doc.operators.ops[lab].columns() for lab in doc.labels}
-        frame["w"] = doc.operators.weights
-    return frame
+        names["P"] = {lab: doc.operators.ops[lab].columns() for lab in doc.labels}
+        names["w"] = doc.operators.weights
+    return names
+
+
+_UNSCALED = ("basis", "-")
+
+
+def _scaled(field, *frames) -> tuple:
+    """frames with every map and weight times one common D: over Q the lcm
+    of every denominator they hold, bound as "D" where it is not 1; over
+    F_p, and where D is 1, frames are returned as they are.  Over Q an
+    entry that is neither an int nor a Fraction is a ShapeError; docs and
+    candidates never hold one, but the tensor operations take maps as they
+    are."""
+    if field.is_prime_field:
+        return frames
+    maps = [{key: v for key, v in frame.items() if key not in _UNSCALED}
+            for frame in frames]
+    try:
+        d = lcm(*_denominators(maps, {1}))
+    except AttributeError:
+        raise ShapeError("a map entry is not a canonical scalar", "map") from None
+    if d == 1:
+        return frames
+    return tuple(_Frame(_times(m, d), basis=frame["basis"], D=d, **{"-": -1})
+                 for m, frame in zip(maps, frames))
+
+
+def _frame(doc: AlgebraDoc, f=None) -> _Frame:
+    """doc's frame, with the map under test bound as f (its columns) unless
+    None, scaled with it.  A doc that is not an AlgebraDoc is a
+    ParamError."""
+    require(doc, AlgebraDoc, "doc")
+    frame = _names(doc, f)
+    return frame if doc.field.is_prime_field else _scaled(doc.field, frame)[0]
+
+
+def _frames(src: AlgebraDoc, dst: AlgebraDoc, f=None) -> tuple:
+    """The frames of two docs of one field and carrier, scaled by one D,
+    with f bound in src's as for _frame."""
+    return _scaled(src.field, _names(src, f), _names(dst, None))
+
+
+def _reducer(field, scale):
+    """x -> the canonical scalar x / scale: reads a side evaluated at scale
+    times its value."""
+    if scale == 1:
+        return field.reduce
+    return lambda x: field.reduce(Fraction(x, scale))
 
 
 def _violations(laws, frame, labels, field, points=None, mixed=False):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  An instance whose guard proves every side zero is skipped; the
-    others compare their sides raw and reduce them only when they differ.
+    others compare their sides raw, D^K times their values, and divide them
+    back and reduce them only when they differ.
 
     points, when given, replaces every basis tuple of the laws' arity; with
     mixed set, only the label tuples naming two distinct labels are taken.
     """
-    red = field.reduce
-    basis = frame["basis"]
+    basis, d, red = frame["basis"], frame.get("D", 1), field.reduce
     for law in laws:
         zero, lhs, rhss = law.zero, law.lhs, law.rhs
+        if d != 1:
+            red = _reducer(field, d ** law.degree)
         pts = _points(len(basis), law.arity) if points is None else points
         for labs in product(labels, repeat=len(law.labels)):
             if mixed and len(set(labs)) < 2:
@@ -445,14 +565,16 @@ def _violations(laws, frame, labels, field, points=None, mixed=False):
 
 
 def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
-    require(doc, AlgebraDoc, "doc")
+    """doc's compiled structure laws under toggles and verbose, and its frame."""
+    frame = _frame(doc)
     if toggles is not None:
         require(toggles, dict, "axiom_toggles")
         unknown = set(toggles) - _KNOWN_TOGGLES
         if unknown:
             raise ParamError(f"unknown axiom toggles {sorted(unknown)}")
     twist3 = True if toggles is None else toggles.get(DENDRIFORM_AXIOM3_TWIST, True)
-    return _structure_laws(doc.kind, bool(twist3), bool(verbose))
+    pad = "D" in frame
+    return _structure_laws(doc.kind, bool(twist3), bool(verbose), pad), frame
 
 
 def check_structure(doc: AlgebraDoc, verbose: bool = False,
@@ -463,21 +585,20 @@ def check_structure(doc: AlgebraDoc, verbose: bool = False,
     `verbose` set, matching-hom-lie docs additionally run the redundant
     bracket-symmetry diagnostic (axiom-id "mhl-symmetry").
     """
-    laws = _laws_for(doc, axiom_toggles, verbose)
-    return make_report(_violations(laws, _frame(doc), doc.labels, doc.field))
+    laws, frame = _laws_for(doc, axiom_toggles, verbose)
+    return make_report(_violations(laws, frame, doc.labels, doc.field))
 
 
 def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
     """check_structure's verdict without building the full report."""
-    laws = _laws_for(doc, axiom_toggles, False)
-    return next(_violations(laws, _frame(doc), doc.labels, doc.field), None) is None
+    laws, frame = _laws_for(doc, axiom_toggles, False)
+    return next(_violations(laws, frame, doc.labels, doc.field), None) is None
 
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
     require(violation, Violation, "violation")
-    laws = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
-    red = doc.field.reduce
+    laws, frame = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
     for law in laws:
         if law.axiom != violation.axiom:
             continue
@@ -488,8 +609,9 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
-        maps, vectors = law.bind(_frame(doc), labels), _basis(doc.dim)
+        maps, vectors = law.bind(frame, labels), frame["basis"]
         sides = law.lhs(maps, vectors, basis), law.rhs[0](maps, vectors, basis)
+        red = _reducer(doc.field, frame.get("D", 1) ** law.degree)
         return tuple(tuple(map(red, side)) for side in sides)
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
@@ -506,19 +628,21 @@ def _map_violations(tag, frame, doc, target=None, points=None):
     """Violations of a map or two-doc tag, role by role; m2 is bound to the
     second doc's maps, and m~ and m2~ to their sparse forms.  points as for
     _violations."""
+    pad = "D" in frame
     for role in _roles(tag, doc):
         if role is not None:
             frame["m"], frame["m~"] = frame[role], frame[role + "~"]
             if target is not None:
                 frame["m2"], frame["m2~"] = target[role], target[role + "~"]
-        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field,
+        yield from _violations(_map_laws(tag, role, pad), frame, doc.labels, doc.field,
                                points)
 
 
-def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str):
-    """The frames of two docs of one field, kind, label set, weights and
-    carrier, for a law between them; any other pair is refused."""
-    frame, target = _frame(src, "src"), _frame(dst, "dst")
+def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
+    """Refuse two docs unless they share one field, kind, label set, weights
+    and carrier, as a law between them needs."""
+    require(src, AlgebraDoc, "src")
+    require(dst, AlgebraDoc, "dst")
     if src.field != dst.field:
         raise FieldMismatch(f"{what} requires one common field")
     if src.kind != dst.kind:
@@ -528,7 +652,6 @@ def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str):
         raise KindMismatch(f"{what} requires identical labels and weights")
     if src.dim != dst.dim:
         raise DimensionMismatch(f"{what} requires one carrier dimension")
-    return frame, target
 
 
 def check_side_conditions(doc: AlgebraDoc, conditions,
@@ -545,7 +668,7 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
                          + type(conditions).__name__)
     if candidate is not None:
         require(candidate, LinearMap, "candidate")
-    frame = _frame(doc)
+    require(doc, AlgebraDoc, "doc")
     p = candidate if candidate is not None else doc.twist_map()
     if p.field != doc.field:
         raise FieldMismatch("candidate map over the wrong field")
@@ -553,7 +676,7 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
         raise DimensionMismatch("candidate map of the wrong dimension")
     if candidate is not None:
         check_map(candidate, LinearMap, doc.field, doc.dim, "candidate")
-    frame["f"] = p.columns()
+    frame = _frame(doc, f=p.columns())
 
     def violations():
         for tag in conditions:
@@ -577,13 +700,14 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     rb kinds the operators too (f o P_a = P'_a o f per label).  src and dst
     must share their field, kind, labels, weights and dimension."""
     require(f, LinearMap, "f")
-    frame, target = _pair(src, dst, "morphism")
+    _pair(src, dst, "morphism")
     if f.field != src.field:
         raise FieldMismatch("morphism requires one common field")
     if isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
     check_map(f, LinearMap, src.field, src.dim, "morphism")
-    frame.update({"f": f.columns(), "p2": target["p"]})
+    frame, target = _frames(src, dst, f=f.columns())
+    frame["p2"] = target["p"]
 
     def violations():
         yield from _map_violations("morphism", frame, src, target)
@@ -597,23 +721,29 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
 def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
     """The first entry where src's and dst's tensors differ, in (role, label,
     i, j) order, as a diagram-{role} witness; None when they agree."""
-    frame, target = _pair(src, dst, "comparison")
+    _pair(src, dst, "comparison")
+    frame, target = _frames(src, dst)
     return next(_map_violations("diagram", frame, src, target), None)
 
 
 # --- tensors filled from a side ------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _filler(side):
-    return _compile(_law("fill", "a", side))
+def _filler(side, pad):
+    return _compile(_law("fill", "a", side), None, pad)
 
 
 def fill(side, field, dim, frame, lab=None) -> BilinearMap:
     """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced;
-    side reads its names from frame (a dict, as _frame binds them), with the
-    label variable a bound to lab."""
-    law, basis, red, n = _filler(side), _basis(dim), field.reduce, range(dim)
-    maps = law.bind(frame if isinstance(frame, _Frame) else _Frame(frame), (lab,))
+    side reads its names from frame, as _frame binds them, or from a dict
+    of unscaled maps, with the label variable a bound to lab."""
+    if not isinstance(frame, _Frame):
+        frame = _Frame(frame, basis=_basis(dim))
+        frame["-"] = -1
+        frame, = _scaled(field, frame)
+    d, basis, n = frame.get("D", 1), frame["basis"], range(dim)
+    law = _filler(side, d != 1)
+    maps, red = law.bind(frame, (lab,)), _reducer(field, d ** law.degree)
     return BilinearMap(field, tuple(tuple(tuple(map(red, law.lhs(maps, basis, (i, j))))
                                           for j in n) for i in n))
 
@@ -625,18 +755,27 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     that the map law `tag` imposes on doc.  Column r * dim + s binds f to the
     matrix unit E_rs; there each failed instance's reduced lhs - rhs is its
     residual, and the instances that hold have residual 0.  A row is keyed by
-    (axiom, labels, basis, coordinate).  Sound only for laws with one
-    right-hand side, such as commutes; a tag with a law of several on doc's
-    roles (centroid on a product that is not alternating) is refused."""
-    if any(len(law.rhs) > 1 for role in _roles(tag, doc) for law in _map_laws(tag, role)):
+    (axiom, labels, basis, coordinate).  tag is a side condition with a map
+    law: endomorphism, multiplicative, commutes or centroid; any other tag,
+    such as the two-doc morphism, is a ParamError.  Sound only for laws
+    with one right-hand side, such as commutes; a tag with a law of several
+    on doc's roles (centroid on a product that is not alternating) is
+    refused."""
+    frame = _frame(doc)
+    if tag not in SIDE_CONDITIONS or tag not in _MAP_LAWS:
+        raise ParamError(f"linear_system takes a side condition with a map law, "
+                         f"not {tag!r}")
+    if tag == "commutes" and doc.operators is None:
+        raise ShapeError("commutes requires an operator family", "operators")
+    if any(len(law.rhs) > 1 for role in _roles(tag, doc)
+           for law in _map_laws(tag, role, "D" in frame)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")
-    dim, red = doc.dim, doc.field.reduce
-    frame = _frame(doc)
-    unit, zero = frame["basis"], (0,) * dim
+    dim, red, d = doc.dim, doc.field.reduce, frame.get("D", 1)
+    units, zero = [tuple(d * x for x in e) for e in frame["basis"]], (0,) * dim
     rows = {}
     for col, (r, s) in enumerate(_points(dim, 2)):
-        frame["f"] = tuple(unit[r] if t == s else zero for t in range(dim))
+        frame["f"] = tuple(units[r] if t == s else zero for t in range(dim))
         for v in _map_violations(tag, frame, doc):
             for k, (a, b) in enumerate(zip(v.lhs, v.rhs)):
                 if a != b:
@@ -666,11 +805,16 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     columns to their verdict, filled by the evaluator at those pairs on
     first use, and the pairs that read every column are decided per
     candidate.  The tables live as long as ok does.
+
+    doc is over F_p, whose frames bind D = 1, so candidates are bound as
+    they come; a doc over Q is a NonFiniteFieldError.
     """
-    frame = _frame(doc)
+    laws, frame = _laws_for(doc, None, False)
     field = doc.field
+    if not field.is_prime_field:
+        raise NonFiniteFieldError("candidate_check requires a prime field")
     if tag is None:
-        laws = [law for law in _laws_for(doc, None, False) if law.labels]
+        laws = [law for law in laws if law.labels]
         ops = frame["P"]
 
         def ok(candidate, mixed=False):

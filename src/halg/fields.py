@@ -6,9 +6,12 @@ number compare, hash, and serialize identically), over F_p they are ints in
 ``[0, p)``.  A `Field` value carries the context needed to reduce, invert,
 parse, and format them.  Everything is exact; nothing ever rounds.
 
-Hot loops elsewhere accumulate with native ``+``/``*`` and call
-:meth:`Field.reduce` once per result entry, which keeps Fraction overhead and
-``% p`` reductions at the edges.
+Hot loops elsewhere accumulate with native ``+``/``*`` on ints and call
+:meth:`Field.reduce` once per result entry, which keeps ``% p`` reductions at
+the edges.  Over the rationals the evaluator in `axioms` binds every map as
+ints times one common denominator, so Fractions appear only where scalars are
+parsed, where a witness's sides or a constructed tensor's entries are divided
+back, and where documents are serialized.
 """
 
 from __future__ import annotations

@@ -18,11 +18,12 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   HalgError, KindMismatch, LinearMap, OperatorFamily,
                   ParamError, ShapeError, UnknownConditionError, Violation,
                   catalog, check_morphism, check_side_conditions,
-                  check_structure, dendriform_sum, make_doc, rb_to_dendriform,
+                  check_structure, commutator, dendriform_sum, kernel_vector,
+                  make_doc, map_invert, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frame,
-                         _map_laws, _structure_laws)
+from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frames,
+                         _laws_for, _map_laws, _structure_laws)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -795,15 +796,16 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
     seen, held_by = set(), set()
     skipped = tried = 0
     for doc, partner, cand in _guard_corpus():
-        frame, target = _frame(doc), _frame(partner)
-        frame.update({"f": cand.columns(), "p2": target["p"]})
+        frame, target = _frames(doc, partner, f=cand.columns())
+        frame["p2"] = target["p"]
         if doc.operators is not None:
             frame["P2"] = target["P"]
-        runs = [(None, _structure_laws(doc.kind, twist3, True))
+        pad = "D" in frame
+        runs = [(None, _structure_laws(doc.kind, twist3, True, pad))
                 for twist3 in (True, False)]
         for tag, (per_role, _) in _MAP_LAWS.items():
             if tag not in ("commutes", "operator-intertwine") or doc.operators is not None:
-                runs += [(role, _map_laws(tag, role))
+                runs += [(role, _map_laws(tag, role, pad))
                          for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
         for role, laws in runs:
             if role is not None:
@@ -820,6 +822,40 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
     assert 0 < skipped < tried, (skipped, tried)
 
 
+def _bound(v):
+    """Every value bound in v, a frame or a map bound in it."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, (list, tuple)):
+        return [x for item in v for x in _bound(item)]
+    return [v]
+
+
+def test_a_frame_over_q_binds_only_ints():
+    """Over Q a frame binds every tensor, sparse form, twist, operator
+    column, weight and candidate map as ints, times one common denominator
+    D that the pair of docs and the candidate share, so no Fraction enters
+    the evaluator; over F_p D is 1, which a frame leaves unbound."""
+    scaled = 0
+    for doc, partner, cand in _guard_corpus():
+        laws, frame = _laws_for(doc, None, True)
+        for law in laws:
+            for labs in itertools.product(doc.labels, repeat=len(law.labels)):
+                law.bind(frame, labs)
+        frame2, target = _frames(doc, partner, f=cand.columns())
+        sparse = [f[role + "~"] for f in (frame2, target) for role in KIND_ROLES[doc.kind]]
+        d, d2 = frame.get("D", 1), frame2.get("D", 1)
+        if doc.field.is_prime_field:
+            # D = 1, so it is not bound and no law reads it
+            assert not {"D"} & (frame.keys() | frame2.keys() | target.keys())
+            continue
+        assert d2 == target.get("D", 1) and d2 % d == 0 and ("D" in frame) == (d > 1)
+        for f in (frame, frame2, target, sparse):
+            assert all(type(x) is int for x in _bound(f)), doc
+        scaled += d > 1
+    assert scaled >= 50, scaled
+
+
 def test_linear_system_refuses_a_law_with_several_right_hand_sides():
     # centroid reads f(xy) = f(x)y = xf(y) on a product that is not
     # alternating: two right-hand sides would share one row key
@@ -831,3 +867,308 @@ def test_linear_system_refuses_a_law_with_several_right_hand_sides():
     assert linear_system(rb, "commutes")
     # on a bracket, centroid has one right-hand side and is one system
     assert linear_system(commutator(rb), "centroid") is not None
+
+
+def test_linear_system_refuses_a_tag_that_is_not_a_one_doc_map_law():
+    from halg.axioms import linear_system
+    rb = catalog("N2-Pnil-w0-F3")
+    for tag in ("morphism", "diagram", "twist-intertwine", "operator-intertwine",
+                "invertible", "nope"):
+        with pytest.raises(ParamError, match="side condition with a map law"):
+            linear_system(rb, tag)
+    with pytest.raises(ShapeError, match="operator family"):
+        linear_system(catalog("N2-F3"), "commutes")
+    with pytest.raises(ParamError, match="doc"):
+        linear_system(5, "commutes")
+
+
+# --- an independent oracle over Q -------------------------------------------
+#
+# Each structure law written out again with plain Fraction arithmetic on
+# coefficient vectors, evaluated at every instance with nothing skipped, and
+# its failures listed in (law, labels, basis) order.
+
+def _qmul(c, x, y):
+    out = [Fraction(0)] * len(c)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, v in enumerate(c[i][j]):
+                    out[k] += xi * yj * v
+    return out
+
+
+def _qapp(rows, x):
+    return [sum((rows[k][j] * x[j] for j in range(len(x))), Fraction(0))
+            for k in range(len(x))]
+
+
+def _qadd(*vs):
+    return [sum(col, Fraction(0)) for col in zip(*vs)]
+
+
+def _qneg(v):
+    return [-x for x in v]
+
+
+def _qcanon(v):
+    return tuple(int(x) if x.denominator == 1 else x for x in v)
+
+
+def _q_laws(doc, twist3, verbose):
+    """[(axiom, label count, arity, sides)], sides(labels, vectors) being
+    the (lhs, rhs) vectors of one instance, in the paper's formulas."""
+    kind, labels = doc.kind, doc.labels
+    t = {role: {lab: fam.maps[lab].c for lab in labels}
+         for role, fam in doc.families.items()}
+    rows = doc.twist_map().rows
+
+    def p(x):
+        return x if kind in PLAIN_RB_KINDS else _qapp(rows, x)
+
+    if kind in RB_KINDS:
+        c = t[KIND_ROLES[kind][0]][labels[0]]
+
+        def m(x, y):
+            return _qmul(c, x, y)
+
+        def P(a, x):
+            return _qapp(doc.operators.ops[a].rows, x)
+        w = doc.operators.weights
+
+        def single(_, v):
+            x, y, z = v
+            if "bracket" in KIND_ROLES[kind]:
+                return (_qadd(m(p(x), m(y, z)), m(p(y), m(z, x)), m(p(z), m(x, y))),
+                        [0] * len(x))
+            return m(m(x, y), p(z)), m(p(x), m(y, z))
+
+        def matching_rb(ab, v):
+            (a, b), (x, y) = ab, v
+            return (m(P(a, x), P(b, y)),
+                    _qadd(P(a, m(x, P(b, y))), P(b, m(P(a, x), y)),
+                          [w[b] * s for s in P(a, m(x, y))]))
+        axiom = "hom-jacobi" if "bracket" in KIND_ROLES[kind] else "hom-assoc"
+        return [(axiom, 0, 3, single), ("matching-rb", 2, 2, matching_rb)]
+
+    def on(role, lab):
+        return lambda x, y: _qmul(t[role][lab], x, y)
+
+    def law(axiom, sides):
+        def run(ab, v):
+            a, b = ab
+            x, y, z = v
+            return sides(a, b, x, y, z)
+        return (axiom, 2, 3, run)
+
+    if kind in (MATCHING_HOM_ASSOC, TOTALLY_COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_ASSOC):
+        def d(lab):
+            return on("dot", lab)
+        return [{
+            MATCHING_HOM_ASSOC: law("matching-hom-assoc", lambda a, b, x, y, z: (
+                d(b)(d(a)(x, y), p(z)), d(a)(p(x), d(b)(y, z)))),
+            TOTALLY_COMPATIBLE_HOM_ASSOC: law("totally-compatible-hom-assoc",
+                                              lambda a, b, x, y, z: (
+                d(b)(d(a)(x, y), p(z)), d(b)(p(x), d(a)(y, z)))),
+            COMPATIBLE_HOM_ASSOC: law("compatible-hom-assoc", lambda a, b, x, y, z: (
+                _qadd(d(b)(d(a)(x, y), p(z)), d(a)(d(b)(x, y), p(z))),
+                _qadd(d(a)(p(x), d(b)(y, z)), d(b)(p(x), d(a)(y, z)))))}[kind]]
+    if kind in (MATCHING_HOM_LIE, COMPATIBLE_HOM_LIE):
+        def br(lab):
+            return on("bracket", lab)
+
+        def jacobi(a, b, x, y, z):
+            return _qadd(br(a)(p(x), br(b)(y, z)), br(b)(p(y), br(a)(z, x)),
+                         br(b)(p(z), br(a)(x, y)))
+        if kind == COMPATIBLE_HOM_LIE:
+            return [law("compatible-hom-jacobi", lambda a, b, x, y, z: (
+                _qadd(jacobi(b, a, x, y, z), jacobi(a, b, x, y, z)), [0] * len(x)))]
+        laws = [law("matching-hom-jacobi",
+                    lambda a, b, x, y, z: (jacobi(a, b, x, y, z), [0] * len(x)))]
+        if verbose:
+            laws.append(law("mhl-symmetry", lambda a, b, x, y, z: (
+                br(b)(p(x), br(a)(y, z)), br(a)(p(x), br(b)(y, z)))))
+        return laws
+    if kind == MATCHING_HOM_PRELIE:
+        def st(lab):
+            return on("star", lab)
+        return [law("matching-hom-prelie", lambda a, b, x, y, z: (
+            _qadd(st(a)(p(x), st(b)(y, z)), _qneg(st(b)(st(a)(x, y), p(z)))),
+            _qadd(st(b)(p(y), st(a)(x, z)), _qneg(st(a)(st(b)(y, x), p(z))))))]
+
+    def L(lab):
+        return on("left", lab)
+
+    def R(lab):
+        return on("right", lab)
+
+    if kind == MATCHING_HOM_DENDRIFORM:
+        return [
+            law("dendriform-1", lambda a, b, x, y, z: (
+                L(b)(L(a)(x, y), p(z)), _qadd(L(a)(p(x), L(b)(y, z)), L(b)(p(x), R(a)(y, z))))),
+            law("dendriform-2", lambda a, b, x, y, z: (
+                L(b)(R(a)(x, y), p(z)), R(a)(p(x), L(b)(y, z)))),
+            law("dendriform-3", lambda a, b, x, y, z: (
+                _qadd(R(a)(L(b)(x, y), p(z)), R(b)(R(a)(x, y), p(z))),
+                R(a)(p(x) if twist3 else x, R(b)(y, z))))]
+
+    def M(lab):
+        return on("middle", lab)
+    return [
+        law("tridendriform-1", lambda a, b, x, y, z: (
+            L(b)(L(a)(x, y), p(z)),
+            _qadd(L(a)(p(x), L(b)(y, z)), L(b)(p(x), R(a)(y, z)), L(a)(p(x), M(b)(y, z))))),
+        law("tridendriform-2", lambda a, b, x, y, z: (
+            L(b)(R(a)(x, y), p(z)), R(a)(p(x), L(b)(y, z)))),
+        law("tridendriform-3", lambda a, b, x, y, z: (
+            R(a)(p(x), R(b)(y, z)),
+            _qadd(R(a)(L(b)(x, y), p(z)), R(b)(R(a)(x, y), p(z)), R(a)(M(b)(x, y), p(z))))),
+        law("tridendriform-4", lambda a, b, x, y, z: (
+            M(b)(R(a)(x, y), p(z)), R(a)(p(x), M(b)(y, z)))),
+        law("tridendriform-5", lambda a, b, x, y, z: (
+            M(b)(L(a)(x, y), p(z)), M(b)(p(x), R(a)(y, z)))),
+        law("tridendriform-6", lambda a, b, x, y, z: (
+            L(b)(M(a)(x, y), p(z)), M(a)(p(x), L(b)(y, z)))),
+        law("tridendriform-7", lambda a, b, x, y, z: (
+            M(b)(M(a)(x, y), p(z)), M(a)(p(x), M(b)(y, z))))]
+
+
+def _q_violations(doc, twist3, verbose):
+    dim = doc.dim
+    vectors = [[Fraction(int(i == k)) for k in range(dim)] for i in range(dim)]
+    out = []
+    for axiom, n_labels, arity, sides in _q_laws(doc, twist3, verbose):
+        for labs in itertools.product(doc.labels, repeat=n_labels):
+            for ix in itertools.product(range(dim), repeat=arity):
+                lhs, rhs = map(_qcanon, sides(labs, [vectors[i] for i in ix]))
+                if lhs != rhs:
+                    out.append(Violation(axiom, labs, ix, lhs, rhs))
+    return out
+
+
+def _q_conjugated(doc, g, scales):
+    """g.doc on the labels of scales, every map and weight of the label
+    lab times scales[lab] (the structure laws are bilinear in the maps of
+    their two label variables), in Fraction arithmetic of its own."""
+    n, ginv, first = doc.dim, map_invert(g).rows, doc.labels[0]
+    e = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    back = [_qapp(ginv, v) for v in e]
+
+    def tensor(c, s):
+        return BilinearMap.from_nested(QQ, [[[s * v for v in _qapp(g.rows, _qmul(c, bi, bj))]
+                                             for bj in back] for bi in back])
+
+    def lin(f, s=1):
+        cols = [_qapp(g.rows, _qapp(f.rows, b)) for b in back]
+        return LinearMap.from_rows(QQ, [[s * cols[j][i] for j in range(n)]
+                                        for i in range(n)])
+    labels = tuple(scales)
+    twist = None if doc.twist is None else lin(doc.twist)
+    if doc.kind in RB_KINDS:
+        ops = OperatorFamily({lab: lin(doc.operators.ops[first], s) for lab, s in scales.items()},
+                             {lab: QQ.reduce(Fraction(s) * doc.operators.weights[first])
+                              for lab, s in scales.items()})
+        role = KIND_ROLES[doc.kind][0]
+        return make_doc(QQ, n, labels, doc.kind,
+                        {role: tensor(doc.families[role].maps[first].c, 1)},
+                        operators=ops, twist=twist)
+    return make_doc(QQ, n, labels, doc.kind,
+                    {role: {lab: tensor(fam.maps[first].c, s) for lab, s in scales.items()}
+                     for role, fam in doc.families.items()}, twist=twist)
+
+
+def _perturbed(doc, rng):
+    """doc with 1/3 added to one seeded structure constant of its first
+    role at its first label (and -1/3 to its mirror in a bracket), or None
+    for a bracket on a line, which is zero."""
+    role, lab = KIND_ROLES[doc.kind][0], doc.labels[0]
+    c = [[list(row) for row in plane] for plane in doc.families[role].maps[lab].c]
+    i, j, k = (rng.randrange(doc.dim) for _ in range(3))
+    if role == "bracket":
+        if doc.dim < 2:
+            return None
+        i, j = rng.sample(range(doc.dim), 2)
+        c[j][i][k] -= Fraction(1, 3)
+    c[i][j][k] += Fraction(1, 3)
+    families = {r: {lb: fam.maps[lb] for lb in doc.labels} for r, fam in doc.families.items()}
+    families[role][lab] = BilinearMap.from_nested(QQ, c)
+    if doc.kind in RB_KINDS:
+        families = {r: fam[lab] for r, fam in families.items()}
+    return make_doc(QQ, doc.dim, doc.labels, doc.kind, families,
+                    operators=doc.operators, twist=doc.twist)
+
+
+def _q_oracle_corpus():
+    """Q docs of every kind: seeded ones at dims 1 to 3 with one and two
+    labels (fractional constants, twists, operators and weights), and docs
+    that pass, built from the catalog, the triangular matrices with the
+    Rota-Baxter operator -w id at w = 2/3, and constructions on them, each
+    conjugated by a seeded map with fractional entries onto two labels whose
+    maps are scaled copies; and a perturbed copy of each of those."""
+    rng = random.Random(7_2024)
+    docs = [_seeded_doc(QQ, kind, dim, labels, rng.choice((0.2, 0.5)), rng)
+            for kind in KINDS for dim in (1, 2, 3) for labels in (("a",), ("a", "b"))]
+    tri = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    tri[0][0][0] = tri[0][1][1] = tri[1][2][1] = tri[2][2][2] = 1
+    w = Fraction(2, 3)
+    ut = make_doc(QQ, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                  {"dot": BilinearMap.from_nested(QQ, tri)},
+                  operators=OperatorFamily(
+                      {"a": LinearMap.from_rows(QQ, [[-w * int(i == j) for j in range(3)]
+                                                     for i in range(3)])}, {"a": w}))
+    half = Fraction(1, 2)
+    built = [catalog(name) for name in ("Z2", "D1", "N2", "aff2", "N2-Pnil-w0")]
+    for rb, twist in ((catalog("N2-id-wm1"), [[1, 0], [0, half]]),
+                      (ut, [[1, 0, 0], [0, half, 0], [0, 0, 1]])):
+        hom = yau_twist(rb, LinearMap.from_rows(QQ, twist))
+        dend, prelie = rb_to_dendriform(hom), rb_to_prelie(hom)
+        product = make_doc(QQ, hom.dim, ("a",), MATCHING_HOM_ASSOC,
+                           {"dot": {"a": hom.product()}}, twist=hom.twist)
+        built += [rb, hom, commutator(rb), commutator(hom), dend,
+                  rb_to_tridendriform(hom), prelie, dendriform_sum(dend),
+                  prelie_commutator(prelie), product, commutator(product),
+                  make_doc(QQ, hom.dim, ("a",), TOTALLY_COMPATIBLE_HOM_ASSOC,
+                           product.families, twist=hom.twist)]
+    assert {d.kind for d in built} == set(KINDS)
+    for doc in built:
+        while True:
+            g = _seeded_map(QQ, doc.dim, rng, 0.8)
+            if kernel_vector(g) is None:
+                break
+        made = _q_conjugated(doc, g, {"a": Fraction(-3, 2), "b": 2})
+        assert structure_ok(made), doc.kind
+        docs += [made, _perturbed(made, rng)]
+    return [doc for doc in docs if doc is not None]
+
+
+def test_basis_checks_over_q_agree_with_a_fraction_oracle():
+    """check_structure's full violation list, verbose and under both
+    dendriform readings, equals the oracle's on every doc of the corpus,
+    and every witness replays to its own sides."""
+    failing = fractional = 0
+    for doc in _q_oracle_corpus():
+        fractional += any(x.denominator != 1 for x in _frame_scalars(doc))
+        for twist3 in (True, False):
+            toggles = {DENDRIFORM_AXIOM3_TWIST: twist3}
+            # the reading changes the laws of the dendriform kind alone
+            if twist3 or doc.kind == MATCHING_HOM_DENDRIFORM:
+                expected = _q_violations(doc, twist3, True)
+            report = check_structure(doc, verbose=True, axiom_toggles=toggles)
+            assert list(report.violations) == expected, (doc.kind, doc.dim, doc.labels)
+            assert [v for v in check_structure(doc, axiom_toggles=toggles).violations] \
+                == [v for v in expected if v.axiom != "mhl-symmetry"]
+            for v in report.violations:
+                assert replay_violation(doc, v, toggles) == (v.lhs, v.rhs), v
+        failing += bool(expected)
+    assert failing >= 60 and fractional >= 100, (failing, fractional)
+
+
+def _frame_scalars(doc):
+    """Every scalar of doc's tensors, twist, operators and weights."""
+    out = [x for fam in doc.families.values() for lab in doc.labels
+           for plane in fam.maps[lab].c for row in plane for x in row]
+    out += [x for row in doc.twist_map().rows for x in row]
+    if doc.operators is not None:
+        out += [x for lab in doc.labels for row in doc.operators.ops[lab].rows for x in row]
+        out += list(doc.operators.weights.values())
+    return [Fraction(x) for x in out]

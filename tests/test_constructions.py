@@ -25,8 +25,8 @@ from halg import (GF, QQ, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                   postcompose, precompose_left, precompose_right,
                   prelie_commutator, rb_to_dendriform, rb_to_prelie,
                   rb_to_tridendriform, report_to_jsonable, seeded_sample,
-                  serialize_doc, structure_ok, untwist, verify_diagram,
-                  yau_twist)
+                  serialize_doc, structure_ok, tensor_transpose, untwist,
+                  verify_diagram, yau_twist)
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
@@ -653,9 +653,10 @@ def _oracle_docs():
     return docs
 
 
-def test_rows_match_the_paper_formulas_entrywise():
-    """Each row-built tensor, entry by entry, against its formula evaluated
-    on basis vectors with bilinear_apply and apply_map."""
+def _entrywise(docs) -> dict:
+    """Each row-built tensor of each doc, entry by entry, against its
+    formula evaluated on basis vectors with bilinear_apply and apply_map;
+    the number of tensors compared per row."""
     seen = {}
 
     def compare(name, out, role, formula):
@@ -673,7 +674,7 @@ def test_rows_match_the_paper_formulas_entrywise():
         except (PreconditionFailed, NonzeroWeightError):
             return None
 
-    for doc in _oracle_docs():
+    for doc in docs:
         field, dim = doc.field, doc.dim
 
         def comb(*terms):
@@ -728,4 +729,62 @@ def test_rows_match_the_paper_formulas_entrywise():
             dot = summed.families["dot"].maps
             compare("commutator, family", commutator(summed), "bracket",
                     lambda a, x, y: comb((1, on(dot[a])(x, y)), (-1, on(dot[a])(y, x))))
+    return seen
+
+
+def test_rows_match_the_paper_formulas_entrywise():
+    seen = _entrywise(_oracle_docs())
     assert min(seen.values()) >= 8 and len(seen) == 12, seen
+
+
+def _fractional_invertible(dim, rng):
+    while True:
+        g = LinearMap.from_rows(QQ, [[rng.choice((0, 1, -1, Fraction(1, 2), Fraction(-2, 3),
+                                                  Fraction(3, 2))) for _ in range(dim)]
+                                     for _ in range(dim)])
+        if not g.is_identity() and kernel_vector(g) is None:
+            return g
+
+
+def _fractional_docs():
+    """The Q docs of _oracle_docs, their commutators, and the triangular
+    matrices with -w id at w = 2/3, each conjugated by two seeded maps with
+    fractional entries, so that products, operators and twists have
+    fractional entries, on weights 0, 2, -1/2 and 2/3."""
+    rng = random.Random(31)
+    w = Fraction(2, 3)
+    docs = [d for d in _oracle_docs() if d.field == QQ]
+    docs.append(make_doc(QQ, 3, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": _triangular(QQ)},
+                         operators=OperatorFamily(
+                             {"a": LinearMap.from_rows(QQ, [[-w * int(i == j) for j in range(3)]
+                                                            for i in range(3)])}, {"a": w})))
+    for doc in list(docs):
+        try:
+            docs.append(commutator(doc))
+        except (PreconditionFailed, NonzeroWeightError):
+            pass
+    out = [_conjugated(doc, _fractional_invertible(doc.dim, rng))
+           for doc in docs for _ in range(2)]
+    assert all(structure_ok(d) for d in out)
+    return out
+
+
+def test_rows_match_the_paper_formulas_entrywise_on_fractional_docs():
+    """Over Q, where the evaluator scales every map by one common
+    denominator, every row-built tensor and the tensor operations on
+    fractional maps divide back to the paper's formulas."""
+    docs = _fractional_docs()
+    seen = _entrywise(docs)
+    assert min(seen.values()) >= 6 and len(seen) == 12, seen
+    rng = random.Random(32)
+    for doc in docs:
+        m, dim = doc.product(), doc.dim
+        f = _fractional_invertible(dim, rng)
+        basis = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
+        for made, formula in (
+                (postcompose(m, f), lambda x, y: apply_map(f, bilinear_apply(m, x, y))),
+                (precompose_left(m, f), lambda x, y: bilinear_apply(m, apply_map(f, x), y)),
+                (precompose_right(m, f), lambda x, y: bilinear_apply(m, x, apply_map(f, y))),
+                (tensor_transpose(m), lambda x, y: bilinear_apply(m, y, x))):
+            for i, j in itertools.product(range(dim), repeat=2):
+                assert made.c[i][j] == formula(basis[i], basis[j]), (doc.kind, i, j)

@@ -99,6 +99,15 @@ def _cases():
         lambda: centroid_twist(rb, two_by_three)
     yield "yau_twist float", ShapeError, "candidate[0][0]", \
         lambda: yau_twist(rb, floats)
+    # the tensor operations read maps unchecked; over Q the frame's scaling
+    # refuses an entry that is not an int or a Fraction
+    half_float = BilinearMap(QQ, (((0.5, 0), (0, 0)), ((0, 0), (0, 0))))
+    yield "postcompose float tensor", ShapeError, "map", \
+        lambda: postcompose(half_float, id2)
+    yield "precompose_left float map", ShapeError, "map", \
+        lambda: precompose_left(zero2, floats)
+    yield "tensor_transpose float tensor", ShapeError, "map", \
+        lambda: tensor_transpose(half_float)
     yield "make_doc twist (5, 6)", ShapeError, "twist[0]", \
         lambda: _hom_assoc(zero, twist=LinearMap(QQ, (5, 6)))
     yield "make_doc operator (5, 6)", ShapeError, "operators.ops.a[0]", \

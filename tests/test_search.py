@@ -374,6 +374,14 @@ def test_candidate_tables_serve_the_endomorphism_law_only():
         candidate_check(catalog("N2-Pnil-w0-F3"), "commutes")
 
 
+def test_candidate_tables_decide_over_a_prime_field_only():
+    # a candidate is bound as it comes, which is exact only where frames
+    # bind D = 1: over F_p
+    for tag in (None, "endomorphism"):
+        with pytest.raises(NonFiniteFieldError):
+            candidate_check(catalog("N2-Pnil-w0"), tag)
+
+
 # --- the structured search against a plain exhaustive loop ---------------------
 
 def _brute_force(spec):
