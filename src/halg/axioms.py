@@ -40,14 +40,14 @@ a frame binds every tensor, twist, operator column, weight and candidate
 map as ints times one common denominator D, the lcm of every denominator it
 binds (for a law between two docs, of both docs' and the map's), so the
 evaluator runs on ints alone; over F_p, D = 1.  A row's degree K is the
-most maps and weights one of its terms applies, and where D is not 1 it
-compiles each term of a lower degree k times D^(K - k), so every side is
-D^K times its value.  Each row also compiles a guard from the same terms:
-at a basis tuple where every side is provably the zero vector (a structure
-constant or column it looks up is zero, or a weight it scales by is 0),
-the evaluator skips the instance, which cannot fail.  It compares the
-other instances' sides as they are and only when they differ divides them
-by D^K and reduces them; `replay_violation`, `fill` and so `linear_system`
+most maps and weights one of its terms applies; its padded twin, run by
+a frame whose D is not 1, takes a term of degree k times D^(K - k), so
+every side is D^K times its value.  Each row also compiles a guard from
+its terms: at a basis tuple where every side is provably the zero vector
+(a structure constant or column it looks up is zero, or a weight it
+scales by is 0), the evaluator skips the instance, which cannot fail.  It
+compares the other instances' sides as they are and only when they differ
+divides them by D^K and reduces them; `replay_violation`, `fill` and so `linear_system`
 divide back the same way, so every value that leaves the evaluator is
 exact and canonical.  Plain kinds are written without p, and their
 frames bind p to the identity (`structure_twist`), so a stored candidate
@@ -79,6 +79,7 @@ a = b, with p the twist):
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -245,9 +246,11 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # A law's degree K is the largest number of maps and weights one of its
 # terms applies ("-" is a sign, not a map).  A frame binds every scalar
 # times its D (_scaled), so a term of degree k evaluates to D^k times its
-# value; compiled with pad set, for a frame whose D is not 1, a law
-# multiplies each such term by D^(K - k), read as the scalar name "D".
-# Frames with D = 1, every frame over F_p, run the law compiled without it.
+# value.  So each law compiles with a padded twin, in which each term is
+# multiplied by D^(K - k), read as the scalar name "D", and every side is
+# D^K times its value; where every term has degree K the twin is the law
+# itself.  Frames that bind D run the twins (_twin); frames with D = 1,
+# every frame over F_p, run the laws as written.
 
 def _terms(node):
     """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
@@ -284,9 +287,7 @@ def _degree(term):
 
 def _padded(term, n):
     """term multiplied by D^n."""
-    for _ in range(n):
-        term = ("D", term)
-    return term
+    return _padded(("D", term), n - 1) if n else term
 
 
 def _lookup(term):
@@ -348,15 +349,17 @@ def _slots(term):
     return set().union(*map(_slots, term[1:]))
 
 
-class _Compiled(NamedTuple):
+@dataclass(eq=False, slots=True)
+class _Compiled:
     axiom: str
     labels: str
     arity: int
-    degree: int       # K: every side is D^K times its value
+    degree: int       # K: the padded twin's sides are D^K times their values
     refs: tuple       # per B[i]: (frame key, index of its label variable or None)
     lhs: object       # lhs(B, E, ix) -> unreduced vector
     rhs: tuple        # the same for each right-hand side
     zero: object      # zero(B, E, ix) -> whether every side is provably zero
+    padded: _Compiled = None    # the padded twin: the law itself, or its D-padded copy
 
     def bind(self, frame, labs):
         """B: the maps the sides read, at the label tuple labs."""
@@ -365,26 +368,28 @@ class _Compiled(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _compile(law: _Law, role, pad) -> _Compiled:
-    """law compiled; with pad set, each term is brought to the law's degree
-    by powers of D, so a law whose terms all have its degree is the one
-    compiled without pad."""
+def _compile(law: _Law, role) -> _Compiled:
+    """law compiled, with its padded twin: each term brought to the law's
+    degree by powers of D, or the law itself where every term has it."""
     sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     degree = max(_degree(t) for side in sides for t in side)
-    if pad:
-        if all(_degree(t) == degree for side in sides for t in side):
-            return _compile(law, role, False)
-        sides = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
-    names = []
-    kernels = {"mul": bilinear_raw, "app": apply_raw}
-    zero, lhs, *rhs = [eval(f"lambda B, E, ix: {source}", kernels) for source in
-                       (_guard_source(sides, names),
-                        *(_side_source(side, names) for side in sides))]
-    refs = tuple((key, law.labels.index(var) if var else None)
-                 for key, _, var in (name.partition(".") for name in names))
-    return _Compiled(law.axiom.format(role=role), law.labels, arity, degree, refs,
-                     lhs, tuple(rhs), zero)
+    padded = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
+
+    def compiled(sides):
+        names = []
+        kernels = {"mul": bilinear_raw, "app": apply_raw}
+        zero, lhs, *rhs = [eval(f"lambda B, E, ix: {source}", kernels) for source in
+                           (_guard_source(sides, names),
+                            *(_side_source(side, names) for side in sides))]
+        refs = tuple((key, law.labels.index(var) if var else None)
+                     for key, _, var in (name.partition(".") for name in names))
+        return _Compiled(law.axiom.format(role=role), law.labels, arity, degree, refs,
+                         lhs, tuple(rhs), zero)
+    out = compiled(sides)
+    twin = out if padded == sides else compiled(padded)
+    out.padded = twin.padded = twin
+    return out
 
 
 def _active(laws, flags):
@@ -398,18 +403,17 @@ def _active(laws, flags):
 
 
 @lru_cache(maxsize=None)
-def _structure_laws(kind, twist3, verbose, pad):
+def _structure_laws(kind, twist3, verbose):
     flags = {DENDRIFORM_AXIOM3_TWIST} if twist3 else set()
     if verbose:
         flags.add("verbose")
-    return tuple(_compile(law, None, pad)
-                 for law in _active(_STRUCTURE_LAWS[kind], flags))
+    return tuple(_compile(law, None) for law in _active(_STRUCTURE_LAWS[kind], flags))
 
 
 @lru_cache(maxsize=None)
-def _map_laws(tag, role, pad):
+def _map_laws(tag, role):
     flags = {"alternating"} if role == BRACKET else set()
-    return tuple(_compile(law, role, pad) for law in _active(_MAP_LAWS[tag][1], flags))
+    return tuple(_compile(law, role) for law in _active(_MAP_LAWS[tag][1], flags))
 
 
 # --- frames and the evaluator --------------------------------------------------
@@ -420,12 +424,12 @@ def _points(dim, arity):
 
 
 class _Frame(dict):
-    """Names bound to maps.  A key "n~" not yet bound is made on first use
-    as the sparse form of n's tensor, or of each of its per-label tensors,
-    so a frame makes sparse forms only for the tensors its laws multiply
-    through, and keeps them no longer than itself.  D, the common
-    denominator its maps are scaled by, is bound only where it is not 1
-    (_scaled), so frames over F_p hold no more names than they read."""
+    """Names bound to maps by _scaled.  A key "n~" not yet bound is made on
+    first use as the sparse form of n's tensor, or of each of its per-label
+    tensors, so a frame makes sparse forms only for the tensors its laws
+    multiply through, and keeps them no longer than itself.  D, the common
+    denominator its maps are scaled by, is bound only where it is not 1, so
+    frames over F_p hold no more names than they read and run no twins."""
 
     def __missing__(self, key):
         if not key.endswith("~"):
@@ -465,87 +469,71 @@ def _times(v, d):
                  for x in v)
 
 
-def _names(doc: AlgebraDoc, f) -> _Frame:
-    """Every name a law may use, bound to doc's tensors and maps as they
-    are: linear maps as their column tuples, p as the structure twist's (the
-    identity's as the basis), f to the columns f unless None, m to the
-    first role's map at the first label, which is the single product of an
-    rb kind, and the basis and the sign "-"."""
-    twist, basis = doc.structure_twist(), _basis(doc.dim)
-    names = _Frame({role: {lab: fam.maps[lab].c for lab in doc.labels}
-                    for role, fam in doc.families.items()}, basis=basis,
-                   p=basis if twist.rows is basis else twist.columns())
-    names["-"] = -1
-    if f is not None:
-        names["f"] = f
-    names["m"] = names[KIND_ROLES[doc.kind][0]][doc.labels[0]]
-    if doc.operators is not None:
-        names["P"] = {lab: doc.operators.ops[lab].columns() for lab in doc.labels}
-        names["w"] = doc.operators.weights
-    return names
-
-
-_UNSCALED = ("basis", "-")
-
-
-def _scaled(field, *frames) -> tuple:
-    """frames with every map and weight times one common D: over Q the lcm
-    of every denominator they hold, bound as "D" where it is not 1; over
-    F_p, and where D is 1, frames are returned as they are.  Over Q an
-    entry that is neither an int nor a Fraction is a ShapeError; docs and
-    candidates never hold one, but the tensor operations take maps as they
-    are."""
-    if field.is_prime_field:
-        return frames
-    maps = [{key: v for key, v in frame.items() if key not in _UNSCALED}
-            for frame in frames]
+def _scaled(maps: dict, field, dim) -> _Frame:
+    """The frame binding maps, the basis of dim and the sign "-".  Over Q
+    every map and weight in maps is bound times one common D, the lcm of
+    every denominator they hold, and D is bound as "D" where it is not 1;
+    over F_p maps are bound as they are.  Over Q an entry that is neither
+    an int nor a Fraction is a ShapeError; docs and candidates never hold
+    one, but the tensor operations take maps as they are."""
     try:
-        d = lcm(*_denominators(maps, {1}))
+        d = 1 if field.is_prime_field else lcm(*_denominators(maps, {1}))
     except AttributeError:
         raise ShapeError("a map entry is not a canonical scalar", "map") from None
-    if d == 1:
-        return frames
-    return tuple(_Frame(_times(m, d), basis=frame["basis"], D=d, **{"-": -1})
-                 for m, frame in zip(maps, frames))
+    frame = _Frame(maps) if d == 1 else _Frame(_times(maps, d), D=d)
+    frame["basis"], frame["-"] = _basis(dim), -1
+    return frame
 
 
-def _frame(doc: AlgebraDoc, f=None) -> _Frame:
-    """doc's frame, with the map under test bound as f (its columns) unless
-    None, scaled with it.  A doc that is not an AlgebraDoc is a
-    ParamError."""
+def _frame(doc: AlgebraDoc, f=None, dst=None) -> _Frame:
+    """Every name a law may use, bound to doc's maps by _scaled: each role
+    by its name, per label; linear maps as their column tuples, p as the
+    structure twist's (the identity's as the basis), P and w as the
+    operators and weights, and m as the first role's map at the first
+    label, the single product of an rb kind.  f, unless None, is the map
+    under test (its columns).  dst, unless None, is a second doc of doc's
+    field and carrier, bound as <role>2, p2 and P2, so one D scales both
+    docs and f.  A doc that is not an AlgebraDoc is a ParamError."""
     require(doc, AlgebraDoc, "doc")
-    frame = _names(doc, f)
-    return frame if doc.field.is_prime_field else _scaled(doc.field, frame)[0]
+    basis = _basis(doc.dim)
+    maps = {} if f is None else {"f": f}
+    for suffix, d in (("", doc), ("2", dst)) if dst else (("", doc),):
+        twist = d.structure_twist()
+        for role, fam in d.families.items():
+            maps[role + suffix] = {lab: fam.maps[lab].c for lab in d.labels}
+        maps["p" + suffix] = basis if twist.rows is basis else twist.columns()
+        if d.operators is not None:
+            maps["P" + suffix] = {lab: d.operators.ops[lab].columns() for lab in d.labels}
+    maps["m"] = maps[KIND_ROLES[doc.kind][0]][doc.labels[0]]
+    if doc.operators is not None:
+        maps["w"] = doc.operators.weights
+    return _scaled(maps, doc.field, doc.dim)
 
 
-def _frames(src: AlgebraDoc, dst: AlgebraDoc, f=None) -> tuple:
-    """The frames of two docs of one field and carrier, scaled by one D,
-    with f bound in src's as for _frame."""
-    return _scaled(src.field, _names(src, f), _names(dst, None))
-
-
-def _reducer(field, scale):
-    """x -> the canonical scalar x / scale: reads a side evaluated at scale
-    times its value."""
-    if scale == 1:
-        return field.reduce
-    return lambda x: field.reduce(Fraction(x, scale))
+def _twin(law: _Compiled, frame, field):
+    """law as frame runs it, with the reducer of its sides: where frame
+    binds D, law's padded twin, whose sides are D^K times their values, and
+    x -> x / D^K reduced; elsewhere law itself and field.reduce."""
+    d = frame.get("D")
+    if d is None:
+        return law, field.reduce
+    scale = d ** law.degree
+    return law.padded, lambda x: field.reduce(Fraction(x, scale))
 
 
 def _violations(laws, frame, labels, field, points=None, mixed=False):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  An instance whose guard proves every side zero is skipped; the
-    others compare their sides raw, D^K times their values, and divide them
-    back and reduce them only when they differ.
+    others compare their sides raw, D^K times their values (_twin), and
+    divide them back and reduce them only when they differ.
 
     points, when given, replaces every basis tuple of the laws' arity; with
     mixed set, only the label tuples naming two distinct labels are taken.
     """
-    basis, d, red = frame["basis"], frame.get("D", 1), field.reduce
+    basis = frame["basis"]
     for law in laws:
+        law, red = _twin(law, frame, field)
         zero, lhs, rhss = law.zero, law.lhs, law.rhs
-        if d != 1:
-            red = _reducer(field, d ** law.degree)
         pts = _points(len(basis), law.arity) if points is None else points
         for labs in product(labels, repeat=len(law.labels)):
             if mixed and len(set(labs)) < 2:
@@ -573,8 +561,7 @@ def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
         if unknown:
             raise ParamError(f"unknown axiom toggles {sorted(unknown)}")
     twist3 = True if toggles is None else toggles.get(DENDRIFORM_AXIOM3_TWIST, True)
-    pad = "D" in frame
-    return _structure_laws(doc.kind, bool(twist3), bool(verbose), pad), frame
+    return _structure_laws(doc.kind, bool(twist3), bool(verbose)), frame
 
 
 def check_structure(doc: AlgebraDoc, verbose: bool = False,
@@ -609,9 +596,9 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
+        law, red = _twin(law, frame, doc.field)
         maps, vectors = law.bind(frame, labels), frame["basis"]
         sides = law.lhs(maps, vectors, basis), law.rhs[0](maps, vectors, basis)
-        red = _reducer(doc.field, frame.get("D", 1) ** law.degree)
         return tuple(tuple(map(red, side)) for side in sides)
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
@@ -624,18 +611,16 @@ def _roles(tag, doc):
     return KIND_ROLES[doc.kind] if _MAP_LAWS[tag][0] else (None,)
 
 
-def _map_violations(tag, frame, doc, target=None, points=None):
-    """Violations of a map or two-doc tag, role by role; m2 is bound to the
-    second doc's maps, and m~ and m2~ to their sparse forms.  points as for
-    _violations."""
-    pad = "D" in frame
+def _map_violations(tag, frame, doc, points=None):
+    """Violations of a map or two-doc tag, role by role; m is bound to the
+    role's maps and m2 to the second doc's where the frame binds one, and
+    m~ and m2~ to their sparse forms.  points as for _violations."""
     for role in _roles(tag, doc):
         if role is not None:
             frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-            if target is not None:
-                frame["m2"], frame["m2~"] = target[role], target[role + "~"]
-        yield from _violations(_map_laws(tag, role, pad), frame, doc.labels, doc.field,
-                               points)
+            if role + "2" in frame:
+                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
+        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field, points)
 
 
 def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
@@ -706,14 +691,12 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     if isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
         raise DimensionMismatch("morphism maps must match both carriers")
     check_map(f, LinearMap, src.field, src.dim, "morphism")
-    frame, target = _frames(src, dst, f=f.columns())
-    frame["p2"] = target["p"]
+    frame = _frame(src, f.columns(), dst)
 
     def violations():
-        yield from _map_violations("morphism", frame, src, target)
+        yield from _map_violations("morphism", frame, src)
         yield from _map_violations("twist-intertwine", frame, src)
         if src.operators is not None:
-            frame["P2"] = target["P"]
             yield from _map_violations("operator-intertwine", frame, src)
     return make_report(violations())
 
@@ -722,28 +705,17 @@ def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
     """The first entry where src's and dst's tensors differ, in (role, label,
     i, j) order, as a diagram-{role} witness; None when they agree."""
     _pair(src, dst, "comparison")
-    frame, target = _frames(src, dst)
-    return next(_map_violations("diagram", frame, src, target), None)
+    return next(_map_violations("diagram", _frame(src, dst=dst), src), None)
 
 
 # --- tensors filled from a side ------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _filler(side, pad):
-    return _compile(_law("fill", "a", side), None, pad)
-
-
 def fill(side, field, dim, frame, lab=None) -> BilinearMap:
-    """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced;
-    side reads its names from frame, as _frame binds them, or from a dict
-    of unscaled maps, with the label variable a bound to lab."""
-    if not isinstance(frame, _Frame):
-        frame = _Frame(frame, basis=_basis(dim))
-        frame["-"] = -1
-        frame, = _scaled(field, frame)
-    d, basis, n = frame.get("D", 1), frame["basis"], range(dim)
-    law = _filler(side, d != 1)
-    maps, red = law.bind(frame, (lab,)), _reducer(field, d ** law.degree)
+    """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced.
+    side compiles once per process as a law, run as _twin picks, and reads
+    its names from frame (_frame, _scaled) with the label variable a at lab."""
+    law, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
+    maps, basis, n = law.bind(frame, (lab,)), frame["basis"], range(dim)
     return BilinearMap(field, tuple(tuple(tuple(map(red, law.lhs(maps, basis, (i, j))))
                                           for j in n) for i in n))
 
@@ -768,7 +740,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     if tag == "commutes" and doc.operators is None:
         raise ShapeError("commutes requires an operator family", "operators")
     if any(len(law.rhs) > 1 for role in _roles(tag, doc)
-           for law in _map_laws(tag, role, "D" in frame)):
+           for law in _map_laws(tag, role)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")
     dim, red, d = doc.dim, doc.field.reduce, frame.get("D", 1)

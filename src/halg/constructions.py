@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (_frame, check_morphism, check_side_conditions,
+from .axioms import (_frame, _scaled, check_morphism, check_side_conditions,
                      check_structure, fill, first_difference)
 from .errors import (DimensionMismatch, FieldMismatch, MissingCoefficientError,
                      NonzeroWeightError, ParamError, PowerBoundError,
@@ -53,7 +53,7 @@ def _surgery(side: str, m: BilinearMap, f: LinearMap) -> BilinearMap:
         raise FieldMismatch("tensor and map over different fields")
     if m.dim != f.dim:
         raise DimensionMismatch(f"tensor dim {m.dim} with map dim {f.dim}")
-    return fill(side, m.field, m.dim, {"m": m.c, "f": f.columns()})
+    return fill(side, m.field, m.dim, _scaled({"m": m.c, "f": f.columns()}, m.field, m.dim))
 
 
 def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
@@ -74,7 +74,7 @@ def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
 def tensor_transpose(m: BilinearMap) -> BilinearMap:
     """(x, y) -> m(y, x)."""
     require(m, BilinearMap, "m")
-    return fill("m(Y, X)", m.field, m.dim, {"m": m.c})
+    return fill("m(Y, X)", m.field, m.dim, _scaled({"m": m.c}, m.field, m.dim))
 
 
 @dataclass(frozen=True)

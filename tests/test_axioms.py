@@ -22,8 +22,8 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   make_doc, map_invert, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frames,
-                         _laws_for, _map_laws, _structure_laws)
+from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frame,
+                         _laws_for, _map_laws, _structure_laws, _twin)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -796,21 +796,18 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
     seen, held_by = set(), set()
     skipped = tried = 0
     for doc, partner, cand in _guard_corpus():
-        frame, target = _frames(doc, partner, f=cand.columns())
-        frame["p2"] = target["p"]
-        if doc.operators is not None:
-            frame["P2"] = target["P"]
-        pad = "D" in frame
-        runs = [(None, _structure_laws(doc.kind, twist3, True, pad))
+        frame = _frame(doc, cand.columns(), partner)
+        runs = [(None, _structure_laws(doc.kind, twist3, True))
                 for twist3 in (True, False)]
         for tag, (per_role, _) in _MAP_LAWS.items():
             if tag not in ("commutes", "operator-intertwine") or doc.operators is not None:
-                runs += [(role, _map_laws(tag, role, pad))
+                runs += [(role, _map_laws(tag, role))
                          for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
         for role, laws in runs:
             if role is not None:
                 frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-                frame["m2"], frame["m2~"] = target[role], target[role + "~"]
+                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
+            laws = [_twin(law, frame, doc.field)[0] for law in laws]
             held, n = _guarded_sides(laws, frame, doc.labels, doc.dim)
             seen.update(laws)
             tried += n
@@ -842,8 +839,8 @@ def test_a_frame_over_q_binds_only_ints():
         for law in laws:
             for labs in itertools.product(doc.labels, repeat=len(law.labels)):
                 law.bind(frame, labs)
-        frame2, target = _frames(doc, partner, f=cand.columns())
-        sparse = [f[role + "~"] for f in (frame2, target) for role in KIND_ROLES[doc.kind]]
+        frame2 = target = _frame(doc, cand.columns(), partner)
+        sparse = [frame2[role + s + "~"] for s in ("", "2") for role in KIND_ROLES[doc.kind]]
         d, d2 = frame.get("D", 1), frame2.get("D", 1)
         if doc.field.is_prime_field:
             # D = 1, so it is not bound and no law reads it
