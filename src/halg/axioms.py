@@ -91,7 +91,7 @@ from .errors import (DimensionMismatch, FieldMismatch, KindMismatch,
                      NonFiniteFieldError, ParamError, ShapeError,
                      UnknownConditionError, require)
 from .linalg import (BilinearMap, LinearMap, _basis, apply_map, apply_raw,
-                     bilinear_raw, check_map, kernel_vector, sparse_tensor)
+                     bilinear_raw, check_operand, kernel_vector, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
                          MATCHING_HOM_DENDRIFORM, MATCHING_HOM_LIE,
@@ -473,13 +473,9 @@ def _scaled(maps: dict, field, dim) -> _Frame:
     """The frame binding maps, the basis of dim and the sign "-".  Over Q
     every map and weight in maps is bound times one common D, the lcm of
     every denominator they hold, and D is bound as "D" where it is not 1;
-    over F_p maps are bound as they are.  Over Q an entry that is neither
-    an int nor a Fraction is a ShapeError; docs and candidates never hold
-    one, but the tensor operations take maps as they are."""
-    try:
-        d = 1 if field.is_prime_field else lcm(*_denominators(maps, {1}))
-    except AttributeError:
-        raise ShapeError("a map entry is not a canonical scalar", "map") from None
+    over F_p maps are bound as they are.  Every map reaches here checked
+    (check_map), so its entries are canonical scalars."""
+    d = 1 if field.is_prime_field else lcm(*_denominators(maps, {1}))
     frame = _Frame(maps) if d == 1 else _Frame(_times(maps, d), D=d)
     frame["basis"], frame["-"] = _basis(dim), -1
     return frame
@@ -651,16 +647,11 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
     if not isinstance(conditions, (list, tuple)):
         raise ParamError("side conditions must be a sequence of tags, not a "
                          + type(conditions).__name__)
-    if candidate is not None:
-        require(candidate, LinearMap, "candidate")
     require(doc, AlgebraDoc, "doc")
-    p = candidate if candidate is not None else doc.twist_map()
-    if p.field != doc.field:
-        raise FieldMismatch("candidate map over the wrong field")
-    if isinstance(p.rows, (list, tuple)) and p.dim != doc.dim:
-        raise DimensionMismatch("candidate map of the wrong dimension")
     if candidate is not None:
-        check_map(candidate, LinearMap, doc.field, doc.dim, "candidate")
+        check_operand(candidate, LinearMap, doc.field, doc.dim, "candidate",
+                      "candidate map of the wrong dimension")
+    p = candidate if candidate is not None else doc.twist_map()
     frame = _frame(doc, f=p.columns())
 
     def violations():
@@ -684,13 +675,9 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     a plain kind's is the identity, whatever candidate it stores), and on
     rb kinds the operators too (f o P_a = P'_a o f per label).  src and dst
     must share their field, kind, labels, weights and dimension."""
-    require(f, LinearMap, "f")
     _pair(src, dst, "morphism")
-    if f.field != src.field:
-        raise FieldMismatch("morphism requires one common field")
-    if isinstance(f.rows, (list, tuple)) and f.dim != src.dim:
-        raise DimensionMismatch("morphism maps must match both carriers")
-    check_map(f, LinearMap, src.field, src.dim, "morphism")
+    check_operand(f, LinearMap, src.field, src.dim, "morphism",
+                  "morphism maps must match both carriers")
     frame = _frame(src, f.columns(), dst)
 
     def violations():

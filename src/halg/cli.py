@@ -128,6 +128,10 @@ def _parse_param_list(pairs) -> dict:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
             params[key] = raw
+        except ValueError:
+            # an integer literal longer than sys.get_int_max_str_digits()
+            raise ParamError(f"param {key!r} holds an integer literal too long "
+                             "to read") from None
         except RecursionError:
             raise ParamError(f"param {key!r} is nested too deeply") from None
     return params

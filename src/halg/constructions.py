@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from .axioms import (_frame, _scaled, check_morphism, check_side_conditions,
                      check_structure, fill, first_difference)
-from .errors import (DimensionMismatch, FieldMismatch, MissingCoefficientError,
-                     NonzeroWeightError, ParamError, PowerBoundError,
-                     PreconditionFailed, TheoremCheckError, require)
-from .linalg import (BilinearMap, LinearMap, map_invert, map_power,
-                     tensor_combine)
+from .errors import (MissingCoefficientError, NonzeroWeightError, ParamError,
+                     PowerBoundError, PreconditionFailed, TheoremCheckError,
+                     require)
+from .fields import Field
+from .linalg import (BilinearMap, LinearMap, check_map, check_operand,
+                     map_invert, map_power, tensor_combine)
 from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_LIE, HOM_ASSOC_MATCHING_RB,
                          KIND_ROLES, LIE_RB_KINDS, MATCHING_HOM_ASSOC,
@@ -45,15 +46,19 @@ def _filled(doc: AlgebraDoc, **sides) -> dict:
             for role, side in sides.items()}
 
 
-def _surgery(side: str, m: BilinearMap, f: LinearMap) -> BilinearMap:
-    """side on the tensor m and the map f."""
+def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
+    """side on the tensor m and on the map f where one is given: m obeys
+    check_map, and f the one rule for map arguments on m's field and dim."""
     require(m, BilinearMap, "m")
-    require(f, LinearMap, "f")
-    if m.field != f.field:
-        raise FieldMismatch("tensor and map over different fields")
-    if m.dim != f.dim:
-        raise DimensionMismatch(f"tensor dim {m.dim} with map dim {f.dim}")
-    return fill(side, m.field, m.dim, _scaled({"m": m.c, "f": f.columns()}, m.field, m.dim))
+    require(m.field, Field, "m.field")
+    field, dim = m.field, m.dim
+    check_map(m, BilinearMap, field, dim, "m")
+    maps = {"m": m.c}
+    for g in f:
+        check_operand(g, LinearMap, field, dim, "f",
+                      f"map of another dimension than the dim-{dim} tensor")
+        maps["f"] = g.columns()
+    return fill(side, field, dim, _scaled(maps, field, dim))
 
 
 def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
@@ -73,8 +78,7 @@ def precompose_right(m: BilinearMap, f: LinearMap) -> BilinearMap:
 
 def tensor_transpose(m: BilinearMap) -> BilinearMap:
     """(x, y) -> m(y, x)."""
-    require(m, BilinearMap, "m")
-    return fill("m(Y, X)", m.field, m.dim, _scaled({"m": m.c}, m.field, m.dim))
+    return _surgery("m(Y, X)", m)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,33 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime-field"
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly below 318665857834031151167461 > 2^64 (OEIS A014233), so for
+# every modulus halg accepts.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n < MAX_MODULUS is prime, by Miller-Rabin on _WITNESSES."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -52,6 +69,8 @@ class Field:
             if self.p is not None:
                 raise ShapeError("rationals take no modulus", "field.p")
         elif self.kind == PRIME_FIELD:
+            if isinstance(self.p, int) and self.p >= MAX_MODULUS:
+                raise ShapeError("p must be below 2^64", "field.p")
             if not isinstance(self.p, int) or isinstance(self.p, bool) or not _is_prime(self.p):
                 raise ShapeError("p must be a prime integer", "field.p")
         else:

@@ -412,6 +412,9 @@ def parse_doc(data) -> AlgebraDoc:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise DocSyntaxError(f"not JSON: {e}") from None
+    except ValueError:
+        # json reads no integer literal longer than sys.get_int_max_str_digits()
+        raise DocSyntaxError("not JSON: an integer literal is too long") from None
     except RecursionError:
         raise DocSyntaxError("not JSON: nested too deeply") from None
     if not isinstance(obj, dict):

@@ -22,8 +22,9 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   make_doc, map_invert, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import (_MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _basis, _frame,
-                         _laws_for, _map_laws, _structure_laws, _twin)
+from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
+                         _basis, _compile, _frame, _laws_for, _map_laws,
+                         _structure_laws, _twin)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -817,6 +818,51 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
                 assert all(not any(side) for side in sides), (doc, law.axiom, sides)
     assert seen == held_by, [law.axiom for law in seen - held_by]
     assert 0 < skipped < tried, (skipped, tried)
+
+
+def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
+    """Every row of both law tables compiles to its own padded twin, except
+    the four whose terms do not all have the law's degree.  With D bound to
+    1, each of those twins has the law's sides at every instance over the
+    zero-guard corpus: it is the law, padded."""
+    roles = sorted({role for kind in KINDS for role in KIND_ROLES[kind]})
+    compiled = [(law, _compile(law, None))
+                for laws in _STRUCTURE_LAWS.values() for law in laws]
+    compiled += [(law, _compile(law, role)) for per_role, laws in _MAP_LAWS.values()
+                 for law in laws for role in (roles if per_role else (None,))]
+    twinned = {(law.axiom, law.when) for law, c in compiled if c.padded is not c}
+    assert twinned == {("endomorphism", None), ("multiplicative", None),
+                       ("morphism-{role}", None),
+                       ("dendriform-3", "!" + DENDRIFORM_AXIOM3_TWIST)}
+    assert all(c.padded.padded is c.padded for _, c in compiled)
+
+    def sides(law, maps, ix):
+        basis = frame["basis"]
+        return [law.lhs(maps, basis, ix)] + [rhs(maps, basis, ix) for rhs in law.rhs]
+
+    compared = set()
+    for doc, partner, cand in _guard_corpus():
+        frame = _frame(doc, cand.columns(), partner)
+        frame["D"] = 1
+        runs = [(None, _structure_laws(doc.kind, False, False))]
+        runs += [(role, _map_laws(tag, role)) for tag in ("endomorphism", "multiplicative",
+                                                           "morphism")
+                 for role in KIND_ROLES[doc.kind]]
+        for role, laws in runs:
+            if role is not None:
+                frame["m"], frame["m~"] = frame[role], frame[role + "~"]
+                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
+            for law in laws:
+                if law.padded is law:
+                    continue
+                compared.add(law.axiom)
+                for labs in itertools.product(doc.labels, repeat=len(law.labels)):
+                    maps, twin = law.bind(frame, labs), law.padded.bind(frame, labs)
+                    for ix in itertools.product(range(doc.dim), repeat=law.arity):
+                        assert sides(law, maps, ix) == sides(law.padded, twin, ix), \
+                            (doc, law.axiom, labs, ix)
+    assert compared == {"endomorphism", "multiplicative", "dendriform-3",
+                        *(f"morphism-{role}" for role in roles)}, compared
 
 
 def _bound(v):

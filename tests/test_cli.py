@@ -295,6 +295,9 @@ def test_search_flag_validation(tmp_path, capsys):
     path = write_docs(tmp_path, "base.jsonl", catalog("Z2-F2"))
     assert main(["search", "--target", "rb-family", "--fixture", "Z2-F2",
                  "--base", path]) == 1
+    two = write_docs(tmp_path, "two.jsonl", catalog("Z2-F2"), catalog("Z2-F2"))
+    assert main(["search", "--target", "rb-family", "--base", two]) == 1
+    assert "single base doc" in capsys.readouterr().err
     assert main(["search", "--target", "rb-family", "--fixture", "nope"]) == 1
     assert main(["search", "--target", "rb-family", "--fixture", "N2"]) == 1
     assert main(["search", "--target", "rb-family", "--fixture", "N2-F2",
@@ -578,6 +581,25 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys):
     assert main(["construct", "yau-twist", path, "--param", "twist=" + "[" * 100000]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+# json reads no integer literal longer than sys.get_int_max_str_digits()
+HUGE = "1" + "0" * 5000
+
+
+def test_an_over_long_integer_in_a_doc_is_a_usage_error(tmp_path, capsys):
+    line = serialize_doc(catalog("N2")).replace(b"[[[1,", f"[[[{HUGE},".encode(), 1)
+    path = tmp_path / "huge.jsonl"
+    path.write_bytes(line + b"\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: not JSON: an integer literal is too long\n")
+
+
+def test_an_over_long_integer_param_is_a_usage_error(tmp_path, capsys):
+    path = write_docs(tmp_path, "n2.jsonl", n2_p0())
+    assert main(["construct", "derived", path, "--param", "n=" + HUGE]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: param 'n' holds an integer literal")
 
 
 def test_a_sample_refuses_what_an_enumeration_refuses(capsys):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, AlgebraDoc, BilinearFamily,
-                  BilinearMap, HalgError, LinearMap, OperatorFamily,
-                  ParamError, SearchSpec, ShapeError, UnknownFixtureError,
+                  BilinearMap, DimensionMismatch, FieldMismatch, HalgError,
+                  LinearMap, OperatorFamily, ParamError, SearchSpec,
+                  ShapeError, UnknownFixtureError,
                   Violation, catalog, centroid_twist, check_morphism,
                   check_side_conditions, check_structure, collapse_family,
                   commutator, dendriform_twist, enumerate_docs, make_doc,
@@ -21,7 +22,8 @@ from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, AlgebraDoc, BilinearFamily,
                   rb_to_dendriform, replay_violation, serialize_doc,
                   structure_ok, tensor_combine, tensor_transpose,
                   validate_doc, verify_diagram, yau_twist)
-from halg.structures import MATCHING_HOM_ASSOC
+from halg.axioms import first_difference
+from halg.structures import MATCHING_HOM_ASSOC, CheckReport
 
 ID2 = [[1, 0], [0, 1]]
 
@@ -99,15 +101,61 @@ def _cases():
         lambda: centroid_twist(rb, two_by_three)
     yield "yau_twist float", ShapeError, "candidate[0][0]", \
         lambda: yau_twist(rb, floats)
-    # the tensor operations read maps unchecked; over Q the frame's scaling
-    # refuses an entry that is not an int or a Fraction
+    # the tensor operations check their tensor and map by the one rule for
+    # map arguments, over Q and over F_p alike
     half_float = BilinearMap(QQ, (((0.5, 0), (0, 0)), ((0, 0), (0, 0))))
-    yield "postcompose float tensor", ShapeError, "map", \
+    yield "postcompose float tensor", ShapeError, "m[0][0][0]", \
         lambda: postcompose(half_float, id2)
-    yield "precompose_left float map", ShapeError, "map", \
+    yield "precompose_left float map", ShapeError, "f[0][0]", \
         lambda: precompose_left(zero2, floats)
-    yield "tensor_transpose float tensor", ShapeError, "map", \
+    yield "tensor_transpose float tensor", ShapeError, "m[0][0][0]", \
         lambda: tensor_transpose(half_float)
+    f3 = GF(3)
+    id3 = LinearMap.identity(f3, 2)
+    half_float3 = BilinearMap(f3, (((0.5, 0), (0, 0)), ((0, 0), (0, 0))))
+    five3 = BilinearMap(f3, (((0, 0), (0, 5)), ((0, 0), (0, 0))))
+    yield "postcompose float tensor over F_3", ShapeError, "m[0][0][0]", \
+        lambda: postcompose(half_float3, id3)
+    yield "tensor_transpose float tensor over F_3", ShapeError, "m[0][0][0]", \
+        lambda: tensor_transpose(half_float3)
+    yield "precompose_right entry 5 over F_3", ShapeError, "m[0][1][1]", \
+        lambda: precompose_right(five3, id3)
+    yield "precompose_left map entry 3 over F_3", ShapeError, "f[1][0]", \
+        lambda: precompose_left(BilinearMap.zero(f3, 2),
+                                LinearMap(f3, ((1, 0), (3, 1))))
+    yield "postcompose map float over F_3", ShapeError, "f[0][1]", \
+        lambda: postcompose(BilinearMap.zero(f3, 2), LinearMap(f3, ((1, 0.0), (0, 1))))
+    yield "postcompose tensor field 5", ParamError, None, \
+        lambda: postcompose(BilinearMap(5, (((0,),),)), LinearMap.identity(QQ, 1))
+    # a map over another field or of another dim than the doc or tensor it
+    # is read with, and two docs that a law between them cannot pair
+    yield "candidate over F_3", FieldMismatch, None, \
+        lambda: check_side_conditions(rb, ["endomorphism"], candidate=id3)
+    yield "morphism map over F_3", FieldMismatch, None, lambda: check_morphism(id3, rb, rb)
+    yield "postcompose 3x3 map", DimensionMismatch, None, \
+        lambda: postcompose(zero2, LinearMap.identity(QQ, 3))
+    yield "morphism between fields", FieldMismatch, None, \
+        lambda: check_morphism(id2, rb, catalog("N2-Pnil-w0-F3"))
+    zero3 = BilinearMap.zero(QQ, 3)
+    rb3 = make_doc(QQ, 3, ("a",), PLAIN_ASSOC_MATCHING_RB, {"dot": zero3},
+                   operators=OperatorFamily({"a": LinearMap.identity(QQ, 3)}, {"a": 0}))
+    yield "comparison between dims", DimensionMismatch, None, \
+        lambda: first_difference(rb, rb3)
+    # reports, docs and families that break an invariant their types state
+    yield "report verdict", ShapeError, "report", lambda: CheckReport("maybe")
+    yield "report verdict against its violations", ShapeError, "report", \
+        lambda: CheckReport("pass", (Violation("hom-assoc", (), (0, 0, 0), (1, 0), (0, 0)),))
+    yield "product of a family kind", ShapeError, "kind", lambda: fam.product()
+    yield "validate_doc role tag", ShapeError, "families.dot", \
+        lambda: validate_doc(dataclasses.replace(doc, families={
+            "dot": BilinearFamily("star", doc.families["dot"].maps)}))
+    rb_ab = make_doc(QQ, 2, ("a", "b"), PLAIN_ASSOC_MATCHING_RB, {"dot": zero2},
+                     operators=OperatorFamily({"a": id2, "b": id2}, {"a": 0, "b": 0}))
+    yield "validate_doc rb labels disagree", ShapeError, "families.dot.b", \
+        lambda: validate_doc(dataclasses.replace(rb_ab, families={
+            "dot": BilinearFamily("dot", {"a": zero2, "b": rb.product()})}))
+    yield "validate_doc operators 5", ShapeError, "operators", \
+        lambda: validate_doc(dataclasses.replace(rb, operators=5))
     yield "make_doc twist (5, 6)", ShapeError, "twist[0]", \
         lambda: _hom_assoc(zero, twist=LinearMap(QQ, (5, 6)))
     yield "make_doc operator (5, 6)", ShapeError, "operators.ops.a[0]", \

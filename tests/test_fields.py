@@ -1,13 +1,15 @@
 """Scalar arithmetic: canonical forms, inverses, parsing, serialization."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from halg import GF, QQ, DocSyntaxError, Field, ShapeError
-from halg.fields import field_from_jsonable, field_to_jsonable
+from halg.fields import _is_prime, field_from_jsonable, field_to_jsonable
 
 PRIMES = (2, 3, 5, 7)
 
@@ -27,6 +29,31 @@ def test_field_construction_rejects_bad_moduli():
         Field("rationals", 5)
     with pytest.raises(ShapeError):
         Field("galois", 5)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+def test_large_moduli_are_decided_at_once_and_bounded():
+    for carmichael in (561, 41041):
+        with pytest.raises(ShapeError) as exc:
+            Field("prime-field", carmichael)
+        assert exc.value.path == "field.p"
+    start = time.perf_counter()
+    mersenne = field_from_jsonable({"kind": "prime-field", "p": 2 ** 61 - 1})
+    assert GF(2 ** 64 - 59).p == 2 ** 64 - 59   # the largest prime below 2^64
+    assert time.perf_counter() - start < 1
+    assert mersenne.inv(2) * 2 % mersenne.p == 1
+    for big in (2 ** 64 + 13, 2 ** 64):
+        with pytest.raises(ShapeError) as exc:
+            field_from_jsonable({"kind": "prime-field", "p": big})
+        assert exc.value.path == "field.p"
 
 
 def test_reduce_canonicalizes():

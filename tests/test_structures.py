@@ -463,6 +463,7 @@ MALFORMED_DOCS = [
     (catalog("N2-Pnil-w0-F3"), lambda o: _as_lie_rb(o, o["families"]["dot"]),
      "families.bracket"),
     (PLAIN_RB2, lambda o: _as_lie_rb(o, N2), "families.bracket"),
+    (HOM_ASSOC2, lambda o: o.update(omega="ab"), "omega"),
     *((doc, lambda o, d=d: o.update(dim=d), "dim")
       for doc in (PLAIN_RB2, HOM_ASSOC2) for d in (0, "2", True)),
 ]
