@@ -47,9 +47,9 @@ its terms: at a basis tuple where every side is provably the zero vector
 (a structure constant or column it looks up is zero, or a weight it
 scales by is 0), the evaluator skips the instance, which cannot fail.  It
 compares the other instances' sides as they are and only when they differ
-divides them by D^K and reduces them; `replay_violation`, `fill` and so `linear_system`
-divide back the same way, so every value that leaves the evaluator is
-exact and canonical.  Plain kinds are written without p, and their
+divides them by D^K and reduces them; `replay_violation`, `fill` and so
+`linear_system` divide back the same way, so every value that leaves the
+evaluator is exact and canonical.  Plain kinds are written without p, and their
 frames bind p to the identity (`structure_twist`), so a stored candidate
 twist takes no part in their checks; side conditions test that slot.  The
 one check outside the table is the invertible tag, whose witness is a
@@ -493,7 +493,7 @@ def _frame(doc: AlgebraDoc, f=None, dst=None) -> _Frame:
     require(doc, AlgebraDoc, "doc")
     basis = _basis(doc.dim)
     maps = {} if f is None else {"f": f}
-    for suffix, d in (("", doc), ("2", dst)) if dst else (("", doc),):
+    for suffix, d in (("", doc), ("2", dst)) if dst is not None else (("", doc),):
         twist = d.structure_twist()
         for role, fam in d.families.items():
             maps[role + suffix] = {lab: fam.maps[lab].c for lab in d.labels}
@@ -649,7 +649,7 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
                          + type(conditions).__name__)
     require(doc, AlgebraDoc, "doc")
     if candidate is not None:
-        check_operand(candidate, LinearMap, doc.field, doc.dim, "candidate",
+        check_operand(candidate, doc.field, doc.dim, "candidate",
                       "candidate map of the wrong dimension")
     p = candidate if candidate is not None else doc.twist_map()
     frame = _frame(doc, f=p.columns())
@@ -676,7 +676,7 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     rb kinds the operators too (f o P_a = P'_a o f per label).  src and dst
     must share their field, kind, labels, weights and dimension."""
     _pair(src, dst, "morphism")
-    check_operand(f, LinearMap, src.field, src.dim, "morphism",
+    check_operand(f, src.field, src.dim, "morphism",
                   "morphism maps must match both carriers")
     frame = _frame(src, f.columns(), dst)
 

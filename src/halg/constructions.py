@@ -55,8 +55,7 @@ def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
     check_map(m, BilinearMap, field, dim, "m")
     maps = {"m": m.c}
     for g in f:
-        check_operand(g, LinearMap, field, dim, "f",
-                      f"map of another dimension than the dim-{dim} tensor")
+        check_operand(g, field, dim, "f", f"map of another dim than the dim-{dim} tensor")
         maps["f"] = g.columns()
     return fill(side, field, dim, _scaled(maps, field, dim))
 

@@ -78,19 +78,17 @@ def check_map(m, cls, field: Field, dim: int, path: str) -> None:
                                  f"{at}[{i}][{j}]")
 
 
-def check_operand(m, cls, field: Field, dim: int, path: str, mismatch: str) -> None:
-    """The one rule for a map an entry point takes beside a doc or a tensor
-    that fixes its field and dim: m is a cls (else a ParamError naming
-    path), over field (else a FieldMismatch), whose outer array has dim
-    entries (else a DimensionMismatch saying mismatch), and which obeys
-    check_map at path."""
-    require(m, cls, path)
-    if m.field != field:
-        raise FieldMismatch(f"{path}: {cls.__name__} over the wrong field")
-    data = m.rows if cls is LinearMap else m.c
-    if isinstance(data, _ARRAY) and len(data) != dim:
+def check_operand(f, field: Field, dim: int, path: str, mismatch: str) -> None:
+    """The one rule for a map argument read beside a doc or a tensor that
+    fixes its field and dim: f is a LinearMap (else a ParamError naming
+    path), over field (else a FieldMismatch), with dim rows (else a
+    DimensionMismatch saying mismatch), and obeys check_map at path."""
+    require(f, LinearMap, path)
+    if f.field != field:
+        raise FieldMismatch(f"{path} map over the wrong field")
+    if isinstance(f.rows, _ARRAY) and len(f.rows) != dim:
         raise DimensionMismatch(mismatch)
-    check_map(m, cls, field, dim, path)
+    check_map(f, LinearMap, field, dim, path)
 
 
 def _size_error(a, dim: int, path: str) -> ShapeError:
