@@ -845,9 +845,8 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
         frame = _frame(doc, cand.columns(), partner)
         frame["D"] = 1
         runs = [(None, _structure_laws(doc.kind, False, False))]
-        runs += [(role, _map_laws(tag, role)) for tag in ("endomorphism", "multiplicative",
-                                                           "morphism")
-                 for role in KIND_ROLES[doc.kind]]
+        runs += [(role, _map_laws(tag, role)) for role in KIND_ROLES[doc.kind]
+                 for tag in ("endomorphism", "multiplicative", "morphism")]
         for role, laws in runs:
             if role is not None:
                 frame["m"], frame["m~"] = frame[role], frame[role + "~"]
