@@ -33,29 +33,32 @@ optionally tagged with a flag it runs under.
   without it): "verbose", the dendriform toggle, and "alternating" for the
   bracket role.
 
-Each row compiles once per process into one Python function per side and
-binds to a doc's maps per call, through a frame; a product that a side
-multiplies through is bound in its sparse form, made once per call.  Over Q
-a frame binds every tensor, twist, operator column, weight and candidate
-map as ints times one common denominator D, the lcm of every denominator it
-binds (for a law between two docs, of both docs' and the map's), so the
-evaluator runs on ints alone; over F_p, D = 1.  A row's degree K is the
-most maps and weights one of its terms applies; its padded twin, run by
-a frame whose D is not 1, takes a term of degree k times D^(K - k), so
-every side is D^K times its value.  Each row also compiles a guard from
-its terms: at a basis tuple where every side is provably the zero vector
-(a structure constant or column it looks up is zero, or a weight it
-scales by is 0), the evaluator skips the instance, which cannot fail.  It
-compares the other instances' sides as they are and only when they differ
-divides them by D^K and reduces them; `replay_violation`, `fill` and so
-`linear_system` divide back the same way, so every value that leaves the
-evaluator is exact and canonical.  Plain kinds are written without p, and their
-frames bind p to the identity (`structure_twist`), so a stored candidate
-twist takes no part in their checks; side conditions test that slot.  The
-one check outside the table is the invertible tag, whose witness is a
-kernel vector.  `fill` fills c'[i][j] of a constructed tensor with its
-side, reduced, at (i, j); `first_difference` compares two docs' tensors by
-the row "diagram-{role}".
+Each row compiles once per process into one generated Python function, its
+runner, shared by every role the row is checked on.  Per label tuple the
+runner reads the maps the row names from a frame, and then it loops over
+the basis tuples inside the generated code, running the row's guard and
+sides inline; a product that a side multiplies through is bound in its
+sparse form, made once per frame.  Over Q a frame binds every tensor,
+twist, operator column, weight and candidate map as ints times one common
+denominator D, the lcm of every denominator it binds (for a law between
+two docs, of both docs' and the map's), so the runner works on ints alone;
+over F_p, D = 1.  A row's degree K is the most maps and weights one of its
+terms applies; its padded twin, run by a frame whose D is not 1, takes a
+term of degree k times D^(K - k), so every side is D^K times its value.
+The guard is compiled from the row's terms: at a basis tuple where every
+side is provably the zero vector (a structure constant or column it looks
+up is zero, or a weight it scales by is 0), the runner skips the
+instance, which cannot fail.  It yields the other instances whose sides
+differ as they are, and only those are divided by D^K and reduced here;
+`replay_violation`, `fill` and so `linear_system` run the same runner in
+the mode that yields every instance's sides and divide back the same way,
+so every value that leaves the evaluator is exact and canonical.  Plain
+kinds are written without p, and their frames bind p to the identity
+(`structure_twist`), so a stored candidate twist takes no part in their
+checks; side conditions test that slot.  The one check outside the table
+is the invertible tag, whose witness is a kernel vector.  `fill` fills
+c'[i][j] of a constructed tensor with its side, reduced, at (i, j);
+`first_difference` compares two docs' tensors by the row "diagram-{role}".
 
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
@@ -84,7 +87,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch,
@@ -224,24 +227,31 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 
 # --- compiling laws ----------------------------------------------------------
 #
-# A law compiles once per process into one Python function per side,
-# side(B, E, ix) -> the side's unreduced vector at the basis tuple ix, where
-# E is the basis and B the tuple of maps the law names, bound once per label
-# tuple.  Linear maps are bound as their column tuples.  A map on basis
-# slots only is a table lookup (a structure constant, or a column); every
-# other node calls a linalg kernel, and a side of several terms adds them
-# coordinate by coordinate.  A bilinear map that a side multiplies through
-# is read in its sparse form (linalg.sparse_tensor), bound under its name
-# with "~" after the role ("dot~.a", "m~"); lookups read the dense tensor.
+# A law compiles once per process into one generated function,
+# run(F, tuples, pts, every), from the term trees of its sides; the law's
+# roles share it.  For each label tuple in tuples it reads each map the law
+# names from the frame F, a map named with a label variable at that
+# tuple's label ("F['P'][labs[0]]") and the others once per call
+# ("F['m~']"); linear maps are bound as their column tuples.  Then it loops
+# over the basis tuples pts, and at each runs the guard, the lhs and every
+# rhs inline.  A map on basis slots only is a table lookup (a structure
+# constant, or a column); every other node calls a linalg kernel, and a
+# side of several terms adds (or subtracts) them entry by entry.  A
+# bilinear map that a side multiplies through is read in its sparse form
+# (linalg.sparse_tensor), bound under its name with "~" after the role
+# ("dot~.a", "m~"); lookups read the dense tensor.  The runner yields
+# (labs, ix, held, sides), sides being the unreduced lhs and each rhs and
+# held whether the guard holds at ix: with every set, at every instance,
+# and otherwise only where the guard does not hold and some rhs differs
+# from the lhs as it stands.
 #
-# From the same term trees each law also compiles its guard,
-# zero(B, E, ix), which holds when every side is provably the zero vector
-# at ix: a term is provably zero when a structure constant c[i][j] or a
-# column it looks up is the zero vector, when it scales by a weight w that
-# is 0, or when a map is applied to a provably zero term.  A side is zero
-# when all its terms are (the empty side always is).  The guard reads only
-# lookups and weights, so it costs far less than the sides; an instance it
-# holds at cannot fail, and the evaluator skips it.
+# The guard holds at ix when every side is provably the zero vector there:
+# a term is provably zero when a structure constant c[i][j] or a column it
+# looks up is the zero vector, when it scales by a weight w that is 0, or
+# when a map is applied to a provably zero term.  A side is zero when all
+# its terms are (the empty side always is).  The guard reads only lookups
+# and weights, so it costs far less than the sides; an instance it holds
+# at cannot fail, and the runner skips it unless every is set.
 #
 # A law's degree K is the largest number of maps and weights one of its
 # terms applies ("-" is a sign, not a map).  A frame binds every scalar
@@ -268,10 +278,11 @@ def _terms(node):
 
 
 def _ref(name, names):
-    """B[...] for the map name; appended to names on first use."""
+    """The runner's local b<i> for the map name; appended to names on first
+    use."""
     if name not in names:
         names.append(name)
-    return f"B[{names.index(name)}]"
+    return f"b{names.index(name)}"
 
 
 def _is_scalar(name):
@@ -296,13 +307,13 @@ def _lookup(term):
 
 
 def _source(term, names):
-    """Python expression for term; each map it names is appended to names
-    once and read as B[its index]."""
+    """Python expression for term at the basis tuple (i0, i1, i2); each map
+    it names is appended to names once and read as its local (_ref)."""
     if isinstance(term, int):
-        return f"E[ix[{term}]]"
+        return f"E[i{term}]"
     name, *args = term
     if _lookup(term):
-        return _ref(name, names) + "".join(f"[ix[{t}]]" for t in args)
+        return _ref(name, names) + "".join(f"[i{t}]" for t in args)
     if len(args) == 2:
         key, dot, var = name.partition(".")
         return (f"mul({_ref(key + '~' + dot + var, names)}, "
@@ -327,20 +338,26 @@ def _zero_source(term, names):
 
 
 def _side_source(side, names):
+    """Python expression for the sum of side's terms; each term after the
+    first is added, or taken away where it is subtracted, entry by entry."""
     if not side:
-        return "[0] * len(E)"
+        return "Z"
+    out = _source(side[0], names)
     if len(side) == 1:
-        return _source(side[0], names)
-    vs = [f"v{i}" for i in range(len(side))]
-    return (f"[{' + '.join(vs)} for {', '.join(vs)} in "
-            f"zip({', '.join(_source(t, names) for t in side)})]")
+        return out
+    for term in side[1:]:
+        if isinstance(term, tuple) and term[0] == "-":
+            out = f"map(sub, {out}, {_source(term[1], names)})"
+        else:
+            out = f"map(add, {out}, {_source(term, names)})"
+    return f"list({out})"
 
 
 def _guard_source(sides, names):
     conds = [_zero_source(t, names) for side in sides for t in side]
     if None in conds:
-        return "False"
-    return " and ".join(f"({c})" for c in conds) or "True"
+        return None
+    return " and ".join(f"({c})" for c in dict.fromkeys(conds)) or "True"
 
 
 def _slots(term):
@@ -349,45 +366,81 @@ def _slots(term):
     return set().union(*map(_slots, term[1:]))
 
 
+def _runner_source(labels, arity, sides):
+    """The source of run (above) for the label variables labels and the
+    sides, term lists over arity basis slots."""
+    names = []
+    guard = _guard_source(sides, names)
+    values = [_side_source(side, names) for side in sides]
+    once, per_labs = [], []
+    for i, name in enumerate(names):
+        key, _, var = name.partition(".")
+        if var:
+            per_labs.append(f"b{i} = F[{key!r}][labs[{labels.index(var)}]]")
+        else:
+            once.append(f"b{i} = F[{key!r}]")
+    if any("E[" in value for value in values):
+        once.append('E = F["basis"]')
+    if not all(sides):
+        once.append('Z = [0] * len(F["basis"])')
+    body = [f"{''.join(f'i{s}, ' for s in range(arity))}= ix"]
+    if guard is not None:
+        once.append("skip = not every")
+        body += [f"if (held := {guard}) and skip:", "    continue"]
+    body += [f"s{k} = {value}" for k, value in enumerate(values)]
+    body += [" or ".join(["if every", *(f"s0 != s{k}" for k in range(1, len(sides)))]) + ":",
+             f"    yield labs, ix, {'held' if guard else 'False'}, "
+             f"({', '.join(f's{k}' for k in range(len(sides)))},)"]
+    return "\n".join(["def run(F, tuples, pts, every):",
+                      *("    " + line for line in once),
+                      "    for labs in tuples:",
+                      *("        " + line for line in per_labs),
+                      "        for ix in pts:",
+                      *("            " + line for line in body)])
+
+
+_KERNELS = {"mul": bilinear_raw, "app": apply_raw, "add": add, "sub": sub}
+
+
 @dataclass(eq=False, slots=True)
 class _Compiled:
     axiom: str
     labels: str
     arity: int
     degree: int       # K: the padded twin's sides are D^K times their values
-    refs: tuple       # per B[i]: (frame key, index of its label variable or None)
-    lhs: object       # lhs(B, E, ix) -> unreduced vector
-    rhs: tuple        # the same for each right-hand side
-    zero: object      # zero(B, E, ix) -> whether every side is provably zero
+    rhs: int          # the number of right-hand sides
+    run: object       # run(F, tuples, pts, every), as above
     padded: _Compiled = None    # the padded twin: the law itself, or its D-padded copy
-
-    def bind(self, frame, labs):
-        """B: the maps the sides read, at the label tuple labs."""
-        return tuple(frame[key] if i is None else frame[key][labs[i]]
-                     for key, i in self.refs)
 
 
 @lru_cache(maxsize=None)
-def _compile(law: _Law, role) -> _Compiled:
-    """law compiled, with its padded twin: each term brought to the law's
-    degree by powers of D, or the law itself where every term has it."""
+def _runners(law: _Law):
+    """(arity, degree, run, padded run) for law: its sides' runner and its
+    padded twin's, in which each term is brought to the law's degree by
+    powers of D; the two are one where every term has it.  Compiled once
+    per law, and shared by every role the law is checked on."""
     sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     degree = max(_degree(t) for side in sides for t in side)
     padded = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
 
     def compiled(sides):
-        names = []
-        kernels = {"mul": bilinear_raw, "app": apply_raw}
-        zero, lhs, *rhs = [eval(f"lambda B, E, ix: {source}", kernels) for source in
-                           (_guard_source(sides, names),
-                            *(_side_source(side, names) for side in sides))]
-        refs = tuple((key, law.labels.index(var) if var else None)
-                     for key, _, var in (name.partition(".") for name in names))
-        return _Compiled(law.axiom.format(role=role), law.labels, arity, degree, refs,
-                         lhs, tuple(rhs), zero)
-    out = compiled(sides)
-    twin = out if padded == sides else compiled(padded)
+        scope = dict(_KERNELS)
+        exec(_runner_source(law.labels, arity, sides), scope)
+        return scope["run"]
+    run = compiled(sides)
+    return arity, degree, run, run if padded == sides else compiled(padded)
+
+
+@lru_cache(maxsize=None)
+def _compile(law: _Law, role) -> _Compiled:
+    """law compiled for role, with its padded twin (_runners): the law
+    itself where its runners are one."""
+    arity, degree, run, padded = _runners(law)
+    out = _Compiled(law.axiom.format(role=role), law.labels, arity, degree,
+                    len(law.rhs), run)
+    twin = out if padded is run else _Compiled(out.axiom, law.labels, arity, degree,
+                                               len(law.rhs), padded)
     out.padded = twin.padded = twin
     return out
 
@@ -519,33 +572,29 @@ def _twin(law: _Compiled, frame, field):
 
 def _violations(laws, frame, labels, field, points=None, mixed=False):
     """Every failed instance of the compiled laws, in (law, labels, basis)
-    order.  An instance whose guard proves every side zero is skipped; the
-    others compare their sides raw, D^K times their values (_twin), and
-    divide them back and reduce them only when they differ.
+    order.  Each law's runner skips the instances whose guard proves every
+    side zero and yields the others where some rhs differs from the lhs
+    raw, D^K times their values (_twin); here each such pair is divided
+    back and reduced, and a violation is one whose reduced sides still
+    differ.
 
     points, when given, replaces every basis tuple of the laws' arity; with
     mixed set, only the label tuples naming two distinct labels are taken.
     """
-    basis = frame["basis"]
+    dim = len(frame["basis"])
     for law in laws:
         law, red = _twin(law, frame, field)
-        zero, lhs, rhss = law.zero, law.lhs, law.rhs
-        pts = _points(len(basis), law.arity) if points is None else points
-        for labs in product(labels, repeat=len(law.labels)):
-            if mixed and len(set(labs)) < 2:
-                continue
-            maps = law.bind(frame, labs)
-            for ix in pts:
-                if zero(maps, basis, ix):
-                    continue
-                left = lhs(maps, basis, ix)
-                for rhs in rhss:
-                    right = rhs(maps, basis, ix)
-                    if left != right:
-                        lc = tuple(map(red, left))
-                        rc = tuple(map(red, right))
-                        if lc != rc:
-                            yield Violation(law.axiom, labs, ix, lc, rc)
+        pts = _points(dim, law.arity) if points is None else points
+        tuples = product(labels, repeat=len(law.labels))
+        if mixed:
+            tuples = [labs for labs in tuples if len(set(labs)) > 1]
+        for labs, ix, _, (left, *rights) in law.run(frame, tuples, pts, False):
+            lc = tuple(map(red, left))
+            for right in rights:
+                if right != left:
+                    rc = tuple(map(red, right))
+                    if lc != rc:
+                        yield Violation(law.axiom, labs, ix, lc, rc)
 
 
 def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
@@ -593,9 +642,8 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
         law, red = _twin(law, frame, doc.field)
-        maps, vectors = law.bind(frame, labels), frame["basis"]
-        sides = law.lhs(maps, vectors, basis), law.rhs[0](maps, vectors, basis)
-        return tuple(tuple(map(red, side)) for side in sides)
+        (_, _, _, sides), = law.run(frame, (labels,), (basis,), True)
+        return tuple(tuple(map(red, side)) for side in sides[:2])
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
 
@@ -702,9 +750,10 @@ def fill(side, field, dim, frame, lab=None) -> BilinearMap:
     side compiles once per process as a law, run as _twin picks, and reads
     its names from frame (_frame, _scaled) with the label variable a at lab."""
     law, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
-    maps, basis, n = law.bind(frame, (lab,)), frame["basis"], range(dim)
-    return BilinearMap(field, tuple(tuple(tuple(map(red, law.lhs(maps, basis, (i, j))))
-                                          for j in n) for i in n))
+    entries = [tuple(map(red, sides[0])) for _, _, _, sides
+               in law.run(frame, ((lab,),), _points(dim, 2), True)]
+    return BilinearMap(field, tuple(tuple(entries[i * dim:(i + 1) * dim])
+                                    for i in range(dim)))
 
 
 # --- searches ----------------------------------------------------------------
@@ -726,7 +775,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
                          f"not {tag!r}")
     if tag == "commutes" and doc.operators is None:
         raise ShapeError("commutes requires an operator family", "operators")
-    if any(len(law.rhs) > 1 for role in _roles(tag, doc)
+    if any(law.rhs > 1 for role in _roles(tag, doc)
            for law in _map_laws(tag, role)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")

@@ -14,8 +14,8 @@ After a failed or raised doc that rest is still read and parsed, so a
 malformed doc anywhere is a usage error; the output for the docs before it
 has already been written.  `-o FILE` writes only once every doc exists.
 
-Exit codes: 0 success, 1 usage or malformed input, or stdout closed by its
-reader, 2 a failed check or an unmet construction precondition (the witness
+Exit codes: 0 success, 1 usage or malformed input, stdout closed by its
+reader, or an output scalar too long to write, 2 a failed check or an unmet construction precondition (the witness
 report is printed when one exists), 3 a construction whose output re-check
 failed.
 """
@@ -107,11 +107,12 @@ def _to_stdout(path) -> bool:
 
 def _write_file(path: str, docs) -> None:
     """Write docs to the file at path.  Callers pass every doc already made,
-    so a failed command leaves the file untouched even when it is an input."""
+    and each is serialized before the file is opened, so a failed command
+    leaves the file untouched even when it is an input."""
+    text = "".join(serialize_doc(doc).decode("utf-8") + "\n" for doc in docs)
     try:
         with open(path, "w", encoding="utf-8") as out:
-            for doc in docs:
-                _emit_doc(doc, out)
+            out.write(text)
     except OSError as e:
         raise ParamError(f"cannot write {path}: {e.strerror}") from None
 

@@ -8,10 +8,13 @@ input slipped past a hypothesis or the transform is wrong, and both must be
 loud.
 
 Every derived tensor is one row, a side in the law table's terms that
-axioms.fill evaluates at each basis pair: x <_a y is m(X, P.a(Y)) +
-w.a(m(X, Y)), and postcompose, the precompositions and tensor_transpose are
-a row each.  Preconditions and the twist rules (powers, inverse) stay code,
-and collapse_family's sum over labels is linalg.tensor_combine.
+axioms.fill evaluates at each basis pair on the input doc's own frame, with
+a construction's map bound as f: x <_a y is m(X, P.a(Y)) + w.a(m(X, Y)),
+and yau_twist's product is f(m(X, Y)).  The exported tensor operations
+(postcompose, the precompositions and tensor_transpose) are a row each on
+their own arguments, which they check.  Preconditions and the twist rules
+(powers, inverse) stay code, and collapse_family's sum over labels is
+linalg.tensor_combine.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from .axioms import (_frame, _scaled, check_morphism, check_side_conditions,
                      check_structure, fill, first_difference)
 from .errors import (MissingCoefficientError, NonzeroWeightError, ParamError,
-                     PowerBoundError, PreconditionFailed, TheoremCheckError,
-                     require)
+                     PowerBoundError, PreconditionFailed, ShapeError,
+                     TheoremCheckError, require)
 from .fields import Field
 from .linalg import (BilinearMap, LinearMap, check_map, check_operand,
                      map_invert, map_power, tensor_combine)
@@ -39,11 +42,18 @@ from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
 MAX_DERIVED_LEVEL = 16
 
 
-def _filled(doc: AlgebraDoc, **sides) -> dict:
-    """{role: {label: sides[role] at that label}} on doc's maps."""
-    frame = _frame(doc)
+def _filled(doc: AlgebraDoc, f: LinearMap | None = None, **sides) -> dict:
+    """{role: {label: sides[role] at that label}} on doc's frame, with f,
+    where given, bound as the map f."""
+    frame = _frame(doc, None if f is None else f.columns())
     return {role: {lab: fill(side, doc.field, doc.dim, frame, lab) for lab in doc.labels}
             for role, side in sides.items()}
+
+
+def _product(doc: AlgebraDoc, side: str, f: LinearMap) -> BilinearMap:
+    """side, which names no label, on doc's frame with f bound as the map f:
+    the product of an rb output, filled once."""
+    return fill(side, doc.field, doc.dim, _frame(doc, f.columns()))
 
 
 def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
@@ -51,6 +61,8 @@ def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
     check_map, and f the one rule for map arguments on m's field and dim."""
     require(m, BilinearMap, "m")
     require(m.field, Field, "m.field")
+    if not isinstance(m.c, (list, tuple)):
+        raise ShapeError("expected an array of structure constants", "m")
     field, dim = m.field, m.dim
     check_map(m, BilinearMap, field, dim, "m")
     maps = {"m": m.c}
@@ -144,7 +156,7 @@ def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
     _checked_input(doc, PLAIN_RB_KINDS, "yau_twist")
     _checked_sides(doc, p, ["endomorphism", "commutes"], "yau_twist")
     return _rb_output(doc, "yau_twist", RB_TWINS[doc.kind][1],
-                      postcompose(doc.product(), p), p)
+                      _product(doc, "f(m(X, Y))", p), p)
 
 
 def untwist(doc: AlgebraDoc) -> AlgebraDoc:
@@ -157,7 +169,7 @@ def untwist(doc: AlgebraDoc) -> AlgebraDoc:
     p = doc.structure_twist()
     _checked_sides(doc, p, ["multiplicative", "commutes", "invertible"], "untwist")
     return _rb_output(doc, "untwist", RB_TWINS[doc.kind][0],
-                      postcompose(doc.product(), map_invert(p)), None)
+                      _product(doc, "f(m(X, Y))", map_invert(p)), None)
 
 
 def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
@@ -182,7 +194,7 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
     else:
         prod_pow, twist_pow = (1 << n) - 1, 1 << n
     return _rb_output(doc, "derived_algebra", RB_TWINS[doc.kind][1],
-                      postcompose(doc.product(), map_power(p, prod_pow)),
+                      _product(doc, "f(m(X, Y))", map_power(p, prod_pow)),
                       map_power(p, twist_pow))
 
 
@@ -196,9 +208,7 @@ def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDo
         raise ParamError(f"variant must be 1 or 2, got {variant!r}")
     _checked_input(doc, PLAIN_RB_KINDS, "centroid_twist")
     _checked_sides(doc, p, ["centroid", "commutes"], "centroid_twist")
-    new = precompose_left(doc.product(), p)
-    if variant == 2:
-        new = precompose_right(new, p)
+    new = _product(doc, "m(f(X), Y)" if variant == 1 else "m(f(X), f(Y))", p)
     return _rb_output(doc, "centroid_twist", RB_TWINS[doc.kind][1], new, p)
 
 
@@ -287,8 +297,7 @@ def dendriform_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
     report = check_morphism(p, doc, doc)
     if not report.passed:
         raise PreconditionFailed("dendriform_twist: map is not a self-morphism", report)
-    families = {role: {lab: postcompose(m, p) for lab, m in fam.maps.items()}
-                for role, fam in doc.families.items()}
+    families = _filled(doc, p, **{role: f"f({role}.a(X, Y))" for role in doc.families})
     return _output(doc, "dendriform_twist", doc.kind, families, p)
 
 

@@ -16,6 +16,7 @@ back, and where documents are serialized.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,10 @@ PRIME_FIELD = "prime-field"
 # every modulus halg accepts.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_MODULUS = 1 << 64
+
+# An int of fewer bits has fewer decimal digits than the lowest limit that
+# sys.set_int_max_str_digits accepts, so it always converts to a string.
+_SHORT_BITS = 3 * sys.int_info.str_digits_check_threshold
 
 
 def _is_prime(n: int) -> bool:
@@ -167,11 +172,15 @@ class Field:
         return None
 
     def format_scalar(self, v: Scalar):
-        """JSON spelling of a canonical scalar: int, or "num/den" when needed."""
+        """JSON spelling of a canonical scalar: int, or "num/den" when needed.
+        A scalar with more digits than Python's int-to-string limit
+        (sys.get_int_max_str_digits()) has none: ValueError."""
         if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return int(v)
-            return f"{v.numerator}/{v.denominator}"
+            if v.denominator != 1:
+                return f"{v.numerator}/{v.denominator}"
+            v = v.numerator
+        if type(v) is int and v.bit_length() >= _SHORT_BITS:
+            str(v)
         return v
 
     def random_scalar(self, rng) -> Scalar:

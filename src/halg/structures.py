@@ -32,7 +32,9 @@ Representation notes, fixed here once for the whole package:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DocSyntaxError, ParamError, ShapeError, require
 from .fields import Field, field_from_jsonable, field_to_jsonable
@@ -340,16 +342,55 @@ def _check_alternating(doc: AlgebraDoc, m: BilinearMap, path: str):
 
 # --- canonical JSON ---------------------------------------------------------
 
-def _tensor_jsonable(field: Field, m: BilinearMap):
-    return [[[field.format_scalar(v) for v in row] for row in plane] for plane in m.c]
+def _tensor_jsonable(spell, m: BilinearMap):
+    return [[[spell(v) for v in row] for row in plane] for plane in m.c]
 
 
-def _matrix_jsonable(field: Field, f: LinearMap):
-    return [[field.format_scalar(v) for v in row] for row in f.rows]
+def _matrix_jsonable(spell, f: LinearMap):
+    return [[spell(v) for v in row] for row in f.rows]
+
+
+def _as_is(v):
+    return v
+
+
+def _spelled(jsonable, field: Field):
+    """The object jsonable(spell) builds, of dicts and lists with every
+    scalar spelled by spell, with field's spelling (Field.format_scalar).
+    A scalar that has none is a ShapeError at its path."""
+    try:
+        return jsonable(field.format_scalar)
+    except ValueError:
+        raise _unspellable(jsonable(_as_is), field, "") from None
+
+
+def _unspellable(obj, field: Field, path: str):
+    """The ShapeError at the first scalar in obj, at path, that has no
+    spelling, or None."""
+    if isinstance(obj, dict):
+        parts = ((f"{path}.{key}" if path else key, v) for key, v in obj.items())
+    elif isinstance(obj, list):
+        parts = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    elif isinstance(obj, (int, Fraction)):
+        try:
+            field.format_scalar(obj)
+        except ValueError:
+            return ShapeError("scalar has more digits than Python's int-to-string "
+                              f"limit of {sys.get_int_max_str_digits()}", path)
+        return None
+    else:
+        return None
+    return next(filter(None, (_unspellable(v, field, at) for at, v in parts)), None)
 
 
 def doc_to_jsonable(doc: AlgebraDoc) -> dict:
+    """doc as the JSON object serialize_doc writes; a scalar with more
+    digits than Python's int-to-string limit is a ShapeError at its path."""
     require(doc, AlgebraDoc, "doc")
+    return _spelled(lambda spell: _doc_object(doc, spell), doc.field)
+
+
+def _doc_object(doc: AlgebraDoc, spell) -> dict:
     field = doc.field
     obj = {
         "format-version": FORMAT_VERSION,
@@ -363,20 +404,19 @@ def doc_to_jsonable(doc: AlgebraDoc) -> dict:
         if role not in doc.families:
             continue
         if doc.kind in RB_KINDS:
-            fams[role] = _tensor_jsonable(field, doc.product())
+            fams[role] = _tensor_jsonable(spell, doc.product())
         else:
             maps = doc.families[role].maps
-            fams[role] = {lab: _tensor_jsonable(field, maps[lab]) for lab in doc.labels}
+            fams[role] = {lab: _tensor_jsonable(spell, maps[lab]) for lab in doc.labels}
     obj["families"] = fams
     if doc.operators is not None:
         obj["operators"] = {
-            "ops": {lab: _matrix_jsonable(field, doc.operators.ops[lab])
+            "ops": {lab: _matrix_jsonable(spell, doc.operators.ops[lab])
                     for lab in doc.labels},
-            "weights": {lab: field.format_scalar(doc.operators.weights[lab])
-                        for lab in doc.labels},
+            "weights": {lab: spell(doc.operators.weights[lab]) for lab in doc.labels},
         }
     if doc.twist is not None:
-        obj["twist"] = _matrix_jsonable(field, doc.twist)
+        obj["twist"] = _matrix_jsonable(spell, doc.twist)
     return obj
 
 
@@ -505,16 +545,20 @@ def make_report(violations) -> CheckReport:
 
 
 def report_to_jsonable(report: CheckReport, field: Field) -> dict:
-    return {
-        "verdict": report.verdict,
-        "violations": [
-            {
-                "axiom-id": v.axiom,
-                "omega-indices": list(v.labels),
-                "basis-indices": list(v.basis),
-                "lhs": [field.format_scalar(x) for x in v.lhs],
-                "rhs": [field.format_scalar(x) for x in v.rhs],
-            }
-            for v in report.violations
-        ],
-    }
+    """report as the JSON object the CLI writes; a scalar with more digits
+    than Python's int-to-string limit is a ShapeError at its path."""
+    def jsonable(spell):
+        return {
+            "verdict": report.verdict,
+            "violations": [
+                {
+                    "axiom-id": v.axiom,
+                    "omega-indices": list(v.labels),
+                    "basis-indices": list(v.basis),
+                    "lhs": [spell(x) for x in v.lhs],
+                    "rhs": [spell(x) for x in v.rhs],
+                }
+                for v in report.violations
+            ],
+        }
+    return _spelled(jsonable, field)

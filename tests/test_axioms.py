@@ -23,8 +23,8 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
 from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
-                         _basis, _compile, _frame, _laws_for, _map_laws,
-                         _structure_laws, _twin)
+                         _compile, _frame, _laws_for, _map_laws,
+                         _structure_laws, _twin, _violations)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -755,17 +755,15 @@ def test_replay_refuses_witness_coordinates_outside_the_doc():
 def _guarded_sides(laws, frame, labels, dim):
     """(law, sides) at every instance where the law's guard holds, with the
     sides evaluated raw; and the number of instances tried."""
-    basis = _basis(dim)
     tried = 0
     held = []
     for law in laws:
-        for labs in itertools.product(labels, repeat=len(law.labels)):
-            maps = law.bind(frame, labs)
-            for ix in itertools.product(range(dim), repeat=law.arity):
-                tried += 1
-                if law.zero(maps, basis, ix):
-                    held.append((law, [law.lhs(maps, basis, ix)]
-                                 + [rhs(maps, basis, ix) for rhs in law.rhs]))
+        points = list(itertools.product(range(dim), repeat=law.arity))
+        tuples = itertools.product(labels, repeat=len(law.labels))
+        for _, _, guard, sides in law.run(frame, tuples, points, True):
+            tried += 1
+            if guard:
+                held.append((law, list(sides)))
     return held, tried
 
 
@@ -836,10 +834,6 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                        ("dendriform-3", "!" + DENDRIFORM_AXIOM3_TWIST)}
     assert all(c.padded.padded is c.padded for _, c in compiled)
 
-    def sides(law, maps, ix):
-        basis = frame["basis"]
-        return [law.lhs(maps, basis, ix)] + [rhs(maps, basis, ix) for rhs in law.rhs]
-
     compared = set()
     for doc, partner, cand in _guard_corpus():
         frame = _frame(doc, cand.columns(), partner)
@@ -855,13 +849,45 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                 if law.padded is law:
                     continue
                 compared.add(law.axiom)
-                for labs in itertools.product(doc.labels, repeat=len(law.labels)):
-                    maps, twin = law.bind(frame, labs), law.padded.bind(frame, labs)
-                    for ix in itertools.product(range(doc.dim), repeat=law.arity):
-                        assert sides(law, maps, ix) == sides(law.padded, twin, ix), \
-                            (doc, law.axiom, labs, ix)
+                points = list(itertools.product(range(doc.dim), repeat=law.arity))
+                tuples = list(itertools.product(doc.labels, repeat=len(law.labels)))
+                runs = (law.run(frame, tuples, points, True),
+                        law.padded.run(frame, tuples, points, True))
+                for (labs, ix, _, sides), (*_, twin) in zip(*runs, strict=True):
+                    assert sides == twin, (doc, law.axiom, labs, ix)
     assert compared == {"endomorphism", "multiplicative", "dendriform-3",
                         *(f"morphism-{role}" for role in roles)}, compared
+
+
+def test_the_runners_label_and_point_filters_restrict_the_full_check():
+    """Over seeded one- and two-label docs of every kind over F_2, F_3 and
+    Q, under both dendriform readings: mixed=True yields exactly the full
+    check's violations at label tuples of distinct labels, and points=
+    exactly those at the given basis tuples, each in the full check's
+    order."""
+    rng = random.Random(1808)
+    mixed_seen = pointed_seen = 0
+    for field in (GF(2), GF(3), QQ):
+        for kind in KINDS:
+            for labels in (("a",), ("a", "b")):
+                doc = _seeded_doc(field, kind, 2, labels, 0.6, rng)
+                for twist3 in (True, False):
+                    laws, frame = _laws_for(doc, {DENDRIFORM_AXIOM3_TWIST: twist3}, True)
+                    full = list(_violations(laws, frame, doc.labels, field))
+                    mixed = [v for v in full if len(set(v.labels)) > 1]
+                    assert list(_violations(laws, frame, doc.labels, field,
+                                            mixed=True)) == mixed
+                    mixed_seen += len(mixed)
+                    for arity in {law.arity for law in laws}:
+                        same = [law for law in laws if law.arity == arity]
+                        points = [ix for ix in itertools.product(range(2), repeat=arity)
+                                  if rng.random() < 0.5]
+                        pointed = [v for v in _violations(same, frame, doc.labels, field)
+                                   if v.basis in points]
+                        assert list(_violations(same, frame, doc.labels, field,
+                                                points=points)) == pointed
+                        pointed_seen += len(pointed)
+    assert mixed_seen > 50 and pointed_seen > 50, (mixed_seen, pointed_seen)
 
 
 def _bound(v):
@@ -881,9 +907,7 @@ def test_a_frame_over_q_binds_only_ints():
     scaled = 0
     for doc, partner, cand in _guard_corpus():
         laws, frame = _laws_for(doc, None, True)
-        for law in laws:
-            for labs in itertools.product(doc.labels, repeat=len(law.labels)):
-                law.bind(frame, labs)
+        list(_violations(laws, frame, doc.labels, doc.field))
         frame2 = target = _frame(doc, cand.columns(), partner)
         sparse = [frame2[role + s + "~"] for s in ("", "2") for role in KIND_ROLES[doc.kind]]
         d, d2 = frame.get("D", 1), frame2.get("D", 1)

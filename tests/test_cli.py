@@ -602,6 +602,36 @@ def test_an_over_long_integer_param_is_a_usage_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: param 'n' holds an integer literal")
 
 
+def test_a_scalar_past_the_int_to_string_limit_is_a_usage_error(tmp_path, capsys):
+    """A constructed doc or a witness report holding a scalar whose decimal
+    form passes Python's int-to-string limit ends in an error: line at its
+    path and exit 1, and -o leaves its file untouched."""
+    long = int("7" * 3000)
+    rb = make_doc(QQ, 2, ("a",), HOM_ASSOC_MATCHING_RB, {"dot": BilinearMap.zero(QQ, 2)},
+                  operators=OperatorFamily({"a": LinearMap.from_rows(QQ, [[0, 0], [0, 0]])},
+                                           {"a": 0}),
+                  twist=LinearMap.from_rows(QQ, [[long, 0], [0, 1]]))
+    path = write_docs(tmp_path, "rb.jsonl", rb)
+    out_path = tmp_path / "out.jsonl"
+    out_path.write_bytes(b"kept\n")
+    for extra in ([], ["-o", str(out_path)]):
+        assert main(["construct", "derived", path, "--param", "n=1"] + extra) == 1
+        assert capsys.readouterr() == (
+            "", "error: twist[0][0]: scalar has more digits than Python's "
+                "int-to-string limit of 4300\n")
+    assert out_path.read_bytes() == b"kept\n"
+    # (x .a y) .a p(z) at (0, 0, 0) is long^2 e_0; p(x) .a (y .a z) is 0
+    hom = make_doc(QQ, 2, ("a",), MATCHING_HOM_ASSOC,
+                   {"dot": {"a": BilinearMap.from_nested(
+                       QQ, [[[0, 1], [0, 0]], [[long, 0], [0, 0]]])}},
+                   twist=LinearMap.from_rows(QQ, [[long, 0], [0, 1]]))
+    path = write_docs(tmp_path, "hom.jsonl", hom, catalog("N2"))
+    assert main(["check", "--verbose", path]) == 1
+    assert capsys.readouterr() == (
+        "", "info: twist multiplicative: fail\nerror: violations[0].lhs[0]: scalar "
+            "has more digits than Python's int-to-string limit of 4300\n")
+
+
 def test_a_sample_refuses_what_an_enumeration_refuses(capsys):
     for argv, sample in (
             (["--target", "endomorphism", "--fixture", "N2-Pnil-w0-F2",

@@ -127,6 +127,12 @@ def _cases():
         lambda: postcompose(BilinearMap.zero(f3, 2), LinearMap(f3, ((1, 0.0), (0, 1))))
     yield "postcompose tensor field 5", ParamError, None, \
         lambda: postcompose(BilinearMap(5, (((0,),),)), LinearMap.identity(QQ, 1))
+    yield "postcompose non-array tensor", ShapeError, "m", \
+        lambda: postcompose(BilinearMap(QQ, 5), LinearMap.identity(QQ, 2))
+    yield "tensor_transpose non-array tensor", ShapeError, "m", \
+        lambda: tensor_transpose(BilinearMap(QQ, 5))
+    yield "precompose_left non-array tensor over F_3", ShapeError, "m", \
+        lambda: precompose_left(BilinearMap(f3, None), id3)
     # a map over another field or of another dim than the doc or tensor it
     # is read with, and two docs that a law between them cannot pair
     yield "candidate over F_3", FieldMismatch, None, \

@@ -476,3 +476,42 @@ def test_malformed_docs_are_refused_at_their_json_path():
             parse_doc(json.dumps(_malformed(doc, edit)))
         assert exc.value.path == path, exc.value
 
+
+
+# --- scalars past Python's int-to-string limit ---------------------------------
+
+LONG = int("7" * 3000)    # readable; its square is past the 4300-digit limit
+
+
+def test_a_scalar_past_the_int_to_string_limit_is_refused_at_its_path():
+    """serialize_doc, doc_to_jsonable and report_to_jsonable refuse a scalar
+    whose decimal form passes sys.get_int_max_str_digits() with a
+    ShapeError at its path, as an int or inside a Fraction, and write one
+    just short of the limit."""
+    from halg.structures import doc_to_jsonable
+    square = LONG * LONG
+    ops = OperatorFamily({"a": LinearMap.from_rows(QQ, [[0, 0], [0, 0]])}, {"a": 0})
+    for twist, path in (([[1, 0], [0, square]], "twist[1][1]"),
+                        ([[1, 0], [Fraction(1, square), 1]], "twist[1][0]")):
+        doc = make_doc(QQ, 2, ("a",), HOM_ASSOC_MATCHING_RB,
+                       {"dot": BilinearMap.zero(QQ, 2)}, operators=ops,
+                       twist=LinearMap.from_rows(QQ, twist))
+        for write in (serialize_doc, doc_to_jsonable):
+            with pytest.raises(ShapeError, match="int-to-string limit") as e:
+                write(doc)
+            assert e.value.path == path
+    family = {"a": BilinearMap.from_nested(QQ, [[[0, square], [0, 0]], [[0, 0], [0, 0]]])}
+    doc = make_doc(QQ, 2, ("a",), MATCHING_HOM_ASSOC, {"dot": family},
+                   twist=LinearMap.identity(QQ, 2))
+    with pytest.raises(ShapeError) as e:
+        serialize_doc(doc)
+    assert e.value.path == "families.dot.a[0][0][1]"
+    report = make_report([Violation("x", ("a",), (0,), (0, 1), (2, 3)),
+                          Violation("x", ("a",), (1,), (0, 1), (0, -square))])
+    with pytest.raises(ShapeError) as e:
+        report_to_jsonable(report, QQ)
+    assert e.value.path == "violations[1].rhs[1]"
+    short = int("9" * 4300)
+    report = make_report([Violation("x", ("a",), (1,), (Fraction(1, short),), (short,))])
+    assert report_to_jsonable(report, QQ)["violations"][0]["rhs"] == [short]
+    json.dumps(report_to_jsonable(report, QQ))
