@@ -43,8 +43,9 @@ twist, operator column, weight and candidate map as ints times one common
 denominator D, the lcm of every denominator it binds (for a law between
 two docs, of both docs' and the map's), so the runner works on ints alone;
 over F_p, D = 1.  A row's degree K is the most maps and weights one of its
-terms applies; its padded twin, run by a frame whose D is not 1, takes a
-term of degree k times D^(K - k), so every side is D^K times its value.
+terms applies; its padded twin, compiled when a frame whose D is not 1
+first runs it, takes a term of degree k times D^(K - k), so every side is
+D^K times its value.
 The guard is compiled from the row's terms: at a basis tuple where every
 side is provably the zero vector (a structure constant or column it looks
 up is zero, or a weight it scales by is 0), the runner skips the
@@ -87,7 +88,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch,
@@ -256,11 +257,12 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # A law's degree K is the largest number of maps and weights one of its
 # terms applies ("-" is a sign, not a map).  A frame binds every scalar
 # times its D (_scaled), so a term of degree k evaluates to D^k times its
-# value.  So each law compiles with a padded twin, in which each term is
-# multiplied by D^(K - k), read as the scalar name "D", and every side is
-# D^K times its value; where every term has degree K the twin is the law
-# itself.  Frames that bind D run the twins (_twin); frames with D = 1,
-# every frame over F_p, run the laws as written.
+# value.  So each law has a padded twin, in which each term is multiplied
+# by D^(K - k), read as the scalar name "D", and every side is D^K times
+# its value; where every term has degree K the twin is the law itself.
+# Frames that bind D run the twins (_twin), each compiled on that first
+# use; frames with D = 1, every frame over F_p, run the laws as written
+# and compile no twin.
 
 def _terms(node):
     """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
@@ -410,39 +412,48 @@ class _Compiled:
     degree: int       # K: the padded twin's sides are D^K times their values
     rhs: int          # the number of right-hand sides
     run: object       # run(F, tuples, pts, every), as above
-    padded: _Compiled = None    # the padded twin: the law itself, or its D-padded copy
+    law: _Law         # the row it was compiled from
+    twin: _Compiled = None      # the padded twin, once compiled
+
+    @property
+    def padded(self) -> _Compiled:
+        """The padded twin, compiled on first use: the law itself where its
+        runners are one."""
+        if self.twin is None:
+            run = _runners(self.law, True)[2]
+            self.twin = self if run is self.run else _Compiled(
+                self.axiom, self.labels, self.arity, self.degree, self.rhs, run, self.law)
+            self.twin.twin = self.twin
+        return self.twin
 
 
 @lru_cache(maxsize=None)
-def _runners(law: _Law):
-    """(arity, degree, run, padded run) for law: its sides' runner and its
+def _runners(law: _Law, padded: bool = False):
+    """(arity, degree, run) for law's sides, or with padded set for its
     padded twin's, in which each term is brought to the law's degree by
-    powers of D; the two are one where every term has it.  Compiled once
-    per law, and shared by every role the law is checked on."""
+    powers of D; the twin's run is the law's own where every term has it.
+    Compiled once per process, and shared by every role the law is checked
+    on."""
     sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     degree = max(_degree(t) for side in sides for t in side)
-    padded = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
-
-    def compiled(sides):
-        scope = dict(_KERNELS)
-        exec(_runner_source(law.labels, arity, sides), scope)
-        return scope["run"]
-    run = compiled(sides)
-    return arity, degree, run, run if padded == sides else compiled(padded)
+    if padded:
+        twin = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
+        if twin == sides:
+            return _runners(law)
+        sides = twin
+    scope = dict(_KERNELS)
+    exec(_runner_source(law.labels, arity, sides), scope)
+    return arity, degree, scope["run"]
 
 
 @lru_cache(maxsize=None)
 def _compile(law: _Law, role) -> _Compiled:
-    """law compiled for role, with its padded twin (_runners): the law
-    itself where its runners are one."""
-    arity, degree, run, padded = _runners(law)
-    out = _Compiled(law.axiom.format(role=role), law.labels, arity, degree,
-                    len(law.rhs), run)
-    twin = out if padded is run else _Compiled(out.axiom, law.labels, arity, degree,
-                                               len(law.rhs), padded)
-    out.padded = twin.padded = twin
-    return out
+    """law compiled for role; its padded twin waits for its first use
+    (_Compiled.padded, read by _twin only where a frame binds D)."""
+    arity, degree, run = _runners(law)
+    return _Compiled(law.axiom.format(role=role), law.labels, arity, degree,
+                     len(law.rhs), run, law)
 
 
 def _active(laws, flags):
@@ -561,8 +572,9 @@ def _frame(doc: AlgebraDoc, f=None, dst=None) -> _Frame:
 
 def _twin(law: _Compiled, frame, field):
     """law as frame runs it, with the reducer of its sides: where frame
-    binds D, law's padded twin, whose sides are D^K times their values, and
-    x -> x / D^K reduced; elsewhere law itself and field.reduce."""
+    binds D, law's padded twin, whose sides are D^K times their values,
+    compiled here on its first use, and x -> x / D^K reduced; elsewhere law
+    itself and field.reduce."""
     d = frame.get("D")
     if d is None:
         return law, field.reduce
@@ -805,14 +817,10 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     alone.  The laws without label variables name neither P nor w, so no
     candidate changes their verdict: a search decides them once, on doc.
 
-    With the tag "endomorphism", candidate is the matrix of f, and ok
-    decides f(x_i x_j) = f(x_i) f(x_j) on doc as check_side_conditions does.
-    The instance at the basis pair (i, j) reads only the columns
-    S_ij = {i, j} + supp(c[i][j]) of f, over every role and label.  So the
-    pairs that read the same S with |S| < dim share a table from those
-    columns to their verdict, filled by the evaluator at those pairs on
-    first use, and the pairs that read every column are decided per
-    candidate.  The tables live as long as ok does.
+    With the tag "endomorphism", candidate is the matrix of f, and ok is an
+    EndomorphismCheck: it decides f(x_i x_j) = f(x_i) f(x_j) on doc as
+    check_side_conditions does, from verdict tables per read set that the
+    search's walk by row prefix reads as well.
 
     doc is over F_p, whose frames bind D = 1, so candidates are bound as
     they come; a doc over Q is a NonFiniteFieldError.
@@ -833,27 +841,63 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
         return ok
     if tag != "endomorphism":
         raise ParamError(f"candidate_check takes no tag {tag!r}")
+    return EndomorphismCheck(doc, frame)
 
-    def decide(points):
-        return next(_map_violations(tag, frame, doc, points=points), None) is None
 
-    tensors = [c for role in KIND_ROLES[doc.kind] for c in frame[role].values()]
-    reading = {}    # the columns read -> the pairs that read them
-    for i, j in _points(doc.dim, 2):
-        reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
-                               for c in tensors))
-        reading.setdefault(tuple(sorted(reads)), []).append((i, j))
-    full = reading.pop(tuple(range(doc.dim)), None)
-    tables = [(itemgetter(*cols), points, {}) for cols, points in reading.items()]
+class EndomorphismCheck:
+    """f(x_i x_j) = f(x_i) f(x_j) on doc, decided per read set of f.
 
-    def ok(candidate):
-        f = frame["f"] = tuple(zip(*candidate))
-        for key, points, table in tables:
-            cols = key(f)
-            verdict = table.get(cols)
-            if verdict is None:
-                verdict = table[cols] = decide(points)
-            if not verdict:
-                return False
-        return full is None or decide(full)
-    return ok
+    The instance at the basis pair (i, j) reads only the columns
+    S_ij = {i, j} + supp(c[i][j]) of f, over every role and label.  The
+    pairs that read the same S with |S| < dim form a group, groups[n] being
+    its S in ascending order, and share a table from f's columns in S to
+    their verdict, filled by the evaluator at the group's points on first
+    use, with every other column of f zero.  verdict(n, columns) reads
+    group n's table; the pairs that read every column are decided per
+    candidate by whole.  Calling the check decides one candidate, the
+    matrix of f, by both.  The tables live as long as the check does."""
+
+    __slots__ = ("groups", "_points", "_tables", "_full", "_frame", "_doc")
+
+    def __init__(self, doc: AlgebraDoc, frame: _Frame):
+        tensors = [c for role in KIND_ROLES[doc.kind] for c in frame[role].values()]
+        reading = {}    # the columns read -> the pairs that read them
+        for i, j in _points(doc.dim, 2):
+            reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
+                                   for c in tensors))
+            reading.setdefault(tuple(sorted(reads)), []).append((i, j))
+        self._full = reading.pop(tuple(range(doc.dim)), None)
+        self.groups = tuple(reading)
+        self._points = tuple(reading.values())
+        self._tables = tuple({} for _ in reading)
+        self._frame, self._doc = frame, doc
+
+    def _decide(self, points) -> bool:
+        return next(_map_violations("endomorphism", self._frame, self._doc,
+                                    points=points), None) is None
+
+    def verdict(self, n: int, columns: tuple) -> bool:
+        """Group n's verdict where f's columns groups[n] are columns, a
+        tuple of column tuples in that order."""
+        table = self._tables[n]
+        verdict = table.get(columns)
+        if verdict is None:
+            f = [(0,) * self._doc.dim] * self._doc.dim
+            for k, column in zip(self.groups[n], columns):
+                f[k] = column
+            self._frame["f"] = tuple(f)
+            verdict = table[columns] = self._decide(self._points[n])
+        return verdict
+
+    def whole(self, candidate) -> bool:
+        """The verdict of the pairs that read every column, for the matrix
+        candidate; True where no pair does."""
+        if self._full is None:
+            return True
+        self._frame["f"] = tuple(zip(*candidate))
+        return self._decide(self._full)
+
+    def __call__(self, candidate) -> bool:
+        f = tuple(zip(*candidate))
+        return all(self.verdict(n, tuple(f[k] for k in cols))
+                   for n, cols in enumerate(self.groups)) and self.whole(candidate)

@@ -50,10 +50,10 @@ def _filled(doc: AlgebraDoc, f: LinearMap | None = None, **sides) -> dict:
             for role, side in sides.items()}
 
 
-def _product(doc: AlgebraDoc, side: str, f: LinearMap) -> BilinearMap:
-    """side, which names no label, on doc's frame with f bound as the map f:
-    the product of an rb output, filled once."""
-    return fill(side, doc.field, doc.dim, _frame(doc, f.columns()))
+def _product(doc: AlgebraDoc, side: str, f: LinearMap | None = None) -> BilinearMap:
+    """side, which names no label, on doc's frame with f, where given, bound
+    as the map f: the product of an rb output, filled once."""
+    return fill(side, doc.field, doc.dim, _frame(doc, None if f is None else f.columns()))
 
 
 def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
@@ -237,11 +237,11 @@ def commutator(doc: AlgebraDoc) -> AlgebraDoc:
         raise PreconditionFailed(
             "commutator on a matching RB doc requires weight 0 or one label")
     out_kind = _COMMUTATOR_KIND[doc.kind]
-    brackets = _filled(doc, bracket="dot.a(X, Y) - dot.a(Y, X)")
     if doc.kind in RB_KINDS:
         return _rb_output(doc, "commutator", out_kind,
-                          brackets["bracket"][doc.labels[0]], doc.structure_twist())
-    return _output(doc, "commutator", out_kind, brackets, doc.twist)
+                          _product(doc, "m(X, Y) - m(Y, X)"), doc.structure_twist())
+    return _output(doc, "commutator", out_kind,
+                   _filled(doc, bracket="dot.a(X, Y) - dot.a(Y, X)"), doc.twist)
 
 
 def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:

@@ -7,9 +7,10 @@ either, and resolves its target to one decider ok and one emitter emit.
   The laws without label variables (hom-assoc, hom-jacobi) do not involve
   the operators, so the zero-operator probe decides them once, and ok,
   axioms.candidate_check on the probe, decides the rest.
-* endomorphism: a candidate is the matrix of f, and ok decides
-  f(x_i x_j) = f(x_i) f(x_j) from verdict tables per basis pair, as
-  axioms.candidate_check describes.
+* endomorphism: a candidate is the matrix of f, and ok, an
+  axioms.EndomorphismCheck, decides f(x_i x_j) = f(x_i) f(x_j) from
+  verdict tables, one per group of basis pairs that read the same columns
+  of f.
 * commuting: a candidate is the matrix of f, and ok is the commutes side
   condition.
 
@@ -24,13 +25,17 @@ than candidate by candidate.  On the diagonal pair (a, a) the matching
 Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
 alone, so each label's solutions are found alone, and the tuples of them,
 in product order, are cross-checked on the label pairs (a, b) with a != b.
-f P_a = P_a f is linear in f, so the commuting hits are the solutions of
-the system read from that law, listed in order and each re-checked with
-ok.  `limit` and `truncated` read as for a plain loop over the whole space,
-and SearchSpec.budget bounds that space's size p^entries up front, so a
-hopeless request fails fast.  sample_hits draws candidates at random with
-replacement and decides each with the same ok; check_sample_size bounds a
-draw in place of the budget.
+Endomorphisms are walked by row prefix (_endomorphisms): for each choice of
+the first dim - 1 rows, in order, each group's mask of passing last rows,
+read from its verdict table, is ANDed with the others', and the set bits,
+in ascending order, are the candidates left for the pairs that read every
+column.  f P_a = P_a f is linear in f, so the commuting hits are the
+solutions of the system read from that law, listed in order and each
+re-checked with ok.  `limit` and `truncated` read as for a plain loop over
+the whole space, and SearchSpec.budget bounds that space's size p^entries
+up front, so a hopeless request fails fast.  sample_hits draws candidates
+at random with replacement and decides each with the same ok;
+check_sample_size bounds a draw in place of the budget.
 
 Both are a stream of hits.  search_hits and sample_hits return a Hits that
 makes each hit as it is iterated, so a reader can write the first hit while
@@ -222,11 +227,12 @@ def _resolve(spec: SearchSpec, what: str):
     if not field.is_prime_field:
         raise NonFiniteFieldError(f"{what} requires a prime field")
     enumerating = what == "enumerate_docs"
-    # Every candidate entry is a digit of range(p): _matrices' rows,
-    # _commuting_maps' residues mod p and random_scalar's draws, each in a
-    # dim x dim tuple of row tuples, and an rb-family hit's weights are the
-    # probe's, which make_doc checked.  So every hit obeys the map rule by
-    # construction, and the emitters build it with with_part, unchecked.
+    # Every candidate entry is a digit of range(p): the rows of _matrices
+    # and _endomorphisms, _commuting_maps' residues mod p and
+    # random_scalar's draws, each in a dim x dim tuple of row tuples, and
+    # an rb-family hit's weights are the probe's, which make_doc checked.
+    # So every hit obeys the map rule by construction, and the emitters
+    # build it with with_part, unchecked.
 
     if spec.target == TARGET_RB_FAMILY:
         if not enumerating:
@@ -298,7 +304,7 @@ def search_hits(spec: SearchSpec) -> Hits:
                 found = (c for c in found if ok(c, mixed=True))
         last = dict.fromkeys(labels, last)
     elif spec.target == TARGET_ENDOMORPHISM:
-        found = (m for m in _matrices(p, dim) if ok(m))
+        found = _endomorphisms(ok, p, dim)
     else:
         def sound(m):
             if not ok(m):
@@ -309,6 +315,59 @@ def search_hits(spec: SearchSpec) -> Hits:
             return m
         found = map(sound, _commuting_maps(base))
     return Hits(_first(found, spec.limit, last, emit))
+
+
+def _endomorphisms(check, p: int, dim: int):
+    """Every matrix that check, an axioms.EndomorphismCheck, accepts, in
+    lexicographic order, walked by row prefix.
+
+    A prefix is the first dim - 1 rows, taken in product order; bit r of a
+    mask stands for the last row rows[r].  Column k of f is the prefix's
+    column k with entry k of the last row below it, so group n's verdict
+    depends on the prefix only through its head, the prefix's columns
+    groups[n].  Per head, each group keeps the mask of the last rows that
+    pass it, filled from the group's verdict table one restriction s of
+    the last row to groups[n] at a time, and only for an s that a row still
+    alive after the groups before it restricts to: so the evaluator fills
+    exactly the entries that a candidate-by-candidate loop over check
+    would.  The AND of a prefix's masks holds its passing last rows, which
+    are yielded in ascending order once whole accepts them."""
+    rows = tuple(itertools.product(range(p), repeat=dim))
+    groups = []
+    for n, cols in enumerate(check.groups):
+        share = {}    # a restriction s to cols -> the rows restricting to it
+        for r, row in enumerate(rows):
+            s = tuple(row[k] for k in cols)
+            share[s] = share.get(s, 0) | 1 << r
+        # head -> [mask of the passing rows, the (s, mask) still undecided]
+        groups.append((n, cols, tuple(share.items()), {}))
+    every = (1 << len(rows)) - 1
+    lasts = [(row,) for row in rows]
+    for prefix in itertools.product(rows, repeat=dim - 1):
+        columns = tuple(zip(*prefix))
+        alive = every
+        for n, cols, share, masks in groups:
+            head = tuple(columns[k] for k in cols)
+            known = masks.get(head)
+            if known is None:
+                known = masks[head] = [0, share]
+            passing, pending = known
+            if pending:
+                undecided = []
+                for s, bits in pending:
+                    if not bits & alive:
+                        undecided.append((s, bits))
+                    elif check.verdict(n, tuple(h + (v,) for h, v in zip(head, s))):
+                        passing |= bits
+                known[:] = passing, undecided
+            alive &= passing
+            if not alive:
+                break
+        for r, bit in enumerate(bin(alive)[:1:-1]):
+            if bit == "1":
+                m = prefix + lasts[r]
+                if check.whole(m):
+                    yield m
 
 
 def enumerate_docs(spec: SearchSpec) -> SearchResult:

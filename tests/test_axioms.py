@@ -9,11 +9,15 @@ with the basis-triple engine is what multilinearity promises.
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import halg.axioms
 from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   HalgError, KindMismatch, LinearMap, OperatorFamily,
                   ParamError, ShapeError, UnknownConditionError, Violation,
@@ -857,6 +861,53 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                     assert sides == twin, (doc, law.axiom, labs, ix)
     assert compared == {"endomorphism", "multiplicative", "dendriform-3",
                         *(f"morphism-{role}" for role in roles)}, compared
+
+
+_TWINS_PROBE = """
+from fractions import Fraction
+from halg import (QQ, SIDE_CONDITIONS, LinearMap, catalog, check_morphism,
+                  check_side_conditions, check_structure, commutator,
+                  enumerate_docs, rb_to_dendriform, SearchSpec)
+from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
+                         _compile)
+from halg.structures import KIND_ROLES, KINDS
+
+def compiled():
+    roles = sorted({role for kind in KINDS for role in KIND_ROLES[kind]})
+    out = [_compile(law, None) for laws in _STRUCTURE_LAWS.values() for law in laws]
+    out += [_compile(law, role) for per_role, laws in _MAP_LAWS.values()
+            for law in laws for role in (roles if per_role else (None,))]
+    return out
+
+base = catalog("N2-Pnil-w0-F3")
+half = LinearMap.from_rows(base.field, [[2, 0], [0, 0]])
+for name in ("N2-F3", "aff2-F3", "N2-Pnil-w0-F3", "N2-id-wm1-F2"):
+    check_structure(catalog(name), verbose=True)
+dendriform = rb_to_dendriform(base)
+for reading in (True, False):
+    check_structure(dendriform, axiom_toggles={DENDRIFORM_AXIOM3_TWIST: reading})
+check_side_conditions(base, list(SIDE_CONDITIONS), candidate=half)
+check_morphism(half, base, base)
+commutator(base)
+enumerate_docs(SearchSpec(base, "endomorphism"))
+print(sum(c.twin is not None for c in compiled()), end=" ")
+check_side_conditions(catalog("N2-Pnil-w0"), ["endomorphism"],
+                      candidate=LinearMap.from_rows(QQ, [[Fraction(1, 2), 0], [0, 0]]))
+print(sorted(c.axiom for c in compiled() if c.twin is not None))
+"""
+
+
+def test_checks_over_f_p_compile_no_padded_twin():
+    """Only a frame that binds D runs a padded twin, so a process that
+    checks docs over F_p alone, the four laws that have a twin of their own
+    included, compiles none; its first check over Q with D = 2 compiles the
+    one twin it runs."""
+    src = os.path.dirname(os.path.dirname(halg.axioms.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _TWINS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout == "0 ['endomorphism']\n", out
 
 
 def test_the_runners_label_and_point_filters_restrict_the_full_check():

@@ -27,6 +27,7 @@ from halg import (GF, QQ, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                   rb_to_tridendriform, report_to_jsonable, seeded_sample,
                   serialize_doc, structure_ok, tensor_transpose, untwist,
                   verify_diagram, yau_twist)
+import halg.constructions
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
@@ -201,6 +202,26 @@ def test_commutator_allows_single_label_nonzero_weight():
     out = commutator(catalog("N2-id-wm1"))
     assert out.kind == PLAIN_LIE_MATCHING_RB
     assert structure_ok(out)
+
+
+def test_commutator_fills_an_rb_bracket_once_for_every_label(monkeypatch):
+    # the rb kinds carry one product for all labels, so its bracket is one
+    # tensor, filled once however many labels share it
+    field = GF(3)
+    shift = LinearMap.from_rows(field, [[0, 0], [1, 0]])
+    doc = make_doc(field, 2, ("a", "b", "c"), PLAIN_ASSOC_MATCHING_RB,
+                   {"dot": BilinearMap.from_nested(field, UT)},
+                   operators=OperatorFamily(ops=dict.fromkeys("abc", shift),
+                                            weights=dict.fromkeys("abc", 0)))
+    filled = []
+    real = halg.constructions.fill
+    monkeypatch.setattr(halg.constructions, "fill",
+                        lambda *args, **kw: filled.append(args[0]) or real(*args, **kw))
+    out = commutator(doc)
+    assert filled == ["m(X, Y) - m(Y, X)"]
+    assert out.kind == PLAIN_LIE_MATCHING_RB and out.labels == ("a", "b", "c")
+    assert out.families["bracket"].maps["c"].c == BilinearMap.from_nested(
+        field, UT_BRACKET).c
 
 
 def test_collapse_family_takes_linear_combinations():

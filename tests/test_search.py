@@ -19,6 +19,7 @@ from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   enumerate_docs, fixture_names, make_doc, parse_doc,
                   seeded_sample, serialize_doc, structure_ok, validate_doc,
                   yau_twist)
+import halg.axioms
 import halg.search
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
@@ -267,6 +268,17 @@ def test_seeded_sample_endomorphism_target():
                         seed=3, count=5)
     assert len(res) == 5
     assert all(d.kind == PLAIN_ASSOC_MATCHING_RB for d in res)
+
+
+def test_seeded_endomorphism_sample_bytes_are_pinned():
+    # a sample decides each draw with the check whose verdict tables the
+    # exhaustive walk reads too; sharing them must not move a draw
+    res = seeded_sample(SearchSpec(catalog("N2-Pnil-w0-F3"), TARGET_ENDOMORPHISM),
+                        seed=3, count=5)
+    assert len(res) == 5 and not res.truncated
+    digest = hashlib.sha256(b"".join(serialize_doc(d) + b"\n" for d in res))
+    assert digest.hexdigest() == (
+        "0e3a7b2748a10a44ed35e10589c01847ebc1d8f3dd5f7ae00ee647073a1c4da3")
 
 
 def test_catalog_names_and_lookup():
@@ -537,3 +549,87 @@ def test_map_targets_match_brute_force():
         for target in (TARGET_ENDOMORPHISM, TARGET_COMMUTING):
             if structure_ok(base):
                 _same_as_brute_force(SearchSpec(base, target))
+
+
+# --- the endomorphism walk by row prefix ---------------------------------------
+
+def _dim3_f3(products):
+    """A dim-3 algebra over F_3 with x_i x_j = x_k for each (i, j): k of
+    products, the other products zero, and the zero operator at weight 0."""
+    field = GF(3)
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), k in products.items():
+        c[i][j][k] = 1
+    return make_doc(field, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
+                    {"dot": BilinearMap.from_nested(field, c)},
+                    operators=OperatorFamily(
+                        ops={"a": LinearMap.from_rows(field, [[0] * 3] * 3)},
+                        weights={"a": 0}))
+
+
+def _limit_sweep(spec, limits=None):
+    """enumerate_docs(spec) under each of limits (default: 1 to one past
+    the hit count) against one run of _brute_force: at limit L its first L
+    hits, truncated where L is below the hit count, or is the count and the
+    last hit is not the last matrix.  Returns the hit count."""
+    base = spec.base
+    hits, _ = _brute_force(spec)
+    lines = [serialize_doc(d) for d in hits]
+    n, top = len(hits), base.field.p - 1
+    last = bool(hits) and hits[-1].twist is not None and all(
+        v == top for row in hits[-1].twist.rows for v in row)
+    assert [serialize_doc(d) for d in enumerate_docs(spec)] == lines
+    for limit in limits or range(1, n + 2):
+        res = enumerate_docs(SearchSpec(base, spec.target, limit=limit))
+        assert [serialize_doc(d) for d in res] == lines[:limit], limit
+        assert res.truncated == (limit < n or limit == n and not last), limit
+    return n
+
+
+def _reads_every_column(doc):
+    c = doc.product().c
+    return any({i, j} | {k for k, v in enumerate(c[i][j]) if v} == {0, 1, 2}
+               for i, j in itertools.product(range(3), repeat=2))
+
+
+def test_the_endomorphism_walk_matches_brute_force_under_every_limit():
+    nilpotent = _dim3_f3({(0, 0): 1, (0, 1): 2, (1, 0): 2})    # x, x^2, x^3
+    diagonal = _dim3_f3({(0, 0): 0, (1, 1): 1, (2, 2): 2})     # F_3^3
+    upper = _dim3_f3({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2})  # E11, E12, E22
+    truncated = _n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]])    # k[x]/(x^3)
+    heisenberg = _dim3_f3({(0, 1): 2})
+    assert _reads_every_column(heisenberg) and not _reads_every_column(upper)
+    for base, hits in ((nilpotent, 27), (diagonal, 64), (upper, 27), (truncated, 10)):
+        assert structure_ok(base)
+        assert _limit_sweep(SearchSpec(base, TARGET_ENDOMORPHISM)) == hits
+    # 189 hits: every limit up to 20, then every 19th, and the last three
+    assert _limit_sweep(SearchSpec(heisenberg, TARGET_ENDOMORPHISM),
+                        [*range(1, 21), *range(21, 187, 19), 188, 189, 190]) == 189
+
+
+def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypatch):
+    calls = []
+    real = halg.axioms._map_violations
+    monkeypatch.setattr(halg.axioms, "_map_violations",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+
+    def counted(run):
+        calls.clear()
+        run()
+        return len(calls)
+    # the zero product reads the columns {i, j} at (i, j): three groups of
+    # one column, 27 entries each, and three of two, 729 each; every
+    # candidate is a hit, so every entry is filled once
+    zero = SearchSpec(_dim3_f3({}), TARGET_ENDOMORPHISM)
+    assert counted(lambda: enumerate_docs(zero)) == 3 * 27 + 3 * 729 == 2268
+    # on miss-heavy bases the walk fills a group's entry only for last rows
+    # that pass the groups before it: the entries a loop over every
+    # candidate fills, which stops at a candidate's first failed group
+    for products, loop_calls in (({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}, 530),
+                                 ({(0, 0): 1, (0, 1): 2, (1, 0): 2}, 1660)):
+        base = _dim3_f3(products)
+        ok = candidate_check(base, "endomorphism")
+        everything = itertools.product(itertools.product(range(3), repeat=3), repeat=3)
+        assert counted(lambda: [ok(m) for m in everything]) == loop_calls
+        assert counted(lambda: enumerate_docs(SearchSpec(base, TARGET_ENDOMORPHISM))) \
+            == loop_calls
