@@ -667,6 +667,11 @@ def _roles(tag, doc):
     return KIND_ROLES[doc.kind] if _MAP_LAWS[tag][0] else (None,)
 
 
+def _require_operators(tag, doc):
+    if tag == "commutes" and doc.operators is None:
+        raise ShapeError("commutes requires an operator family", "operators")
+
+
 def _map_violations(tag, frame, doc, points=None):
     """Violations of a map or two-doc tag, role by role; m is bound to the
     role's maps and m2 to the second doc's where the frame binds one, and
@@ -723,8 +728,7 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
                 if v is not None:
                     yield Violation("invertible", (), (), v, apply_map(p, v))
                 continue
-            if tag == "commutes" and doc.operators is None:
-                raise ShapeError("commutes requires an operator family", "operators")
+            _require_operators(tag, doc)
             yield from _map_violations(tag, frame, doc)
     return make_report(violations())
 
@@ -785,8 +789,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     if tag not in SIDE_CONDITIONS or tag not in _MAP_LAWS:
         raise ParamError(f"linear_system takes a side condition with a map law, "
                          f"not {tag!r}")
-    if tag == "commutes" and doc.operators is None:
-        raise ShapeError("commutes requires an operator family", "operators")
+    _require_operators(tag, doc)
     if any(law.rhs > 1 for role in _roles(tag, doc)
            for law in _map_laws(tag, role)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
@@ -817,13 +820,15 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     alone.  The laws without label variables name neither P nor w, so no
     candidate changes their verdict: a search decides them once, on doc.
 
-    With the tag "endomorphism", candidate is the matrix of f, and ok is an
-    EndomorphismCheck: it decides f(x_i x_j) = f(x_i) f(x_j) on doc as
-    check_side_conditions does, from verdict tables per read set that the
-    search's walk by row prefix reads as well.
+    With the tag "endomorphism" or "commutes", f varies, and ok is
+    check(f, points=None): f is the tuple of the candidate's columns, bound
+    as f, and check decides the tag's laws as check_side_conditions does,
+    at points (every basis tuple when None; see _violations).  A candidate
+    skips check_operand: a search makes every candidate canonical.
 
     doc is over F_p, whose frames bind D = 1, so candidates are bound as
-    they come; a doc over Q is a NonFiniteFieldError.
+    they come; a doc over Q is a NonFiniteFieldError, and any other tag a
+    ParamError.
     """
     laws, frame = _laws_for(doc, None, False)
     field = doc.field
@@ -839,65 +844,11 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
             return next(_violations(laws, frame, tuple(candidate), field,
                                     mixed=mixed), None) is None
         return ok
-    if tag != "endomorphism":
+    if tag not in ("endomorphism", "commutes"):
         raise ParamError(f"candidate_check takes no tag {tag!r}")
-    return EndomorphismCheck(doc, frame)
+    _require_operators(tag, doc)
 
-
-class EndomorphismCheck:
-    """f(x_i x_j) = f(x_i) f(x_j) on doc, decided per read set of f.
-
-    The instance at the basis pair (i, j) reads only the columns
-    S_ij = {i, j} + supp(c[i][j]) of f, over every role and label.  The
-    pairs that read the same S with |S| < dim form a group, groups[n] being
-    its S in ascending order, and share a table from f's columns in S to
-    their verdict, filled by the evaluator at the group's points on first
-    use, with every other column of f zero.  verdict(n, columns) reads
-    group n's table; the pairs that read every column are decided per
-    candidate by whole.  Calling the check decides one candidate, the
-    matrix of f, by both.  The tables live as long as the check does."""
-
-    __slots__ = ("groups", "_points", "_tables", "_full", "_frame", "_doc")
-
-    def __init__(self, doc: AlgebraDoc, frame: _Frame):
-        tensors = [c for role in KIND_ROLES[doc.kind] for c in frame[role].values()]
-        reading = {}    # the columns read -> the pairs that read them
-        for i, j in _points(doc.dim, 2):
-            reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
-                                   for c in tensors))
-            reading.setdefault(tuple(sorted(reads)), []).append((i, j))
-        self._full = reading.pop(tuple(range(doc.dim)), None)
-        self.groups = tuple(reading)
-        self._points = tuple(reading.values())
-        self._tables = tuple({} for _ in reading)
-        self._frame, self._doc = frame, doc
-
-    def _decide(self, points) -> bool:
-        return next(_map_violations("endomorphism", self._frame, self._doc,
-                                    points=points), None) is None
-
-    def verdict(self, n: int, columns: tuple) -> bool:
-        """Group n's verdict where f's columns groups[n] are columns, a
-        tuple of column tuples in that order."""
-        table = self._tables[n]
-        verdict = table.get(columns)
-        if verdict is None:
-            f = [(0,) * self._doc.dim] * self._doc.dim
-            for k, column in zip(self.groups[n], columns):
-                f[k] = column
-            self._frame["f"] = tuple(f)
-            verdict = table[columns] = self._decide(self._points[n])
-        return verdict
-
-    def whole(self, candidate) -> bool:
-        """The verdict of the pairs that read every column, for the matrix
-        candidate; True where no pair does."""
-        if self._full is None:
-            return True
-        self._frame["f"] = tuple(zip(*candidate))
-        return self._decide(self._full)
-
-    def __call__(self, candidate) -> bool:
-        f = tuple(zip(*candidate))
-        return all(self.verdict(n, tuple(f[k] for k in cols))
-                   for n, cols in enumerate(self.groups)) and self.whole(candidate)
+    def check(f, points=None):
+        frame["f"] = f
+        return next(_map_violations(tag, frame, doc, points), None) is None
+    return check

@@ -7,12 +7,9 @@ either, and resolves its target to one decider ok and one emitter emit.
   The laws without label variables (hom-assoc, hom-jacobi) do not involve
   the operators, so the zero-operator probe decides them once, and ok,
   axioms.candidate_check on the probe, decides the rest.
-* endomorphism: a candidate is the matrix of f, and ok, an
-  axioms.EndomorphismCheck, decides f(x_i x_j) = f(x_i) f(x_j) from
-  verdict tables, one per group of basis pairs that read the same columns
-  of f.
-* commuting: a candidate is the matrix of f, and ok is the commutes side
-  condition.
+* endomorphism and commuting: a candidate is the matrix of f, and ok,
+  axioms.candidate_check for the endomorphism or the commutes law, decides
+  f's columns at every basis tuple, or at the ones it is given.
 
 Docs are built for hits only, each from one validated doc (the probe, or
 the base) with the candidate put in its slot by structures.with_part, which
@@ -25,17 +22,18 @@ than candidate by candidate.  On the diagonal pair (a, a) the matching
 Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
 alone, so each label's solutions are found alone, and the tuples of them,
 in product order, are cross-checked on the label pairs (a, b) with a != b.
-Endomorphisms are walked by row prefix (_endomorphisms): for each choice of
-the first dim - 1 rows, in order, each group's mask of passing last rows,
-read from its verdict table, is ANDed with the others', and the set bits,
-in ascending order, are the candidates left for the pairs that read every
-column.  f P_a = P_a f is linear in f, so the commuting hits are the
-solutions of the system read from that law, listed in order and each
-re-checked with ok.  `limit` and `truncated` read as for a plain loop over
-the whole space, and SearchSpec.budget bounds that space's size p^entries
-up front, so a hopeless request fails fast.  sample_hits draws candidates
-at random with replacement and decides each with the same ok;
-check_sample_size bounds a draw in place of the budget.
+Endomorphisms are walked by row prefix (_endomorphisms): the basis pairs
+that read the same columns of f form a group, and for each choice of the
+first dim - 1 rows, in order, each group's mask of passing last rows is
+ANDed with the others', and the set bits, in ascending order, are the
+candidates left for the pairs that read every column.  f P_a = P_a f is
+linear in f, so the commuting hits are the solutions of the system read
+from that law, listed in order and each re-checked with ok.  `limit` and
+`truncated` read as for a plain loop over the whole space, and
+SearchSpec.budget bounds that space's size p^entries up front, so a
+hopeless request fails fast.  sample_hits draws candidates at random with
+replacement and decides each with the same ok; check_sample_size bounds a
+draw in place of the budget.
 
 Both are a stream of hits.  search_hits and sample_hits return a Hits that
 makes each hit as it is iterated, so a reader can write the first hit while
@@ -214,7 +212,8 @@ def _resolve(spec: SearchSpec, what: str):
     return (labels, ok, emit) for its target.  An rb-family candidate maps
     each of labels, in order, to its operator's matrix, and ok is None when
     the probe fails the laws that no operators mend; a map target's
-    candidate is the matrix of f, and labels is None.  The budget (for
+    candidate is the matrix of f, labels is None, and ok is
+    axioms.candidate_check's check, which takes f's columns.  The budget (for
     enumerate_docs) or check_sample_size (for seeded_sample) refuses before
     the probe is made."""
     require(spec, SearchSpec, "spec")
@@ -263,13 +262,9 @@ def _resolve(spec: SearchSpec, what: str):
         raise ParamError("weights cannot be changed for this target")
     if enumerating:
         _check_budget(spec, dim * dim)
-    if spec.target == TARGET_ENDOMORPHISM:
-        ok = candidate_check(base, "endomorphism")
-    else:
-        def ok(m):
-            cand = LinearMap(field, m)
-            return check_side_conditions(base, ["commutes"], candidate=cand).passed
-    return None, ok, lambda m: with_part(base, twist=LinearMap(field, m))
+    tag = "endomorphism" if spec.target == TARGET_ENDOMORPHISM else "commutes"
+    return None, candidate_check(base, tag), lambda m: with_part(
+        base, twist=LinearMap(field, m))
 
 
 def _first(found, limit, last, emit):
@@ -304,10 +299,10 @@ def search_hits(spec: SearchSpec) -> Hits:
                 found = (c for c in found if ok(c, mixed=True))
         last = dict.fromkeys(labels, last)
     elif spec.target == TARGET_ENDOMORPHISM:
-        found = _endomorphisms(ok, p, dim)
+        found = _endomorphisms(base, ok)
     else:
         def sound(m):
-            if not ok(m):
+            if not ok(tuple(zip(*m))):
                 report = check_side_conditions(base, ["commutes"],
                                                candidate=LinearMap(base.field, m))
                 raise TheoremCheckError(
@@ -317,36 +312,50 @@ def search_hits(spec: SearchSpec) -> Hits:
     return Hits(_first(found, spec.limit, last, emit))
 
 
-def _endomorphisms(check, p: int, dim: int):
-    """Every matrix that check, an axioms.EndomorphismCheck, accepts, in
-    lexicographic order, walked by row prefix.
+def _endomorphisms(base: AlgebraDoc, check):
+    """Every matrix whose columns check, candidate_check(base,
+    "endomorphism"), accepts, in lexicographic order, walked by row prefix.
 
-    A prefix is the first dim - 1 rows, taken in product order; bit r of a
-    mask stands for the last row rows[r].  Column k of f is the prefix's
-    column k with entry k of the last row below it, so group n's verdict
-    depends on the prefix only through its head, the prefix's columns
-    groups[n].  Per head, each group keeps the mask of the last rows that
-    pass it, filled from the group's verdict table one restriction s of
-    the last row to groups[n] at a time, and only for an s that a row still
-    alive after the groups before it restricts to: so the evaluator fills
-    exactly the entries that a candidate-by-candidate loop over check
-    would.  The AND of a prefix's masks holds its passing last rows, which
-    are yielded in ascending order once whole accepts them."""
+    The law at the basis pair (i, j) reads only the columns S_ij = {i, j} +
+    supp(c[i][j]) of f, over every role and label.  The pairs that read the
+    same S, fewer than every column, form a group, decided with every other
+    column of f zero; the pairs that read every column are decided on each
+    candidate the groups leave.  A prefix is the first dim - 1 rows, taken in
+    product order; bit r of a mask stands for the last row rows[r].  Column k
+    of f is the prefix's column k with entry k of the last row below it, so a
+    group's verdict depends on the prefix only through its head, the
+    prefix's columns S.  Per head, each group keeps the mask of the last rows
+    that pass it, deciding one restriction s of the last row to S at a time,
+    and only for an s that a row still alive after the groups before it
+    restricts to: so the evaluator decides each (group, columns) pair once,
+    where a candidate-by-candidate loop that stops at a candidate's first
+    failed group does.  The AND of a prefix's masks holds its passing last
+    rows, yielded in ascending order."""
+    p, dim = base.field.p, base.dim
+    tensors = [fam.maps[lab].c for fam in base.families.values()
+               for lab in base.labels]
+    reading = {}    # the columns read -> the pairs that read them
+    for i, j in itertools.product(range(dim), repeat=2):
+        reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
+                               for c in tensors))
+        reading.setdefault(tuple(sorted(reads)), []).append((i, j))
+    full = reading.pop(tuple(range(dim)), None)
     rows = tuple(itertools.product(range(p), repeat=dim))
+    zero = (0,) * dim
     groups = []
-    for n, cols in enumerate(check.groups):
+    for cols, pairs in reading.items():
         share = {}    # a restriction s to cols -> the rows restricting to it
         for r, row in enumerate(rows):
             s = tuple(row[k] for k in cols)
             share[s] = share.get(s, 0) | 1 << r
         # head -> [mask of the passing rows, the (s, mask) still undecided]
-        groups.append((n, cols, tuple(share.items()), {}))
+        groups.append((cols, pairs, tuple(share.items()), {}))
     every = (1 << len(rows)) - 1
     lasts = [(row,) for row in rows]
     for prefix in itertools.product(rows, repeat=dim - 1):
         columns = tuple(zip(*prefix))
         alive = every
-        for n, cols, share, masks in groups:
+        for cols, pairs, share, masks in groups:
             head = tuple(columns[k] for k in cols)
             known = masks.get(head)
             if known is None:
@@ -357,7 +366,11 @@ def _endomorphisms(check, p: int, dim: int):
                 for s, bits in pending:
                     if not bits & alive:
                         undecided.append((s, bits))
-                    elif check.verdict(n, tuple(h + (v,) for h, v in zip(head, s))):
+                        continue
+                    f = [zero] * dim
+                    for k, h, v in zip(cols, head, s):
+                        f[k] = h + (v,)
+                    if check(tuple(f), pairs):
                         passing |= bits
                 known[:] = passing, undecided
             alive &= passing
@@ -366,7 +379,7 @@ def _endomorphisms(check, p: int, dim: int):
         for r, bit in enumerate(bin(alive)[:1:-1]):
             if bit == "1":
                 m = prefix + lasts[r]
-                if check.whole(m):
+                if full is None or check(tuple(zip(*m)), full):
                     yield m
 
 
@@ -427,9 +440,12 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
         return tuple(tuple(field.random_scalar(rng) for _ in range(dim))
                      for _ in range(dim))
 
-    draw = matrix if labels is None else lambda: {lab: matrix() for lab in labels}
+    if labels is None:
+        draw, decide = matrix, lambda m: ok(tuple(zip(*m)))
+    else:
+        draw, decide = lambda: {lab: matrix() for lab in labels}, ok
     cap = max(_MIN_ATTEMPTS, 1000 * count) if ok is not None else 0
-    return Hits(_drawn(draw, ok, emit, count, cap))
+    return Hits(_drawn(draw, decide, emit, count, cap))
 
 
 def seeded_sample(spec: SearchSpec, seed: int, count: int) -> SearchResult:

@@ -13,7 +13,7 @@ import pytest
 
 from halg import (GF, BilinearMap, BudgetExceededError, LinearMap,
                   NonFiniteFieldError, OperatorFamily, ParamError,
-                  PreconditionFailed, SearchSpec, TARGET_COMMUTING,
+                  PreconditionFailed, SearchSpec, ShapeError, TARGET_COMMUTING,
                   TARGET_ENDOMORPHISM, TARGET_RB_FAMILY, TheoremCheckError,
                   UnknownFixtureError, catalog, check_side_conditions,
                   enumerate_docs, fixture_names, make_doc, parse_doc,
@@ -271,8 +271,8 @@ def test_seeded_sample_endomorphism_target():
 
 
 def test_seeded_endomorphism_sample_bytes_are_pinned():
-    # a sample decides each draw with the check whose verdict tables the
-    # exhaustive walk reads too; sharing them must not move a draw
+    # a sample decides each draw with the decider that the exhaustive walk
+    # runs per group of basis pairs; sharing it must not move a draw
     res = seeded_sample(SearchSpec(catalog("N2-Pnil-w0-F3"), TARGET_ENDOMORPHISM),
                         seed=3, count=5)
     assert len(res) == 5 and not res.truncated
@@ -380,16 +380,23 @@ def test_a_huge_label_count_is_refused_before_anything_is_made():
         enumerate_docs(rb_spec(catalog("N2-F3"), 10**5, (0,) * 10**5))
 
 
-def test_candidate_tables_serve_the_endomorphism_law_only():
-    # the tables key each pair by the columns the endomorphism law reads
-    with pytest.raises(ParamError):
-        candidate_check(catalog("N2-Pnil-w0-F3"), "commutes")
+def test_candidate_check_serves_the_searched_map_tags_only():
+    # the endomorphism and commuting targets vary f; no search varies it
+    # against another law
+    base = catalog("N2-Pnil-w0-F3")
+    for tag in ("centroid", "morphism", "nope"):
+        with pytest.raises(ParamError):
+            candidate_check(base, tag)
+    for tag in ("endomorphism", "commutes"):
+        assert candidate_check(base, tag)(((1, 0), (0, 1)))
+    with pytest.raises(ShapeError, match="operator family"):
+        candidate_check(catalog("N2-F3"), "commutes")
 
 
 def test_candidate_tables_decide_over_a_prime_field_only():
     # a candidate is bound as it comes, which is exact only where frames
     # bind D = 1: over F_p
-    for tag in (None, "endomorphism"):
+    for tag in (None, "endomorphism", "commutes"):
         with pytest.raises(NonFiniteFieldError):
             candidate_check(catalog("N2-Pnil-w0"), tag)
 
@@ -551,6 +558,24 @@ def test_map_targets_match_brute_force():
                 _same_as_brute_force(SearchSpec(base, target))
 
 
+def test_candidate_check_agrees_with_the_side_condition_check():
+    # one decider serves the walk, sampling and the commuting target; on
+    # every candidate it reads as check_side_conditions does
+    bases = [catalog(name + suffix) for name in ("N2-Pnil-w0", "N2-id-wm1")
+             for suffix in ("-F2", "-F3")] + [_two_operators_f3()]
+    for tag in ("endomorphism", "commutes"):
+        verdicts = []
+        for base in bases:
+            field, dim = base.field, base.dim
+            check = candidate_check(base, tag)
+            for m in itertools.product(itertools.product(range(field.p), repeat=dim),
+                                       repeat=dim):
+                report = check_side_conditions(base, [tag], candidate=LinearMap(field, m))
+                assert check(tuple(zip(*m))) == report.passed, (base, tag, m)
+                verdicts.append(report.passed)
+        assert len(verdicts) == 2 * 16 + 3 * 81 and 0 < sum(verdicts) < len(verdicts)
+
+
 # --- the endomorphism walk by row prefix ---------------------------------------
 
 def _dim3_f3(products):
@@ -607,6 +632,36 @@ def test_the_endomorphism_walk_matches_brute_force_under_every_limit():
                         [*range(1, 21), *range(21, 187, 19), 188, 189, 190]) == 189
 
 
+def _memo_loop(base, check):
+    """Decide every dim-3 candidate of base over F_3 with check, one group
+    of basis pairs at a time, a group being the pairs (i, j) that read the
+    same columns {i, j} + supp(c[i][j]) of f, fewer than all three.  Each
+    (group, columns) verdict is remembered, decided with f's other columns
+    zero, and a candidate stops at its first failed group; the pairs that
+    read every column are decided on each candidate that passes them all."""
+    c = base.product().c
+    groups = {}
+    for i, j in itertools.product(range(3), repeat=2):
+        reads = {i, j} | {k for k, v in enumerate(c[i][j]) if v}
+        groups.setdefault(tuple(sorted(reads)), []).append((i, j))
+    full = groups.pop((0, 1, 2), None)
+    memo = {}
+    for m in itertools.product(itertools.product(range(3), repeat=3), repeat=3):
+        f = tuple(zip(*m))
+        for cols, pairs in groups.items():
+            key = cols, tuple(f[k] for k in cols)
+            if key not in memo:
+                part = [(0, 0, 0)] * 3
+                for k in cols:
+                    part[k] = f[k]
+                memo[key] = check(tuple(part), pairs)
+            if not memo[key]:
+                break
+        else:
+            if full:
+                check(f, full)
+
+
 def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypatch):
     calls = []
     real = halg.axioms._map_violations
@@ -628,8 +683,7 @@ def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypat
     for products, loop_calls in (({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}, 530),
                                  ({(0, 0): 1, (0, 1): 2, (1, 0): 2}, 1660)):
         base = _dim3_f3(products)
-        ok = candidate_check(base, "endomorphism")
-        everything = itertools.product(itertools.product(range(3), repeat=3), repeat=3)
-        assert counted(lambda: [ok(m) for m in everything]) == loop_calls
+        check = candidate_check(base, "endomorphism")
+        assert counted(lambda: _memo_loop(base, check)) == loop_calls
         assert counted(lambda: enumerate_docs(SearchSpec(base, TARGET_ENDOMORPHISM))) \
             == loop_calls
