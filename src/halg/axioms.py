@@ -362,6 +362,18 @@ def _guard_source(sides, names):
     return " and ".join(f"({c})" for c in dict.fromkeys(conds)) or "True"
 
 
+def _applies(term, name):
+    """How many times term applies the map name."""
+    if isinstance(term, int):
+        return 0
+    return (term[0] == name) + sum(_applies(t, name) for t in term[1:])
+
+
+def _sides(law):
+    """law's lhs and each rhs as term lists (_terms)."""
+    return [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
+
+
 def _slots(term):
     if isinstance(term, int):
         return {term}
@@ -434,7 +446,7 @@ def _runners(law: _Law, padded: bool = False):
     powers of D; the twin's run is the law's own where every term has it.
     Compiled once per process, and shared by every role the law is checked
     on."""
-    sides = [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
+    sides = _sides(law)
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     degree = max(_degree(t) for side in sides for t in side)
     if padded:
@@ -780,15 +792,19 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     matrix unit E_rs; there each failed instance's reduced lhs - rhs is its
     residual, and the instances that hold have residual 0.  A row is keyed by
     (axiom, labels, basis, coordinate).  tag is a side condition with a map
-    law: endomorphism, multiplicative, commutes or centroid; any other tag,
-    such as the two-doc morphism, is a ParamError.  Sound only for laws
-    with one right-hand side, such as commutes; a tag with a law of several
-    on doc's roles (centroid on a product that is not alternating) is
-    refused."""
+    law each of whose terms applies f exactly once, such as commutes; any
+    other tag is a ParamError, such as the two-doc morphism, or endomorphism,
+    whose m.a(f(X), f(Y)) is quadratic in f.  Sound only for laws with one
+    right-hand side; a tag with a law of several on doc's roles (centroid on
+    a product that is not alternating) is refused."""
     frame = _frame(doc)
     if tag not in SIDE_CONDITIONS or tag not in _MAP_LAWS:
         raise ParamError(f"linear_system takes a side condition with a map law, "
                          f"not {tag!r}")
+    if any(_applies(t, "f") != 1 for law in _MAP_LAWS[tag][1]
+           for side in _sides(law) for t in side):
+        raise ParamError(f"{tag} has a term that does not apply f exactly once, "
+                         f"so it is not one linear system")
     _require_operators(tag, doc)
     if any(law.rhs > 1 for role in _roles(tag, doc)
            for law in _map_laws(tag, role)):

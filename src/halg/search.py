@@ -428,11 +428,14 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     """Candidates drawn with replacement until `count` hits or the attempt
     cap, as a stream; deterministic for a given seed.  truncated means a
     shortfall.  A spec is refused as by search_hits, except that
-    check_sample_size bounds rb-family label counts in place of the budget."""
+    check_sample_size bounds rb-family label counts in place of the budget,
+    and then a set limit is refused: count bounds a sample."""
     _require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")
     labels, ok, emit = _resolve(spec, "seeded_sample")
+    if spec.limit is not None:
+        raise ParamError("a sample takes no limit: count bounds its hits")
     field, dim = spec.base.field, spec.base.dim
     rng = random.Random(seed)
 

@@ -993,6 +993,10 @@ def test_linear_system_refuses_a_tag_that_is_not_a_one_doc_map_law():
                 "invertible", "nope"):
         with pytest.raises(ParamError, match="side condition with a map law"):
             linear_system(rb, tag)
+    # m.a(f(X), f(Y)) applies f twice: quadratic in f, not a linear system
+    for tag in ("endomorphism", "multiplicative"):
+        with pytest.raises(ParamError, match="apply f exactly once"):
+            linear_system(rb, tag)
     with pytest.raises(ShapeError, match="operator family"):
         linear_system(catalog("N2-F3"), "commutes")
     with pytest.raises(ParamError, match="doc"):

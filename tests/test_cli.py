@@ -647,6 +647,13 @@ def test_a_sample_refuses_what_an_enumeration_refuses(capsys):
         assert capsys.readouterr() == ("", enumerated)
 
 
+def test_a_sample_refuses_a_limit(capsys):
+    assert main(["search", "--target", "rb-family", "--fixture", "Z2-F2",
+                 "--seed", "1", "--count", "2", "--limit", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: a sample takes no limit: count bounds its hits\n")
+
+
 def test_a_huge_label_count_is_a_usage_error(capsys):
     # without --weights the CLI would make one weight per label, whether it
     # enumerates or samples

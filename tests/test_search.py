@@ -322,6 +322,15 @@ def test_result_iteration_protocol():
     assert len(list(res)) == len(res) == 2
 
 
+def test_a_sample_refuses_a_limit():
+    # count bounds a sample, so a limit it would not keep is refused
+    for spec in (rb_spec(catalog("Z2-F2"), 1, (0,), limit=1),
+                 SearchSpec(catalog("N2-Pnil-w0-F2"), TARGET_ENDOMORPHISM, limit=1)):
+        for sample in (seeded_sample, sample_hits):
+            with pytest.raises(ParamError, match="^a sample takes no limit"):
+                sample(spec, seed=1, count=3)
+
+
 def test_limit_below_one_is_refused():
     for limit in (0, -1):
         with pytest.raises(ParamError):
