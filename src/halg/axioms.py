@@ -629,8 +629,11 @@ def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
         unknown = set(toggles) - _KNOWN_TOGGLES
         if unknown:
             raise ParamError(f"unknown axiom toggles {sorted(unknown)}")
+        for name, value in toggles.items():
+            if not isinstance(value, bool):
+                raise ParamError(f"axiom toggle {name} must be a bool, got {value!r}")
     twist3 = True if toggles is None else toggles.get(DENDRIFORM_AXIOM3_TWIST, True)
-    return _structure_laws(doc.kind, bool(twist3), bool(verbose)), frame
+    return _structure_laws(doc.kind, twist3, bool(verbose)), frame
 
 
 def check_structure(doc: AlgebraDoc, verbose: bool = False,
@@ -659,7 +662,9 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
         if law.axiom != violation.axiom:
             continue
         labels, basis = violation.labels, violation.basis
-        if (len(labels) != len(law.labels) or not set(labels) <= set(doc.labels)
+        if (not isinstance(labels, (list, tuple)) or not isinstance(basis, (list, tuple))
+                or len(labels) != len(law.labels)
+                or not all(lab in doc.labels for lab in labels)
                 or len(basis) != law.arity
                 or not all(isinstance(i, int) and 0 <= i < doc.dim for i in basis)):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
@@ -680,8 +685,10 @@ def _roles(tag, doc):
 
 
 def _require_operators(tag, doc):
-    if tag == "commutes" and doc.operators is None:
-        raise ShapeError("commutes requires an operator family", "operators")
+    # commutes reads the operators, and so does their search (tag None)
+    if tag in (None, "commutes") and doc.operators is None:
+        raise ShapeError(f"{tag or 'an operator search'} requires an operator family",
+                         "operators")
 
 
 def _map_violations(tag, frame, doc, points=None):
@@ -826,21 +833,23 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
 def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     """ok(candidate) -> bool for a search that varies one kind of map on
     doc.  Every candidate is decided on one frame, built once from doc, by
-    the compiled laws and the evaluator above.
+    the compiled laws and the evaluator above, at points, where ok is given
+    them, in place of every basis tuple (see _violations).
 
-    Without a tag the operators vary.  candidate maps labels to operator
-    matrices (row tuples of canonical scalars), and ok decides doc's
-    structure laws with label variables over every tuple of those labels,
-    taken in candidate's order; ok(candidate, mixed=True) takes only the
-    tuples naming two distinct labels, the others being those of each label
-    alone.  The laws without label variables name neither P nor w, so no
-    candidate changes their verdict: a search decides them once, on doc.
+    Without a tag the operators vary.  The laws without label variables
+    name neither P nor w, so they are decided here, once, on doc, and the
+    result is None when one fails.  Otherwise it is ok(candidate,
+    mixed=False, points=None): candidate maps labels to the column tuples
+    of their operators, and ok decides the laws with label variables over
+    every tuple of those labels, in candidate's order, or with mixed set
+    over the tuples naming two distinct labels.  A doc without operators is
+    the ShapeError at operators that commutes raises.
 
     With the tag "endomorphism" or "commutes", f varies, and ok is
-    check(f, points=None): f is the tuple of the candidate's columns, bound
-    as f, and check decides the tag's laws as check_side_conditions does,
-    at points (every basis tuple when None; see _violations).  A candidate
-    skips check_operand: a search makes every candidate canonical.
+    check(f, points=None): f, the tuple of the candidate's columns, is bound
+    as f, and check decides the tag's laws as check_side_conditions does.
+    A candidate skips check_operand: a search makes every candidate
+    canonical.
 
     doc is over F_p, whose frames bind D = 1, so candidates are bound as
     they come; a doc over Q is a NonFiniteFieldError, and any other tag a
@@ -851,14 +860,17 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     if not field.is_prime_field:
         raise NonFiniteFieldError("candidate_check requires a prime field")
     if tag is None:
+        _require_operators(tag, doc)
+        fixed = [law for law in laws if not law.labels]
+        if next(_violations(fixed, frame, doc.labels, field), None) is not None:
+            return None
         laws = [law for law in laws if law.labels]
         ops = frame["P"]
 
-        def ok(candidate, mixed=False):
-            for lab, rows in candidate.items():
-                ops[lab] = tuple(zip(*rows))
-            return next(_violations(laws, frame, tuple(candidate), field,
-                                    mixed=mixed), None) is None
+        def ok(candidate, mixed=False, points=None):
+            ops.update(candidate)
+            return next(_violations(laws, frame, tuple(candidate), field, points,
+                                    mixed), None) is None
         return ok
     if tag not in ("endomorphism", "commutes"):
         raise ParamError(f"candidate_check takes no tag {tag!r}")

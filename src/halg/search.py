@@ -4,9 +4,9 @@ One driver serves both: _resolve refuses a bad SearchSpec, the same way for
 either, and resolves its target to one decider ok and one emitter emit.
 
 * rb-family: a candidate is an operator P_a per label on a base product.
-  The laws without label variables (hom-assoc, hom-jacobi) do not involve
-  the operators, so the zero-operator probe decides them once, and ok,
-  axioms.candidate_check on the probe, decides the rest.
+  ok is axioms.candidate_check on the zero-operator probe, which decides
+  the laws without label variables (hom-assoc, hom-jacobi) once, since
+  they do not involve the operators, and ok the rest.
 * endomorphism and commuting: a candidate is the matrix of f, and ok,
   axioms.candidate_check for the endomorphism or the commutes law, decides
   f's columns at every basis tuple, or at the ones it is given.
@@ -18,22 +18,23 @@ _resolve), so the map rule holds for the whole candidate space at once.
 
 search_hits walks the whole candidate space in lexicographic order (entry 0
 of the first matrix is the most significant digit), by structure rather
-than candidate by candidate.  On the diagonal pair (a, a) the matching
+than candidate by candidate.  One walk by row prefix (_walk) enumerates
+both searched matrices, f for endomorphism and each label's P_a for
+rb-family: the basis pairs that read the same columns of the matrix form
+a group (_groups), and for each choice of the first dim - 1 rows, in
+order, each group's mask of passing last rows is ANDed with the others',
+and the set bits, in ascending order, are the candidates left for the
+pairs that read every column.  On the diagonal pair (a, a) the matching
 Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
-alone, so each label's solutions are found alone, and the tuples of them,
-in product order, are cross-checked on the label pairs (a, b) with a != b.
-Endomorphisms are walked by row prefix (_endomorphisms): the basis pairs
-that read the same columns of f form a group, and for each choice of the
-first dim - 1 rows, in order, each group's mask of passing last rows is
-ANDed with the others', and the set bits, in ascending order, are the
-candidates left for the pairs that read every column.  f P_a = P_a f is
-linear in f, so the commuting hits are the solutions of the system read
-from that law, listed in order and each re-checked with ok.  `limit` and
-`truncated` read as for a plain loop over the whole space, and
-SearchSpec.budget bounds that space's size p^entries up front, so a
-hopeless request fails fast.  sample_hits draws candidates at random with
-replacement and decides each with the same ok; check_sample_size bounds a
-draw in place of the budget.
+alone, so each label's solutions are walked alone, and the tuples of
+them, in product order, are cross-checked on the label pairs (a, b) with
+a != b.  f P_a = P_a f is linear in f, so the commuting hits are the
+solutions of the system read from that law, listed in order and each
+re-checked with ok.  `limit` and `truncated` read as for a plain loop
+over the whole space, and SearchSpec.budget bounds that space's size
+p^entries up front, so a hopeless request fails fast.  sample_hits draws
+candidates at random with replacement and decides each with the same ok;
+check_sample_size bounds a draw in place of the budget.
 
 Both are a stream of hits.  search_hits and sample_hits return a Hits that
 makes each hit as it is iterated, so a reader can write the first hit while
@@ -174,12 +175,6 @@ def _rb_family_plan(spec: SearchSpec):
     return product, labels, dict(zip(labels, _spec_weights(spec))), kind, role, twist
 
 
-def _matrices(p: int, dim: int):
-    """Every dim x dim matrix over F_p as a row tuple, in lexicographic
-    order of its row-major digits."""
-    return itertools.product(itertools.product(range(p), repeat=dim), repeat=dim)
-
-
 def _check_budget(spec: SearchSpec, entries: int) -> None:
     p, budget = spec.base.field.p, spec.budget
     # p^entries has about entries * log2(p) bits: a space that far past the
@@ -210,9 +205,10 @@ def check_sample_size(dim: int, omega_size) -> None:
 def _resolve(spec: SearchSpec, what: str):
     """Refuse spec as `what` (enumerate_docs or seeded_sample) does, then
     return (labels, ok, emit) for its target.  An rb-family candidate maps
-    each of labels, in order, to its operator's matrix, and ok is None when
-    the probe fails the laws that no operators mend; a map target's
-    candidate is the matrix of f, labels is None, and ok is
+    each of labels, in order, to its operator's matrix, and ok,
+    axioms.candidate_check's decider, takes each operator's columns and is
+    None when the probe fails the laws that no operators mend; a map
+    target's candidate is the matrix of f, labels is None, and ok is
     axioms.candidate_check's check, which takes f's columns.  The budget (for
     enumerate_docs) or check_sample_size (for seeded_sample) refuses before
     the probe is made."""
@@ -226,12 +222,11 @@ def _resolve(spec: SearchSpec, what: str):
     if not field.is_prime_field:
         raise NonFiniteFieldError(f"{what} requires a prime field")
     enumerating = what == "enumerate_docs"
-    # Every candidate entry is a digit of range(p): the rows of _matrices
-    # and _endomorphisms, _commuting_maps' residues mod p and
-    # random_scalar's draws, each in a dim x dim tuple of row tuples, and
-    # an rb-family hit's weights are the probe's, which make_doc checked.
-    # So every hit obeys the map rule by construction, and the emitters
-    # build it with with_part, unchecked.
+    # Every candidate entry is a digit of range(p): the rows of _walk,
+    # _commuting_maps' residues mod p and random_scalar's draws, each in a
+    # dim x dim tuple of row tuples, and an rb-family hit's weights are the
+    # probe's, which make_doc checked.  So every hit obeys the map rule by
+    # construction, and the emitters build it with with_part, unchecked.
 
     if spec.target == TARGET_RB_FAMILY:
         if not enumerating:
@@ -247,7 +242,7 @@ def _resolve(spec: SearchSpec, what: str):
         def emit(ops):
             return with_part(probe, operators=OperatorFamily(
                 {lab: LinearMap(field, m) for lab, m in ops.items()}, weights))
-        return labels, candidate_check(probe) if structure_ok(probe) else None, emit
+        return labels, candidate_check(probe), emit
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
     if base.kind not in PLAIN_RB_KINDS:
@@ -293,13 +288,15 @@ def search_hits(spec: SearchSpec) -> Hits:
         found = ()
         if ok is not None:
             # the diagonal instance (a, a) involves P_a alone
-            alone = [[m for m in _matrices(p, dim) if ok({lab: m})] for lab in labels]
+            alone = [list(_walk(p, dim, _groups(base, rb=True), lambda f, pts, lab=lab:
+                                ok({lab: f}, points=pts))) for lab in labels]
             found = (dict(zip(labels, ms)) for ms in itertools.product(*alone))
             if len(labels) > 1:
-                found = (c for c in found if ok(c, mixed=True))
+                found = (c for c in found if ok({lab: tuple(zip(*m))
+                                                 for lab, m in c.items()}, mixed=True))
         last = dict.fromkeys(labels, last)
     elif spec.target == TARGET_ENDOMORPHISM:
-        found = _endomorphisms(base, ok)
+        found = _walk(p, dim, _groups(base, rb=False), ok)
     else:
         def sound(m):
             if not ok(tuple(zip(*m))):
@@ -312,50 +309,63 @@ def search_hits(spec: SearchSpec) -> Hits:
     return Hits(_first(found, spec.limit, last, emit))
 
 
-def _endomorphisms(base: AlgebraDoc, check):
-    """Every matrix whose columns check, candidate_check(base,
-    "endomorphism"), accepts, in lexicographic order, walked by row prefix.
-
-    The law at the basis pair (i, j) reads only the columns S_ij = {i, j} +
-    supp(c[i][j]) of f, over every role and label.  The pairs that read the
-    same S, fewer than every column, form a group, decided with every other
-    column of f zero; the pairs that read every column are decided on each
-    candidate the groups leave.  A prefix is the first dim - 1 rows, taken in
-    product order; bit r of a mask stands for the last row rows[r].  Column k
-    of f is the prefix's column k with entry k of the last row below it, so a
-    group's verdict depends on the prefix only through its head, the
-    prefix's columns S.  Per head, each group keeps the mask of the last rows
-    that pass it, deciding one restriction s of the last row to S at a time,
-    and only for an s that a row still alive after the groups before it
-    restricts to: so the evaluator decides each (group, columns) pair once,
-    where a candidate-by-candidate loop that stops at a candidate's first
-    failed group does.  The AND of a prefix's masks holds its passing last
-    rows, yielded in ascending order."""
-    p, dim = base.field.p, base.dim
+def _groups(base: AlgebraDoc, rb: bool) -> dict:
+    """The basis pairs (i, j), keyed by the sorted columns of the searched
+    matrix that its law reads at (i, j).  With supp(i, j) the support of
+    c[i][j] over every role and label of base, the endomorphism law reads
+    S_ij = {i, j} + supp(i, j), and the Rota-Baxter identity of one label
+    (rb) reads R_ij = {i, j} + U1(i) + U2(j), where U1(i) is the union of
+    supp(i, s) over s and U2(j) that of supp(s, j).  Its weight term reads
+    supp(i, j), inside U1(i), so R_ij serves every weight and label."""
+    dim = base.dim
     tensors = [fam.maps[lab].c for fam in base.families.values()
                for lab in base.labels]
-    reading = {}    # the columns read -> the pairs that read them
+
+    def supp(i, j):
+        return {k for c in tensors for k, v in enumerate(c[i][j]) if v}
+    if rb:
+        u1 = [set().union(*(supp(i, s) for s in range(dim))) for i in range(dim)]
+        u2 = [set().union(*(supp(s, j) for s in range(dim))) for j in range(dim)]
+    groups = {}
     for i, j in itertools.product(range(dim), repeat=2):
-        reads = {i, j}.union(*({k for k, v in enumerate(c[i][j]) if v}
-                               for c in tensors))
-        reading.setdefault(tuple(sorted(reads)), []).append((i, j))
-    full = reading.pop(tuple(range(dim)), None)
+        reads = {i, j} | (u1[i] | u2[j] if rb else supp(i, j))
+        groups.setdefault(tuple(sorted(reads)), []).append((i, j))
+    return groups
+
+
+def _walk(p: int, dim: int, groups: dict, check):
+    """Every dim x dim matrix over F_p, as a row tuple, in lexicographic
+    order, whose columns check(columns, pairs) accepts at the pairs of each
+    of groups (_groups), walked by row prefix.  A group that reads fewer
+    than every column is decided with every other column zero; the pairs
+    that read every column, popped from groups, are decided on each
+    candidate the groups leave.  A prefix is the first dim - 1 rows, taken
+    in product order; bit r of a mask stands for the last row rows[r].
+    Column k of the matrix is the prefix's column k with entry k of the
+    last row below it, so a group's verdict depends on the prefix only
+    through its head, the prefix's columns S.  Per head, each group keeps
+    the mask of the last rows that pass it, deciding one restriction s of
+    the last row to S at a time, and only for an s that a row still alive
+    after the groups before it restricts to: so check decides each (group,
+    columns) pair once, where a candidate-by-candidate loop that stops at a
+    candidate's first failed group does.  The AND of a prefix's masks holds
+    its passing last rows, yielded in ascending order."""
     rows = tuple(itertools.product(range(p), repeat=dim))
     zero = (0,) * dim
-    groups = []
-    for cols, pairs in reading.items():
+    full, parts = groups.pop(tuple(range(dim)), None), []
+    for cols, pairs in groups.items():
         share = {}    # a restriction s to cols -> the rows restricting to it
         for r, row in enumerate(rows):
             s = tuple(row[k] for k in cols)
             share[s] = share.get(s, 0) | 1 << r
         # head -> [mask of the passing rows, the (s, mask) still undecided]
-        groups.append((cols, pairs, tuple(share.items()), {}))
+        parts.append((cols, pairs, tuple(share.items()), {}))
     every = (1 << len(rows)) - 1
     lasts = [(row,) for row in rows]
     for prefix in itertools.product(rows, repeat=dim - 1):
         columns = tuple(zip(*prefix))
         alive = every
-        for cols, pairs, share, masks in groups:
+        for cols, pairs, share, masks in parts:
             head = tuple(columns[k] for k in cols)
             known = masks.get(head)
             if known is None:
@@ -446,7 +456,8 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     if labels is None:
         draw, decide = matrix, lambda m: ok(tuple(zip(*m)))
     else:
-        draw, decide = lambda: {lab: matrix() for lab in labels}, ok
+        draw, decide = (lambda: {lab: matrix() for lab in labels},
+                        lambda c: ok({lab: tuple(zip(*m)) for lab, m in c.items()}))
     cap = max(_MIN_ATTEMPTS, 1000 * count) if ok is not None else 0
     return Hits(_drawn(draw, decide, emit, count, cap))
 

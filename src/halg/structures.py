@@ -6,13 +6,12 @@ an optional Omega-indexed operator family with weights, and an optional
 twist map.  Docs are immutable.  :func:`validate_doc` decides every shape rule,
 entries included, and every constructor path runs it: :func:`make_doc`
 directly, and :func:`parse_doc`, which only reads the JSON into scalars
-(`linalg.read_array`) and leaves the shape to make_doc.  :func:`swap_part`
-checks the one part it replaces in a validated doc, so a doc in hand is
-always well-formed; :func:`with_part` makes the same doc without the check,
-for a caller whose part is canonical by construction, as a search's hits
-are.  Every family map, operator and twist is checked by the one map rule,
-`linalg.check_map`: the right type over the doc's field, dim entries at
-every level, each a canonical scalar.
+(`linalg.read_array`) and leaves the shape to make_doc, so a doc in hand is
+always well-formed.  :func:`with_part` replaces one part of a validated doc
+without any check, for a caller whose part is canonical by construction, as
+a search's hits are.  Every family map, operator and twist is checked by
+the one map rule, `linalg.check_map`: the right type over the doc's field,
+dim entries at every level, each a canonical scalar.
 
 Representation notes, fixed here once for the whole package:
 
@@ -195,32 +194,16 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
         else:
             raise ShapeError("a family is a bilinear map or a dict of label to one",
                              f"families.{role}")
-    # a plain kind's twist is optional, so it is swapped in last, where an
-    # identity is dropped
+    # a plain kind's twist is optional, a candidate map: it is checked and
+    # set last, and an identity is dropped
     plain = isinstance(kind, str) and kind in PLAIN_RB_KINDS
     doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
                      None if plain else twist)
     validate_doc(doc)
-    return swap_part(doc, twist=twist) if plain and twist is not None else doc
-
-
-def swap_part(doc: AlgebraDoc, twist: LinearMap | None = None,
-              operators: OperatorFamily | None = None) -> AlgebraDoc:
-    """doc, already validated, with its twist or its operator family (give
-    exactly one) replaced: the new part is checked, then with_part builds
-    the doc.  A twist's rows may be lists or tuples.
-    """
-    if (twist is None) == (operators is None):
-        raise ParamError("swap exactly one of twist and operators")
-    if operators is not None:
-        new = with_part(doc, operators=operators)
-        _check_operators(new)
-        return new
-    check_map(twist, LinearMap, doc.field, doc.dim, "twist")
-    if doc.kind in PLAIN_RB_KINDS and twist.is_identity():
-        # with_part knows the identity by its row tuples; these may be lists
-        twist = LinearMap.identity(doc.field, doc.dim)
-    return with_part(doc, twist=twist)
+    if not plain or twist is None:
+        return doc
+    check_map(twist, LinearMap, field, dim, "twist")
+    return doc if twist.is_identity() else with_part(doc, twist=twist)
 
 
 def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,

@@ -35,7 +35,7 @@ from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
                              MATCHING_HOM_TRIDENDRIFORM,
                              PLAIN_ASSOC_MATCHING_RB, PLAIN_LIE_MATCHING_RB,
-                             RB_KINDS, TOTALLY_COMPATIBLE_HOM_ASSOC, swap_part)
+                             RB_KINDS, TOTALLY_COMPATIBLE_HOM_ASSOC)
 
 N2 = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 UT = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]  # e11, e12 upper-triangular units
@@ -262,7 +262,9 @@ def test_collapse_family_scales_lie_brackets_exactly():
 def test_commutator_drops_a_plain_candidate_twist():
     # a plain doc's stored twist is a candidate map, not part of the structure
     base = catalog("N2-Pnil-w0-F3")
-    doc = swap_part(base, twist=LinearMap.from_rows(base.field, [[1, 0], [0, 0]]))
+    doc = make_doc(base.field, 2, base.omega, base.kind, base.families,
+                   operators=base.operators,
+                   twist=LinearMap.from_rows(base.field, [[1, 0], [0, 0]]))
     assert doc.twist is not None
     out = commutator(doc)
     assert out.kind == PLAIN_LIE_MATCHING_RB and out.twist is None

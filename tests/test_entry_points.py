@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halg import (GF, PLAIN_ASSOC_MATCHING_RB, QQ, AlgebraDoc, BilinearFamily,
+from halg import (DENDRIFORM_AXIOM3_TWIST, GF, PLAIN_ASSOC_MATCHING_RB, QQ,
+                  AlgebraDoc, BilinearFamily,
                   BilinearMap, DimensionMismatch, FieldMismatch, HalgError,
                   LinearMap, OperatorFamily, ParamError, SearchSpec,
                   ShapeError, UnknownFixtureError,
@@ -76,6 +77,21 @@ def _cases():
         lambda: enumerate_docs(SearchSpec(catalog("Z2-F2"), "rb-family",
                                           omega_size=1, weights=None))
     yield "replay witness", ParamError, None, lambda: replay_violation(rb, "x")
+    rb3 = catalog("N2-Pnil-w0-F3")
+    yield "replay witness labels [] and []", ParamError, None, \
+        lambda: replay_violation(rb3, Violation("matching-rb", ([], []), (0, 0), (), ()))
+    yield "replay witness basis None", ParamError, None, \
+        lambda: replay_violation(rb3, Violation("matching-rb", ("a", "a"), None, (), ()))
+    # a toggle is True or False: any other value, falsy or not, is refused
+    dend_witness = Violation("dendriform-3", ("a", "a"), (0, 0, 0), (0, 0), (0, 0))
+    for bad in ("off", None, 0, []):
+        toggles = {DENDRIFORM_AXIOM3_TWIST: bad}
+        yield f"check_structure toggle {bad!r}", ParamError, None, \
+            lambda t=toggles: check_structure(dend, axiom_toggles=t)
+        yield f"structure_ok toggle {bad!r}", ParamError, None, \
+            lambda t=toggles: structure_ok(dend, axiom_toggles=t)
+        yield f"replay_violation toggle {bad!r}", ParamError, None, \
+            lambda t=toggles: replay_violation(dend, dend_witness, axiom_toggles=t)
     # a matrix or tensor of the wrong shape or with an entry that is not
     # canonical, and a container that is not a dict, wherever one is read
     two_by_three = LinearMap(QQ, ((1, 0, 0), (0, 1, 0)))

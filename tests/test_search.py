@@ -5,8 +5,10 @@ frozen; a change in any of them means the search order or the identity
 checks moved.
 """
 
+import dataclasses
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,8 @@ import halg.axioms
 import halg.search
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
-from halg.search import (_rb_family_plan, check_sample_size, sample_hits,
-                         search_hits)
+from halg.search import (_groups, _rb_family_plan, check_sample_size,
+                         sample_hits, search_hits)
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
                              PLAIN_LIE_MATCHING_RB)
@@ -398,8 +400,10 @@ def test_candidate_check_serves_the_searched_map_tags_only():
             candidate_check(base, tag)
     for tag in ("endomorphism", "commutes"):
         assert candidate_check(base, tag)(((1, 0), (0, 1)))
-    with pytest.raises(ShapeError, match="operator family"):
-        candidate_check(catalog("N2-F3"), "commutes")
+    for tag in ("commutes", None):
+        with pytest.raises(ShapeError, match="operator family") as exc:
+            candidate_check(catalog("N2-F3"), tag)
+        assert exc.value.path == "operators"
 
 
 def test_candidate_tables_decide_over_a_prime_field_only():
@@ -587,18 +591,28 @@ def test_candidate_check_agrees_with_the_side_condition_check():
 
 # --- the endomorphism walk by row prefix ---------------------------------------
 
-def _dim3_f3(products):
-    """A dim-3 algebra over F_3 with x_i x_j = x_k for each (i, j): k of
-    products, the other products zero, and the zero operator at weight 0."""
-    field = GF(3)
-    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+def _plain_base(field, dim, products, lie=False, weight=0):
+    """A plain matching RB base over field whose product has x_i x_j = x_k
+    for each (i, j): k of products, and the others zero (a bracket, if lie,
+    with [x_j, x_i] = -x_k too), with a zero operator at weight."""
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), k in products.items():
         c[i][j][k] = 1
-    return make_doc(field, 3, ("a",), PLAIN_ASSOC_MATCHING_RB,
-                    {"dot": BilinearMap.from_nested(field, c)},
+        if lie:
+            c[j][i][k] = field.reduce(-1)
+    kind, role = (PLAIN_LIE_MATCHING_RB, "bracket") if lie else \
+        (PLAIN_ASSOC_MATCHING_RB, "dot")
+    return make_doc(field, dim, ("a",), kind,
+                    {role: BilinearMap.from_nested(field, c)},
                     operators=OperatorFamily(
-                        ops={"a": LinearMap.from_rows(field, [[0] * 3] * 3)},
-                        weights={"a": 0}))
+                        ops={"a": LinearMap.from_rows(field, [[0] * dim] * dim)},
+                        weights={"a": weight}))
+
+
+NILPOTENT3 = {(0, 0): 1, (0, 1): 2, (1, 0): 2}           # x, x^2, x^3
+DIAGONAL3 = {(0, 0): 0, (1, 1): 1, (2, 2): 2}            # F_p^3
+UPPER3 = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}    # E11, E12, E22
+HEISENBERG = {(0, 1): 2}                                 # x_0 x_1 = x_2
 
 
 def _limit_sweep(spec, limits=None):
@@ -606,15 +620,16 @@ def _limit_sweep(spec, limits=None):
     the hit count) against one run of _brute_force: at limit L its first L
     hits, truncated where L is below the hit count, or is the count and the
     last hit is not the last matrix.  Returns the hit count."""
-    base = spec.base
     hits, _ = _brute_force(spec)
     lines = [serialize_doc(d) for d in hits]
-    n, top = len(hits), base.field.p - 1
-    last = bool(hits) and hits[-1].twist is not None and all(
-        v == top for row in hits[-1].twist.rows for v in row)
+    n, top = len(hits), spec.base.field.p - 1
+    maps = [] if not hits else hits[-1].operators.ops.values() \
+        if spec.target == TARGET_RB_FAMILY else [hits[-1].twist]
+    last = bool(maps) and all(m is not None and all(v == top for row in m.rows
+                                                    for v in row) for m in maps)
     assert [serialize_doc(d) for d in enumerate_docs(spec)] == lines
     for limit in limits or range(1, n + 2):
-        res = enumerate_docs(SearchSpec(base, spec.target, limit=limit))
+        res = enumerate_docs(dataclasses.replace(spec, limit=limit))
         assert [serialize_doc(d) for d in res] == lines[:limit], limit
         assert res.truncated == (limit < n or limit == n and not last), limit
     return n
@@ -627,11 +642,11 @@ def _reads_every_column(doc):
 
 
 def test_the_endomorphism_walk_matches_brute_force_under_every_limit():
-    nilpotent = _dim3_f3({(0, 0): 1, (0, 1): 2, (1, 0): 2})    # x, x^2, x^3
-    diagonal = _dim3_f3({(0, 0): 0, (1, 1): 1, (2, 2): 2})     # F_3^3
-    upper = _dim3_f3({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2})  # E11, E12, E22
+    f3 = GF(3)
+    nilpotent, diagonal, upper = (_plain_base(f3, 3, products)
+                                  for products in (NILPOTENT3, DIAGONAL3, UPPER3))
     truncated = _n3_f3([[0, 0, 0], [1, 0, 0], [0, 2, 0]])    # k[x]/(x^3)
-    heisenberg = _dim3_f3({(0, 1): 2})
+    heisenberg = _plain_base(f3, 3, HEISENBERG)
     assert _reads_every_column(heisenberg) and not _reads_every_column(upper)
     for base, hits in ((nilpotent, 27), (diagonal, 64), (upper, 27), (truncated, 10)):
         assert structure_ok(base)
@@ -684,15 +699,86 @@ def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypat
     # the zero product reads the columns {i, j} at (i, j): three groups of
     # one column, 27 entries each, and three of two, 729 each; every
     # candidate is a hit, so every entry is filled once
-    zero = SearchSpec(_dim3_f3({}), TARGET_ENDOMORPHISM)
+    zero = SearchSpec(_plain_base(GF(3), 3, {}), TARGET_ENDOMORPHISM)
     assert counted(lambda: enumerate_docs(zero)) == 3 * 27 + 3 * 729 == 2268
     # on miss-heavy bases the walk fills a group's entry only for last rows
     # that pass the groups before it: the entries a loop over every
     # candidate fills, which stops at a candidate's first failed group
-    for products, loop_calls in (({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}, 530),
-                                 ({(0, 0): 1, (0, 1): 2, (1, 0): 2}, 1660)):
-        base = _dim3_f3(products)
+    for products, loop_calls in ((UPPER3, 530), (NILPOTENT3, 1660)):
+        base = _plain_base(GF(3), 3, products)
         check = candidate_check(base, "endomorphism")
         assert counted(lambda: _memo_loop(base, check)) == loop_calls
         assert counted(lambda: enumerate_docs(SearchSpec(base, TARGET_ENDOMORPHISM))) \
             == loop_calls
+
+
+# --- read sets, and the rb-family walk by label ---------------------------------
+
+# (dim, products, lie): zero, nilpotent, F_p^dim and upper-triangular
+# products at dims 2 and 3, the Heisenberg product and bracket, and aff2
+_READ_SET_BASES = (
+    (2, {}, False), (2, {(0, 0): 1}, False), (2, {(0, 0): 0, (1, 1): 1}, False),
+    (2, {(0, 0): 0, (0, 1): 1}, False), (2, {(0, 1): 1}, True),
+    (3, {}, False), (3, NILPOTENT3, False), (3, DIAGONAL3, False),
+    (3, UPPER3, False), (3, HEISENBERG, False), (3, HEISENBERG, True))
+
+
+def test_read_sets_bound_what_each_group_reads():
+    # the walk decides a group with every column outside its key zero, so a
+    # key must hold every column the group's law reads: re-drawing any other
+    # column of seeded matrices never changes the group's verdict
+    rng = random.Random(5)
+    for field in (GF(2), GF(3)):
+        def column(dim):
+            # mostly zero entries, so that the verdicts vary
+            return tuple(rng.choice((0, 0, 0, *range(1, field.p))) for _ in range(dim))
+        for dim, products, lie in _READ_SET_BASES:
+            for rb, weight in ((False, 0), (True, 0), (True, 1)):
+                base = _plain_base(field, dim, products, lie, weight)
+                if rb:
+                    ok = candidate_check(base)
+                    assert ok is not None
+
+                    def check(f, points, ok=ok):
+                        return ok({"a": f}, points=points)
+                else:
+                    check = candidate_check(base, "endomorphism")
+                groups = _groups(base, rb)
+                assert sorted(ix for pairs in groups.values() for ix in pairs) == \
+                    list(itertools.product(range(dim), repeat=2))
+                for cols, pairs in groups.items():
+                    for _ in range(12):
+                        f = [column(dim) for _ in range(dim)]
+                        verdict = check(tuple(f), pairs)
+                        for k in set(range(dim)) - set(cols):
+                            g = list(f)
+                            g[k] = column(dim)
+                            assert check(tuple(g), pairs) == verdict, \
+                                (field, products, rb, weight, cols, f, g)
+                        g = [v if k in cols else (0,) * dim for k, v in enumerate(f)]
+                        assert check(tuple(g), pairs) == verdict
+
+
+def test_the_rb_walk_matches_the_per_label_loop_at_dim_3():
+    # the per-label loop the walk replaced decides every matrix alone
+    field = GF(3)
+    rows = tuple(itertools.product(range(3), repeat=3))
+    counts = []
+    for products, lie in ((NILPOTENT3, False), (DIAGONAL3, False), (UPPER3, False),
+                          (HEISENBERG, False), (HEISENBERG, True)):
+        for w in (0, 1, 2):
+            base = _plain_base(field, 3, products, lie, w)
+            ok = candidate_check(base)
+            loop = [m for m in itertools.product(rows, repeat=3)
+                    if ok({"a": tuple(zip(*m))})]
+            walked = enumerate_docs(rb_spec(base, 1, (w,)))
+            assert [d.operators.ops["a"].rows for d in walked] == loop
+            counts.append(len(loop))
+    assert counts == [99, 18, 18, 1, 128, 128, 21, 84, 84, 189, 324, 324,
+                      729, 810, 810]
+
+
+def test_a_two_label_rb_search_matches_brute_force_under_every_limit():
+    # the labels' hits, in product order, are cross-checked on the pairs
+    # (a, b) with a != b, and limit and truncated read over that order
+    assert _limit_sweep(rb_spec(_aff2_lie_f3(), 2, (0, 2))) == 72
