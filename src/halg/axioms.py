@@ -666,7 +666,7 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
                 or len(labels) != len(law.labels)
                 or not all(lab in doc.labels for lab in labels)
                 or len(basis) != law.arity
-                or not all(isinstance(i, int) and 0 <= i < doc.dim for i in basis)):
+                or not all(type(i) is int and 0 <= i < doc.dim for i in basis)):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")

@@ -82,6 +82,9 @@ def _cases():
         lambda: replay_violation(rb3, Violation("matching-rb", ([], []), (0, 0), (), ()))
     yield "replay witness basis None", ParamError, None, \
         lambda: replay_violation(rb3, Violation("matching-rb", ("a", "a"), None, (), ()))
+    yield "replay witness basis of bools", ParamError, None, \
+        lambda: replay_violation(rb3, Violation("matching-rb", ("a", "a"), (True, False),
+                                                (), ()))
     # a toggle is True or False: any other value, falsy or not, is refused
     dend_witness = Violation("dendriform-3", ("a", "a"), (0, 0, 0), (0, 0), (0, 0))
     for bad in ("off", None, 0, []):
