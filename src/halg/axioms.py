@@ -594,31 +594,61 @@ def _twin(law: _Compiled, frame, field):
     return law.padded, lambda x: field.reduce(Fraction(x, scale))
 
 
-def _violations(laws, frame, labels, field, points=None, mixed=False):
+def _plan(laws, frame, labels, field, points=None, tuples=None):
+    """Each law as frame runs it: (law, reducer, basis tuples, label
+    tuples), with law and reducer as _twin picks them, the basis tuples of
+    its arity or points, and every ordered tuple of labels of its label
+    count or, where tuples is given, those of them of that count.  A
+    generator, so a caller that stops early twins no later law."""
+    dim = len(frame["basis"])
+    for law in laws:
+        law, red = _twin(law, frame, field)
+        n = len(law.labels)
+        labs = tuple(product(labels, repeat=n)) if tuples is None else \
+            tuple(t for t in tuples if len(t) == n)
+        yield law, red, _points(dim, law.arity) if points is None else points, labs
+
+
+def _differences(red, left, rights):
+    """The lhs left reduced by red, and each rhs that differs from it
+    once reduced.  A runner yields raw sides, so equal raw sides are equal
+    values and are not reduced."""
+    lc = tuple(map(red, left))
+    return lc, [rc for rc in (tuple(map(red, r)) for r in rights if r != left)
+                if rc != lc]
+
+
+def _violations(laws, frame, labels, field, points=None, tuples=None):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  Each law's runner skips the instances whose guard proves every
     side zero and yields the others where some rhs differs from the lhs
     raw, D^K times their values (_twin); here each such pair is divided
-    back and reduced, and a violation is one whose reduced sides still
-    differ.
+    back and reduced (_differences), and a violation is one whose reduced
+    sides still differ.
 
-    points, when given, replaces every basis tuple of the laws' arity; with
-    mixed set, only the label tuples naming two distinct labels are taken.
+    points, when given, replaces every basis tuple of the laws' arity, and
+    tuples every label tuple: a law runs at those of tuples of its label
+    count (_plan).
     """
-    dim = len(frame["basis"])
-    for law in laws:
-        law, red = _twin(law, frame, field)
-        pts = _points(dim, law.arity) if points is None else points
-        tuples = product(labels, repeat=len(law.labels))
-        if mixed:
-            tuples = [labs for labs in tuples if len(set(labs)) > 1]
-        for labs, ix, _, (left, *rights) in law.run(frame, tuples, pts, False):
-            lc = tuple(map(red, left))
-            for right in rights:
-                if right != left:
-                    rc = tuple(map(red, right))
-                    if lc != rc:
-                        yield Violation(law.axiom, labs, ix, lc, rc)
+    for law, red, pts, each in _plan(laws, frame, labels, field, points, tuples):
+        for labs, ix, _, (left, *rights) in law.run(frame, each, pts, False):
+            lc, rcs = _differences(red, left, rights)
+            for rc in rcs:
+                yield Violation(law.axiom, labs, ix, lc, rc)
+
+
+def _holds(plan, frame, points=None, tuples=None):
+    """Whether every law of plan (_plan's entries) holds on frame as it is
+    bound now, at points and tuples where given in place of the plan's
+    own (tuples then name as many labels as each law of plan takes); the
+    first reduced difference decides."""
+    for law, red, pts, labs in plan:
+        for _, _, _, (left, *rights) in law.run(
+                frame, labs if tuples is None else tuples,
+                pts if points is None else points, False):
+            if _differences(red, left, rights)[1]:
+                return False
+    return True
 
 
 def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
@@ -691,16 +721,21 @@ def _require_operators(tag, doc):
                          "operators")
 
 
-def _map_violations(tag, frame, doc, points=None):
-    """Violations of a map or two-doc tag, role by role; m is bound to the
-    role's maps and m2 to the second doc's where the frame binds one, and
-    m~ and m2~ to their sparse forms.  points as for _violations."""
+def _bind_role(frame, role):
+    """Bind m to role's maps and m2 to the second doc's where the frame
+    binds one, and m~ and m2~ to their sparse forms; role None, a tag not
+    checked per role, binds nothing."""
+    if role is not None:
+        frame["m"], frame["m~"] = frame[role], frame[role + "~"]
+        if role + "2" in frame:
+            frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
+
+
+def _map_violations(tag, frame, doc):
+    """Violations of a map or two-doc tag, role by role (_bind_role)."""
     for role in _roles(tag, doc):
-        if role is not None:
-            frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-            if role + "2" in frame:
-                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
-        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field, points)
+        _bind_role(frame, role)
+        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field)
 
 
 def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
@@ -832,24 +867,29 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
 
 def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     """ok(candidate) -> bool for a search that varies one kind of map on
-    doc.  Every candidate is decided on one frame, built once from doc, by
-    the compiled laws and the evaluator above, at points, where ok is given
-    them, in place of every basis tuple (see _violations).
+    doc.  Each law's runner, reducer, basis tuples and label tuples are
+    resolved once here (_plan) on one frame built once from doc; a decision
+    binds the candidate in that frame and runs those runners, at points in
+    place of every basis tuple where ok is given them, and the first
+    reduced difference decides (_holds, which shares _plan and
+    _differences with _violations).
 
     Without a tag the operators vary.  The laws without label variables
     name neither P nor w, so they are decided here, once, on doc, and the
     result is None when one fails.  Otherwise it is ok(candidate,
-    mixed=False, points=None): candidate maps labels to the column tuples
-    of their operators, and ok decides the laws with label variables over
-    every tuple of those labels, in candidate's order, or with mixed set
-    over the tuples naming two distinct labels.  A doc without operators is
-    the ShapeError at operators that commutes raises.
+    points=None, tuples=None): candidate maps labels to the column tuples
+    of their operators (a label it leaves out keeps the operator bound
+    last), and ok decides the laws with label variables, on an rb kind the
+    matching Rota-Baxter identity alone, at every ordered pair of doc's
+    labels, or at the pairs of tuples.  The instance at (a, b) reads P_a,
+    P_b and w_b only, so a search need decide each such triple once.  A doc
+    without operators is the ShapeError at operators that commutes raises.
 
     With the tag "endomorphism" or "commutes", f varies, and ok is
     check(f, points=None): f, the tuple of the candidate's columns, is bound
-    as f, and check decides the tag's laws as check_side_conditions does.
-    A candidate skips check_operand: a search makes every candidate
-    canonical.
+    as f, and check decides the tag's laws role by role as
+    check_side_conditions does.  A candidate skips check_operand: a search
+    makes every candidate canonical.
 
     doc is over F_p, whose frames bind D = 1, so candidates are bound as
     they come; a doc over Q is a NonFiniteFieldError, and any other tag a
@@ -862,21 +902,26 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     if tag is None:
         _require_operators(tag, doc)
         fixed = [law for law in laws if not law.labels]
-        if next(_violations(fixed, frame, doc.labels, field), None) is not None:
+        if not _holds(_plan(fixed, frame, doc.labels, field), frame):
             return None
-        laws = [law for law in laws if law.labels]
+        plan = list(_plan([law for law in laws if law.labels], frame, doc.labels, field))
         ops = frame["P"]
 
-        def ok(candidate, mixed=False, points=None):
+        def ok(candidate, points=None, tuples=None):
             ops.update(candidate)
-            return next(_violations(laws, frame, tuple(candidate), field, points,
-                                    mixed), None) is None
+            return _holds(plan, frame, points, tuples)
         return ok
     if tag not in ("endomorphism", "commutes"):
         raise ParamError(f"candidate_check takes no tag {tag!r}")
     _require_operators(tag, doc)
+    plans = [(role, list(_plan(_map_laws(tag, role), frame, doc.labels, field)))
+             for role in _roles(tag, doc)]
 
     def check(f, points=None):
         frame["f"] = f
-        return next(_map_violations(tag, frame, doc, points), None) is None
+        for role, plan in plans:
+            _bind_role(frame, role)
+            if not _holds(plan, frame, points):
+                return False
+        return True
     return check

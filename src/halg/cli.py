@@ -260,8 +260,8 @@ def _cmd_search(args) -> int:
         base = docs[0]
     omega, weights = args.omega, ()
     if args.weights is not None:
-        weights = tuple(base.field.parse_scalar(tok.strip(), "weights")
-                        for tok in args.weights.split(","))
+        weights = tuple(base.field.parse_scalar(tok.strip(), f"weights[{i}]")
+                        for i, tok in enumerate(args.weights.split(",")))
     if args.target == TARGET_RB_FAMILY:
         if omega is None:
             omega = len(base.labels)

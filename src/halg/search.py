@@ -6,7 +6,8 @@ either, and resolves its target to one decider ok and one emitter emit.
 * rb-family: a candidate is an operator P_a per label on a base product.
   ok is axioms.candidate_check on the zero-operator probe, which decides
   the laws without label variables (hom-assoc, hom-jacobi) once, since
-  they do not involve the operators, and ok the rest.
+  they do not involve the operators, and ok the rest, at the label pairs
+  it is given.
 * endomorphism and commuting: a candidate is the matrix of f, and ok,
   axioms.candidate_check for the endomorphism or the commutes law, decides
   f's columns at every basis tuple, or at the ones it is given.
@@ -26,15 +27,18 @@ order, each group's mask of passing last rows is ANDed with the others',
 and the set bits, in ascending order, are the candidates left for the
 pairs that read every column.  On the diagonal pair (a, a) the matching
 Rota-Baxter identity is the Rota-Baxter identity of weight w_a for P_a
-alone, so each label's solutions are walked alone, and the tuples of
-them, in product order, are cross-checked on the label pairs (a, b) with
-a != b.  f P_a = P_a f is linear in f, so the commuting hits are the
-solutions of the system read from that law, listed in order and each
-re-checked with ok.  `limit` and `truncated` read as for a plain loop
-over the whole space, and SearchSpec.budget bounds that space's size
-p^entries up front, so a hopeless request fails fast.  sample_hits draws
-candidates at random with replacement and decides each with the same ok;
-check_sample_size bounds a draw in place of the budget.
+alone, so the solutions of each distinct weight are walked once, and the
+labels of that weight share them.  The families are joined from those
+lists in product order (_families), by backtracking over the label pairs
+(a, b) with a != b: the instance at (a, b) reads P_a, P_b and w_b alone,
+so each such triple is decided at most once per search, and a pair that
+fails drops every family extending it.  f P_a = P_a f is linear in f, so
+the commuting hits are the solutions of the system read from that law,
+listed in order and each re-checked with ok.  `limit` and `truncated` read
+as for a plain loop over the whole space, and SearchSpec.budget bounds that
+space's size p^entries up front, so a hopeless request fails fast.
+sample_hits draws candidates at random with replacement and decides each
+with the same ok; check_sample_size bounds a draw in place of the budget.
 
 Both are a stream of hits.  search_hits and sample_hits return a Hits that
 makes each hit as it is iterated, so a reader can write the first hit while
@@ -114,15 +118,23 @@ class SearchResult:
 
 
 class Hits:
-    """The hits of one search, each made as it is iterated; iterate it once.
-    When the iteration has ended, truncated reads as SearchResult's."""
+    """The hits of one search, each made as it is iterated.  It is iterated
+    once: a second iteration is a ParamError, raised by iter(), which leaves
+    truncated as it was.  When the iteration has ended, truncated reads as
+    SearchResult's."""
 
     def __init__(self, stream):
         self._stream = stream   # a generator that returns truncated
         self.truncated = None
 
     def __iter__(self):
-        self.truncated = yield from self._stream
+        stream, self._stream = self._stream, None
+        if stream is None:
+            raise ParamError("a search's hits can be iterated only once")
+        return self._drain(stream)
+
+    def _drain(self, stream):
+        self.truncated = yield from stream
 
 
 def _result(hits: Hits) -> SearchResult:
@@ -204,14 +216,14 @@ def check_sample_size(dim: int, omega_size) -> None:
 
 def _resolve(spec: SearchSpec, what: str):
     """Refuse spec as `what` (enumerate_docs or seeded_sample) does, then
-    return (labels, ok, emit) for its target.  An rb-family candidate maps
-    each of labels, in order, to its operator's matrix, and ok,
-    axioms.candidate_check's decider, takes each operator's columns and is
-    None when the probe fails the laws that no operators mend; a map
-    target's candidate is the matrix of f, labels is None, and ok is
-    axioms.candidate_check's check, which takes f's columns.  The budget (for
-    enumerate_docs) or check_sample_size (for seeded_sample) refuses before
-    the probe is made."""
+    return (weights, ok, emit) for its target.  An rb-family candidate
+    maps each label of weights (label -> weight, in label order) to its
+    operator's matrix, and ok, axioms.candidate_check's decider, takes each
+    operator's columns and is None when the probe fails the laws that no
+    operators mend; a map target's candidate is the matrix of f, weights is
+    None, and ok is axioms.candidate_check's check, which takes f's
+    columns.  The budget (for enumerate_docs) or check_sample_size (for
+    seeded_sample) refuses before the probe is made."""
     require(spec, SearchSpec, "spec")
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
@@ -242,7 +254,7 @@ def _resolve(spec: SearchSpec, what: str):
         def emit(ops):
             return with_part(probe, operators=OperatorFamily(
                 {lab: LinearMap(field, m) for lab, m in ops.items()}, weights))
-        return labels, candidate_check(probe), emit
+        return weights, candidate_check(probe), emit
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
     if base.kind not in PLAIN_RB_KINDS:
@@ -280,21 +292,14 @@ def search_hits(spec: SearchSpec) -> Hits:
     """The hits of an exhaustive search, in lexicographic candidate order,
     as a stream.  See the module docstring for how each target's candidate
     space is walked."""
-    labels, ok, emit = _resolve(spec, "enumerate_docs")
+    weights, ok, emit = _resolve(spec, "enumerate_docs")
     base = spec.base
     p, dim = base.field.p, base.dim
     last = ((p - 1,) * dim,) * dim   # the last matrix: every digit p - 1
-    if labels is not None:
-        found = ()
-        if ok is not None:
-            # the diagonal instance (a, a) involves P_a alone
-            alone = [list(_walk(p, dim, _groups(base, rb=True), lambda f, pts, lab=lab:
-                                ok({lab: f}, points=pts))) for lab in labels]
-            found = (dict(zip(labels, ms)) for ms in itertools.product(*alone))
-            if len(labels) > 1:
-                found = (c for c in found if ok({lab: tuple(zip(*m))
-                                                 for lab, m in c.items()}, mixed=True))
-        last = dict.fromkeys(labels, last)
+    if weights is not None:
+        found = () if ok is None else _families(p, dim, _groups(base, rb=True),
+                                                 weights, ok)
+        last = dict.fromkeys(weights, last)
     elif spec.target == TARGET_ENDOMORPHISM:
         found = _walk(p, dim, _groups(base, rb=False), ok)
     else:
@@ -307,6 +312,45 @@ def search_hits(spec: SearchSpec) -> Hits:
             return m
         found = map(sound, _commuting_maps(base))
     return Hits(_first(found, spec.limit, last, emit))
+
+
+def _families(p: int, dim: int, groups: dict, weights: dict, ok):
+    """Every operator family that ok accepts, as a dict from each label of
+    weights (label -> weight, in label order) to a row tuple, in product
+    order, as the module docstring says: each distinct weight's solutions
+    are walked once, and the families are joined from them by backtracking
+    over the ordered label pairs, each (P_a, P_b, w_b) decided at most once
+    into a table that lives no longer than this search."""
+    labels, ids, solutions = tuple(weights), {}, {}
+    for lab, w in weights.items():
+        if w not in solutions:
+            walk = _walk(p, dim, dict(groups), lambda f, pts, lab=lab, diagonal=(
+                (lab, lab),): ok({lab: f}, pts, diagonal))
+            # (id, rows, columns) per solution; equal matrices share an id
+            solutions[w] = [(ids.setdefault(m, len(ids)), m, tuple(zip(*m)))
+                            for m in walk]
+    lists, ws = [solutions[w] for w in weights.values()], tuple(weights.values())
+    verdicts, chosen = {}, []
+
+    def holds(x, y):
+        key = chosen[x][0], chosen[y][0], ws[y]
+        verdict = verdicts.get(key)
+        if verdict is None:
+            a, b = labels[x], labels[y]
+            verdict = verdicts[key] = ok({a: chosen[x][2], b: chosen[y][2]},
+                                         tuples=((a, b),))
+        return verdict
+
+    def extend(k):
+        for s in lists[k]:
+            chosen.append(s)
+            if all(holds(x, k) and holds(k, x) for x in range(k)):
+                if k == len(labels) - 1:
+                    yield {lab: m for lab, (_, m, _) in zip(labels, chosen)}
+                else:
+                    yield from extend(k + 1)
+            chosen.pop()
+    return extend(0)
 
 
 def _groups(base: AlgebraDoc, rb: bool) -> dict:
@@ -443,7 +487,7 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     _require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")
-    labels, ok, emit = _resolve(spec, "seeded_sample")
+    weights, ok, emit = _resolve(spec, "seeded_sample")
     if spec.limit is not None:
         raise ParamError("a sample takes no limit: count bounds its hits")
     field, dim = spec.base.field, spec.base.dim
@@ -453,10 +497,10 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
         return tuple(tuple(field.random_scalar(rng) for _ in range(dim))
                      for _ in range(dim))
 
-    if labels is None:
+    if weights is None:
         draw, decide = matrix, lambda m: ok(tuple(zip(*m)))
     else:
-        draw, decide = (lambda: {lab: matrix() for lab in labels},
+        draw, decide = (lambda: {lab: matrix() for lab in weights},
                         lambda c: ok({lab: tuple(zip(*m)) for lab, m in c.items()}))
     cap = max(_MIN_ATTEMPTS, 1000 * count) if ok is not None else 0
     return Hits(_drawn(draw, decide, emit, count, cap))

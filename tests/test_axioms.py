@@ -912,10 +912,10 @@ def test_checks_over_f_p_compile_no_padded_twin():
 
 def test_the_runners_label_and_point_filters_restrict_the_full_check():
     """Over seeded one- and two-label docs of every kind over F_2, F_3 and
-    Q, under both dendriform readings: mixed=True yields exactly the full
-    check's violations at label tuples of distinct labels, and points=
-    exactly those at the given basis tuples, each in the full check's
-    order."""
+    Q, under both dendriform readings: tuples= the pairs of distinct
+    labels yields exactly the full check's violations at label tuples of
+    distinct labels, and points= exactly those at the given basis tuples,
+    each in the full check's order."""
     rng = random.Random(1808)
     mixed_seen = pointed_seen = 0
     for field in (GF(2), GF(3), QQ):
@@ -926,8 +926,10 @@ def test_the_runners_label_and_point_filters_restrict_the_full_check():
                     laws, frame = _laws_for(doc, {DENDRIFORM_AXIOM3_TWIST: twist3}, True)
                     full = list(_violations(laws, frame, doc.labels, field))
                     mixed = [v for v in full if len(set(v.labels)) > 1]
+                    distinct = [t for t in itertools.product(doc.labels, repeat=2)
+                                if t[0] != t[1]]
                     assert list(_violations(laws, frame, doc.labels, field,
-                                            mixed=True)) == mixed
+                                            tuples=distinct)) == mixed
                     mixed_seen += len(mixed)
                     for arity in {law.arity for law in laws}:
                         same = [law for law in laws if law.arity == arity]

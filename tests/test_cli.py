@@ -365,11 +365,20 @@ def test_search_limit_below_one_is_a_usage_error(capsys):
         assert out == "" and "limit" in err and "stopped" not in err
 
 
+def test_a_bad_weight_is_named_by_its_index(capsys):
+    # as the library names it: weights[1] is the second token
+    for weights, index in (("0,x", 1), ("x,0", 0), ("0,0,1/3", 2)):
+        assert main(["search", "--target", "rb-family", "--fixture", "N2-F3",
+                     "--omega", str(weights.count(",") + 1), "--weights", weights]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: weights[{index}]: "), err
+
+
 def test_scalars_with_denominator_divisible_by_p_are_usage_errors(tmp_path, capsys):
     assert main(["search", "--target", "rb-family", "--fixture", "N2-F3",
                  "--omega", "1", "--weights", "1/3"]) == 1
     _, err = capsys.readouterr()
-    assert "error: weights:" in err
+    assert "error: weights[0]:" in err
     path = write_docs(tmp_path, "n2.jsonl", catalog("N2-F3"))
     assert main(["construct", "yau-twist", path,
                  "--param", 'twist=[["1/3",0],[0,1]]']) == 1

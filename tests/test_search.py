@@ -375,6 +375,22 @@ def test_hit_streams_refuse_up_front_and_collect_to_the_results():
     assert hits.truncated is res.truncated is False
 
 
+def test_hits_are_iterated_once():
+    # a second iteration is refused, and keeps the first one's truncated
+    for limit, truncated in ((3, True), (None, False)):
+        hits = search_hits(rb_spec(catalog("Z2-F2"), 1, (0,), limit=limit))
+        assert len(list(hits)) == (limit or 16) and hits.truncated is truncated
+        for _ in range(2):
+            with pytest.raises(ParamError, match="iterated only once"):
+                iter(hits)
+            assert hits.truncated is truncated
+    hits = sample_hits(rb_spec(catalog("Z2-F2"), 1, (0,)), seed=1, count=2)
+    next(iter(hits))
+    with pytest.raises(ParamError, match="iterated only once"):
+        list(hits)
+    assert hits.truncated is None
+
+
 def test_a_huge_label_count_is_refused_before_anything_is_made():
     spec = rb_spec(catalog("N2-F3"), 10**20, (0,))
     with pytest.raises(ParamError, match="expected 100000000000000000000 weights"):
@@ -686,11 +702,25 @@ def _memo_loop(base, check):
                 check(f, full)
 
 
-def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypatch):
+def _counting_decider(monkeypatch):
+    """(calls, make): make(doc, tag=None) is candidate_check with a decider
+    that appends the arguments of each decision to calls; the search makes
+    its deciders through make too."""
     calls = []
-    real = halg.axioms._map_violations
-    monkeypatch.setattr(halg.axioms, "_map_violations",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+
+    def make(doc, tag=None):
+        decide = candidate_check(doc, tag)
+
+        def counted(*args, **kw):
+            calls.append((args, kw))
+            return decide(*args, **kw)
+        return None if decide is None else counted
+    monkeypatch.setattr(halg.search, "candidate_check", make)
+    return calls, make
+
+
+def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypatch):
+    calls, make = _counting_decider(monkeypatch)
 
     def counted(run):
         calls.clear()
@@ -706,7 +736,7 @@ def test_the_endomorphism_walk_asks_the_evaluator_once_per_table_entry(monkeypat
     # candidate fills, which stops at a candidate's first failed group
     for products, loop_calls in ((UPPER3, 530), (NILPOTENT3, 1660)):
         base = _plain_base(GF(3), 3, products)
-        check = candidate_check(base, "endomorphism")
+        check = make(base, "endomorphism")
         assert counted(lambda: _memo_loop(base, check)) == loop_calls
         assert counted(lambda: enumerate_docs(SearchSpec(base, TARGET_ENDOMORPHISM))) \
             == loop_calls
@@ -782,3 +812,122 @@ def test_a_two_label_rb_search_matches_brute_force_under_every_limit():
     # the labels' hits, in product order, are cross-checked on the pairs
     # (a, b) with a != b, and limit and truncated read over that order
     assert _limit_sweep(rb_spec(_aff2_lie_f3(), 2, (0, 2))) == 72
+
+
+# --- rb-family label tuples joined from pair verdicts ---------------------------
+
+def _product_and_filter(spec):
+    """The rb-family hits of spec, each a tuple of its labels' row tuples,
+    from a plain loop: each label's matrices decided alone at (a, a), then
+    every tuple of them, in product order, decided by ok over every label
+    pair."""
+    base = spec.base
+    product, labels, weights, kind, role, twist = _rb_family_plan(spec)
+    zero = LinearMap.from_rows(base.field, [[0] * base.dim] * base.dim)
+    ok = candidate_check(make_doc(
+        base.field, base.dim, labels, kind, {role: product},
+        operators=OperatorFamily(dict.fromkeys(labels, zero), weights), twist=twist))
+    if ok is None:
+        return []
+    rows = itertools.product(range(base.field.p), repeat=base.dim)
+    matrices = list(itertools.product(tuple(rows), repeat=base.dim))
+    alone = [[m for m in matrices if ok({lab: tuple(zip(*m))}, tuples=((lab, lab),))]
+             for lab in labels]
+    return [c for c in itertools.product(*alone)
+            if ok({lab: tuple(zip(*m)) for lab, m in zip(labels, c)})]
+
+
+def test_the_pair_join_matches_the_product_and_filter_loop_under_every_limit():
+    # equal and distinct weights at two and three labels, over F_2 and F_3,
+    # on the dual numbers, the zero product, the ground field, a twisted
+    # base and a Lie base
+    specs = []
+    for name, weight_tuples in (
+            ("N2-F2", ((0, 0), (0, 1), (0, 0, 0), (0, 1, 0))),
+            ("N2-F3", ((0, 0), (0, 2), (0, 0, 0), (0, 1, 2))),
+            ("Z2-F2", ((0, 0), (0, 1))),
+            ("D1-F2", ((0, 0), (1, 0), (0, 0, 0), (1, 0, 1))),
+            ("D1-F3", ((0, 1), (0, 0, 0), (0, 1, 2))),
+            ("aff2-F2", ((1, 1), (0, 0, 0), (0, 1, 0))),
+            ("aff2-F3", ((0, 0), (2, 1)))):
+        specs += [rb_spec(catalog(name), len(w), w) for w in weight_tuples]
+    specs += [rb_spec(_twisted_n2_f3(), len(w), w) for w in ((0, 1), (0, 0, 0), (0, 1, 0))]
+    counts = []
+    for spec in specs:
+        loop = _product_and_filter(spec)
+        labels = _rb_family_plan(spec)[1]
+        top = spec.base.field.p - 1
+        last = bool(loop) and all(v == top for m in loop[-1] for row in m for v in row)
+        n = len(loop)
+        for limit in range(1, n + 2):
+            res = enumerate_docs(dataclasses.replace(spec, limit=limit))
+            assert [tuple(d.operators.ops[lab].rows for lab in labels)
+                    for d in res] == loop[:limit], (spec, limit)
+            assert res.truncated == (limit < n or limit == n and not last), (spec, limit)
+        counts.append(n)
+    assert counts == [4, 4, 8, 4, 9, 4, 27, 4, 256, 256, 1, 2, 1, 2, 2, 1, 2,
+                      22, 36, 46, 57, 72, 14, 105, 14]
+
+
+def test_the_rb_search_walks_each_weight_once_and_decides_each_pair_once(monkeypatch):
+    # the labels of one weight share one walk, and the instance at (a, b),
+    # which reads P_a, P_b and w_b alone, is decided once per such triple
+    calls, _ = _counting_decider(monkeypatch)
+    walks = []
+    real_walk = halg.search._walk
+    monkeypatch.setattr(halg.search, "_walk",
+                        lambda *args: walks.append(1) or real_walk(*args))
+
+    def run(base, weights):
+        """(hits, walks, decisions at (a, a), decisions at (a, b), a != b),
+        after asserting that no (P_a, P_b, w_b) was decided twice."""
+        calls.clear()
+        walks.clear()
+        spec = rb_spec(base, len(weights), weights)
+        label_weights = _rb_family_plan(spec)[2]
+        hits = len(enumerate_docs(spec))
+        pairs, alone = [], 0
+        for args, kw in calls:
+            candidate, ((a, b),) = args[0], kw.get("tuples") or args[2]
+            if a == b:
+                alone += 1
+            else:
+                pairs.append((candidate[a], candidate[b], label_weights[b]))
+        assert len(pairs) == len(set(pairs)), (base, weights)
+        return hits, len(walks), alone, len(pairs)
+
+    n2, hom = catalog("N2-F3"), _twisted_n2_f3()
+    one = run(n2, (0,))
+    assert run(n2, (0, 0)) == (9, 1, one[2], 9)
+    assert run(n2, (0, 0, 0))[1:3] == (1, one[2])
+    assert run(n2, (0, 1))[1] == run(n2, (0, 1, 0))[1] == 2
+    assert run(n2, (0, 1, 2))[1] == 3
+    assert run(hom, (0, 0, 0))[:2] == (105, 1)
+    # every family of the zero product is a hit: the 16 x 16 matrix pairs
+    # are decided once per weight of their second label
+    assert run(catalog("Z2-F2"), (0, 1, 0)) == (4096, 2, run(catalog("Z2-F2"), (0,))[2]
+                                                + run(catalog("Z2-F2"), (1,))[2],
+                                                16 * 16 * 2)
+
+
+# Omega = 3 hit streams: the count and sha256 of one serialized doc and a
+# newline per hit
+OMEGA3_PINS = (
+    ("N2-F3", (0, 0, 0), 27,
+     "9bb1db816e1edca12d12130af635cefa8faea419fddb6111ef3a5ff99a6bf0e1"),
+    ("N2-F3", (0, 1, 2), 4,
+     "ed9f17cb9dde4bb8a015b0246976c71295b3c64f6ff35685f6c0f43ecb9677d2"),
+    ("Z2-F2", (0, 1, 0), 4096,
+     "22163f0559a9c10fb6aed95d9eb556b50ab80b31f9bc8e3e0a48918ee983da80"),
+    ("hom-N2-F3", (0, 0, 0), 105,
+     "be1742ff4263158e65bca6e6ca9b0eefd7048fbdb1b9fe9a12010b22a7078883"),
+)
+
+
+def test_three_label_hit_streams_are_pinned():
+    for name, weights, hits, digest in OMEGA3_PINS:
+        base = _twisted_n2_f3() if name == "hom-N2-F3" else catalog(name)
+        res = enumerate_docs(rb_spec(base, 3, weights))
+        assert len(res) == hits and not res.truncated, name
+        assert hashlib.sha256(b"".join(serialize_doc(d) + b"\n" for d in res)
+                              ).hexdigest() == digest, (name, weights)
