@@ -43,9 +43,9 @@ twist, operator column, weight and candidate map as ints times one common
 denominator D, the lcm of every denominator it binds (for a law between
 two docs, of both docs' and the map's), so the runner works on ints alone;
 over F_p, D = 1.  A row's degree K is the most maps and weights one of its
-terms applies; its padded twin, compiled when a frame whose D is not 1
-first runs it, takes a term of degree k times D^(K - k), so every side is
-D^K times its value.
+terms applies; its padded runner, compiled when a frame whose D is not 1
+first runs the row, takes a term of degree k times D^(K - k), so every side
+is D^K times its value.
 The guard is compiled from the row's terms: at a basis tuple where every
 side is provably the zero vector (a structure constant or column it looks
 up is zero, or a weight it scales by is 0), the runner skips the
@@ -85,7 +85,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm
 from operator import add, sub
@@ -260,9 +260,9 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # value.  So each law has a padded twin, in which each term is multiplied
 # by D^(K - k), read as the scalar name "D", and every side is D^K times
 # its value; where every term has degree K the twin is the law itself.
-# Frames that bind D run the twins (_twin), each compiled on that first
-# use; frames with D = 1, every frame over F_p, run the laws as written
-# and compile no twin.
+# Frames that bind D run the twins' runners (_twin), each compiled once per
+# process by _runners on that first use; frames with D = 1, every frame
+# over F_p, run the laws as written and compile no twin.
 
 def _terms(node):
     """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
@@ -416,27 +416,14 @@ def _runner_source(labels, arity, sides):
 _KERNELS = {"mul": bilinear_raw, "app": apply_raw, "add": add, "sub": sub}
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Compiled:
     axiom: str
     labels: str
     arity: int
     degree: int       # K: the padded twin's sides are D^K times their values
-    rhs: int          # the number of right-hand sides
     run: object       # run(F, tuples, pts, every), as above
     law: _Law         # the row it was compiled from
-    twin: _Compiled = None      # the padded twin, once compiled
-
-    @property
-    def padded(self) -> _Compiled:
-        """The padded twin, compiled on first use: the law itself where its
-        runners are one."""
-        if self.twin is None:
-            run = _runners(self.law, True)[2]
-            self.twin = self if run is self.run else _Compiled(
-                self.axiom, self.labels, self.arity, self.degree, self.rhs, run, self.law)
-            self.twin.twin = self.twin
-        return self.twin
 
 
 @lru_cache(maxsize=None)
@@ -461,11 +448,10 @@ def _runners(law: _Law, padded: bool = False):
 
 @lru_cache(maxsize=None)
 def _compile(law: _Law, role) -> _Compiled:
-    """law compiled for role; its padded twin waits for its first use
-    (_Compiled.padded, read by _twin only where a frame binds D)."""
-    arity, degree, run = _runners(law)
-    return _Compiled(law.axiom.format(role=role), law.labels, arity, degree,
-                     len(law.rhs), run, law)
+    """law compiled for role; its padded twin's runner is compiled by
+    _runners on its first use, which _twin makes only where a frame binds
+    D."""
+    return _Compiled(law.axiom.format(role=role), law.labels, *_runners(law), law)
 
 
 def _active(laws, flags):
@@ -583,30 +569,26 @@ def _frame(doc: AlgebraDoc, f=None, dst=None) -> _Frame:
 
 
 def _twin(law: _Compiled, frame, field):
-    """law as frame runs it, with the reducer of its sides: where frame
-    binds D, law's padded twin, whose sides are D^K times their values,
-    compiled here on its first use, and x -> x / D^K reduced; elsewhere law
-    itself and field.reduce."""
+    """(runner, reducer): how frame runs law and reduces its sides.  Where
+    frame binds D, the padded twin's runner, whose sides are D^K times
+    their values (_runners(law.law, True), compiled on its first use), and
+    x -> x / D^K reduced; elsewhere law's own runner and field.reduce."""
     d = frame.get("D")
     if d is None:
-        return law, field.reduce
+        return law.run, field.reduce
     scale = d ** law.degree
-    return law.padded, lambda x: field.reduce(Fraction(x, scale))
+    return _runners(law.law, True)[2], lambda x: field.reduce(Fraction(x, scale))
 
 
-def _plan(laws, frame, labels, field, points=None, tuples=None):
-    """Each law as frame runs it: (law, reducer, basis tuples, label
-    tuples), with law and reducer as _twin picks them, the basis tuples of
-    its arity or points, and every ordered tuple of labels of its label
-    count or, where tuples is given, those of them of that count.  A
-    generator, so a caller that stops early twins no later law."""
+def _plan(laws, frame, labels, field):
+    """Each law as frame runs it: (law, runner, reducer, basis tuples,
+    label tuples), with runner and reducer as _twin picks them, every basis
+    tuple of the law's arity and every ordered tuple of labels of its label
+    count.  A generator, so a caller that stops early twins no later law."""
     dim = len(frame["basis"])
     for law in laws:
-        law, red = _twin(law, frame, field)
-        n = len(law.labels)
-        labs = tuple(product(labels, repeat=n)) if tuples is None else \
-            tuple(t for t in tuples if len(t) == n)
-        yield law, red, _points(dim, law.arity) if points is None else points, labs
+        yield (law, *_twin(law, frame, field), _points(dim, law.arity),
+               tuple(product(labels, repeat=len(law.labels))))
 
 
 def _differences(red, left, rights):
@@ -618,20 +600,15 @@ def _differences(red, left, rights):
                 if rc != lc]
 
 
-def _violations(laws, frame, labels, field, points=None, tuples=None):
+def _violations(laws, frame, labels, field):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  Each law's runner skips the instances whose guard proves every
     side zero and yields the others where some rhs differs from the lhs
     raw, D^K times their values (_twin); here each such pair is divided
     back and reduced (_differences), and a violation is one whose reduced
-    sides still differ.
-
-    points, when given, replaces every basis tuple of the laws' arity, and
-    tuples every label tuple: a law runs at those of tuples of its label
-    count (_plan).
-    """
-    for law, red, pts, each in _plan(laws, frame, labels, field, points, tuples):
-        for labs, ix, _, (left, *rights) in law.run(frame, each, pts, False):
+    sides still differ."""
+    for law, run, red, pts, each in _plan(laws, frame, labels, field):
+        for labs, ix, _, (left, *rights) in run(frame, each, pts, False):
             lc, rcs = _differences(red, left, rights)
             for rc in rcs:
                 yield Violation(law.axiom, labs, ix, lc, rc)
@@ -639,13 +616,13 @@ def _violations(laws, frame, labels, field, points=None, tuples=None):
 
 def _holds(plan, frame, points=None, tuples=None):
     """Whether every law of plan (_plan's entries) holds on frame as it is
-    bound now, at points and tuples where given in place of the plan's
-    own (tuples then name as many labels as each law of plan takes); the
-    first reduced difference decides."""
-    for law, red, pts, labs in plan:
-        for _, _, _, (left, *rights) in law.run(
-                frame, labs if tuples is None else tuples,
-                pts if points is None else points, False):
+    bound now; the first reduced difference decides.  The one place a
+    check runs at fewer instances: points and tuples, where given, replace
+    the plan's basis tuples and label tuples (tuples then name as many
+    labels as each law of plan takes)."""
+    for _, run, red, pts, labs in plan:
+        for *_, (left, *rights) in run(frame, labs if tuples is None else tuples,
+                                       pts if points is None else points, False):
             if _differences(red, left, rights)[1]:
                 return False
     return True
@@ -681,7 +658,7 @@ def check_structure(doc: AlgebraDoc, verbose: bool = False,
 def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
     """check_structure's verdict without building the full report."""
     laws, frame = _laws_for(doc, axiom_toggles, False)
-    return next(_violations(laws, frame, doc.labels, doc.field), None) is None
+    return _holds(_plan(laws, frame, doc.labels, doc.field), frame)
 
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
@@ -700,8 +677,8 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
-        law, red = _twin(law, frame, doc.field)
-        (_, _, _, sides), = law.run(frame, (labels,), (basis,), True)
+        run, red = _twin(law, frame, doc.field)
+        (_, _, _, sides), = run(frame, (labels,), (basis,), True)
         return tuple(tuple(map(red, side)) for side in sides[:2])
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
@@ -819,9 +796,9 @@ def fill(side, field, dim, frame, lab=None) -> BilinearMap:
     """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced.
     side compiles once per process as a law, run as _twin picks, and reads
     its names from frame (_frame, _scaled) with the label variable a at lab."""
-    law, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
+    run, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
     entries = [tuple(map(red, sides[0])) for _, _, _, sides
-               in law.run(frame, ((lab,),), _points(dim, 2), True)]
+               in run(frame, ((lab,),), _points(dim, 2), True)]
     return BilinearMap(field, tuple(tuple(entries[i * dim:(i + 1) * dim])
                                     for i in range(dim)))
 
@@ -848,7 +825,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
         raise ParamError(f"{tag} has a term that does not apply f exactly once, "
                          f"so it is not one linear system")
     _require_operators(tag, doc)
-    if any(law.rhs > 1 for role in _roles(tag, doc)
+    if any(len(law.law.rhs) > 1 for role in _roles(tag, doc)
            for law in _map_laws(tag, role)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")
@@ -866,30 +843,29 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
 
 
 def candidate_check(doc: AlgebraDoc, tag: str | None = None):
-    """ok(candidate) -> bool for a search that varies one kind of map on
-    doc.  Each law's runner, reducer, basis tuples and label tuples are
-    resolved once here (_plan) on one frame built once from doc; a decision
-    binds the candidate in that frame and runs those runners, at points in
-    place of every basis tuple where ok is given them, and the first
-    reduced difference decides (_holds, which shares _plan and
-    _differences with _violations).
+    """ok(candidate, points=None, tuples=None) -> bool for a search that
+    varies one kind of map on doc.  Each law's runner, reducer, basis tuples
+    and label tuples are resolved once here (_plan) on one frame built once
+    from doc, as a list of (role, plan); a decision binds the candidate in
+    that frame and, role by role (_bind_role), runs those runners, at points
+    and tuples in place of the plan's own where given, and the first reduced
+    difference decides (_holds).
 
     Without a tag the operators vary.  The laws without label variables
     name neither P nor w, so they are decided here, once, on doc, and the
-    result is None when one fails.  Otherwise it is ok(candidate,
-    points=None, tuples=None): candidate maps labels to the column tuples
-    of their operators (a label it leaves out keeps the operator bound
-    last), and ok decides the laws with label variables, on an rb kind the
-    matching Rota-Baxter identity alone, at every ordered pair of doc's
-    labels, or at the pairs of tuples.  The instance at (a, b) reads P_a,
-    P_b and w_b only, so a search need decide each such triple once.  A doc
-    without operators is the ShapeError at operators that commutes raises.
+    result is None when one fails.  Otherwise candidate maps labels to the
+    column tuples of their operators (a label it leaves out keeps the
+    operator bound last), and ok decides the laws with label variables, on
+    an rb kind the matching Rota-Baxter identity alone, at every ordered
+    pair of doc's labels, or at the pairs of tuples.  The instance at
+    (a, b) reads P_a, P_b and w_b only, so a search need decide each such
+    triple once.  A doc without operators is the ShapeError at operators
+    that commutes raises.
 
-    With the tag "endomorphism" or "commutes", f varies, and ok is
-    check(f, points=None): f, the tuple of the candidate's columns, is bound
-    as f, and check decides the tag's laws role by role as
-    check_side_conditions does.  A candidate skips check_operand: a search
-    makes every candidate canonical.
+    With the tag "endomorphism" or "commutes", f varies: candidate, the
+    tuple of f's columns, is bound as f, and ok decides the tag's laws role
+    by role as check_side_conditions does.  A candidate skips
+    check_operand: a search makes every candidate canonical.
 
     doc is over F_p, whose frames bind D = 1, so candidates are bound as
     they come; a doc over Q is a NonFiniteFieldError, and any other tag a
@@ -899,29 +875,24 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     field = doc.field
     if not field.is_prime_field:
         raise NonFiniteFieldError("candidate_check requires a prime field")
+    if tag not in (None, "endomorphism", "commutes"):
+        raise ParamError(f"candidate_check takes no tag {tag!r}")
+    _require_operators(tag, doc)
     if tag is None:
-        _require_operators(tag, doc)
         fixed = [law for law in laws if not law.labels]
         if not _holds(_plan(fixed, frame, doc.labels, field), frame):
             return None
-        plan = list(_plan([law for law in laws if law.labels], frame, doc.labels, field))
-        ops = frame["P"]
+        by_role, bind = [(None, [law for law in laws if law.labels])], frame["P"].update
+    else:
+        by_role = [(role, _map_laws(tag, role)) for role in _roles(tag, doc)]
+        bind = partial(frame.__setitem__, "f")
+    plans = [(role, list(_plan(each, frame, doc.labels, field))) for role, each in by_role]
 
-        def ok(candidate, points=None, tuples=None):
-            ops.update(candidate)
-            return _holds(plan, frame, points, tuples)
-        return ok
-    if tag not in ("endomorphism", "commutes"):
-        raise ParamError(f"candidate_check takes no tag {tag!r}")
-    _require_operators(tag, doc)
-    plans = [(role, list(_plan(_map_laws(tag, role), frame, doc.labels, field)))
-             for role in _roles(tag, doc)]
-
-    def check(f, points=None):
-        frame["f"] = f
+    def ok(candidate, points=None, tuples=None):
+        bind(candidate)
         for role, plan in plans:
             _bind_role(frame, role)
-            if not _holds(plan, frame, points):
+            if not _holds(plan, frame, points, tuples):
                 return False
         return True
-    return check
+    return ok

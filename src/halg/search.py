@@ -216,14 +216,14 @@ def check_sample_size(dim: int, omega_size) -> None:
 
 def _resolve(spec: SearchSpec, what: str):
     """Refuse spec as `what` (enumerate_docs or seeded_sample) does, then
-    return (weights, ok, emit) for its target.  An rb-family candidate
-    maps each label of weights (label -> weight, in label order) to its
-    operator's matrix, and ok, axioms.candidate_check's decider, takes each
-    operator's columns and is None when the probe fails the laws that no
-    operators mend; a map target's candidate is the matrix of f, weights is
-    None, and ok is axioms.candidate_check's check, which takes f's
-    columns.  The budget (for enumerate_docs) or check_sample_size (for
-    seeded_sample) refuses before the probe is made."""
+    return (weights, ok, emit) for its target, ok being axioms.candidate_check's
+    ok(candidate, points=None, tuples=None).  An rb-family candidate maps
+    each label of weights (label -> weight, in label order) to its
+    operator's matrix, ok takes the operators' columns and is None when the
+    probe fails the laws no operators mend, and emit makes one LinearMap per
+    distinct matrix; a map target's candidate is the matrix of f, weights is
+    None, and ok takes f's columns.  The budget (for enumerate_docs) or
+    check_sample_size (for seeded_sample) refuses before the probe is made."""
     require(spec, SearchSpec, "spec")
     if spec.target not in TARGETS:
         raise ParamError(f"unknown search target {spec.target!r}")
@@ -251,9 +251,12 @@ def _resolve(spec: SearchSpec, what: str):
                          operators=OperatorFamily(dict.fromkeys(labels, zero), weights),
                          twist=twist)
 
+        made = {}   # one LinearMap per distinct matrix, for this search only
+
         def emit(ops):
+            made.update((m, LinearMap(field, m)) for m in ops.values() if m not in made)
             return with_part(probe, operators=OperatorFamily(
-                {lab: LinearMap(field, m) for lab, m in ops.items()}, weights))
+                {lab: made[m] for lab, m in ops.items()}, weights))
         return weights, candidate_check(probe), emit
 
     # endomorphism / commuting: candidate twists for a plain matching RB doc
@@ -324,7 +327,7 @@ def _families(p: int, dim: int, groups: dict, weights: dict, ok):
     labels, ids, solutions = tuple(weights), {}, {}
     for lab, w in weights.items():
         if w not in solutions:
-            walk = _walk(p, dim, dict(groups), lambda f, pts, lab=lab, diagonal=(
+            walk = _walk(p, dim, groups, lambda f, pts, lab=lab, diagonal=(
                 (lab, lab),): ok({lab: f}, pts, diagonal))
             # (id, rows, columns) per solution; equal matrices share an id
             solutions[w] = [(ids.setdefault(m, len(ids)), m, tuple(zip(*m)))
@@ -380,11 +383,11 @@ def _groups(base: AlgebraDoc, rb: bool) -> dict:
 def _walk(p: int, dim: int, groups: dict, check):
     """Every dim x dim matrix over F_p, as a row tuple, in lexicographic
     order, whose columns check(columns, pairs) accepts at the pairs of each
-    of groups (_groups), walked by row prefix.  A group that reads fewer
-    than every column is decided with every other column zero; the pairs
-    that read every column, popped from groups, are decided on each
-    candidate the groups leave.  A prefix is the first dim - 1 rows, taken
-    in product order; bit r of a mask stands for the last row rows[r].
+    of groups (_groups), walked by row prefix; groups is left as it is.  A
+    group that reads fewer than every column is decided with every other
+    column zero, and the one that reads every column on each candidate the
+    others leave.  A prefix is the first dim - 1 rows, taken in product
+    order; bit r of a mask stands for the last row rows[r].
     Column k of the matrix is the prefix's column k with entry k of the
     last row below it, so a group's verdict depends on the prefix only
     through its head, the prefix's columns S.  Per head, each group keeps
@@ -396,8 +399,10 @@ def _walk(p: int, dim: int, groups: dict, check):
     its passing last rows, yielded in ascending order."""
     rows = tuple(itertools.product(range(p), repeat=dim))
     zero = (0,) * dim
-    full, parts = groups.pop(tuple(range(dim)), None), []
+    full, parts = groups.get(tuple(range(dim))), []
     for cols, pairs in groups.items():
+        if len(cols) == dim:    # every column: decided on the full candidates
+            continue
         share = {}    # a restriction s to cols -> the rows restricting to it
         for r, row in enumerate(rows):
             s = tuple(row[k] for k in cols)

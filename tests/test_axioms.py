@@ -27,8 +27,9 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
 from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
-                         _compile, _frame, _laws_for, _map_laws,
-                         _structure_laws, _twin, _violations)
+                         _compile, _differences, _frame, _laws_for,
+                         _map_laws, _plan, _runners, _structure_laws, _twin,
+                         _violations)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -756,18 +757,19 @@ def test_replay_refuses_witness_coordinates_outside_the_doc():
 
 # --- the zero guard: an instance it skips has every side zero ------------------
 
-def _guarded_sides(laws, frame, labels, dim):
-    """(law, sides) at every instance where the law's guard holds, with the
-    sides evaluated raw; and the number of instances tried."""
+def _guarded_sides(runs, frame, labels, dim):
+    """((law, run), sides) at every instance where the guard of run, a
+    runner of law, holds, with the sides evaluated raw; and the number of
+    instances tried."""
     tried = 0
     held = []
-    for law in laws:
+    for law, run in runs:
         points = list(itertools.product(range(dim), repeat=law.arity))
         tuples = itertools.product(labels, repeat=len(law.labels))
-        for _, _, guard, sides in law.run(frame, tuples, points, True):
+        for _, _, guard, sides in run(frame, tuples, points, True):
             tried += 1
             if guard:
-                held.append((law, list(sides)))
+                held.append(((law, run), list(sides)))
     return held, tried
 
 
@@ -810,15 +812,15 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
             if role is not None:
                 frame["m"], frame["m~"] = frame[role], frame[role + "~"]
                 frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
-            laws = [_twin(law, frame, doc.field)[0] for law in laws]
-            held, n = _guarded_sides(laws, frame, doc.labels, doc.dim)
-            seen.update(laws)
+            pairs = [(law, _twin(law, frame, doc.field)[0]) for law in laws]
+            held, n = _guarded_sides(pairs, frame, doc.labels, doc.dim)
+            seen.update(pairs)
             tried += n
             skipped += len(held)
-            for law, sides in held:
-                held_by.add(law)
-                assert all(not any(side) for side in sides), (doc, law.axiom, sides)
-    assert seen == held_by, [law.axiom for law in seen - held_by]
+            for pair, sides in held:
+                held_by.add(pair)
+                assert all(not any(side) for side in sides), (doc, pair[0].axiom, sides)
+    assert seen == held_by, [law.axiom for law, _ in seen - held_by]
     assert 0 < skipped < tried, (skipped, tried)
 
 
@@ -832,11 +834,13 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                 for laws in _STRUCTURE_LAWS.values() for law in laws]
     compiled += [(law, _compile(law, role)) for per_role, laws in _MAP_LAWS.values()
                  for law in laws for role in (roles if per_role else (None,))]
-    twinned = {(law.axiom, law.when) for law, c in compiled if c.padded is not c}
+    twinned = {(law.axiom, law.when) for law, _ in compiled
+               if _runners(law, True) != _runners(law)}
     assert twinned == {("endomorphism", None), ("multiplicative", None),
                        ("morphism-{role}", None),
                        ("dendriform-3", "!" + DENDRIFORM_AXIOM3_TWIST)}
-    assert all(c.padded.padded is c.padded for _, c in compiled)
+    assert all(_runners(law, True) is _runners(law, True)
+               and _runners(law, True)[:2] == (c.arity, c.degree) for law, c in compiled)
 
     compared = set()
     for doc, partner, cand in _guard_corpus():
@@ -850,13 +854,14 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                 frame["m"], frame["m~"] = frame[role], frame[role + "~"]
                 frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
             for law in laws:
-                if law.padded is law:
+                twin = _runners(law.law, True)[2]
+                if twin is law.run:
                     continue
                 compared.add(law.axiom)
                 points = list(itertools.product(range(doc.dim), repeat=law.arity))
                 tuples = list(itertools.product(doc.labels, repeat=len(law.labels)))
                 runs = (law.run(frame, tuples, points, True),
-                        law.padded.run(frame, tuples, points, True))
+                        twin(frame, tuples, points, True))
                 for (labs, ix, _, sides), (*_, twin) in zip(*runs, strict=True):
                     assert sides == twin, (doc, law.axiom, labs, ix)
     assert compared == {"endomorphism", "multiplicative", "dendriform-3",
@@ -868,16 +873,20 @@ from fractions import Fraction
 from halg import (QQ, SIDE_CONDITIONS, LinearMap, catalog, check_morphism,
                   check_side_conditions, check_structure, commutator,
                   enumerate_docs, rb_to_dendriform, SearchSpec)
-from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
-                         _compile)
-from halg.structures import KIND_ROLES, KINDS
+import halg.axioms
+from halg.axioms import DENDRIFORM_AXIOM3_TWIST
 
-def compiled():
-    roles = sorted({role for kind in KINDS for role in KIND_ROLES[kind]})
-    out = [_compile(law, None) for laws in _STRUCTURE_LAWS.values() for law in laws]
-    out += [_compile(law, role) for per_role, laws in _MAP_LAWS.values()
-            for law in laws for role in (roles if per_role else (None,))]
+# the axiom of each law whose padded runner is compiled, in order
+runners, padded = halg.axioms._runners, []
+
+def counted(law, *pad):
+    misses = runners.cache_info().misses
+    out = runners(law, *pad)
+    if pad and runners.cache_info().misses > misses:
+        padded.append(law.axiom)
     return out
+
+halg.axioms._runners = counted
 
 base = catalog("N2-Pnil-w0-F3")
 half = LinearMap.from_rows(base.field, [[2, 0], [0, 0]])
@@ -890,10 +899,10 @@ check_side_conditions(base, list(SIDE_CONDITIONS), candidate=half)
 check_morphism(half, base, base)
 commutator(base)
 enumerate_docs(SearchSpec(base, "endomorphism"))
-print(sum(c.twin is not None for c in compiled()), end=" ")
+print(len(padded), end=" ")
 check_side_conditions(catalog("N2-Pnil-w0"), ["endomorphism"],
                       candidate=LinearMap.from_rows(QQ, [[Fraction(1, 2), 0], [0, 0]]))
-print(sorted(c.axiom for c in compiled() if c.twin is not None))
+print(sorted(padded))
 """
 
 
@@ -908,6 +917,21 @@ def test_checks_over_f_p_compile_no_padded_twin():
     out = subprocess.run([sys.executable, "-c", _TWINS_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout == "0 ['endomorphism']\n", out
+
+
+def _run_at(laws, frame, doc, tuples=None, points=None):
+    """The violations that each law's runner, as _plan resolves it, yields
+    when given tuples (those of its label count) and points in place of
+    every label tuple and basis tuple, in the full check's order."""
+    out = []
+    for law, run, red, pts, labs in _plan(laws, frame, doc.labels, doc.field):
+        if tuples is not None:
+            labs = [t for t in tuples if len(t) == len(law.labels)]
+        for at, ix, _, (left, *rights) in run(
+                frame, labs, pts if points is None else points, False):
+            lc, rcs = _differences(red, left, rights)
+            out += [Violation(law.axiom, at, ix, lc, rc) for rc in rcs]
+    return out
 
 
 def test_the_runners_label_and_point_filters_restrict_the_full_check():
@@ -928,8 +952,7 @@ def test_the_runners_label_and_point_filters_restrict_the_full_check():
                     mixed = [v for v in full if len(set(v.labels)) > 1]
                     distinct = [t for t in itertools.product(doc.labels, repeat=2)
                                 if t[0] != t[1]]
-                    assert list(_violations(laws, frame, doc.labels, field,
-                                            tuples=distinct)) == mixed
+                    assert _run_at(laws, frame, doc, tuples=distinct) == mixed
                     mixed_seen += len(mixed)
                     for arity in {law.arity for law in laws}:
                         same = [law for law in laws if law.arity == arity]
@@ -937,8 +960,7 @@ def test_the_runners_label_and_point_filters_restrict_the_full_check():
                                   if rng.random() < 0.5]
                         pointed = [v for v in _violations(same, frame, doc.labels, field)
                                    if v.basis in points]
-                        assert list(_violations(same, frame, doc.labels, field,
-                                                points=points)) == pointed
+                        assert _run_at(same, frame, doc, points=points) == pointed
                         pointed_seen += len(pointed)
     assert mixed_seen > 50 and pointed_seen > 50, (mixed_seen, pointed_seen)
 

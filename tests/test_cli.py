@@ -19,6 +19,7 @@ from halg import (GF, QQ, BilinearMap, LinearMap, OperatorFamily,
                   check_structure, make_doc, make_report, parse_doc,
                   rb_to_dendriform, serialize_doc, structure_ok, yau_twist)
 import halg.cli
+import halg.constructions
 import halg.search
 from halg.cli import main
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
@@ -335,6 +336,18 @@ def test_diagram_command(tmp_path, capsys):
     assert main(["diagram", weighted]) == 2
     lie = write_docs(tmp_path, "lie.jsonl", catalog("aff2"))
     assert main(["diagram", lie]) == 2
+
+
+def test_diagram_prints_a_failed_intermediate_step(tmp_path, capsys, monkeypatch):
+    # a construction on either path whose output fails with no report of
+    # its own: one diagram-intermediate witness, and the exit code of a fail
+    def prelie_commutator(doc):
+        raise TheoremCheckError("prelie_commutator: output fails")
+    monkeypatch.setattr(halg.constructions, "prelie_commutator", prelie_commutator)
+    assert main(["diagram", write_docs(tmp_path, "ok.jsonl", catalog("N2-Pnil-w0"))]) == 2
+    assert capsys.readouterr().out == (
+        '{"verdict":"fail","violations":[{"axiom-id":"diagram-intermediate",'
+        '"omega-indices":[],"basis-indices":[],"lhs":[],"rhs":[]}]}\n')
 
 
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys):

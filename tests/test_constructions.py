@@ -17,16 +17,16 @@ from halg import (GF, QQ, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                   CoefficientFamily, HalgError, LinearMap,
                   MissingCoefficientError, NonzeroWeightError, OperatorFamily,
                   ParamError, PowerBoundError, PreconditionFailed, SearchSpec,
-                  ShapeError, TheoremCheckError, apply_map, bilinear_apply,
-                  catalog, centroid_twist, check_morphism, check_structure,
-                  collapse_family, commutator, dendriform_sum,
-                  dendriform_to_prelie, dendriform_twist, derived_algebra,
-                  kernel_vector, make_doc, map_compose, map_invert, parse_doc,
-                  postcompose, precompose_left, precompose_right,
-                  prelie_commutator, rb_to_dendriform, rb_to_prelie,
-                  rb_to_tridendriform, report_to_jsonable, seeded_sample,
-                  serialize_doc, structure_ok, tensor_transpose, untwist,
-                  verify_diagram, yau_twist)
+                  ShapeError, TheoremCheckError, Violation, apply_map,
+                  bilinear_apply, catalog, centroid_twist, check_morphism,
+                  check_structure, collapse_family, commutator,
+                  dendriform_sum, dendriform_to_prelie, dendriform_twist,
+                  derived_algebra, kernel_vector, make_doc, map_compose,
+                  map_invert, parse_doc, postcompose, precompose_left,
+                  precompose_right, prelie_commutator, rb_to_dendriform,
+                  rb_to_prelie, rb_to_tridendriform, report_to_jsonable,
+                  seeded_sample, serialize_doc, structure_ok,
+                  tensor_transpose, untwist, verify_diagram, yau_twist)
 import halg.constructions
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
@@ -420,6 +420,25 @@ def test_verify_diagram_guards():
         verify_diagram(catalog("N2-id-wm1"))
     with pytest.raises(PreconditionFailed):
         verify_diagram(catalog("aff2"))
+
+
+def test_a_failed_intermediate_step_is_the_diagrams_verdict(monkeypatch):
+    """A construction on either path whose output fails its re-check ends
+    the diagram: its report, or one diagram-intermediate witness without
+    labels, basis or sides where it carries none."""
+    def fail(report):
+        def prelie_commutator(doc):
+            raise TheoremCheckError("prelie_commutator: output fails", report)
+        monkeypatch.setattr(halg.constructions, "prelie_commutator", prelie_commutator)
+
+    fail(None)
+    report = verify_diagram(catalog("N2-Pnil-w0"))
+    assert not report.passed
+    assert [(v.axiom, v.labels, v.basis, v.lhs, v.rhs) for v in report.violations] \
+        == [("diagram-intermediate", (), (), (), ())]
+    carried = CheckReport("fail", (Violation("hom-assoc", (), (0, 0, 0), (1, 0), (0, 0)),))
+    fail(carried)
+    assert verify_diagram(catalog("N2-Pnil-w0")) is carried
 
 
 def test_checked_output_raises_on_failing_doc():

@@ -5,6 +5,7 @@ None of these calls may end in a raw AttributeError, IndexError or
 TypeError."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,40 @@ def test_a_wrong_typed_argument_raises_a_halg_error(name, error, path, call):
     assert isinstance(exc.value, error)
     if path is not None:
         assert exc.value.path == path
+
+
+def _refusals():
+    """(name, path, message, call): a map of the wrong type or over another
+    field than the doc's (linalg.check_map), and an operators object that
+    lacks its weights (parse_doc)."""
+    id2, zero = LinearMap.identity(QQ, 2), {"dot": {"a": BilinearMap.zero(QQ, 2)}}
+    yield "family map a LinearMap", "families.dot.a", \
+        "families.dot.a: expected a BilinearMap", lambda: _hom_assoc({"dot": {"a": id2}})
+    yield "family map over F_3", "families.dot.a", \
+        "families.dot.a: BilinearMap over the wrong field", \
+        lambda: _hom_assoc({"dot": {"a": BilinearMap.zero(GF(3), 2)}})
+    yield "twist a BilinearMap", "twist", "twist: expected a LinearMap", \
+        lambda: _hom_assoc(zero, twist=BilinearMap.zero(QQ, 2))
+    yield "operator over F_3", "operators.ops.a", \
+        "operators.ops.a: LinearMap over the wrong field", \
+        lambda: _plain(QQ, BilinearMap.zero(QQ, 2), LinearMap.identity(GF(3), 2))
+    obj = json.loads(serialize_doc(catalog("N2-Pnil-w0")))
+    del obj["operators"]["weights"]
+    yield "operators without weights", "operators", \
+        "operators: operators must be an object with ops and weights", \
+        lambda: parse_doc(json.dumps(obj))
+
+
+_REFUSALS = list(_refusals())
+
+
+@pytest.mark.parametrize("name, path, message, call", _REFUSALS,
+                         ids=[case[0] for case in _REFUSALS])
+def test_a_map_or_operators_object_is_refused_with_its_message(name, path, message,
+                                                               call):
+    with pytest.raises(ShapeError) as exc:
+        call()
+    assert (exc.value.path, str(exc.value)) == (path, message)
 
 
 def test_a_plain_kind_drops_an_identity_twist_with_list_rows():

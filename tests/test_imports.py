@@ -53,3 +53,41 @@ def test_the_runtime_imports_no_name_it_does_not_use():
                 continue
             for bound, name in _bound_names(node):
                 assert bound in used, f"{path.name}:{node.lineno} imports {name} unused"
+
+
+def _binds(stmt):
+    """The names a top-level statement defines or assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _mentions(stmt):
+    """Every name stmt reads, imports or reaches as an attribute."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_top_level_name_is_used():
+    # a private helper that no other top-level statement of the package
+    # names is dead code; __init__ only re-exports
+    statements = [(path, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    mentioned = [(stmt, _mentions(stmt)) for _, stmt in statements]
+    for path, stmt in statements:
+        if path.name == "__init__.py":
+            continue
+        for name in _binds(stmt):
+            if name.startswith("_") and not name.startswith("__"):
+                assert any(name in names for other, names in mentioned if other is not stmt), \
+                    f"{path.name}:{stmt.lineno} defines {name}, which nothing else names"

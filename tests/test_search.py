@@ -25,7 +25,7 @@ import halg.axioms
 import halg.search
 from halg.axioms import candidate_check
 from halg.errors import ZeroDenominatorError
-from halg.search import (_groups, _rb_family_plan, check_sample_size,
+from halg.search import (_groups, _rb_family_plan, _walk, check_sample_size,
                          sample_hits, search_hits)
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
@@ -922,6 +922,33 @@ OMEGA3_PINS = (
     ("hom-N2-F3", (0, 0, 0), 105,
      "be1742ff4263158e65bca6e6ca9b0eefd7048fbdb1b9fe9a12010b22a7078883"),
 )
+
+
+def test_the_walk_leaves_its_groups_as_they_are():
+    # N2's rb groups: (1, 1) reads column 1 alone, the rest read every column
+    groups = _groups(catalog("N2-F3"), rb=True)
+    before = {cols: list(pairs) for cols, pairs in groups.items()}
+    assert set(groups) == {(1,), (0, 1)}
+    assert len(list(_walk(3, 2, groups, lambda f, pairs: True))) == 3 ** 4
+    assert groups == before
+
+
+def test_an_rb_search_makes_one_operator_per_distinct_matrix(monkeypatch):
+    # the hits share each distinct operator matrix's LinearMap, where one
+    # was made per label per hit (12288 for the 4096 hits of Z2-F2 at
+    # weights (0, 1, 0)); their bytes are pinned below
+    real = halg.search.LinearMap
+    for name, weights, hits in (("Z2-F2", (0, 1, 0), 4096), ("Z2-F2", (0, 1), 256),
+                                ("N2-F3", (0, 1, 2), 4), ("N2-F3", (0, 0), 9)):
+        stream, made = search_hits(rb_spec(catalog(name), len(weights), weights)), []
+        monkeypatch.setattr(halg.search, "LinearMap",
+                            lambda field, m: made.append(m) or real(field, m))
+        docs = list(stream)
+        monkeypatch.setattr(halg.search, "LinearMap", real)
+        ops = [op for doc in docs for op in doc.operators.ops.values()]
+        distinct = {op.rows for op in ops}
+        assert len(docs) == hits and len(made) <= len(distinct), (name, weights)
+        assert set(made) == distinct and len(set(map(id, ops))) == len(distinct)
 
 
 def test_three_label_hit_streams_are_pinned():
