@@ -48,18 +48,19 @@ first runs the row, takes a term of degree k times D^(K - k), so every side
 is D^K times its value.
 The guard is compiled from the row's terms: at a basis tuple where every
 side is provably the zero vector (a structure constant or column it looks
-up is zero, or a weight it scales by is 0), the runner skips the
-instance, which cannot fail.  It yields the other instances whose sides
-differ as they are, and only those are divided by D^K and reduced here;
-`replay_violation`, `fill` and so `linear_system` run the same runner in
-the mode that yields every instance's sides and divide back the same way,
-so every value that leaves the evaluator is exact and canonical.  Plain
-kinds are written without p, and their frames bind p to the identity
-(`structure_twist`), so a stored candidate twist takes no part in their
-checks; side conditions test that slot.  The one check outside the table
-is the invertible tag, whose witness is a kernel vector.  `fill` fills
-c'[i][j] of a constructed tensor with its side, reduced, at (i, j);
-`first_difference` compares two docs' tensors by the row "diagram-{role}".
+up is zero, a weight it scales by is 0, or a product it multiplies through
+is the zero tensor), the runner skips the instance, which cannot fail.  It
+yields the other instances whose sides differ as they are, and only those
+are divided by D^K and reduced here; `replay_violation`, `fill` and so
+`linear_system` run the same runner in the mode that yields every
+instance's sides and divide back the same way, so every value that leaves
+the evaluator is exact and canonical.  Plain kinds are written without p,
+and their frames bind p to the identity (`structure_twist`), so a stored
+candidate twist takes no part in their checks; side conditions test that
+slot.  The one check outside the table is the invertible tag, whose witness
+is a kernel vector.  `fill` fills c'[i][j] of a constructed tensor with its
+side, reduced, at (i, j); `first_difference` compares two docs' tensors by
+the row "diagram-{role}".
 
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
@@ -248,11 +249,15 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 #
 # The guard holds at ix when every side is provably the zero vector there:
 # a term is provably zero when a structure constant c[i][j] or a column it
-# looks up is the zero vector, when it scales by a weight w that is 0, or
-# when a map is applied to a provably zero term.  A side is zero when all
-# its terms are (the empty side always is).  The guard reads only lookups
-# and weights, so it costs far less than the sides; an instance it holds
-# at cannot fail, and the runner skips it unless every is set.
+# looks up is the zero vector, when it scales by a weight w that is 0, when
+# it multiplies through the zero tensor, or when a map is applied to a
+# provably zero term.  Whether a tensor is zero is read once from its
+# sparse form where the runner binds it ("z0 = not any(b0)"): once per call
+# for "m~", once per label tuple for "dot~.a".  A side is zero when all
+# its terms are (the empty side always is).  The guard reads only lookups,
+# weights and those flags, so it costs far less than the sides; an
+# instance it holds at cannot fail, and the runner skips it unless every
+# is set.
 #
 # A law's degree K is the largest number of maps and weights one of its
 # terms applies ("-" is a sign, not a map).  A frame binds every scalar
@@ -308,6 +313,13 @@ def _lookup(term):
     return not _is_scalar(term[0]) and all(isinstance(t, int) for t in term[1:])
 
 
+def _sparse(name, names):
+    """The runner's local for the sparse form of the bilinear map name,
+    bound under name with "~" after the role ("dot~.a" for "dot.a")."""
+    key, dot, var = name.partition(".")
+    return _ref(key + "~" + dot + var, names)
+
+
 def _source(term, names):
     """Python expression for term at the basis tuple (i0, i1, i2); each map
     it names is appended to names once and read as its local (_ref)."""
@@ -317,8 +329,7 @@ def _source(term, names):
     if _lookup(term):
         return _ref(name, names) + "".join(f"[i{t}]" for t in args)
     if len(args) == 2:
-        key, dot, var = name.partition(".")
-        return (f"mul({_ref(key + '~' + dot + var, names)}, "
+        return (f"mul({_sparse(name, names)}, "
                 f"{_source(args[0], names)}, {_source(args[1], names)})")
     arg, = args
     if _is_scalar(name):
@@ -335,6 +346,9 @@ def _zero_source(term, names):
         return f"not any({_source(term, names)})"
     name, *args = term
     conds = [f"not {_ref(name, names)}"] if name.partition(".")[0] == "w" else []
+    if len(args) == 2:
+        # z<i>, bound beside the sparse form b<i>: the tensor is zero
+        conds.append("z" + _sparse(name, names)[1:])
     conds += filter(None, (_zero_source(t, names) for t in args))
     return " or ".join(conds) or None
 
@@ -389,10 +403,11 @@ def _runner_source(labels, arity, sides):
     once, per_labs = [], []
     for i, name in enumerate(names):
         key, _, var = name.partition(".")
-        if var:
-            per_labs.append(f"b{i} = F[{key!r}][labs[{labels.index(var)}]]")
-        else:
-            once.append(f"b{i} = F[{key!r}]")
+        lines = per_labs if var else once
+        lines.append(f"b{i} = F[{key!r}][labs[{labels.index(var)}]]" if var
+                     else f"b{i} = F[{key!r}]")
+        if guard is not None and key.endswith("~"):
+            lines.append(f"z{i} = not any(b{i})")
     if any("E[" in value for value in values):
         once.append('E = F["basis"]')
     if not all(sides):

@@ -488,7 +488,9 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     cap, as a stream; deterministic for a given seed.  truncated means a
     shortfall.  A spec is refused as by search_hits, except that
     check_sample_size bounds rb-family label counts in place of the budget,
-    and then a set limit is refused: count bounds a sample."""
+    and then a set limit is refused: count bounds a sample.  seed and count
+    are ints; anything else is refused with ParamError."""
+    _require_int(seed, "seed")
     _require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")

@@ -21,10 +21,11 @@ from halg import (DENDRIFORM_AXIOM3_TWIST, GF, PLAIN_ASSOC_MATCHING_RB, QQ,
                   check_side_conditions, check_structure, collapse_family,
                   commutator, dendriform_twist, enumerate_docs, make_doc,
                   parse_doc, postcompose, precompose_left, precompose_right,
-                  rb_to_dendriform, replay_violation, serialize_doc,
-                  structure_ok, tensor_combine, tensor_transpose,
-                  validate_doc, verify_diagram, yau_twist)
+                  rb_to_dendriform, replay_violation, seeded_sample,
+                  serialize_doc, structure_ok, tensor_combine,
+                  tensor_transpose, validate_doc, verify_diagram, yau_twist)
 from halg.axioms import first_difference
+from halg.search import sample_hits
 from halg.structures import MATCHING_HOM_ASSOC, CheckReport
 
 ID2 = [[1, 0], [0, 1]]
@@ -77,6 +78,12 @@ def _cases():
     yield "search weights None", ParamError, None, \
         lambda: enumerate_docs(SearchSpec(catalog("Z2-F2"), "rb-family",
                                           omega_size=1, weights=None))
+    # a seed that is not an int: None would sample differently on every call
+    for bad in ([1], None, True, 1.5, "x"):
+        for sample in (seeded_sample, sample_hits):
+            yield f"{sample.__name__} seed {bad!r}", ParamError, None, \
+                lambda s=sample, b=bad: s(SearchSpec(catalog("Z2-F2"), "rb-family",
+                                                     omega_size=1, weights=(0,)), b, 2)
     yield "replay witness", ParamError, None, lambda: replay_violation(rb, "x")
     rb3 = catalog("N2-Pnil-w0-F3")
     yield "replay witness labels [] and []", ParamError, None, \

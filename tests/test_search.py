@@ -354,6 +354,9 @@ def test_search_arguments_must_be_integers():
     for bad in (150.5, "4", True):
         with pytest.raises(ParamError, match="^count must be an integer"):
             seeded_sample(rb_spec(base, 1, (0,)), seed=1, count=bad)
+    for bad in (None, 1.5, "x", True, [1]):
+        with pytest.raises(ParamError, match="^seed must be an integer"):
+            seeded_sample(rb_spec(base, 1, (0,)), seed=bad, count=2)
 
 
 def test_hit_streams_refuse_up_front_and_collect_to_the_results():
