@@ -22,8 +22,8 @@ optionally tagged with a flag it runs under.
   or, in a side condition or a law between two docs, the role being
   checked, whose map in the second doc (a morphism's target) is ``m2``.
   Linear maps: ``p`` the structure twist and ``p2`` the second doc's, ``f``
-  the map under test, ``P`` the operators and ``P2`` the second doc's, and
-  the weights ``w``, which scale.
+  the map under test and ``g`` a power or the inverse of it, ``P`` the
+  operators and ``P2`` the second doc's, and the weights ``w``, which scale.
 * Quantifiers.  The label variables range over all ordered tuples of the
   doc's labels (a law without any has one instance), and then the slots
   over all basis tuples.  A witness carries the bound labels and the basis
@@ -558,18 +558,18 @@ def _scaled(maps: dict, field, dim) -> _Frame:
     return frame
 
 
-def _frame(doc: AlgebraDoc, f=None, dst=None) -> _Frame:
+def _frame(doc: AlgebraDoc, f=None, dst=None, g=None) -> _Frame:
     """Every name a law may use, bound to doc's maps by _scaled: each role
     by its name, per label; linear maps as their column tuples, p as the
     structure twist's (the identity's as the basis), P and w as the
     operators and weights, and m as the first role's map at the first
-    label, the single product of an rb kind.  f, unless None, is the map
-    under test (its columns).  dst, unless None, is a second doc of doc's
-    field and carrier, bound as <role>2, p2 and P2, so one D scales both
-    docs and f.  A doc that is not an AlgebraDoc is a ParamError."""
+    label, the single product of an rb kind.  f and g, unless None, are
+    the map under test and a power or the inverse of it (columns).  dst,
+    unless None, is a second doc of doc's field and carrier, bound as
+    <role>2, p2 and P2, so one D scales both docs, f and g."""
     require(doc, AlgebraDoc, "doc")
     basis = _basis(doc.dim)
-    maps = {} if f is None else {"f": f}
+    maps = {name: cols for name, cols in (("f", f), ("g", g)) if cols is not None}
     for suffix, d in (("", doc), ("2", dst)) if dst is not None else (("", doc),):
         twist = d.structure_twist()
         for role, fam in d.families.items():
@@ -746,6 +746,25 @@ def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
         raise DimensionMismatch(f"{what} requires one carrier dimension")
 
 
+def _tag_violations(tags, frame, doc: AlgebraDoc, f: LinearMap):
+    """Violations of each map tag in turn on frame, which binds f, the map
+    under test (and the second doc of a law between two): invertible reads
+    f itself, every other tag runs its laws role by role."""
+    for tag in tags:
+        if tag == "invertible":
+            v = kernel_vector(f)
+            if v is not None:
+                yield Violation("invertible", (), (), v, apply_map(f, v))
+            continue
+        _require_operators(tag, doc)
+        yield from _map_violations(tag, frame, doc)
+
+
+# check_operand's mismatch message for the map under test, by its path
+_MISMATCH = {"candidate": "candidate map of the wrong dimension",
+             "morphism": "morphism maps must match both carriers"}
+
+
 def check_side_conditions(doc: AlgebraDoc, conditions,
                           candidate: LinearMap | None = None) -> CheckReport:
     """Check hypothesis tags for a map against doc's products and operators.
@@ -760,23 +779,15 @@ def check_side_conditions(doc: AlgebraDoc, conditions,
                          + type(conditions).__name__)
     require(doc, AlgebraDoc, "doc")
     if candidate is not None:
-        check_operand(candidate, doc.field, doc.dim, "candidate",
-                      "candidate map of the wrong dimension")
+        check_operand(candidate, doc.field, doc.dim, "candidate", _MISMATCH["candidate"])
     p = candidate if candidate is not None else doc.twist_map()
-    frame = _frame(doc, f=p.columns())
 
-    def violations():
+    def known():
         for tag in conditions:
             if tag not in SIDE_CONDITIONS:
                 raise UnknownConditionError(f"unknown side condition {tag!r}")
-            if tag == "invertible":
-                v = kernel_vector(p)
-                if v is not None:
-                    yield Violation("invertible", (), (), v, apply_map(p, v))
-                continue
-            _require_operators(tag, doc)
-            yield from _map_violations(tag, frame, doc)
-    return make_report(violations())
+            yield tag
+    return make_report(_tag_violations(known(), _frame(doc, f=p.columns()), doc, p))
 
 
 def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckReport:
@@ -786,16 +797,10 @@ def check_morphism(f: LinearMap, src: AlgebraDoc, dst: AlgebraDoc) -> CheckRepor
     rb kinds the operators too (f o P_a = P'_a o f per label).  src and dst
     must share their field, kind, labels, weights and dimension."""
     _pair(src, dst, "morphism")
-    check_operand(f, src.field, src.dim, "morphism",
-                  "morphism maps must match both carriers")
-    frame = _frame(src, f.columns(), dst)
-
-    def violations():
-        yield from _map_violations("morphism", frame, src)
-        yield from _map_violations("twist-intertwine", frame, src)
-        if src.operators is not None:
-            yield from _map_violations("operator-intertwine", frame, src)
-    return make_report(violations())
+    check_operand(f, src.field, src.dim, "morphism", _MISMATCH["morphism"])
+    tags = ("morphism", "twist-intertwine") + (
+        ("operator-intertwine",) if src.operators is not None else ())
+    return make_report(_tag_violations(tags, _frame(src, f.columns(), dst), src, f))
 
 
 def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:

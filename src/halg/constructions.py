@@ -7,25 +7,27 @@ if it fails.  Output checks are never skipped; a red output check means the
 input slipped past a hypothesis or the transform is wrong, and both must be
 loud.
 
-Every derived tensor is one row, a side in the law table's terms that
-axioms.fill evaluates at each basis pair on the input doc's own frame, with
-a construction's map bound as f: x <_a y is m(X, P.a(Y)) + w.a(m(X, Y)),
-and yau_twist's product is f(m(X, Y)).  The exported tensor operations
-(postcompose, the precompositions and tensor_transpose) are a row each on
-their own arguments, which they check.  Preconditions and the twist rules
-(powers, inverse) stay code, and collapse_family's sum over labels is
-linalg.tensor_combine.
+Each construction runs one path, _construct, and states only its kinds,
+preconditions, map and tags, rows and twist.  One frame of the input serves
+its structure check, the side conditions on the map and `fill`, which
+evaluates each row, a side in the law table's terms, at each basis pair,
+with the map bound as f and a power or its inverse as g: x <_a y is
+m(X, P.a(Y)) + w.a(m(X, Y)).  The exported tensor operations are a row each
+on their own arguments; collapse_family sums with linalg.tensor_combine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (_frame, _scaled, check_morphism, check_side_conditions,
-                     check_structure, fill, first_difference)
-from .errors import (MissingCoefficientError, NonzeroWeightError, ParamError,
-                     PowerBoundError, PreconditionFailed, ShapeError,
-                     TheoremCheckError, require)
+from .axioms import (_MISMATCH, _frame, _scaled, _structure_laws,
+                     _tag_violations, _violations, check_structure, fill,
+                     first_difference)
+# not called here: bound for the wrappers perfbench/tracing.py sets here
+from .axioms import check_morphism, check_side_conditions  # noqa: F401
+from .errors import (HalgError, MissingCoefficientError, NonzeroWeightError,
+                     ParamError, PowerBoundError, PreconditionFailed,
+                     ShapeError, SingularMapError, TheoremCheckError, require)
 from .fields import Field
 from .linalg import (BilinearMap, LinearMap, check_map, check_operand,
                      map_invert, map_power, tensor_combine)
@@ -40,20 +42,6 @@ from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          Violation, make_doc, make_report)
 
 MAX_DERIVED_LEVEL = 16
-
-
-def _filled(doc: AlgebraDoc, f: LinearMap | None = None, **sides) -> dict:
-    """{role: {label: sides[role] at that label}} on doc's frame, with f,
-    where given, bound as the map f."""
-    frame = _frame(doc, None if f is None else f.columns())
-    return {role: {lab: fill(side, doc.field, doc.dim, frame, lab) for lab in doc.labels}
-            for role, side in sides.items()}
-
-
-def _product(doc: AlgebraDoc, side: str, f: LinearMap | None = None) -> BilinearMap:
-    """side, which names no label, on doc's frame with f, where given, bound
-    as the map f: the product of an rb output, filled once."""
-    return fill(side, doc.field, doc.dim, _frame(doc, None if f is None else f.columns()))
 
 
 def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
@@ -99,21 +87,6 @@ class CoefficientFamily:
     coeffs: dict
 
 
-def _checked_input(doc: AlgebraDoc, allowed, what: str) -> None:
-    require(doc, AlgebraDoc, "doc")
-    if doc.kind not in allowed:
-        raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
-    report = check_structure(doc)
-    if not report.passed:
-        raise PreconditionFailed(f"{what}: input fails its {doc.kind} check", report)
-
-
-def _checked_sides(doc: AlgebraDoc, p: LinearMap, tags, what: str) -> None:
-    report = check_side_conditions(doc, tags, candidate=p)
-    if not report.passed:
-        raise PreconditionFailed(f"{what}: map fails {'/'.join(tags)}", report)
-
-
 def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:
     report = check_structure(doc)
     if not report.passed:
@@ -121,29 +94,69 @@ def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:
     return doc
 
 
-def _output(doc: AlgebraDoc, what: str, kind: str, families: dict,
-            twist) -> AlgebraDoc:
-    """The checked doc of kind with families and twist on doc's carrier."""
-    return _checked_output(make_doc(doc.field, doc.dim, doc.omega, kind, families,
-                                    twist=twist), what)
-
-
-def _rb_output(doc: AlgebraDoc, what: str, kind: str, product, twist) -> AlgebraDoc:
-    """The checked rb doc of kind with product, doc's operators and twist."""
-    out = make_doc(doc.field, doc.dim, doc.omega, kind, {KIND_ROLES[kind][0]: product},
-                   operators=doc.operators, twist=twist)
+def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = None,
+               tags=(), power: int | None = None, twist: int = 1):
+    """The construction what, on one frame of doc.  kinds maps doc's kind
+    to the output's, and doc must pass its structure laws.  rows, or
+    rows(doc), which raises any further precondition, are the output's: an
+    rb product, a side per role, or None to check the hypotheses alone.
+    The map p, else doc's structure twist, is refused by check_operand only
+    then, and must pass tags ("morphism": be a self-morphism of doc).  The
+    frame binds p as f and p^power as g (-1: the inverse); twist: p^twist."""
+    require(doc, AlgebraDoc, "doc")
+    if doc.kind not in kinds:
+        raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
+    path = "morphism" if "morphism" in tags else "candidate"
+    p, refused = doc.structure_twist() if p is None else p, None
+    try:
+        check_operand(p, doc.field, doc.dim, path, _MISMATCH[path])
+    except HalgError as e:
+        refused = e
+    g = None
+    if power is not None and not refused:
+        try:
+            g = (map_invert(p) if power < 0 else map_power(p, power)).columns()
+        except SingularMapError:
+            pass  # the invertible tag refuses p before g is read
+    frame = _frame(doc, p.columns() if tags and not refused else None,
+                   doc if path == "morphism" else None, g)
+    report = make_report(_violations(_structure_laws(doc.kind, True, False), frame,
+                                     doc.labels, doc.field))
+    if not report.passed:
+        raise PreconditionFailed(f"{what}: input fails its {doc.kind} check", report)
+    rows = rows(doc) if callable(rows) else rows
+    if refused is not None:
+        raise refused
+    report = make_report(_tag_violations(tags, frame, doc, p))
+    if not report.passed:
+        why = "is not a self-morphism" if path == "morphism" else "fails " + "/".join(tags)
+        raise PreconditionFailed(f"{what}: map {why}", report)
+    if rows is None:
+        return None
+    if isinstance(frame["m"], dict):
+        # a per-role tag rebound m to a role (_bind_role); rb rows read one map
+        role, lab = KIND_ROLES[doc.kind][0], doc.labels[0]
+        frame["m"], frame["m~"] = frame[role][lab], frame[role + "~"][lab]
+    kind, field, dim = kinds[doc.kind], doc.field, doc.dim
+    if kind in RB_KINDS:
+        families = {KIND_ROLES[kind][0]: fill(rows, field, dim, frame)}
+    else:
+        families = {role: {lab: fill(side, field, dim, frame, lab) for lab in doc.labels}
+                    for role, side in rows.items()}
+    out = make_doc(field, dim, doc.omega, kind, families,
+                   operators=doc.operators if kind in RB_KINDS else None,
+                   twist=p if twist == 1 else map_power(p, twist))
     return _checked_output(out, what)
-
-
-def _commuting_twist(doc: AlgebraDoc, what: str) -> LinearMap:
-    """The structure twist, once it is checked to commute with every operator."""
-    p = doc.structure_twist()
-    _checked_sides(doc, p, ["commutes"], what)
-    return p
 
 
 def _weights_zero(doc: AlgebraDoc) -> bool:
     return all(w == 0 for w in doc.operators.weights.values())
+
+
+# input kind -> output kind: the Hom twin for a twist, the plain one back
+_UNTWISTED, _TWISTED = ({kind: RB_TWINS[kind][i] for kind in RB_KINDS} for i in (0, 1))
+_PLAIN_TWISTED = {kind: _TWISTED[kind] for kind in PLAIN_RB_KINDS}
+_DENDRIFORM = (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM)
 
 
 def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
@@ -153,10 +166,8 @@ def yau_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
     output multiplies by x *' y = p(x * y) and carries twist p.  Any candidate
     twist stored on the input is metadata and is not consulted.
     """
-    _checked_input(doc, PLAIN_RB_KINDS, "yau_twist")
-    _checked_sides(doc, p, ["endomorphism", "commutes"], "yau_twist")
-    return _rb_output(doc, "yau_twist", RB_TWINS[doc.kind][1],
-                      _product(doc, "f(m(X, Y))", p), p)
+    return _construct("yau_twist", doc, _PLAIN_TWISTED, "f(m(X, Y))", p,
+                      ("endomorphism", "commutes"))
 
 
 def untwist(doc: AlgebraDoc) -> AlgebraDoc:
@@ -165,11 +176,9 @@ def untwist(doc: AlgebraDoc) -> AlgebraDoc:
     Requires the twist to be multiplicative, commute with the operators, and
     be invertible.  untwist(yau_twist(d, p)) = d for canonical plain d.
     """
-    _checked_input(doc, RB_KINDS, "untwist")
-    p = doc.structure_twist()
-    _checked_sides(doc, p, ["multiplicative", "commutes", "invertible"], "untwist")
-    return _rb_output(doc, "untwist", RB_TWINS[doc.kind][0],
-                      _product(doc, "f(m(X, Y))", map_invert(p)), None)
+    # twisted by p^0, the identity, which the plain output drops
+    return _construct("untwist", doc, _UNTWISTED, "g(m(X, Y))", power=-1, twist=0,
+                      tags=("multiplicative", "commutes", "invertible"))
 
 
 def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
@@ -184,18 +193,14 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
         raise ParamError(f"level must be a non-negative integer, got {n!r}")
     if n > MAX_DERIVED_LEVEL:
         raise PowerBoundError(f"level {n} exceeds the bound {MAX_DERIVED_LEVEL}")
-    _checked_input(doc, RB_KINDS, "derived_algebra")
-    if variant == 2 and doc.kind in LIE_RB_KINDS:
-        raise ParamError("variant 2 is undefined for Lie docs")
-    p = doc.structure_twist()
-    _checked_sides(doc, p, ["multiplicative", "commutes"], "derived_algebra")
-    if variant == 1:
-        prod_pow, twist_pow = n, n + 1
-    else:
-        prod_pow, twist_pow = (1 << n) - 1, 1 << n
-    return _rb_output(doc, "derived_algebra", RB_TWINS[doc.kind][1],
-                      _product(doc, "f(m(X, Y))", map_power(p, prod_pow)),
-                      map_power(p, twist_pow))
+
+    def rows(doc):
+        if variant == 2 and doc.kind in LIE_RB_KINDS:
+            raise ParamError("variant 2 is undefined for Lie docs")
+        return "g(m(X, Y))"
+    power = n if variant == 1 else (1 << n) - 1
+    return _construct("derived_algebra", doc, _TWISTED, rows,
+                      tags=("multiplicative", "commutes"), power=power, twist=power + 1)
 
 
 def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDoc:
@@ -206,10 +211,9 @@ def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDo
     """
     if variant not in (1, 2):
         raise ParamError(f"variant must be 1 or 2, got {variant!r}")
-    _checked_input(doc, PLAIN_RB_KINDS, "centroid_twist")
-    _checked_sides(doc, p, ["centroid", "commutes"], "centroid_twist")
-    new = _product(doc, "m(f(X), Y)" if variant == 1 else "m(f(X), f(Y))", p)
-    return _rb_output(doc, "centroid_twist", RB_TWINS[doc.kind][1], new, p)
+    return _construct("centroid_twist", doc, _PLAIN_TWISTED,
+                      "m(f(X), Y)" if variant == 1 else "m(f(X), f(Y))", p,
+                      ("centroid", "commutes"))
 
 
 _COMMUTATOR_KIND = {
@@ -232,23 +236,20 @@ def commutator(doc: AlgebraDoc) -> AlgebraDoc:
     w_b P_a(x.y) - w_a P_b(y.x) in place of the Lie-side w_b P_a([x,y])
     term, and the theorem genuinely fails.
     """
-    _checked_input(doc, _COMMUTATOR_KIND, "commutator")
-    if doc.kind in RB_KINDS and len(doc.labels) > 1 and not _weights_zero(doc):
-        raise PreconditionFailed(
-            "commutator on a matching RB doc requires weight 0 or one label")
-    out_kind = _COMMUTATOR_KIND[doc.kind]
-    if doc.kind in RB_KINDS:
-        return _rb_output(doc, "commutator", out_kind,
-                          _product(doc, "m(X, Y) - m(Y, X)"), doc.structure_twist())
-    return _output(doc, "commutator", out_kind,
-                   _filled(doc, bracket="dot.a(X, Y) - dot.a(Y, X)"), doc.twist)
+    def rows(doc):
+        if doc.kind not in RB_KINDS:
+            return {"bracket": "dot.a(X, Y) - dot.a(Y, X)"}
+        if len(doc.labels) > 1 and not _weights_zero(doc):
+            raise PreconditionFailed(
+                "commutator on a matching RB doc requires weight 0 or one label")
+        return "m(X, Y) - m(Y, X)"
+    return _construct("commutator", doc, _COMMUTATOR_KIND, rows)
 
 
 def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:
     """Antisymmetrize a matching Hom-pre-Lie family into compatible Hom-Lie."""
-    _checked_input(doc, (MATCHING_HOM_PRELIE,), "prelie_commutator")
-    return _output(doc, "prelie_commutator", COMPATIBLE_HOM_LIE,
-                   _filled(doc, bracket="star.a(X, Y) - star.a(Y, X)"), doc.twist)
+    return _construct("prelie_commutator", doc, {MATCHING_HOM_PRELIE: COMPATIBLE_HOM_LIE},
+                      {"bracket": "star.a(X, Y) - star.a(Y, X)"})
 
 
 def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
@@ -264,7 +265,7 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     require(doc, AlgebraDoc, "doc")
     if doc.kind in RB_KINDS:
         raise PreconditionFailed("collapse_family needs an Omega-indexed family")
-    _checked_input(doc, KIND_ROLES, "collapse_family")
+    _construct("collapse_family", doc, KIND_ROLES, None)  # its hypotheses alone
     raw = coeffs.coeffs if isinstance(coeffs, CoefficientFamily) else coeffs
     if not isinstance(raw, dict):
         raise ParamError("coefficients must be a dict of label to scalar, not a "
@@ -290,31 +291,26 @@ def dendriform_twist(doc: AlgebraDoc, p: LinearMap) -> AlgebraDoc:
     p must be a self-morphism of the doc (every role preserved); the output
     composes each role with p and carries twist p.
     """
-    _checked_input(doc, (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM),
-                   "dendriform_twist")
-    if not doc.twist_map().is_identity():
-        raise PreconditionFailed("dendriform_twist needs a plain (identity twist) input")
-    report = check_morphism(p, doc, doc)
-    if not report.passed:
-        raise PreconditionFailed("dendriform_twist: map is not a self-morphism", report)
-    families = _filled(doc, p, **{role: f"f({role}.a(X, Y))" for role in doc.families})
-    return _output(doc, "dendriform_twist", doc.kind, families, p)
+    def rows(doc):
+        if not doc.twist_map().is_identity():
+            raise PreconditionFailed("dendriform_twist needs a plain (identity twist) input")
+        return {role: f"f({role}.a(X, Y))" for role in doc.families}
+    # check_morphism's laws: a dendriform doc has no operators to intertwine
+    return _construct("dendriform_twist", doc, {kind: kind for kind in _DENDRIFORM}, rows,
+                      p, ("morphism", "twist-intertwine"))
 
 
 def dendriform_sum(doc: AlgebraDoc) -> AlgebraDoc:
     """Sum the splitting roles into one compatible Hom-associative family."""
-    _checked_input(doc, (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM),
-                   "dendriform_sum")
-    dot = " + ".join(f"{role}.a(X, Y)" for role in KIND_ROLES[doc.kind])
-    return _output(doc, "dendriform_sum", COMPATIBLE_HOM_ASSOC, _filled(doc, dot=dot),
-                   doc.twist)
+    return _construct("dendriform_sum", doc, dict.fromkeys(_DENDRIFORM, COMPATIBLE_HOM_ASSOC),
+                      lambda doc: {"dot": " + ".join(f"{role}.a(X, Y)"
+                                                     for role in KIND_ROLES[doc.kind])})
 
 
 def dendriform_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     """x * y = x > y - y < x, label by label, giving matching Hom-pre-Lie."""
-    _checked_input(doc, (MATCHING_HOM_DENDRIFORM,), "dendriform_to_prelie")
-    return _output(doc, "dendriform_to_prelie", MATCHING_HOM_PRELIE,
-                   _filled(doc, star="right.a(X, Y) - left.a(Y, X)"), doc.twist)
+    return _construct("dendriform_to_prelie", doc, {MATCHING_HOM_DENDRIFORM: MATCHING_HOM_PRELIE},
+                      {"star": "right.a(X, Y) - left.a(Y, X)"})
 
 
 def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -323,11 +319,10 @@ def rb_to_dendriform(doc: AlgebraDoc) -> AlgebraDoc:
     x <_w y = x . P_w(y) + w_weight x . y  and  x >_w y = P_w(x) . y,
     requiring the twist to commute with every operator.
     """
-    _checked_input(doc, ASSOC_RB_KINDS, "rb_to_dendriform")
-    p = _commuting_twist(doc, "rb_to_dendriform")
-    return _output(doc, "rb_to_dendriform", MATCHING_HOM_DENDRIFORM,
-                   _filled(doc, left="m(X, P.a(Y)) + w.a(m(X, Y))",
-                           right="m(P.a(X), Y)"), p)
+    return _construct("rb_to_dendriform", doc,
+                      dict.fromkeys(ASSOC_RB_KINDS, MATCHING_HOM_DENDRIFORM),
+                      {"left": "m(X, P.a(Y)) + w.a(m(X, Y))", "right": "m(P.a(X), Y)"},
+                      tags=("commutes",))
 
 
 def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
@@ -335,11 +330,10 @@ def rb_to_tridendriform(doc: AlgebraDoc) -> AlgebraDoc:
 
     x <_w y = x . P_w(y),  x >_w y = P_w(x) . y,  x ._w y = w_weight x . y.
     """
-    _checked_input(doc, ASSOC_RB_KINDS, "rb_to_tridendriform")
-    p = _commuting_twist(doc, "rb_to_tridendriform")
-    return _output(doc, "rb_to_tridendriform", MATCHING_HOM_TRIDENDRIFORM,
-                   _filled(doc, left="m(X, P.a(Y))", middle="w.a(m(X, Y))",
-                           right="m(P.a(X), Y)"), p)
+    return _construct("rb_to_tridendriform", doc,
+                      dict.fromkeys(ASSOC_RB_KINDS, MATCHING_HOM_TRIDENDRIFORM),
+                      {"left": "m(X, P.a(Y))", "middle": "w.a(m(X, Y))",
+                       "right": "m(P.a(X), Y)"}, tags=("commutes",))
 
 
 def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
@@ -349,13 +343,13 @@ def rb_to_prelie(doc: AlgebraDoc) -> AlgebraDoc:
     Lie route (weight 0 only):      x *_w y = [P_w(x), y].
     Both require the twist to commute with the operators.
     """
-    assoc = doc.kind in ASSOC_RB_KINDS
-    _checked_input(doc, ASSOC_RB_KINDS if assoc else LIE_RB_KINDS, "rb_to_prelie")
-    if not assoc and not _weights_zero(doc):
-        raise NonzeroWeightError("the Lie route to pre-Lie requires weight 0")
-    p = _commuting_twist(doc, "rb_to_prelie")
-    star = "m(P.a(X), Y)" + (" - m(Y, P.a(X)) - w.a(m(Y, X))" if assoc else "")
-    return _output(doc, "rb_to_prelie", MATCHING_HOM_PRELIE, _filled(doc, star=star), p)
+    def rows(doc):
+        assoc = doc.kind in ASSOC_RB_KINDS
+        if not assoc and not _weights_zero(doc):
+            raise NonzeroWeightError("the Lie route to pre-Lie requires weight 0")
+        return {"star": "m(P.a(X), Y)" + (" - m(Y, P.a(X)) - w.a(m(Y, X))" if assoc else "")}
+    return _construct("rb_to_prelie", doc, dict.fromkeys(RB_KINDS, MATCHING_HOM_PRELIE),
+                      rows, tags=("commutes",))
 
 
 def verify_diagram(doc: AlgebraDoc):
@@ -367,10 +361,10 @@ def verify_diagram(doc: AlgebraDoc):
     pre-Lie commutator brackets agree as well; each comparison reports its
     first differing entry.
     """
-    _checked_input(doc, ASSOC_RB_KINDS, "verify_diagram")
-    if not _weights_zero(doc):
-        raise NonzeroWeightError("the diagram is stated for weight 0 only")
-    _commuting_twist(doc, "verify_diagram")
+    def weight_zero(doc):
+        if not _weights_zero(doc):
+            raise NonzeroWeightError("the diagram is stated for weight 0 only")
+    _construct("verify_diagram", doc, ASSOC_RB_KINDS, weight_zero, tags=("commutes",))
 
     try:
         path_a = dendriform_to_prelie(rb_to_dendriform(doc))

@@ -1074,6 +1074,39 @@ def test_a_frame_over_q_binds_only_ints():
     assert scaled >= 50, scaled
 
 
+def test_a_construction_frame_over_q_binds_its_fill_map_as_ints(monkeypatch):
+    """untwist fills with the inverse of its twist and derived_algebra with
+    a power of it.  Each binds that map as g beside f on the one frame of
+    its input, so D covers g's denominators too, and that frame holds ints
+    only.  The outputs are the exact ones: untwist gives back the plain doc,
+    and variant 2 at level 2 composes the product with p^3 and twists by
+    p^4."""
+    import halg.constructions
+    from halg import derived_algebra, serialize_doc, untwist
+    frames = []
+    real = halg.constructions._frame
+    monkeypatch.setattr(halg.constructions, "_frame",
+                        lambda *args: frames.append(real(*args)) or frames[-1])
+    base = catalog("N2-id-wm1")
+    for t, entry in ((2, "16"), (Fraction(1, 2), '"1/16"')):
+        hom = yau_twist(base, LinearMap.from_rows(QQ, [[1, 0], [0, t]]))
+        assert serialize_doc(untwist(hom)) == serialize_doc(base)
+        assert serialize_doc(derived_algebra(hom, 2, 2)) == (
+            '{"format-version":"1","kind":"hom-assoc-matching-rb",'
+            '"field":{"kind":"rationals"},"dim":2,"omega":["a"],'
+            f'"families":{{"dot":[[[1,0],[0,{entry}]],[[0,{entry}],[0,0]]]}},'
+            '"operators":{"ops":{"a":[[1,0],[0,1]]},"weights":{"a":-1}},'
+            f'"twist":[[1,0],[0,{entry}]]}}').encode()
+    # yau_twist, untwist and derived_algebra, twice: one frame of its input each
+    assert len(frames) == 6
+    for frame in frames:
+        assert all(type(x) is int for x in _bound(frame)), sorted(frame)
+    # over diag(1, 2) only g = diag(1, 1/2) has a denominator; over
+    # diag(1, 1/2), g = p^3 = diag(1, 1/8) has the largest
+    assert "g" in frames[1] and frames[1]["D"] == 2
+    assert "g" in frames[5] and frames[5]["D"] == 8
+
+
 def test_linear_system_refuses_a_law_with_several_right_hand_sides():
     # centroid reads f(xy) = f(x)y = xf(y) on a product that is not
     # alternating: two right-hand sides would share one row key

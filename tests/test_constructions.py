@@ -452,6 +452,70 @@ def test_checked_output_raises_on_failing_doc():
     assert exc.value.report is not None and not exc.value.report.passed
 
 
+def _recipes(doc):
+    """(name, thunk) for every recipe of `halg construct` on doc."""
+    field = doc.field
+    id_map = LinearMap.identity(field, doc.dim)
+    two = LinearMap.from_rows(field, [[field.reduce(2) if i == j else 0
+                                       for j in range(doc.dim)] for i in range(doc.dim)])
+    yield "yau_twist", lambda: yau_twist(doc, id_map)
+    yield "untwist", lambda: untwist(doc)
+    for variant in (1, 2):
+        yield f"derived_algebra {variant}", lambda v=variant: derived_algebra(doc, 2, v)
+        yield f"centroid_twist {variant}", lambda v=variant: centroid_twist(doc, two, v)
+    yield "commutator", lambda: commutator(doc)
+    yield "prelie_commutator", lambda: prelie_commutator(doc)
+    yield "collapse_family", lambda: collapse_family(doc, dict.fromkeys(doc.labels, 1))
+    yield "dendriform_twist", lambda: dendriform_twist(doc, id_map)
+    yield "dendriform_sum", lambda: dendriform_sum(doc)
+    yield "dendriform_to_prelie", lambda: dendriform_to_prelie(doc)
+    yield "rb_to_dendriform", lambda: rb_to_dendriform(doc)
+    yield "rb_to_tridendriform", lambda: rb_to_tridendriform(doc)
+    yield "rb_to_prelie", lambda: rb_to_prelie(doc)
+
+
+def test_a_construction_builds_one_frame_of_its_input(monkeypatch):
+    """Every recipe, on the catalog docs over Q, F_2 and F_3 and on the docs
+    they lead to, builds exactly one frame of its input, shared by the
+    input's check, the side conditions on its map (dendriform_twist's
+    self-morphism laws, on the frame that binds the doc as both docs) and
+    fill.  A call refused at its kind builds none; the output's re-check
+    builds one frame of the output."""
+    import halg.axioms
+    built = []
+    real = halg.axioms._frame
+
+    def counted(doc, *rest):
+        built.append(doc)
+        return real(doc, *rest)
+    docs = list(catalog().values())
+    docs += [out for doc in docs for _, make in _recipes(doc)
+             for out in _applied(make)]
+    monkeypatch.setattr(halg.constructions, "_frame", counted)
+    monkeypatch.setattr(halg.axioms, "_frame", counted)
+    applied = set()
+    for doc in docs:
+        for name, make in _recipes(doc):
+            built.clear()
+            try:
+                out = make()
+            except (PreconditionFailed, NonzeroWeightError, ParamError) as e:
+                kind_refused = "accept kind" in str(e) or "Omega-indexed" in str(e)
+                assert [d is doc for d in built] == ([] if kind_refused else [True]), name
+                continue
+            applied.add(name)
+            assert [d is doc for d in built] == [True, False], (name, doc.kind)
+            assert built[1] is out
+    assert applied == {name for name, _ in _recipes(docs[0])}, applied
+
+
+def _applied(make):
+    try:
+        return [make()]
+    except (PreconditionFailed, NonzeroWeightError, ParamError):
+        return []
+
+
 # --- functoriality: isomorphic inputs give isomorphic outputs --------------------
 
 FUNCTORS = {

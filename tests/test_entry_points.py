@@ -15,20 +15,27 @@ from hypothesis import strategies as st
 from halg import (DENDRIFORM_AXIOM3_TWIST, GF, PLAIN_ASSOC_MATCHING_RB, QQ,
                   AlgebraDoc, BilinearFamily,
                   BilinearMap, DimensionMismatch, FieldMismatch, HalgError,
-                  LinearMap, OperatorFamily, ParamError, SearchSpec,
-                  ShapeError, UnknownFixtureError,
+                  LinearMap, OperatorFamily, ParamError, PreconditionFailed,
+                  SearchSpec, ShapeError, UnknownFixtureError,
                   Violation, catalog, centroid_twist, check_morphism,
                   check_side_conditions, check_structure, collapse_family,
-                  commutator, dendriform_twist, enumerate_docs, make_doc,
+                  commutator, dendriform_twist, derived_algebra,
+                  enumerate_docs, make_doc,
                   parse_doc, postcompose, precompose_left, precompose_right,
-                  rb_to_dendriform, replay_violation, seeded_sample,
+                  rb_to_dendriform, rb_to_prelie, replay_violation,
+                  seeded_sample,
                   serialize_doc, structure_ok, tensor_combine,
-                  tensor_transpose, validate_doc, verify_diagram, yau_twist)
+                  tensor_transpose, untwist, validate_doc, verify_diagram,
+                  yau_twist)
 from halg.axioms import first_difference
 from halg.search import sample_hits
-from halg.structures import MATCHING_HOM_ASSOC, CheckReport
+from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
+                             MATCHING_HOM_DENDRIFORM, PLAIN_LIE_MATCHING_RB,
+                             CheckReport)
 
 ID2 = [[1, 0], [0, 1]]
+# x < y = x > y = the diagonal product e_i e_i = e_i: no matching dendriform
+_X = BilinearMap.from_nested(QQ, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 
 def _hom_assoc(families, twist=LinearMap.identity(QQ, 2)):
@@ -128,6 +135,42 @@ def _cases():
         lambda: centroid_twist(rb, two_by_three)
     yield "yau_twist float", ShapeError, "candidate[0][0]", \
         lambda: yau_twist(rb, floats)
+    # a construction's map is refused only after its input's own verdict:
+    # on an input that fails its check, every malformed map is the input's
+    # PreconditionFailed; on a passing input each map keeps its own error
+    failing = {"yau_twist": _plain(QQ, rb.product(), id2),
+               "centroid_twist": _plain(QQ, rb.product(), id2),
+               "dendriform_twist": make_doc(QQ, 2, ("a",), MATCHING_HOM_DENDRIFORM, {
+                   "left": {"a": _X}, "right": {"a": _X}}, twist=id2)}
+    passing = {"yau_twist": rb, "centroid_twist": rb, "dendriform_twist": dend}
+    construct = {"yau_twist": yau_twist, "centroid_twist": centroid_twist,
+                 "dendriform_twist": dendriform_twist}
+    maps = {"list": (ID2, ParamError, None), "str": ("x", ParamError, None),
+            "3x3": (LinearMap.identity(QQ, 3), DimensionMismatch, None),
+            "over F_3": (LinearMap.identity(GF(3), 2), FieldMismatch, None),
+            "float": (floats, ShapeError, "[0][0]"),
+            "2x3": (two_by_three, ShapeError, "[0]")}
+    for name, fn in construct.items():
+        where = "morphism" if name == "dendriform_twist" else "candidate"
+        for label, (bad, error, path) in maps.items():
+            yield f"{name} {label} on a failing input", PreconditionFailed, None, \
+                lambda fn=fn, doc=failing[name], bad=bad: fn(doc, bad)
+            yield f"{name} {label} on a passing input", error, \
+                path and where + path, lambda fn=fn, doc=passing[name], bad=bad: fn(doc, bad)
+    # untwist reads the inverse of its twist before the input's verdict, and
+    # a singular one is refused only after it; derived_algebra refuses
+    # variant 2 on a Lie doc only after the input's verdict too
+    aff2 = catalog("aff2")
+    lie = make_doc(QQ, 2, ("a",), PLAIN_LIE_MATCHING_RB,
+                   {"bracket": aff2.families["bracket"].maps[aff2.labels[0]]},
+                   operators=OperatorFamily({"a": id2}, {"a": 0}))
+    singular = make_doc(QQ, 2, ("a",), HOM_ASSOC_MATCHING_RB, {"dot": rb.product()},
+                        operators=OperatorFamily({"a": id2}, {"a": 0}),
+                        twist=LinearMap(QQ, ((0, 0), (0, 0))))
+    yield "untwist of a singular twist on a failing input", PreconditionFailed, None, \
+        lambda: untwist(singular)
+    yield "derived_algebra variant 2 on a failing Lie input", PreconditionFailed, None, \
+        lambda: derived_algebra(lie, 1, 2)
     # the tensor operations check their tensor and map by the one rule for
     # map arguments, over Q and over F_p alike
     half_float = BilinearMap(QQ, (((0.5, 0), (0, 0)), ((0, 0), (0, 0))))
@@ -230,6 +273,7 @@ def _cases():
             ("check_morphism src 5", lambda: check_morphism(id2, 5, rb)),
             ("yau_twist 5", lambda: yau_twist(5, id2)),
             ("commutator None", lambda: commutator(None)),
+            ("rb_to_prelie 5", lambda: rb_to_prelie(5)),
             ("collapse_family 5", lambda: collapse_family(5, {})),
             ("verify_diagram 5", lambda: verify_diagram(5)),
             ("serialize_doc 5", lambda: serialize_doc(5)),
