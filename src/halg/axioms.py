@@ -18,10 +18,10 @@ optionally tagged with a flag it runs under.
   basis tuple compares the left side with each of them in turn.
 * Names.  ``n.v`` is the map n at the label bound to the variable v; a bare
   ``n`` takes no label.  Bilinear maps: each role (``dot.a``, ``left.b``,
-  ...), and ``m``, the product under test: the single product of an rb kind,
-  or, in a side condition or a law between two docs, the role being
-  checked, whose map in the second doc (a morphism's target) is ``m2``.
-  Linear maps: ``p`` the structure twist and ``p2`` the second doc's, ``f``
+  ...); a bare ``m``, the single product of an rb kind; and, in a side
+  condition or a law between two docs, ``m.a``, the role under check, R,
+  which the runner is given, and ``m2.a``, R's map in the second doc (a
+  morphism's target).  Linear maps: ``p`` the structure twist and ``p2`` the second doc's, ``f``
   the map under test and ``g`` a power or the inverse of it, ``P`` the
   operators and ``P2`` the second doc's, and the weights ``w``, which scale.
 * Quantifiers.  The label variables range over all ordered tuples of the
@@ -230,11 +230,13 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # --- compiling laws ----------------------------------------------------------
 #
 # A law compiles once per process into one generated function,
-# run(F, tuples, pts, every), from the term trees of its sides; the law's
-# roles share it.  For each label tuple in tuples it reads each map the law
-# names from the frame F, a map named with a label variable at that
-# tuple's label ("F['P'][labs[0]]") and the others once per call
-# ("F['m~']"); linear maps are bound as their column tuples.  Then it loops
+# run(F, tuples, pts, every, R), from the term trees of its sides; the
+# law's roles share it, each given as R.  For each label tuple in tuples it
+# reads each map the law names from the frame F, a map named with a label
+# variable at that tuple's label ("F['P'][labs[0]]") and the others once
+# per call ("F['m~']"); a labelled m, m~, m2 or m2~ is read at the role R
+# ("F[R + '2~'][labs[0]]"), so no frame binds a name per role.  Linear
+# maps are bound as their column tuples.  Then it loops
 # over the basis tuples pts, and at each runs the guard, the lhs and every
 # rhs inline.  A map on basis slots only is a table lookup (a structure
 # constant, or a column); every other node calls a linalg kernel, and a
@@ -403,9 +405,13 @@ def _runner_source(labels, arity, sides):
     once, per_labs = [], []
     for i, name in enumerate(names):
         key, _, var = name.partition(".")
+        if var and key.rstrip("2~") == "m":    # the role under check, R
+            at = f"R + {key[1:]!r}" if key[1:] else "R"
+        else:
+            at = repr(key)
         lines = per_labs if var else once
-        lines.append(f"b{i} = F[{key!r}][labs[{labels.index(var)}]]" if var
-                     else f"b{i} = F[{key!r}]")
+        lines.append(f"b{i} = F[{at}][labs[{labels.index(var)}]]" if var
+                     else f"b{i} = F[{at}]")
         if guard is not None and key.endswith("~"):
             lines.append(f"z{i} = not any(b{i})")
     if any("E[" in value for value in values):
@@ -420,7 +426,7 @@ def _runner_source(labels, arity, sides):
     body += [" or ".join(["if every", *(f"s0 != s{k}" for k in range(1, len(sides)))]) + ":",
              f"    yield labs, ix, {'held' if guard else 'False'}, "
              f"({', '.join(f's{k}' for k in range(len(sides)))},)"]
-    return "\n".join(["def run(F, tuples, pts, every):",
+    return "\n".join(["def run(F, tuples, pts, every, R):",
                       *("    " + line for line in once),
                       "    for labs in tuples:",
                       *("        " + line for line in per_labs),
@@ -437,8 +443,9 @@ class _Compiled:
     labels: str
     arity: int
     degree: int       # K: the padded twin's sides are D^K times their values
-    run: object       # run(F, tuples, pts, every), as above
+    run: object       # run(F, tuples, pts, every, R), as above
     law: _Law         # the row it was compiled from
+    role: str | None  # R, the role it is checked on
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +473,7 @@ def _compile(law: _Law, role) -> _Compiled:
     """law compiled for role; its padded twin's runner is compiled by
     _runners on its first use, which _twin makes only where a frame binds
     D."""
-    return _Compiled(law.axiom.format(role=role), law.labels, *_runners(law), law)
+    return _Compiled(law.axiom.format(role=role), law.labels, *_runners(law), law, role)
 
 
 def _active(laws, flags):
@@ -562,9 +569,10 @@ def _frame(doc: AlgebraDoc, f=None, dst=None, g=None) -> _Frame:
     """Every name a law may use, bound to doc's maps by _scaled: each role
     by its name, per label; linear maps as their column tuples, p as the
     structure twist's (the identity's as the basis), P and w as the
-    operators and weights, and m as the first role's map at the first
-    label, the single product of an rb kind.  f and g, unless None, are
-    the map under test and a power or the inverse of it (columns).  dst,
+    operators and weights, and on an rb kind m as the first role's map at
+    the first label, its single product; no name is bound per role, as a
+    law's role is its runner's argument R.  f and g, unless None, are the
+    map under test and a power or the inverse of it (columns).  dst,
     unless None, is a second doc of doc's field and carrier, bound as
     <role>2, p2 and P2, so one D scales both docs, f and g."""
     require(doc, AlgebraDoc, "doc")
@@ -577,8 +585,9 @@ def _frame(doc: AlgebraDoc, f=None, dst=None, g=None) -> _Frame:
         maps["p" + suffix] = basis if twist.rows is basis else twist.columns()
         if d.operators is not None:
             maps["P" + suffix] = {lab: d.operators.ops[lab].columns() for lab in d.labels}
-    maps["m"] = maps[KIND_ROLES[doc.kind][0]][doc.labels[0]]
     if doc.operators is not None:
+        # an rb kind: m is its single product
+        maps["m"] = maps[KIND_ROLES[doc.kind][0]][doc.labels[0]]
         maps["w"] = doc.operators.weights
     return _scaled(maps, doc.field, doc.dim)
 
@@ -623,7 +632,7 @@ def _violations(laws, frame, labels, field):
     back and reduced (_differences), and a violation is one whose reduced
     sides still differ."""
     for law, run, red, pts, each in _plan(laws, frame, labels, field):
-        for labs, ix, _, (left, *rights) in run(frame, each, pts, False):
+        for labs, ix, _, (left, *rights) in run(frame, each, pts, False, law.role):
             lc, rcs = _differences(red, left, rights)
             for rc in rcs:
                 yield Violation(law.axiom, labs, ix, lc, rc)
@@ -635,9 +644,9 @@ def _holds(plan, frame, points=None, tuples=None):
     check runs at fewer instances: points and tuples, where given, replace
     the plan's basis tuples and label tuples (tuples then name as many
     labels as each law of plan takes)."""
-    for _, run, red, pts, labs in plan:
+    for law, run, red, pts, labs in plan:
         for *_, (left, *rights) in run(frame, labs if tuples is None else tuples,
-                                       pts if points is None else points, False):
+                                       pts if points is None else points, False, law.role):
             if _differences(red, left, rights)[1]:
                 return False
     return True
@@ -693,17 +702,18 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
         run, red = _twin(law, frame, doc.field)
-        (_, _, _, sides), = run(frame, (labels,), (basis,), True)
+        (_, _, _, sides), = run(frame, (labels,), (basis,), True, law.role)
         return tuple(tuple(map(red, side)) for side in sides[:2])
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
 
 # --- side conditions ---------------------------------------------------------
 
-def _roles(tag, doc):
-    """The roles a map tag is checked on: doc's, or None for a tag that is
-    not checked per role."""
-    return KIND_ROLES[doc.kind] if _MAP_LAWS[tag][0] else (None,)
+def _role_laws(tag, doc):
+    """The compiled laws of a map tag, for each of doc's roles in role
+    order, or for the role None where the tag is not checked per role."""
+    roles = KIND_ROLES[doc.kind] if _MAP_LAWS[tag][0] else (None,)
+    return [law for role in roles for law in _map_laws(tag, role)]
 
 
 def _require_operators(tag, doc):
@@ -713,21 +723,9 @@ def _require_operators(tag, doc):
                          "operators")
 
 
-def _bind_role(frame, role):
-    """Bind m to role's maps and m2 to the second doc's where the frame
-    binds one, and m~ and m2~ to their sparse forms; role None, a tag not
-    checked per role, binds nothing."""
-    if role is not None:
-        frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-        if role + "2" in frame:
-            frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
-
-
 def _map_violations(tag, frame, doc):
-    """Violations of a map or two-doc tag, role by role (_bind_role)."""
-    for role in _roles(tag, doc):
-        _bind_role(frame, role)
-        yield from _violations(_map_laws(tag, role), frame, doc.labels, doc.field)
+    """Violations of a map or two-doc tag, role by role (_role_laws)."""
+    return _violations(_role_laws(tag, doc), frame, doc.labels, doc.field)
 
 
 def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
@@ -812,13 +810,14 @@ def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
 
 # --- tensors filled from a side ------------------------------------------------
 
-def fill(side, field, dim, frame, lab=None) -> BilinearMap:
+def fill(side, field, frame, lab=None) -> BilinearMap:
     """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced.
     side compiles once per process as a law, run as _twin picks, and reads
-    its names from frame (_frame, _scaled) with the label variable a at lab."""
+    its names and basis from frame (_frame, _scaled), with a at lab."""
     run, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
+    dim = len(frame["basis"])
     entries = [tuple(map(red, sides[0])) for _, _, _, sides
-               in run(frame, ((lab,),), _points(dim, 2), True)]
+               in run(frame, ((lab,),), _points(dim, 2), True, None)]
     return BilinearMap(field, tuple(tuple(entries[i * dim:(i + 1) * dim])
                                     for i in range(dim)))
 
@@ -845,8 +844,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
         raise ParamError(f"{tag} has a term that does not apply f exactly once, "
                          f"so it is not one linear system")
     _require_operators(tag, doc)
-    if any(len(law.law.rhs) > 1 for role in _roles(tag, doc)
-           for law in _map_laws(tag, role)):
+    if any(len(law.law.rhs) > 1 for law in _role_laws(tag, doc)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")
     dim, red, d = doc.dim, doc.field.reduce, frame.get("D", 1)
@@ -866,10 +864,10 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     """ok(candidate, points=None, tuples=None) -> bool for a search that
     varies one kind of map on doc.  Each law's runner, reducer, basis tuples
     and label tuples are resolved once here (_plan) on one frame built once
-    from doc, as a list of (role, plan); a decision binds the candidate in
-    that frame and, role by role (_bind_role), runs those runners, at points
-    and tuples in place of the plan's own where given, and the first reduced
-    difference decides (_holds).
+    from doc, as one plan over every role; a decision binds the candidate
+    in that frame and runs those runners, each given its law's role, at
+    points and tuples in place of the plan's own where given, and the first
+    reduced difference decides (_holds).
 
     Without a tag the operators vary.  The laws without label variables
     name neither P nor w, so they are decided here, once, on doc, and the
@@ -902,17 +900,12 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
         fixed = [law for law in laws if not law.labels]
         if not _holds(_plan(fixed, frame, doc.labels, field), frame):
             return None
-        by_role, bind = [(None, [law for law in laws if law.labels])], frame["P"].update
+        laws, bind = [law for law in laws if law.labels], frame["P"].update
     else:
-        by_role = [(role, _map_laws(tag, role)) for role in _roles(tag, doc)]
-        bind = partial(frame.__setitem__, "f")
-    plans = [(role, list(_plan(each, frame, doc.labels, field))) for role, each in by_role]
+        laws, bind = _role_laws(tag, doc), partial(frame.__setitem__, "f")
+    plan = list(_plan(laws, frame, doc.labels, field))
 
     def ok(candidate, points=None, tuples=None):
         bind(candidate)
-        for role, plan in plans:
-            _bind_role(frame, role)
-            if not _holds(plan, frame, points, tuples):
-                return False
-        return True
+        return _holds(plan, frame, points, tuples)
     return ok

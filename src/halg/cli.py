@@ -30,7 +30,8 @@ import sys
 from . import constructions
 from .axioms import check_side_conditions, check_structure
 from .constructions import verify_diagram
-from .errors import BudgetExceededError, DocSyntaxError, HalgError, ParamError
+from .errors import (BudgetExceededError, DocSyntaxError, HalgError, ParamError,
+                     require_int)
 from .linalg import LinearMap, read_array
 from .search import (DEFAULT_BUDGET, TARGET_RB_FAMILY, TARGETS, SearchSpec,
                      catalog, check_sample_size, fixture_names, sample_hits,
@@ -143,8 +144,7 @@ def _twist(required: bool):
     twist stands in for it."""
     def read(doc, params):
         if "twist" in params:
-            rows = read_array(params.pop("twist"), 2, "twist",
-                              lambda v, _: doc.field.parse_scalar(v, "twist"))
+            rows = read_array(params.pop("twist"), 2, "twist", doc.field.parse_scalar)
             return LinearMap.from_rows(doc.field, rows, path="twist")
         if not required and doc.twist is not None:
             return doc.twist
@@ -161,8 +161,7 @@ def _int(name: str, default=None):
                 raise ParamError(f"this recipe needs --param {name}=<int>")
             return default
         value = params.pop(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParamError(f"{name} must be an integer, got {value!r}")
+        require_int(value, name)
         return value
     return read
 

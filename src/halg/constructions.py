@@ -57,7 +57,7 @@ def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
     for g in f:
         check_operand(g, field, dim, "f", f"map of another dim than the dim-{dim} tensor")
         maps["f"] = g.columns()
-    return fill(side, field, dim, _scaled(maps, field, dim))
+    return fill(side, field, _scaled(maps, field, dim))
 
 
 def postcompose(m: BilinearMap, f: LinearMap) -> BilinearMap:
@@ -133,17 +133,13 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
         raise PreconditionFailed(f"{what}: map {why}", report)
     if rows is None:
         return None
-    if isinstance(frame["m"], dict):
-        # a per-role tag rebound m to a role (_bind_role); rb rows read one map
-        role, lab = KIND_ROLES[doc.kind][0], doc.labels[0]
-        frame["m"], frame["m~"] = frame[role][lab], frame[role + "~"][lab]
-    kind, field, dim = kinds[doc.kind], doc.field, doc.dim
+    kind, field = kinds[doc.kind], doc.field
     if kind in RB_KINDS:
-        families = {KIND_ROLES[kind][0]: fill(rows, field, dim, frame)}
+        families = {KIND_ROLES[kind][0]: fill(rows, field, frame)}
     else:
-        families = {role: {lab: fill(side, field, dim, frame, lab) for lab in doc.labels}
+        families = {role: {lab: fill(side, field, frame, lab) for lab in doc.labels}
                     for role, side in rows.items()}
-    out = make_doc(field, dim, doc.omega, kind, families,
+    out = make_doc(field, doc.dim, doc.omega, kind, families,
                    operators=doc.operators if kind in RB_KINDS else None,
                    twist=p if twist == 1 else map_power(p, twist))
     return _checked_output(out, what)
@@ -187,7 +183,7 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
     Variant 1 composes the product with p^n and twists by p^(n+1); variant 2
     uses p^(2^n - 1) and p^(2^n).  Variant 2 is undefined for Lie docs.
     """
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise ParamError(f"variant must be 1 or 2, got {variant!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParamError(f"level must be a non-negative integer, got {n!r}")
@@ -209,7 +205,7 @@ def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDo
     Variant 1 multiplies by p(x) * y, variant 2 by p(x) * p(y); both carry
     twist p.  Requires p in the centroid and commuting with the operators.
     """
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise ParamError(f"variant must be 1 or 2, got {variant!r}")
     return _construct("centroid_twist", doc, _PLAIN_TWISTED,
                       "m(f(X), Y)" if variant == 1 else "m(f(X), f(Y))", p,

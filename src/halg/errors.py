@@ -62,6 +62,13 @@ def require(value, cls, name: str) -> None:
         raise ParamError(f"{name}: expected {cls.__name__}, got {type(value).__name__}")
 
 
+def require_int(value, name: str) -> None:
+    """Raise ParamError, naming the argument, unless value is an int (a
+    bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+
+
 class PreconditionFailed(HalgError):
     """A construction's input fails its declared precondition.
 

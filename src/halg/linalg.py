@@ -30,8 +30,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import (DimensionMismatch, FieldMismatch, ShapeError, SingularMapError,
-                     require)
+from .errors import (DimensionMismatch, FieldMismatch, ParamError, ShapeError,
+                     SingularMapError, require, require_int)
 from .fields import Field
 
 Vector = tuple
@@ -115,6 +115,7 @@ class LinearMap:
     @staticmethod
     def identity(field: Field, dim: int) -> "LinearMap":
         require(field, Field, "field")
+        require_int(dim, "dim")
         one, zero = field.one, field.zero
         return LinearMap(field, tuple(tuple(one if i == j else zero for j in range(dim))
                                       for i in range(dim)))
@@ -155,6 +156,7 @@ def apply_raw(cols, x) -> list:
 
 def apply_map(f: LinearMap, x: Sequence) -> Vector:
     """f(x) for a coefficient vector x."""
+    require(f, LinearMap, "f")
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
     return tuple(map(f.field.reduce, apply_raw(f.columns(), x)))
@@ -162,6 +164,8 @@ def apply_map(f: LinearMap, x: Sequence) -> Vector:
 
 def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """The map x -> f(g(x))."""
+    require(f, LinearMap, "f")
+    require(g, LinearMap, "g")
     if f.field != g.field:
         raise FieldMismatch("composing maps over different fields")
     if f.dim != g.dim:
@@ -174,6 +178,8 @@ def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 def map_power(f: LinearMap, n: int) -> LinearMap:
     """f composed with itself n times (n = 0 gives the identity)."""
+    require(f, LinearMap, "f")
+    require_int(n, "power")
     if n < 0:
         raise ShapeError("negative power", "map")
     acc = LinearMap.identity(f.field, f.dim)
@@ -213,6 +219,7 @@ def _echelon(field: Field, rows: list) -> tuple:
 
 def map_invert(f: LinearMap) -> LinearMap:
     """Exact inverse; raises SingularMapError when none exists."""
+    require(f, LinearMap, "f")
     n = f.dim
     field = f.field
     aug = [list(f.rows[i]) + [field.one if j == i else field.zero for j in range(n)]
@@ -229,6 +236,7 @@ def kernel_vector(f: LinearMap):
     Used to witness failed invertibility checks: the returned v satisfies
     f(v) = 0 with v != 0.
     """
+    require(f, LinearMap, "f")
     basis = null_space(f.field, [list(r) for r in f.rows], f.dim)
     return tuple(basis[0]) if basis else None
 
@@ -269,6 +277,7 @@ class BilinearMap:
     @staticmethod
     def zero(field: Field, dim: int) -> "BilinearMap":
         require(field, Field, "field")
+        require_int(dim, "dim")
         z = field.zero
         return BilinearMap(field, tuple(tuple(tuple(z for _ in range(dim))
                                               for _ in range(dim))
@@ -321,6 +330,7 @@ def bilinear_raw(s, x, y) -> list:
 
 def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
     """m(x, y) for coefficient vectors x and y."""
+    require(m, BilinearMap, "m")
     dim = m.dim
     if len(x) != dim or len(y) != dim:
         raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
@@ -328,13 +338,18 @@ def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
 
 
 def tensor_combine(field: Field, terms) -> BilinearMap:
-    """Pointwise sum of (coefficient, BilinearMap) pairs over one field."""
+    """Pointwise sum of (coefficient, BilinearMap) pairs over one field;
+    each coefficient is made canonical in field (errors name its term)."""
     require(field, Field, "field")
     terms = list(terms)
     if not terms:
         raise ShapeError("empty combination", "tensor")
-    for i, (_, m) in enumerate(terms):
+    for i, term in enumerate(terms):
+        if not isinstance(term, _ARRAY) or len(term) != 2:
+            raise ParamError(f"terms[{i}]: expected a (coefficient, BilinearMap) pair")
+        a, m = term
         require(m, BilinearMap, f"terms[{i}]")
+        terms[i] = field.canonical(a, f"terms[{i}]"), m
         if m.field != field:
             raise FieldMismatch("combining tensors over different fields")
         if m.dim != terms[0][1].dim:

@@ -59,7 +59,7 @@ from .axioms import (candidate_check, check_side_conditions, linear_system,
                      structure_ok)
 from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
                      PreconditionFailed, TheoremCheckError,
-                     UnknownFixtureError, require)
+                     UnknownFixtureError, require, require_int)
 from .fields import GF, QQ, Field
 from .linalg import BilinearMap, LinearMap, _echelon, null_space
 from .structures import (KIND_ROLES, MATCHING_HOM_ASSOC, MATCHING_HOM_LIE,
@@ -73,11 +73,6 @@ TARGET_COMMUTING = "commuting"
 TARGETS = (TARGET_RB_FAMILY, TARGET_ENDOMORPHISM, TARGET_COMMUTING)
 
 DEFAULT_BUDGET = 1 << 24
-
-
-def _require_int(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParamError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class SearchSpec:
         for name in ("omega_size", "limit", "budget"):
             value = getattr(self, name)
             if value is not None or name == "budget":
-                _require_int(value, name)
+                require_int(value, name)
 
 
 @dataclass(frozen=True)
@@ -490,8 +485,8 @@ def sample_hits(spec: SearchSpec, seed: int, count: int) -> Hits:
     check_sample_size bounds rb-family label counts in place of the budget,
     and then a set limit is refused: count bounds a sample.  seed and count
     are ints; anything else is refused with ParamError."""
-    _require_int(seed, "seed")
-    _require_int(count, "count")
+    require_int(seed, "seed")
+    require_int(count, "count")
     if count < 0:
         raise ParamError(f"count must be non-negative, got {count!r}")
     weights, ok, emit = _resolve(spec, "seeded_sample")

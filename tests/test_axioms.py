@@ -27,7 +27,7 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
 from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
-                         _bind_role, _compile, _differences, _frame,
+                         _compile, _differences, _frame,
                          _laws_for, _map_laws, _plan, _points, _runner_source,
                          _runners, _sides, _structure_laws, _twin,
                          _violations)
@@ -767,7 +767,7 @@ def _guarded_sides(runs, frame, labels, dim):
     for law, run in runs:
         points = list(itertools.product(range(dim), repeat=law.arity))
         tuples = itertools.product(labels, repeat=len(law.labels))
-        for _, _, guard, sides in run(frame, tuples, points, True):
+        for _, _, guard, sides in run(frame, tuples, points, True, law.role):
             tried += 1
             if guard:
                 held.append(((law, run), list(sides)))
@@ -810,9 +810,6 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
                 runs += [(role, _map_laws(tag, role))
                          for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
         for role, laws in runs:
-            if role is not None:
-                frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
             pairs = [(law, _twin(law, frame, doc.field)[0]) for law in laws]
             held, n = _guarded_sides(pairs, frame, doc.labels, doc.dim)
             seen.update(pairs)
@@ -851,12 +848,12 @@ def test_the_guard_skips_every_instance_on_zero_tensors():
                              for tag, (per_role, _) in _MAP_LAWS.items() if per_role
                              for role in KIND_ROLES[kind]]
                     for role, laws in runs:
-                        _bind_role(frame, role)
                         for law in laws:
                             run = _twin(law, frame, field)[0]
                             tuples = itertools.product(labels, repeat=len(law.labels))
                             for labs, ix, held, _ in run(frame, tuples,
-                                                         _points(dim, law.arity), True):
+                                                         _points(dim, law.arity), True,
+                                                         law.role):
                                 tried += 1
                                 assert held, (doc, law.axiom, labs, ix)
     assert dense > 20 and tried > 10000, (dense, tried)
@@ -927,9 +924,6 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
         runs += [(role, _map_laws(tag, role)) for role in KIND_ROLES[doc.kind]
                  for tag in ("endomorphism", "multiplicative", "morphism")]
         for role, laws in runs:
-            if role is not None:
-                frame["m"], frame["m~"] = frame[role], frame[role + "~"]
-                frame["m2"], frame["m2~"] = frame[role + "2"], frame[role + "2~"]
             for law in laws:
                 twin = _runners(law.law, True)[2]
                 if twin is law.run:
@@ -937,8 +931,8 @@ def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
                 compared.add(law.axiom)
                 points = list(itertools.product(range(doc.dim), repeat=law.arity))
                 tuples = list(itertools.product(doc.labels, repeat=len(law.labels)))
-                runs = (law.run(frame, tuples, points, True),
-                        twin(frame, tuples, points, True))
+                runs = (law.run(frame, tuples, points, True, law.role),
+                        twin(frame, tuples, points, True, law.role))
                 for (labs, ix, _, sides), (*_, twin) in zip(*runs, strict=True):
                     assert sides == twin, (doc, law.axiom, labs, ix)
     assert compared == {"endomorphism", "multiplicative", "dendriform-3",
@@ -1005,7 +999,7 @@ def _run_at(laws, frame, doc, tuples=None, points=None):
         if tuples is not None:
             labs = [t for t in tuples if len(t) == len(law.labels)]
         for at, ix, _, (left, *rights) in run(
-                frame, labs, pts if points is None else points, False):
+                frame, labs, pts if points is None else points, False, law.role):
             lc, rcs = _differences(red, left, rights)
             out += [Violation(law.axiom, at, ix, lc, rc) for rc in rcs]
     return out
@@ -1105,6 +1099,52 @@ def test_a_construction_frame_over_q_binds_its_fill_map_as_ints(monkeypatch):
     # diag(1, 1/2), g = p^3 = diag(1, 1/8) has the largest
     assert "g" in frames[1] and frames[1]["D"] == 2
     assert "g" in frames[5] and frames[5]["D"] == 8
+
+
+def test_no_role_is_bound_on_a_frame(monkeypatch):
+    """The role under check is its runner's argument, so once _frame has
+    returned a frame, the only names set on it are sparse forms ("~") and
+    the searched map (f, or P in the operator search).  On an rb doc and on
+    the tridendriform doc it splits into, over Q and F_3: per-role side
+    conditions, a morphism check, a comparison, yau_twist and
+    dendriform_twist (each refusing the other kind), and over F_3 a
+    candidate_check decision."""
+    import halg.constructions
+    from halg import dendriform_twist
+    from halg.axioms import candidate_check, first_difference
+    from halg.errors import PreconditionFailed
+    real, dict_set, bound = halg.axioms._frame, halg.axioms._Frame.__setitem__, []
+
+    def frame(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.returned = True
+        return out
+
+    def setitem(frame, key, value):
+        if getattr(frame, "returned", False):
+            bound.append(key)
+        dict_set(frame, key, value)
+    monkeypatch.setattr(halg.axioms, "_frame", frame)
+    monkeypatch.setattr(halg.constructions, "_frame", frame)
+    monkeypatch.setattr(halg.axioms._Frame, "__setitem__", setitem)
+    for name in ("N2-Pnil-w0", "N2-Pnil-w0-F3"):
+        rb = catalog(name)
+        for doc in (rb, rb_to_tridendriform(rb)):
+            one = LinearMap.identity(doc.field, doc.dim)
+            assert check_side_conditions(doc, ["endomorphism", "centroid"]).passed
+            assert check_morphism(one, doc, doc).passed
+            assert first_difference(doc, doc) is None
+            rb_kind = doc.kind in RB_KINDS
+            for construct, takes in ((yau_twist, rb_kind), (dendriform_twist, not rb_kind)):
+                if takes:
+                    assert construct(doc, one).kind == doc.kind.replace("plain", "hom")
+                else:
+                    with pytest.raises(PreconditionFailed):
+                        construct(doc, one)
+            if doc.field.is_prime_field:
+                assert candidate_check(doc, "endomorphism")(one.columns())
+    assert "f" in bound and any(key.endswith("~") for key in bound), bound
+    assert all(key.endswith("~") or key in ("f", "P") for key in bound), bound
 
 
 def test_linear_system_refuses_a_law_with_several_right_hand_sides():

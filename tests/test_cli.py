@@ -396,7 +396,11 @@ def test_scalars_with_denominator_divisible_by_p_are_usage_errors(tmp_path, caps
     assert main(["construct", "yau-twist", path,
                  "--param", 'twist=[["1/3",0],[0,1]]']) == 1
     _, err = capsys.readouterr()
-    assert "error: twist:" in err
+    assert "error: twist[0][0]:" in err
+    for bad, at in (("[[1,0],[0,true]]", "twist[1][1]"), ("[[1.5,0],[0,1]]", "twist[0][0]")):
+        assert main(["construct", "yau-twist", path, "--param", f"twist={bad}"]) == 1
+        _, err = capsys.readouterr()
+        assert f"error: {at}:" in err
     fam = write_docs(tmp_path, "fam.jsonl", catalog("N2-F3"))
     assert main(["construct", "collapse", fam,
                  "--param", 'coeffs={"a":"2/3"}']) == 1

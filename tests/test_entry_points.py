@@ -17,10 +17,12 @@ from halg import (DENDRIFORM_AXIOM3_TWIST, GF, PLAIN_ASSOC_MATCHING_RB, QQ,
                   BilinearMap, DimensionMismatch, FieldMismatch, HalgError,
                   LinearMap, OperatorFamily, ParamError, PreconditionFailed,
                   SearchSpec, ShapeError, UnknownFixtureError,
-                  Violation, catalog, centroid_twist, check_morphism,
+                  Violation, apply_map, bilinear_apply, catalog,
+                  centroid_twist, check_morphism,
                   check_side_conditions, check_structure, collapse_family,
                   commutator, dendriform_twist, derived_algebra,
-                  enumerate_docs, make_doc,
+                  enumerate_docs, kernel_vector, make_doc, map_compose,
+                  map_invert, map_power,
                   parse_doc, postcompose, precompose_left, precompose_right,
                   rb_to_dendriform, rb_to_prelie, replay_violation,
                   seeded_sample,
@@ -171,6 +173,12 @@ def _cases():
         lambda: untwist(singular)
     yield "derived_algebra variant 2 on a failing Lie input", PreconditionFailed, None, \
         lambda: derived_algebra(lie, 1, 2)
+    # a variant is the int 1 or 2: a bool or a float equal to one is refused
+    for bad in (True, 1.0, 2.0):
+        yield f"derived_algebra variant {bad!r}", ParamError, None, \
+            lambda bad=bad: derived_algebra(rb, 1, bad)
+        yield f"centroid_twist variant {bad!r}", ParamError, None, \
+            lambda bad=bad: centroid_twist(rb, id2, bad)
     # the tensor operations check their tensor and map by the one rule for
     # map arguments, over Q and over F_p alike
     half_float = BilinearMap(QQ, (((0.5, 0), (0, 0)), ((0, 0), (0, 0))))
@@ -288,8 +296,26 @@ def _cases():
             ("precompose_left 5", lambda: precompose_left(5, id2)),
             ("precompose_right 5", lambda: precompose_right(5, id2)),
             ("tensor_transpose 5", lambda: tensor_transpose(5)),
-            ("tensor_combine term 5", lambda: tensor_combine(QQ, [(1, 5)]))):
+            ("tensor_combine term 5", lambda: tensor_combine(QQ, [(1, 5)])),
+            ("tensor_combine bare tensor", lambda: tensor_combine(QQ, [zero2])),
+            # a map, tensor, power or dim that is not one, given to an
+            # exported linalg helper
+            ("map_power 1.5", lambda: map_power(id2, 1.5)),
+            ("map_power '2'", lambda: map_power(id2, "2")),
+            ("map_power True", lambda: map_power(id2, True)),
+            ("LinearMap.identity dim 'x'", lambda: LinearMap.identity(QQ, "x")),
+            ("BilinearMap.zero dim 2.0", lambda: BilinearMap.zero(QQ, 2.0)),
+            ("map_power str", lambda: map_power("x", 2)),
+            ("map_compose str", lambda: map_compose(id2, "x")),
+            ("map_invert str", lambda: map_invert("x")),
+            ("kernel_vector str", lambda: kernel_vector("x")),
+            ("apply_map str", lambda: apply_map("x", (1, 0))),
+            ("bilinear_apply str", lambda: bilinear_apply("m", (1, 0), (0, 1)))):
         yield name, ParamError, None, call
+    # a coefficient of tensor_combine is a canonical scalar of its field
+    for bad in ("x", 0.5):
+        yield f"tensor_combine coefficient {bad!r}", ShapeError, "terms[0]", \
+            lambda bad=bad: tensor_combine(QQ, [(bad, zero2)])
 
 
 _CASES = list(_cases())
