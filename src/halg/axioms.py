@@ -43,9 +43,8 @@ twist, operator column, weight and candidate map as ints times one common
 denominator D, the lcm of every denominator it binds (for a law between
 two docs, of both docs' and the map's), so the runner works on ints alone;
 over F_p, D = 1.  A row's degree K is the most maps and weights one of its
-terms applies; its padded runner, compiled when a frame whose D is not 1
-first runs the row, takes a term of degree k times D^(K - k), so every side
-is D^K times its value.
+terms applies; its runner takes a term of degree k times D^(K - k), so on
+every frame every side is D^K times its value.
 The guard is compiled from the row's terms: at a basis tuple where every
 side is provably the zero vector (a structure constant or column it looks
 up is zero, a weight it scales by is 0, or a product it multiplies through
@@ -264,12 +263,10 @@ _STRUCTURE_LAWS, _MAP_LAWS = _tables()
 # A law's degree K is the largest number of maps and weights one of its
 # terms applies ("-" is a sign, not a map).  A frame binds every scalar
 # times its D (_scaled), so a term of degree k evaluates to D^k times its
-# value.  So each law has a padded twin, in which each term is multiplied
-# by D^(K - k), read as the scalar name "D", and every side is D^K times
-# its value; where every term has degree K the twin is the law itself.
-# Frames that bind D run the twins' runners (_twin), each compiled once per
-# process by _runners on that first use; frames with D = 1, every frame
-# over F_p, run the laws as written and compile no twin.
+# value.  So the runner multiplies each term by D^(K - k), read as the
+# scalar name "D" that every frame binds, and every side is D^K times its
+# value; a law whose terms all have degree K runs as written.  One runner
+# serves every frame, D = 1 included (every frame over F_p).
 
 def _terms(node):
     """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
@@ -442,27 +439,21 @@ class _Compiled:
     axiom: str
     labels: str
     arity: int
-    degree: int       # K: the padded twin's sides are D^K times their values
+    degree: int       # K: every side run yields is D^K times its value
     run: object       # run(F, tuples, pts, every, R), as above
     law: _Law         # the row it was compiled from
     role: str | None  # R, the role it is checked on
 
 
 @lru_cache(maxsize=None)
-def _runners(law: _Law, padded: bool = False):
-    """(arity, degree, run) for law's sides, or with padded set for its
-    padded twin's, in which each term is brought to the law's degree by
-    powers of D; the twin's run is the law's own where every term has it.
-    Compiled once per process, and shared by every role the law is checked
-    on."""
+def _runners(law: _Law):
+    """(arity, degree, run) for law's sides, each term brought to the law's
+    degree K by powers of D.  Compiled once per process, and shared by
+    every role the law is checked on and every frame it runs on."""
     sides = _sides(law)
     arity = 1 + max(s for side in sides for t in side for s in _slots(t))
     degree = max(_degree(t) for side in sides for t in side)
-    if padded:
-        twin = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
-        if twin == sides:
-            return _runners(law)
-        sides = twin
+    sides = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
     scope = dict(_KERNELS)
     exec(_runner_source(law.labels, arity, sides), scope)
     return arity, degree, scope["run"]
@@ -470,9 +461,7 @@ def _runners(law: _Law, padded: bool = False):
 
 @lru_cache(maxsize=None)
 def _compile(law: _Law, role) -> _Compiled:
-    """law compiled for role; its padded twin's runner is compiled by
-    _runners on its first use, which _twin makes only where a frame binds
-    D."""
+    """law compiled for role, on the runner its roles share (_runners)."""
     return _Compiled(law.axiom.format(role=role), law.labels, *_runners(law), law, role)
 
 
@@ -511,9 +500,7 @@ class _Frame(dict):
     """Names bound to maps by _scaled.  A key "n~" not yet bound is made on
     first use as the sparse form of n's tensor, or of each of its per-label
     tensors, so a frame makes sparse forms only for the tensors its laws
-    multiply through, and keeps them no longer than itself.  D, the common
-    denominator its maps are scaled by, is bound only where it is not 1, so
-    frames over F_p hold no more names than they read and run no twins."""
+    multiply through, and keeps them no longer than itself."""
 
     def __missing__(self, key):
         if not key.endswith("~"):
@@ -554,13 +541,13 @@ def _times(v, d):
 
 
 def _scaled(maps: dict, field, dim) -> _Frame:
-    """The frame binding maps, the basis of dim and the sign "-".  Over Q
-    every map and weight in maps is bound times one common D, the lcm of
-    every denominator they hold, and D is bound as "D" where it is not 1;
-    over F_p maps are bound as they are.  Every map reaches here checked
-    (check_map), so its entries are canonical scalars."""
+    """The frame binding maps, the basis of dim, the sign "-" and D.  Over
+    Q every map and weight in maps is bound times one common D, the lcm of
+    every denominator they hold; over F_p, D = 1 and maps are bound as they
+    are.  Every map reaches here checked (check_map), so its entries are
+    canonical scalars."""
     d = 1 if field.is_prime_field else lcm(*_denominators(maps, {1}))
-    frame = _Frame(maps) if d == 1 else _Frame(_times(maps, d), D=d)
+    frame = _Frame(maps if d == 1 else _times(maps, d), D=d)
     frame["basis"], frame["-"] = _basis(dim), -1
     return frame
 
@@ -592,26 +579,18 @@ def _frame(doc: AlgebraDoc, f=None, dst=None, g=None) -> _Frame:
     return _scaled(maps, doc.field, doc.dim)
 
 
-def _twin(law: _Compiled, frame, field):
-    """(runner, reducer): how frame runs law and reduces its sides.  Where
-    frame binds D, the padded twin's runner, whose sides are D^K times
-    their values (_runners(law.law, True), compiled on its first use), and
-    x -> x / D^K reduced; elsewhere law's own runner and field.reduce."""
-    d = frame.get("D")
-    if d is None:
-        return law.run, field.reduce
-    scale = d ** law.degree
-    return _runners(law.law, True)[2], lambda x: field.reduce(Fraction(x, scale))
-
-
 def _plan(laws, frame, labels, field):
-    """Each law as frame runs it: (law, runner, reducer, basis tuples,
-    label tuples), with runner and reducer as _twin picks them, every basis
-    tuple of the law's arity and every ordered tuple of labels of its label
-    count.  A generator, so a caller that stops early twins no later law."""
-    dim = len(frame["basis"])
+    """Each law as frame runs it: (law, reducer, basis tuples, label
+    tuples), with every basis tuple of the law's arity and every ordered
+    tuple of labels of its label count.  law.run yields sides D^K times
+    their values, so the reducer is field.reduce where D^K is 1, and
+    otherwise x -> x / D^K reduced: the one place a reducer is chosen."""
+    dim, d = len(frame["basis"]), frame["D"]
     for law in laws:
-        yield (law, *_twin(law, frame, field), _points(dim, law.arity),
+        scale = d ** law.degree
+        red = field.reduce if scale == 1 else (
+            lambda x, scale=scale: field.reduce(Fraction(x, scale)))
+        yield (law, red, _points(dim, law.arity),
                tuple(product(labels, repeat=len(law.labels))))
 
 
@@ -628,11 +607,11 @@ def _violations(laws, frame, labels, field):
     """Every failed instance of the compiled laws, in (law, labels, basis)
     order.  Each law's runner skips the instances whose guard proves every
     side zero and yields the others where some rhs differs from the lhs
-    raw, D^K times their values (_twin); here each such pair is divided
-    back and reduced (_differences), and a violation is one whose reduced
-    sides still differ."""
-    for law, run, red, pts, each in _plan(laws, frame, labels, field):
-        for labs, ix, _, (left, *rights) in run(frame, each, pts, False, law.role):
+    raw, D^K times their values; here each such pair is divided back and
+    reduced (_differences, by _plan's reducer), and a violation is one
+    whose reduced sides still differ."""
+    for law, red, pts, each in _plan(laws, frame, labels, field):
+        for labs, ix, _, (left, *rights) in law.run(frame, each, pts, False, law.role):
             lc, rcs = _differences(red, left, rights)
             for rc in rcs:
                 yield Violation(law.axiom, labs, ix, lc, rc)
@@ -644,9 +623,10 @@ def _holds(plan, frame, points=None, tuples=None):
     check runs at fewer instances: points and tuples, where given, replace
     the plan's basis tuples and label tuples (tuples then name as many
     labels as each law of plan takes)."""
-    for law, run, red, pts, labs in plan:
-        for *_, (left, *rights) in run(frame, labs if tuples is None else tuples,
-                                       pts if points is None else points, False, law.role):
+    for law, red, pts, labs in plan:
+        for *_, (left, *rights) in law.run(frame, labs if tuples is None else tuples,
+                                           pts if points is None else points, False,
+                                           law.role):
             if _differences(red, left, rights)[1]:
                 return False
     return True
@@ -689,7 +669,7 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
     """Re-evaluate a witness; returns the canonical (lhs, rhs) pair."""
     require(violation, Violation, "violation")
     laws, frame = _laws_for(doc, axiom_toggles, violation.axiom == "mhl-symmetry")
-    for law in laws:
+    for law, red, *_ in _plan(laws, frame, doc.labels, doc.field):
         if law.axiom != violation.axiom:
             continue
         labels, basis = violation.labels, violation.basis
@@ -701,8 +681,7 @@ def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
             raise ParamError(f"{violation.axiom} witnesses take {len(law.labels)} "
                              f"of the doc's labels and {law.arity} basis indices "
                              f"below {doc.dim}")
-        run, red = _twin(law, frame, doc.field)
-        (_, _, _, sides), = run(frame, (labels,), (basis,), True, law.role)
+        (_, _, _, sides), = law.run(frame, (labels,), (basis,), True, law.role)
         return tuple(tuple(map(red, side)) for side in sides[:2])
     raise ParamError(f"axiom {violation.axiom!r} is not checked for kind {doc.kind!r}")
 
@@ -812,12 +791,13 @@ def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
 
 def fill(side, field, frame, lab=None) -> BilinearMap:
     """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced.
-    side compiles once per process as a law, run as _twin picks, and reads
-    its names and basis from frame (_frame, _scaled), with a at lab."""
-    run, red = _twin(_compile(_law("fill", "a", side), None), frame, field)
+    side compiles once per process as a law, reduced as _plan picks, and
+    reads its names and basis from frame (_frame, _scaled), with a at lab."""
+    (law, red, pts, each), = _plan((_compile(_law("fill", "a", side), None),),
+                                   frame, (lab,), field)
     dim = len(frame["basis"])
-    entries = [tuple(map(red, sides[0])) for _, _, _, sides
-               in run(frame, ((lab,),), _points(dim, 2), True, None)]
+    entries = [tuple(map(red, sides[0])) for *_, sides
+               in law.run(frame, each, pts, True, None)]
     return BilinearMap(field, tuple(tuple(entries[i * dim:(i + 1) * dim])
                                     for i in range(dim)))
 
@@ -847,7 +827,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     if any(len(law.law.rhs) > 1 for law in _role_laws(tag, doc)):
         raise ParamError(f"{tag} has a law with several right-hand sides on "
                          f"{doc.kind}, so it is not one linear system")
-    dim, red, d = doc.dim, doc.field.reduce, frame.get("D", 1)
+    dim, red, d = doc.dim, doc.field.reduce, frame["D"]
     units, zero = [tuple(d * x for x in e) for e in frame["basis"]], (0,) * dim
     rows = {}
     for col, (r, s) in enumerate(_points(dim, 2)):
@@ -862,8 +842,8 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
 
 def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     """ok(candidate, points=None, tuples=None) -> bool for a search that
-    varies one kind of map on doc.  Each law's runner, reducer, basis tuples
-    and label tuples are resolved once here (_plan) on one frame built once
+    varies one kind of map on doc.  Each law's reducer, basis tuples and
+    label tuples are resolved once here (_plan) on one frame built once
     from doc, as one plan over every role; a decision binds the candidate
     in that frame and runs those runners, each given its law's role, at
     points and tuples in place of the plan's own where given, and the first

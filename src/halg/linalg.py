@@ -91,6 +91,22 @@ def check_operand(f, field: Field, dim: int, path: str, mismatch: str) -> None:
     check_map(f, LinearMap, field, dim, path)
 
 
+def _require_dim(dim) -> None:
+    """Raise ParamError unless dim is an int (not a bool) of at least 1."""
+    require_int(dim, "dim")
+    if dim < 1:
+        raise ParamError(f"dim must be at least 1, got {dim}")
+
+
+def _vector(x, field: Field, path: str) -> Vector:
+    """x, a list or tuple, with each entry made canonical in field (errors
+    name the entry's path); ShapeError at path for anything else."""
+    if not isinstance(x, _ARRAY):
+        raise ShapeError(f"expected a vector (a list or tuple), got {type(x).__name__}",
+                         path)
+    return tuple(field.canonical(v, f"{path}[{i}]") for i, v in enumerate(x))
+
+
 def _size_error(a, dim: int, path: str) -> ShapeError:
     got = len(a) if isinstance(a, _ARRAY) else type(a).__name__
     return ShapeError(f"expected {dim} entries, got {got}", path)
@@ -115,7 +131,7 @@ class LinearMap:
     @staticmethod
     def identity(field: Field, dim: int) -> "LinearMap":
         require(field, Field, "field")
-        require_int(dim, "dim")
+        _require_dim(dim)
         one, zero = field.one, field.zero
         return LinearMap(field, tuple(tuple(one if i == j else zero for j in range(dim))
                                       for i in range(dim)))
@@ -155,8 +171,10 @@ def apply_raw(cols, x) -> list:
 
 
 def apply_map(f: LinearMap, x: Sequence) -> Vector:
-    """f(x) for a coefficient vector x."""
+    """f(x) for a coefficient vector x: a list or tuple of scalars of f's
+    field."""
     require(f, LinearMap, "f")
+    x = _vector(x, f.field, "x")
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
     return tuple(map(f.field.reduce, apply_raw(f.columns(), x)))
@@ -277,7 +295,7 @@ class BilinearMap:
     @staticmethod
     def zero(field: Field, dim: int) -> "BilinearMap":
         require(field, Field, "field")
-        require_int(dim, "dim")
+        _require_dim(dim)
         z = field.zero
         return BilinearMap(field, tuple(tuple(tuple(z for _ in range(dim))
                                               for _ in range(dim))
@@ -329,9 +347,9 @@ def bilinear_raw(s, x, y) -> list:
 
 
 def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
-    """m(x, y) for coefficient vectors x and y."""
+    """m(x, y) for coefficient vectors x and y, as for apply_map."""
     require(m, BilinearMap, "m")
-    dim = m.dim
+    dim, x, y = m.dim, _vector(x, m.field, "x"), _vector(y, m.field, "y")
     if len(x) != dim or len(y) != dim:
         raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
     return tuple(map(m.field.reduce, bilinear_raw(sparse_tensor(m.c), x, y)))

@@ -26,11 +26,11 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   make_doc, map_invert, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import (_MAP_LAWS, _STRUCTURE_LAWS, DENDRIFORM_AXIOM3_TWIST,
-                         _compile, _differences, _frame,
-                         _laws_for, _map_laws, _plan, _points, _runner_source,
-                         _runners, _sides, _structure_laws, _twin,
-                         _violations)
+from halg.axioms import (_KERNELS, _MAP_LAWS, _STRUCTURE_LAWS,
+                         DENDRIFORM_AXIOM3_TWIST, _compile, _degree,
+                         _differences, _frame, _laws_for, _map_laws, _padded,
+                         _plan, _points, _runner_source, _runners, _sides,
+                         _structure_laws, _violations)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -810,7 +810,7 @@ def test_the_zero_guard_holds_only_where_every_side_is_zero():
                 runs += [(role, _map_laws(tag, role))
                          for role in (KIND_ROLES[doc.kind] if per_role else (None,))]
         for role, laws in runs:
-            pairs = [(law, _twin(law, frame, doc.field)[0]) for law in laws]
+            pairs = [(law, law.run) for law in laws]
             held, n = _guarded_sides(pairs, frame, doc.labels, doc.dim)
             seen.update(pairs)
             tried += n
@@ -828,7 +828,7 @@ def test_the_guard_skips_every_instance_on_zero_tensors():
     two labels, and whose operators, twists and weights stay seeded, the
     guard of every structure law (all kinds, both dendriform readings,
     verbose on) and of every map tag checked per role (the tags whose laws
-    multiply through a tensor) holds at every instance, padded twins
+    multiply through a tensor) holds at every instance, padded terms
     included."""
     rng = random.Random(2503)
     tried, dense = 0, 0
@@ -849,11 +849,10 @@ def test_the_guard_skips_every_instance_on_zero_tensors():
                              for role in KIND_ROLES[kind]]
                     for role, laws in runs:
                         for law in laws:
-                            run = _twin(law, frame, field)[0]
                             tuples = itertools.product(labels, repeat=len(law.labels))
-                            for labs, ix, held, _ in run(frame, tuples,
-                                                         _points(dim, law.arity), True,
-                                                         law.role):
+                            for labs, ix, held, _ in law.run(frame, tuples,
+                                                             _points(dim, law.arity),
+                                                             True, law.role):
                                 tried += 1
                                 assert held, (doc, law.axiom, labs, ix)
     assert dense > 20 and tried > 10000, (dense, tried)
@@ -885,109 +884,106 @@ def test_a_zero_product_check_calls_no_kernel(monkeypatch):
     assert {"mul", "app"} <= set(calls)
 
 
-def test_the_runners_text_stays_small():
-    """Every process compiles the runners of the laws it checks, so their
-    text is kept small: summed over every distinct row of both law tables
-    it stays under a ceiling about 10% above the 20,903 characters the 32
-    rows take now."""
+def _rows():
+    """Every distinct row of both law tables."""
     rows = dict.fromkeys(law for laws in _STRUCTURE_LAWS.values() for law in laws)
     rows.update(dict.fromkeys(law for _, laws in _MAP_LAWS.values() for law in laws))
-    total = sum(len(_runner_source(law.labels, _runners(law)[0], _sides(law)))
-                for law in rows)
-    assert len(rows) == 32
+    return list(rows)
+
+
+def test_the_runners_text_stays_small():
+    """Every process compiles the runners of the laws it checks, so their
+    text is kept small: summed over every distinct row of both law tables,
+    each term padded to the law's degree as _runners compiles it, it stays
+    under a ceiling about 10% above the 21,141 characters the 32 rows take
+    now."""
+    total = 0
+    for law in _rows():
+        arity, degree, _ = _runners(law)
+        padded = [[_padded(t, degree - _degree(t)) for t in side] for side in _sides(law)]
+        total += len(_runner_source(law.labels, arity, padded))
+    assert len(_rows()) == 32
     assert total <= 23000, total
 
 
-def test_only_laws_with_terms_below_their_degree_have_a_padded_twin():
-    """Every row of both law tables compiles to its own padded twin, except
-    the four whose terms do not all have the law's degree.  With D bound to
-    1, each of those twins has the law's sides at every instance over the
-    zero-guard corpus: it is the law, padded."""
-    roles = sorted({role for kind in KINDS for role in KIND_ROLES[kind]})
-    compiled = [(law, _compile(law, None))
-                for laws in _STRUCTURE_LAWS.values() for law in laws]
-    compiled += [(law, _compile(law, role)) for per_role, laws in _MAP_LAWS.values()
-                 for law in laws for role in (roles if per_role else (None,))]
-    twinned = {(law.axiom, law.when) for law, _ in compiled
-               if _runners(law, True) != _runners(law)}
-    assert twinned == {("endomorphism", None), ("multiplicative", None),
-                       ("morphism-{role}", None),
-                       ("dendriform-3", "!" + DENDRIFORM_AXIOM3_TWIST)}
-    assert all(_runners(law, True) is _runners(law, True)
-               and _runners(law, True)[:2] == (c.arity, c.degree) for law, c in compiled)
+def test_each_law_runs_its_sides_padded_to_its_degree():
+    """Every row compiles one runner, whose terms are brought to the law's
+    degree K by powers of D; the rows with a term below K are exactly these
+    four.  With D bound to 1, each law's runner (all kinds, both dendriform
+    readings, verbose on, every map tag) yields at every instance over the
+    zero-guard corpus the sides of a reference runner compiled from the
+    law's sides as written."""
+    def below(law):
+        degrees = [_degree(t) for side in _sides(law) for t in side]
+        return min(degrees) < max(degrees)
+    assert {(law.axiom, law.when) for law in _rows() if below(law)} == {
+        ("endomorphism", None), ("multiplicative", None), ("morphism-{role}", None),
+        ("dendriform-3", "!" + DENDRIFORM_AXIOM3_TWIST)}
 
+    reference = {}
+    for law in _rows():
+        scope = dict(_KERNELS)
+        exec(_runner_source(law.labels, _runners(law)[0], _sides(law)), scope)
+        reference[law] = scope["run"]
     compared = set()
     for doc, partner, cand in _guard_corpus():
         frame = _frame(doc, cand.columns(), partner)
         frame["D"] = 1
-        runs = [(None, _structure_laws(doc.kind, False, False))]
-        runs += [(role, _map_laws(tag, role)) for role in KIND_ROLES[doc.kind]
-                 for tag in ("endomorphism", "multiplicative", "morphism")]
-        for role, laws in runs:
-            for law in laws:
-                twin = _runners(law.law, True)[2]
-                if twin is law.run:
-                    continue
-                compared.add(law.axiom)
-                points = list(itertools.product(range(doc.dim), repeat=law.arity))
-                tuples = list(itertools.product(doc.labels, repeat=len(law.labels)))
-                runs = (law.run(frame, tuples, points, True, law.role),
-                        twin(frame, tuples, points, True, law.role))
-                for (labs, ix, _, sides), (*_, twin) in zip(*runs, strict=True):
-                    assert sides == twin, (doc, law.axiom, labs, ix)
-    assert compared == {"endomorphism", "multiplicative", "dendriform-3",
-                        *(f"morphism-{role}" for role in roles)}, compared
+        laws = [law for twist3 in (True, False)
+                for law in _structure_laws(doc.kind, twist3, True)]
+        for tag, (per_role, _) in _MAP_LAWS.items():
+            if tag not in ("commutes", "operator-intertwine") or doc.operators is not None:
+                laws += [law for role in (KIND_ROLES[doc.kind] if per_role else (None,))
+                         for law in _map_laws(tag, role)]
+        for law in laws:
+            compared.add(law.law)
+            points = _points(doc.dim, law.arity)
+            tuples = list(itertools.product(doc.labels, repeat=len(law.labels)))
+            runs = (law.run(frame, tuples, points, True, law.role),
+                    reference[law.law](frame, tuples, points, True, law.role))
+            for (labs, ix, _, sides), (*_, expected) in zip(*runs, strict=True):
+                assert sides == expected, (doc, law.axiom, labs, ix)
+    assert compared == set(_rows()), set(_rows()) - compared
 
 
-_TWINS_PROBE = """
+_RUNNERS_PROBE = """
 from fractions import Fraction
 from halg import (QQ, SIDE_CONDITIONS, LinearMap, catalog, check_morphism,
                   check_side_conditions, check_structure, commutator,
                   enumerate_docs, rb_to_dendriform, SearchSpec)
-import halg.axioms
-from halg.axioms import DENDRIFORM_AXIOM3_TWIST
+from halg.axioms import DENDRIFORM_AXIOM3_TWIST, _runners
 
-# the axiom of each law whose padded runner is compiled, in order
-runners, padded = halg.axioms._runners, []
+def battery(suffix, half):
+    base = catalog("N2-Pnil-w0" + suffix)
+    for name in ("N2", "aff2", "N2-Pnil-w0", "N2-id-wm1"):
+        check_structure(catalog(name + suffix), verbose=True)
+    dendriform = rb_to_dendriform(base)
+    for reading in (True, False):
+        check_structure(dendriform, axiom_toggles={DENDRIFORM_AXIOM3_TWIST: reading})
+    half = LinearMap.from_rows(base.field, [[half, 0], [0, 0]])
+    check_side_conditions(base, list(SIDE_CONDITIONS), candidate=half)
+    check_morphism(half, base, base)
+    commutator(base)
 
-def counted(law, *pad):
-    misses = runners.cache_info().misses
-    out = runners(law, *pad)
-    if pad and runners.cache_info().misses > misses:
-        padded.append(law.axiom)
-    return out
-
-halg.axioms._runners = counted
-
-base = catalog("N2-Pnil-w0-F3")
-half = LinearMap.from_rows(base.field, [[2, 0], [0, 0]])
-for name in ("N2-F3", "aff2-F3", "N2-Pnil-w0-F3", "N2-id-wm1-F2"):
-    check_structure(catalog(name), verbose=True)
-dendriform = rb_to_dendriform(base)
-for reading in (True, False):
-    check_structure(dendriform, axiom_toggles={DENDRIFORM_AXIOM3_TWIST: reading})
-check_side_conditions(base, list(SIDE_CONDITIONS), candidate=half)
-check_morphism(half, base, base)
-commutator(base)
-enumerate_docs(SearchSpec(base, "endomorphism"))
-print(len(padded), end=" ")
-check_side_conditions(catalog("N2-Pnil-w0"), ["endomorphism"],
-                      candidate=LinearMap.from_rows(QQ, [[Fraction(1, 2), 0], [0, 0]]))
-print(sorted(padded))
+battery("-F3", 2)
+enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F3"), "endomorphism"))
+compiled = _runners.cache_info().misses
+# the same laws over Q, where the candidate's 1/2 makes D = 2
+battery("", Fraction(1, 2))
+print(compiled > 0, _runners.cache_info().misses - compiled)
 """
 
 
-def test_checks_over_f_p_compile_no_padded_twin():
-    """Only a frame that binds D runs a padded twin, so a process that
-    checks docs over F_p alone, the four laws that have a twin of their own
-    included, compiles none; its first check over Q with D = 2 compiles the
-    one twin it runs."""
+def test_a_check_over_q_compiles_no_runner_a_check_over_f_p_did():
+    """Each law compiles one runner for every frame, so after checks over
+    F_3 a process running the same laws over Q, with D = 2 on the frames
+    that bind the candidate 1/2, compiles no runner more."""
     src = os.path.dirname(os.path.dirname(halg.axioms.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", _TWINS_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _RUNNERS_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout == "0 ['endomorphism']\n", out
+    assert out.stdout == "True 0\n", out
 
 
 def _run_at(laws, frame, doc, tuples=None, points=None):
@@ -995,10 +991,10 @@ def _run_at(laws, frame, doc, tuples=None, points=None):
     when given tuples (those of its label count) and points in place of
     every label tuple and basis tuple, in the full check's order."""
     out = []
-    for law, run, red, pts, labs in _plan(laws, frame, doc.labels, doc.field):
+    for law, red, pts, labs in _plan(laws, frame, doc.labels, doc.field):
         if tuples is not None:
             labs = [t for t in tuples if len(t) == len(law.labels)]
-        for at, ix, _, (left, *rights) in run(
+        for at, ix, _, (left, *rights) in law.run(
                 frame, labs, pts if points is None else points, False, law.role):
             lc, rcs = _differences(red, left, rights)
             out += [Violation(law.axiom, at, ix, lc, rc) for rc in rcs]
@@ -1049,19 +1045,18 @@ def test_a_frame_over_q_binds_only_ints():
     """Over Q a frame binds every tensor, sparse form, twist, operator
     column, weight and candidate map as ints, times one common denominator
     D that the pair of docs and the candidate share, so no Fraction enters
-    the evaluator; over F_p D is 1, which a frame leaves unbound."""
+    the evaluator; over F_p every frame binds D = 1."""
     scaled = 0
     for doc, partner, cand in _guard_corpus():
         laws, frame = _laws_for(doc, None, True)
         list(_violations(laws, frame, doc.labels, doc.field))
         frame2 = target = _frame(doc, cand.columns(), partner)
         sparse = [frame2[role + s + "~"] for s in ("", "2") for role in KIND_ROLES[doc.kind]]
-        d, d2 = frame.get("D", 1), frame2.get("D", 1)
+        d, d2 = frame["D"], frame2["D"]
         if doc.field.is_prime_field:
-            # D = 1, so it is not bound and no law reads it
-            assert not {"D"} & (frame.keys() | frame2.keys() | target.keys())
+            assert d == d2 == target["D"] == 1
             continue
-        assert d2 == target.get("D", 1) and d2 % d == 0 and ("D" in frame) == (d > 1)
+        assert d2 == target["D"] and d2 % d == 0 and d >= 1
         for f in (frame, frame2, target, sparse):
             assert all(type(x) is int for x in _bound(f)), doc
         scaled += d > 1

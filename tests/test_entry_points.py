@@ -316,6 +316,28 @@ def _cases():
     for bad in ("x", 0.5):
         yield f"tensor_combine coefficient {bad!r}", ShapeError, "terms[0]", \
             lambda bad=bad: tensor_combine(QQ, [(bad, zero2)])
+    # a dim below 1 makes no map
+    for name, call in (("LinearMap.identity dim 0", lambda: LinearMap.identity(QQ, 0)),
+                       ("LinearMap.identity dim -1", lambda: LinearMap.identity(QQ, -1)),
+                       ("BilinearMap.zero dim 0", lambda: BilinearMap.zero(QQ, 0)),
+                       ("BilinearMap.zero dim -2", lambda: BilinearMap.zero(QQ, -2))):
+        yield name, ParamError, None, call
+    # a vector is a list or tuple of scalars of the map's field, as long as
+    # the map's dim
+    for name, path, call in (
+            ("apply_map vector 5", "x", lambda: apply_map(id2, 5)),
+            ("apply_map entry 'a'", "x[0]", lambda: apply_map(id2, ("a", 1))),
+            ("apply_map entry 1.5", "x[0]", lambda: apply_map(id2, (1.5, 0))),
+            ("apply_map entry True", "x[1]", lambda: apply_map(id2, [0, True])),
+            ("bilinear_apply x 5", "x", lambda: bilinear_apply(zero2, 5, (1, 0))),
+            ("bilinear_apply y 'y'", "y", lambda: bilinear_apply(zero2, (1, 0), "y")),
+            ("bilinear_apply y entry 0.5", "y[1]",
+             lambda: bilinear_apply(zero2, (1, 0), (0, 0.5)))):
+        yield name, ShapeError, path, call
+    for name, call in (("apply_map vector ()", lambda: apply_map(id2, ())),
+                       ("apply_map vector of 3", lambda: apply_map(id2, (1, 0, 0))),
+                       ("bilinear_apply y ()", lambda: bilinear_apply(zero2, (1, 0), []))):
+        yield name, DimensionMismatch, None, call
 
 
 _CASES = list(_cases())
