@@ -594,42 +594,25 @@ def _plan(laws, frame, labels, field):
                tuple(product(labels, repeat=len(law.labels))))
 
 
-def _differences(red, left, rights):
-    """The lhs left reduced by red, and each rhs that differs from it
-    once reduced.  A runner yields raw sides, so equal raw sides are equal
-    values and are not reduced."""
-    lc = tuple(map(red, left))
-    return lc, [rc for rc in (tuple(map(red, r)) for r in rights if r != left)
-                if rc != lc]
-
-
-def _violations(laws, frame, labels, field):
-    """Every failed instance of the compiled laws, in (law, labels, basis)
-    order.  Each law's runner skips the instances whose guard proves every
-    side zero and yields the others where some rhs differs from the lhs
-    raw, D^K times their values; here each such pair is divided back and
-    reduced (_differences, by _plan's reducer), and a violation is one
-    whose reduced sides still differ."""
-    for law, red, pts, each in _plan(laws, frame, labels, field):
-        for labs, ix, _, (left, *rights) in law.run(frame, each, pts, False, law.role):
-            lc, rcs = _differences(red, left, rights)
-            for rc in rcs:
-                yield Violation(law.axiom, labs, ix, lc, rc)
-
-
-def _holds(plan, frame, points=None, tuples=None):
-    """Whether every law of plan (_plan's entries) holds on frame as it is
-    bound now; the first reduced difference decides.  The one place a
-    check runs at fewer instances: points and tuples, where given, replace
-    the plan's basis tuples and label tuples (tuples then name as many
-    labels as each law of plan takes)."""
+def _violations(plan, frame, points=None, tuples=None):
+    """Every failed instance of the laws of plan (_plan's entries) on frame
+    as it is bound now, in (law, labels, basis, rhs) order: the one loop
+    every check runs, and a verdict is whether it yields nothing.  Each
+    law's runner skips the instances whose guard proves every side zero and
+    yields the others where some rhs differs from the lhs raw, D^K times
+    their values; here the lhs and each rhs that differs from it raw are
+    divided back and reduced by the plan's reducer, and a violation is one
+    whose reduced sides still differ.  points and tuples, where given,
+    replace the plan's basis tuples and label tuples (tuples then name as
+    many labels as each law of plan takes)."""
     for law, red, pts, labs in plan:
-        for *_, (left, *rights) in law.run(frame, labs if tuples is None else tuples,
-                                           pts if points is None else points, False,
-                                           law.role):
-            if _differences(red, left, rights)[1]:
-                return False
-    return True
+        for at, ix, _, (left, *rights) in law.run(
+                frame, labs if tuples is None else tuples,
+                pts if points is None else points, False, law.role):
+            lc = tuple(map(red, left))
+            for r in rights:
+                if r != left and (rc := tuple(map(red, r))) != lc:
+                    yield Violation(law.axiom, at, ix, lc, rc)
 
 
 def _laws_for(doc: AlgebraDoc, toggles, verbose: bool):
@@ -656,13 +639,14 @@ def check_structure(doc: AlgebraDoc, verbose: bool = False,
     bracket-symmetry diagnostic (axiom-id "mhl-symmetry").
     """
     laws, frame = _laws_for(doc, axiom_toggles, verbose)
-    return make_report(_violations(laws, frame, doc.labels, doc.field))
+    return make_report(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
 
 
 def structure_ok(doc: AlgebraDoc, axiom_toggles=None) -> bool:
     """check_structure's verdict without building the full report."""
     laws, frame = _laws_for(doc, axiom_toggles, False)
-    return _holds(_plan(laws, frame, doc.labels, doc.field), frame)
+    plan = _plan(laws, frame, doc.labels, doc.field)
+    return next(_violations(plan, frame), None) is None
 
 
 def replay_violation(doc: AlgebraDoc, violation: Violation, axiom_toggles=None):
@@ -704,7 +688,7 @@ def _require_operators(tag, doc):
 
 def _map_violations(tag, frame, doc):
     """Violations of a map or two-doc tag, role by role (_role_laws)."""
-    return _violations(_role_laws(tag, doc), frame, doc.labels, doc.field)
+    return _violations(_plan(_role_laws(tag, doc), frame, doc.labels, doc.field), frame)
 
 
 def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
@@ -847,7 +831,7 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
     from doc, as one plan over every role; a decision binds the candidate
     in that frame and runs those runners, each given its law's role, at
     points and tuples in place of the plan's own where given, and the first
-    reduced difference decides (_holds).
+    violation decides (_violations).
 
     Without a tag the operators vary.  The laws without label variables
     name neither P nor w, so they are decided here, once, on doc, and the
@@ -877,8 +861,8 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
         raise ParamError(f"candidate_check takes no tag {tag!r}")
     _require_operators(tag, doc)
     if tag is None:
-        fixed = [law for law in laws if not law.labels]
-        if not _holds(_plan(fixed, frame, doc.labels, field), frame):
+        fixed = _plan([law for law in laws if not law.labels], frame, doc.labels, field)
+        if next(_violations(fixed, frame), None) is not None:
             return None
         laws, bind = [law for law in laws if law.labels], frame["P"].update
     else:
@@ -887,5 +871,5 @@ def candidate_check(doc: AlgebraDoc, tag: str | None = None):
 
     def ok(candidate, points=None, tuples=None):
         bind(candidate)
-        return _holds(plan, frame, points, tuples)
+        return next(_violations(plan, frame, points, tuples), None) is None
     return ok

@@ -20,16 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (_MISMATCH, _frame, _scaled, _structure_laws,
+from .axioms import (_MISMATCH, _frame, _plan, _scaled, _structure_laws,
                      _tag_violations, _violations, check_structure, fill,
                      first_difference)
 # not called here: bound for the wrappers perfbench/tracing.py sets here
 from .axioms import check_morphism, check_side_conditions  # noqa: F401
 from .errors import (HalgError, MissingCoefficientError, NonzeroWeightError,
                      ParamError, PowerBoundError, PreconditionFailed,
-                     ShapeError, SingularMapError, TheoremCheckError, require)
-from .fields import Field
-from .linalg import (BilinearMap, LinearMap, check_map, check_operand,
+                     SingularMapError, TheoremCheckError, require)
+from .linalg import (BilinearMap, LinearMap, check_operand, check_own,
                      map_invert, map_power, tensor_combine)
 from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_LIE, HOM_ASSOC_MATCHING_RB,
@@ -46,13 +45,9 @@ MAX_DERIVED_LEVEL = 16
 
 def _surgery(side: str, m: BilinearMap, *f: LinearMap) -> BilinearMap:
     """side on the tensor m and on the map f where one is given: m obeys
-    check_map, and f the one rule for map arguments on m's field and dim."""
-    require(m, BilinearMap, "m")
-    require(m.field, Field, "m.field")
-    if not isinstance(m.c, (list, tuple)):
-        raise ShapeError("expected an array of structure constants", "m")
+    check_own, and f the one rule for map arguments on m's field and dim."""
+    check_own(m, BilinearMap, "m")
     field, dim = m.field, m.dim
-    check_map(m, BilinearMap, field, dim, "m")
     maps = {"m": m.c}
     for g in f:
         check_operand(g, field, dim, "f", f"map of another dim than the dim-{dim} tensor")
@@ -95,14 +90,15 @@ def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:
 
 
 def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = None,
-               tags=(), power: int | None = None, twist: int = 1):
+               tags=(), power: int | None = None):
     """The construction what, on one frame of doc.  kinds maps doc's kind
     to the output's, and doc must pass its structure laws.  rows, or
     rows(doc), which raises any further precondition, are the output's: an
     rb product, a side per role, or None to check the hypotheses alone.
     The map p, else doc's structure twist, is refused by check_operand only
     then, and must pass tags ("morphism": be a self-morphism of doc).  The
-    frame binds p as f and p^power as g (-1: the inverse); twist: p^twist."""
+    frame binds p as f and p^power as g (-1: the inverse); the output's
+    twist is p composed with g, p^(power + 1), or p where power is None."""
     require(doc, AlgebraDoc, "doc")
     if doc.kind not in kinds:
         raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
@@ -120,8 +116,8 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
             pass  # the invertible tag refuses p before g is read
     frame = _frame(doc, p.columns() if tags and not refused else None,
                    doc if path == "morphism" else None, g)
-    report = make_report(_violations(_structure_laws(doc.kind, True, False), frame,
-                                     doc.labels, doc.field))
+    laws = _structure_laws(doc.kind, True, False)
+    report = make_report(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
     if not report.passed:
         raise PreconditionFailed(f"{what}: input fails its {doc.kind} check", report)
     rows = rows(doc) if callable(rows) else rows
@@ -141,7 +137,7 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
                     for role, side in rows.items()}
     out = make_doc(field, doc.dim, doc.omega, kind, families,
                    operators=doc.operators if kind in RB_KINDS else None,
-                   twist=p if twist == 1 else map_power(p, twist))
+                   twist=map_power(p, power + 1) if power else p)
     return _checked_output(out, what)
 
 
@@ -173,7 +169,7 @@ def untwist(doc: AlgebraDoc) -> AlgebraDoc:
     be invertible.  untwist(yau_twist(d, p)) = d for canonical plain d.
     """
     # twisted by p^0, the identity, which the plain output drops
-    return _construct("untwist", doc, _UNTWISTED, "g(m(X, Y))", power=-1, twist=0,
+    return _construct("untwist", doc, _UNTWISTED, "g(m(X, Y))", power=-1,
                       tags=("multiplicative", "commutes", "invertible"))
 
 
@@ -196,7 +192,7 @@ def derived_algebra(doc: AlgebraDoc, n: int, variant: int = 1) -> AlgebraDoc:
         return "g(m(X, Y))"
     power = n if variant == 1 else (1 << n) - 1
     return _construct("derived_algebra", doc, _TWISTED, rows,
-                      tags=("multiplicative", "commutes"), power=power, twist=power + 1)
+                      tags=("multiplicative", "commutes"), power=power)
 
 
 def centroid_twist(doc: AlgebraDoc, p: LinearMap, variant: int = 1) -> AlgebraDoc:

@@ -78,6 +78,19 @@ def check_map(m, cls, field: Field, dim: int, path: str) -> None:
                                  f"{at}[{i}][{j}]")
 
 
+def check_own(m, cls, path: str) -> None:
+    """The one rule for a map or tensor argument read on its own: m is a cls
+    (else a ParamError naming path) over a Field (else a ParamError naming
+    path.field) whose data is an array (else a ShapeError at path) and
+    obeys check_map at path, at its own field and dim."""
+    require(m, cls, path)
+    require(m.field, Field, f"{path}.field")
+    data = m.rows if cls is LinearMap else m.c
+    if not isinstance(data, _ARRAY):
+        raise ShapeError("expected an array", path)
+    check_map(m, cls, m.field, len(data), path)
+
+
 def check_operand(f, field: Field, dim: int, path: str, mismatch: str) -> None:
     """The one rule for a map argument read beside a doc or a tensor that
     fixes its field and dim: f is a LinearMap (else a ParamError naming
@@ -173,7 +186,7 @@ def apply_raw(cols, x) -> list:
 def apply_map(f: LinearMap, x: Sequence) -> Vector:
     """f(x) for a coefficient vector x: a list or tuple of scalars of f's
     field."""
-    require(f, LinearMap, "f")
+    check_own(f, LinearMap, "f")
     x = _vector(x, f.field, "x")
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
@@ -182,12 +195,17 @@ def apply_map(f: LinearMap, x: Sequence) -> Vector:
 
 def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """The map x -> f(g(x))."""
-    require(f, LinearMap, "f")
-    require(g, LinearMap, "g")
+    check_own(f, LinearMap, "f")
+    check_own(g, LinearMap, "g")
     if f.field != g.field:
         raise FieldMismatch("composing maps over different fields")
     if f.dim != g.dim:
         raise DimensionMismatch(f"composing dim {f.dim} with dim {g.dim}")
+    return _compose(f, g)
+
+
+def _compose(f: LinearMap, g: LinearMap) -> LinearMap:
+    """map_compose on maps already checked."""
     red = f.field.reduce
     fc = f.columns()
     cols = [map(red, apply_raw(fc, gc)) for gc in g.columns()]
@@ -196,7 +214,7 @@ def map_compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 def map_power(f: LinearMap, n: int) -> LinearMap:
     """f composed with itself n times (n = 0 gives the identity)."""
-    require(f, LinearMap, "f")
+    check_own(f, LinearMap, "f")
     require_int(n, "power")
     if n < 0:
         raise ShapeError("negative power", "map")
@@ -204,10 +222,10 @@ def map_power(f: LinearMap, n: int) -> LinearMap:
     base = f
     while n:
         if n & 1:
-            acc = map_compose(acc, base)
+            acc = _compose(acc, base)
         n >>= 1
         if n:
-            base = map_compose(base, base)
+            base = _compose(base, base)
     return acc
 
 
@@ -237,7 +255,7 @@ def _echelon(field: Field, rows: list) -> tuple:
 
 def map_invert(f: LinearMap) -> LinearMap:
     """Exact inverse; raises SingularMapError when none exists."""
-    require(f, LinearMap, "f")
+    check_own(f, LinearMap, "f")
     n = f.dim
     field = f.field
     aug = [list(f.rows[i]) + [field.one if j == i else field.zero for j in range(n)]
@@ -254,7 +272,7 @@ def kernel_vector(f: LinearMap):
     Used to witness failed invertibility checks: the returned v satisfies
     f(v) = 0 with v != 0.
     """
-    require(f, LinearMap, "f")
+    check_own(f, LinearMap, "f")
     basis = null_space(f.field, [list(r) for r in f.rows], f.dim)
     return tuple(basis[0]) if basis else None
 
@@ -348,7 +366,7 @@ def bilinear_raw(s, x, y) -> list:
 
 def bilinear_apply(m: BilinearMap, x: Sequence, y: Sequence) -> Vector:
     """m(x, y) for coefficient vectors x and y, as for apply_map."""
-    require(m, BilinearMap, "m")
+    check_own(m, BilinearMap, "m")
     dim, x, y = m.dim, _vector(x, m.field, "x"), _vector(y, m.field, "y")
     if len(x) != dim or len(y) != dim:
         raise DimensionMismatch(f"vectors of length {len(x)},{len(y)} under a dim-{dim} map")
@@ -366,7 +384,7 @@ def tensor_combine(field: Field, terms) -> BilinearMap:
         if not isinstance(term, _ARRAY) or len(term) != 2:
             raise ParamError(f"terms[{i}]: expected a (coefficient, BilinearMap) pair")
         a, m = term
-        require(m, BilinearMap, f"terms[{i}]")
+        check_own(m, BilinearMap, f"terms[{i}]")
         terms[i] = field.canonical(a, f"terms[{i}]"), m
         if m.field != field:
             raise FieldMismatch("combining tensors over different fields")

@@ -4,14 +4,15 @@ An `AlgebraDoc` packages a finite-dimensional carrier over an exact field,
 an ordered label set Omega, one bilinear family per role the kind requires,
 an optional Omega-indexed operator family with weights, and an optional
 twist map.  Docs are immutable.  :func:`validate_doc` decides every shape rule,
-entries included, and every constructor path runs it: :func:`make_doc`
-directly, and :func:`parse_doc`, which only reads the JSON into scalars
-(`linalg.read_array`) and leaves the shape to make_doc, so a doc in hand is
-always well-formed.  :func:`with_part` replaces one part of a validated doc
-without any check, for a caller whose part is canonical by construction, as
-a search's hits are.  Every family map, operator and twist is checked by
-the one map rule, `linalg.check_map`: the right type over the doc's field,
-dim entries at every level, each a canonical scalar.
+entries included, and `AlgebraDoc` runs it itself on every doc it makes, so
+a doc in hand is always well-formed: :func:`make_doc` assembles one, and
+:func:`parse_doc` only reads the JSON into scalars (`linalg.read_array`)
+and leaves the shape to make_doc.  :func:`with_part` replaces one part of a
+validated doc without any check, making the doc without __init__, for a
+caller whose part is canonical by construction, as a search's hits are.
+Every family map, operator and twist is checked by the one map rule,
+`linalg.check_map`: the right type over the doc's field, dim entries at
+every level, each a canonical scalar.
 
 Representation notes, fixed here once for the whole package:
 
@@ -147,6 +148,9 @@ class AlgebraDoc:
     operators: OperatorFamily | None = None
     twist: LinearMap | None = None
 
+    def __post_init__(self):
+        validate_doc(self)
+
     @property
     def labels(self) -> tuple:
         return self.omega.labels
@@ -199,7 +203,6 @@ def make_doc(field: Field, dim: int, omega, kind: str, families: dict,
     plain = isinstance(kind, str) and kind in PLAIN_RB_KINDS
     doc = AlgebraDoc(field, dim, omega, kind, fams, operators,
                      None if plain else twist)
-    validate_doc(doc)
     if not plain or twist is None:
         return doc
     check_map(twist, LinearMap, field, dim, "twist")
@@ -212,19 +215,23 @@ def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,
     its operator family replaced by a part that the caller vouches for:
     nothing is checked.  The result shares doc's families, and a twist whose
     rows are the identity's row tuples is dropped on a plain rb kind.  A
-    search emits its hits this way, each from one validated base.
+    search emits its hits this way, each from one validated base, so the
+    doc is made without __init__, which would validate it.
     """
+    out = object.__new__(AlgebraDoc)
+    parts = vars(out)
+    parts.update(vars(doc))
     if operators is not None:
-        return AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
-                          operators, doc.twist)
-    if doc.kind in PLAIN_RB_KINDS and twist.rows == _basis(doc.dim):
-        twist = None
-    return AlgebraDoc(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
-                      doc.operators, twist)
+        parts["operators"] = operators
+    else:
+        parts["twist"] = (None if doc.kind in PLAIN_RB_KINDS
+                          and twist.rows == _basis(doc.dim) else twist)
+    return out
 
 
 def validate_doc(doc: AlgebraDoc) -> None:
     """Raise ShapeError (with a path) on any violated shape invariant."""
+    require(doc, AlgebraDoc, "doc")
     if not isinstance(doc.field, Field):
         raise ShapeError(f"expected a Field, got {type(doc.field).__name__}", "field")
     if not isinstance(doc.dim, int) or isinstance(doc.dim, bool) or doc.dim < 1:
@@ -237,6 +244,8 @@ def validate_doc(doc: AlgebraDoc) -> None:
     labels = doc.omega.labels
     required = KIND_ROLES[doc.kind]
 
+    if not isinstance(doc.families, dict):
+        raise ShapeError("families must be a dict of roles", "families")
     present = set(doc.families)
     if present != set(required):
         missing = sorted(set(required) - present)

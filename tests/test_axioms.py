@@ -6,7 +6,9 @@ carrier elements of F_2^n with its own non-skipping arithmetic; agreement
 with the basis-triple engine is what multilinearity promises.
 """
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -27,10 +29,10 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
 from halg.axioms import (_KERNELS, _MAP_LAWS, _STRUCTURE_LAWS,
-                         DENDRIFORM_AXIOM3_TWIST, _compile, _degree,
-                         _differences, _frame, _laws_for, _map_laws, _padded,
-                         _plan, _points, _runner_source, _runners, _sides,
-                         _structure_laws, _violations)
+                         DENDRIFORM_AXIOM3_TWIST, _compile, _degree, _frame,
+                         _laws_for, _map_laws, _padded, _plan, _points,
+                         _runner_source, _runners, _sides, _structure_laws,
+                         _violations)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
                              MATCHING_HOM_ASSOC, MATCHING_HOM_DENDRIFORM,
@@ -991,13 +993,10 @@ def _run_at(laws, frame, doc, tuples=None, points=None):
     when given tuples (those of its label count) and points in place of
     every label tuple and basis tuple, in the full check's order."""
     out = []
-    for law, red, pts, labs in _plan(laws, frame, doc.labels, doc.field):
-        if tuples is not None:
-            labs = [t for t in tuples if len(t) == len(law.labels)]
-        for at, ix, _, (left, *rights) in law.run(
-                frame, labs, pts if points is None else points, False, law.role):
-            lc, rcs = _differences(red, left, rights)
-            out += [Violation(law.axiom, at, ix, lc, rc) for rc in rcs]
+    for entry in _plan(laws, frame, doc.labels, doc.field):
+        labs = None if tuples is None else [t for t in tuples
+                                            if len(t) == len(entry[0].labels)]
+        out += _violations((entry,), frame, points, labs)
     return out
 
 
@@ -1015,7 +1014,7 @@ def test_the_runners_label_and_point_filters_restrict_the_full_check():
                 doc = _seeded_doc(field, kind, 2, labels, 0.6, rng)
                 for twist3 in (True, False):
                     laws, frame = _laws_for(doc, {DENDRIFORM_AXIOM3_TWIST: twist3}, True)
-                    full = list(_violations(laws, frame, doc.labels, field))
+                    full = list(_violations(_plan(laws, frame, doc.labels, field), frame))
                     mixed = [v for v in full if len(set(v.labels)) > 1]
                     distinct = [t for t in itertools.product(doc.labels, repeat=2)
                                 if t[0] != t[1]]
@@ -1025,11 +1024,27 @@ def test_the_runners_label_and_point_filters_restrict_the_full_check():
                         same = [law for law in laws if law.arity == arity]
                         points = [ix for ix in itertools.product(range(2), repeat=arity)
                                   if rng.random() < 0.5]
-                        pointed = [v for v in _violations(same, frame, doc.labels, field)
-                                   if v.basis in points]
+                        plan = _plan(same, frame, doc.labels, field)
+                        pointed = [v for v in _violations(plan, frame) if v.basis in points]
                         assert _run_at(same, frame, doc, points=points) == pointed
                         pointed_seen += len(pointed)
     assert mixed_seen > 50 and pointed_seen > 50, (mixed_seen, pointed_seen)
+
+
+def test_one_loop_runs_every_check():
+    """In axioms.py a runner is called in check mode (every False) only by
+    _violations, which every report and every verdict reads, and in the
+    mode that yields every instance only by replay_violation and fill."""
+    tree = ast.parse(inspect.getsource(halg.axioms))
+
+    def runs(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "run"]
+    seen = sorted((fn.name, ast.literal_eval(call.args[3]))
+                  for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for call in runs(fn))
+    assert len(seen) == len(runs(tree))
+    assert seen == [("_violations", False), ("fill", True), ("replay_violation", True)]
 
 
 def _bound(v):
@@ -1049,7 +1064,7 @@ def test_a_frame_over_q_binds_only_ints():
     scaled = 0
     for doc, partner, cand in _guard_corpus():
         laws, frame = _laws_for(doc, None, True)
-        list(_violations(laws, frame, doc.labels, doc.field))
+        list(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
         frame2 = target = _frame(doc, cand.columns(), partner)
         sparse = [frame2[role + s + "~"] for s in ("", "2") for role in KIND_ROLES[doc.kind]]
         d, d2 = frame["D"], frame2["D"]

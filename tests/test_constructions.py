@@ -413,6 +413,17 @@ def test_verify_diagram_nontrivial_noncommutative_case():
     # both paths produce the same nonzero star: x * y = -(y.P(x)) here
     star = dendriform_to_prelie(rb_to_dendriform(doc))
     assert star.families["star"].maps["a"].c == (((0, -1), (0, 0)), ((0, 0), (0, 0)))
+    # the operators need not commute with each other, only with the twist:
+    # a weight-(0, 0) family on the zero product over F_2 with P_a P_b !=
+    # P_b P_a
+    f2 = GF(2)
+    pa, pb = (LinearMap.from_rows(f2, rows) for rows in ([[0, 0], [0, 1]],
+                                                          [[0, 0], [1, 0]]))
+    assert map_compose(pa, pb) != map_compose(pb, pa)
+    family = make_doc(f2, 2, ("a", "b"), PLAIN_ASSOC_MATCHING_RB,
+                      {"dot": BilinearMap.zero(f2, 2)},
+                      operators=OperatorFamily({"a": pa, "b": pb}, {"a": 0, "b": 0}))
+    assert verify_diagram(family).passed
 
 
 def test_verify_diagram_guards():

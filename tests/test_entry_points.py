@@ -33,7 +33,7 @@ from halg.axioms import first_difference
 from halg.search import sample_hits
 from halg.structures import (HOM_ASSOC_MATCHING_RB, MATCHING_HOM_ASSOC,
                              MATCHING_HOM_DENDRIFORM, PLAIN_LIE_MATCHING_RB,
-                             CheckReport)
+                             CheckReport, OmegaSet)
 
 ID2 = [[1, 0], [0, 1]]
 # x < y = x > y = the diagonal product e_i e_i = e_i: no matching dendriform
@@ -338,6 +338,40 @@ def _cases():
                        ("apply_map vector of 3", lambda: apply_map(id2, (1, 0, 0))),
                        ("bilinear_apply y ()", lambda: bilinear_apply(zero2, (1, 0), []))):
         yield name, DimensionMismatch, None, call
+    # the exported linalg helpers hold their map and tensor arguments to the
+    # one map rule at their own field and dim
+    half = LinearMap(QQ, ((0.5, 0), (0, 1)))
+    uneven = LinearMap(QQ, ((1, 2), (3,)))
+    for name, path, call in (
+            ("map_invert ragged", "f[1]", lambda: map_invert(uneven)),
+            ("map_compose ragged", "f[1]", lambda: map_compose(uneven, id2)),
+            ("map_compose ragged g", "g[1]", lambda: map_compose(id2, uneven)),
+            ("map_power ragged", "f[1]", lambda: map_power(uneven, 2)),
+            ("kernel_vector ragged", "f[1]", lambda: kernel_vector(uneven)),
+            ("apply_map ragged", "f[1]", lambda: apply_map(uneven, (1, 0))),
+            ("apply_map float map", "f[0][0]", lambda: apply_map(half, (1, 1))),
+            ("map_invert str rows", "f", lambda: map_invert(LinearMap(QQ, "ab"))),
+            ("bilinear_apply non-array tensor", "m",
+             lambda: bilinear_apply(BilinearMap(QQ, 5), (1, 0), (0, 1))),
+            ("bilinear_apply float tensor", "m[0][0][0]",
+             lambda: bilinear_apply(half_float, (1, 0), (1, 0))),
+            ("tensor_combine float tensor", "terms[0][0][0][0]",
+             lambda: tensor_combine(QQ, [(1, half_float)])),
+            ("tensor_combine non-array tensor", "terms[0]",
+             lambda: tensor_combine(QQ, [(1, BilinearMap(QQ, 5))]))):
+        yield name, ShapeError, path, call
+    yield "map_invert field 5", ParamError, None, \
+        lambda: map_invert(LinearMap(5, ((1,),)))
+    # a doc built directly is validated as make_doc's are
+    ragged_tensor = BilinearMap(QQ, (((0, 0), (0,)), ((0, 0), (0, 0))))
+    yield "AlgebraDoc ragged tensor", ShapeError, "families.dot.a[0][1]", \
+        lambda: AlgebraDoc(QQ, 2, OmegaSet(("a",)), MATCHING_HOM_ASSOC,
+                           {"dot": BilinearFamily("dot", {"a": ragged_tensor})}, None, id2)
+    yield "AlgebraDoc without families", ShapeError, "families", \
+        lambda: AlgebraDoc(QQ, 2, OmegaSet(("a",)), MATCHING_HOM_ASSOC, {}, None, id2)
+    yield "AlgebraDoc families 5", ShapeError, "families", \
+        lambda: AlgebraDoc(QQ, 2, OmegaSet(("a",)), MATCHING_HOM_ASSOC, 5, None, id2)
+    yield "validate_doc 5", ParamError, None, lambda: validate_doc(5)
 
 
 _CASES = list(_cases())
@@ -454,3 +488,9 @@ def test_junk_maps_are_accepted_canonical_or_refused(fixture, junk):
     _accepted_or_halg_error(lambda: check_morphism(linear, rb, rb))
     _accepted_or_halg_error(lambda: LinearMap.from_rows(field, junk))
     _accepted_or_halg_error(lambda: BilinearMap.from_nested(field, junk))
+    for call in (lambda: apply_map(linear, (1, 0)), lambda: map_compose(linear, ops),
+                 lambda: map_compose(ops, linear), lambda: map_power(linear, 3),
+                 lambda: map_invert(linear), lambda: kernel_vector(linear),
+                 lambda: bilinear_apply(bilinear, (1, 0), (0, 1)),
+                 lambda: tensor_combine(field, [(1, bilinear)])):
+        _accepted_or_halg_error(call)

@@ -207,9 +207,9 @@ def test_plain_kind_identity_twist_normalizes_away():
     assert doc.twist is None
     assert doc.twist_map().is_identity()
     # direct construction bypasses normalization; validation then refuses it
-    bad = AlgebraDoc(QQ, 2, OmegaSet(("a",)), PLAIN_ASSOC_MATCHING_RB,
-                     doc.families, ops, id2)
     with pytest.raises(ShapeError):
+        bad = AlgebraDoc(QQ, 2, OmegaSet(("a",)), PLAIN_ASSOC_MATCHING_RB,
+                         doc.families, ops, id2)
         validate_doc(bad)
 
 
