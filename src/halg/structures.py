@@ -218,14 +218,22 @@ def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,
     search emits its hits this way, each from one validated base, so the
     doc is made without __init__, which would validate it.
     """
-    out = object.__new__(AlgebraDoc)
-    parts = vars(out)
-    parts.update(vars(doc))
-    if operators is not None:
-        parts["operators"] = operators
+    if operators is None:
+        operators = doc.operators
+        if doc.kind in PLAIN_RB_KINDS and twist.rows == _basis(doc.dim):
+            twist = None
     else:
-        parts["twist"] = (None if doc.kind in PLAIN_RB_KINDS
-                          and twist.rows == _basis(doc.dim) else twist)
+        twist = doc.twist
+    # one call per part, as __init__ sets them: a copied __dict__ would
+    # cost each hit about 64 more bytes
+    out, put = object.__new__(AlgebraDoc), object.__setattr__
+    put(out, "field", doc.field)
+    put(out, "dim", doc.dim)
+    put(out, "omega", doc.omega)
+    put(out, "kind", doc.kind)
+    put(out, "families", doc.families)
+    put(out, "operators", operators)
+    put(out, "twist", twist)
     return out
 
 
