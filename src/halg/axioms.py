@@ -33,24 +33,25 @@ optionally tagged with a flag it runs under.
   without it): "verbose", the dendriform toggle, and "alternating" for the
   bracket role.
 
-Each row compiles once per process into one generated Python function, its
-runner, shared by every role the row is checked on.  Per label tuple the
-runner reads the maps the row names from a frame, and then it loops over
-the basis tuples inside the generated code, running the row's guard and
-sides inline; a product that a side multiplies through is bound in its
-sparse form, made once per frame.  Over Q a frame binds every tensor,
-twist, operator column, weight and candidate map as ints times one common
-denominator D, the lcm of every denominator it binds (for a law between
-two docs, of both docs' and the map's), so the runner works on ints alone;
-over F_p, D = 1.  A row's degree K is the most maps and weights one of its
-terms applies; its runner takes a term of degree k times D^(K - k), so on
-every frame every side is D^K times its value.
-The guard is compiled from the row's terms: at a basis tuple where every
-side is provably the zero vector (a structure constant or column it looks
-up is zero, a weight it scales by is 0, or a product it multiplies through
-is the zero tensor), the runner skips the instance, which cannot fail.  It
-yields the other instances whose sides differ as they are, and only those
-are divided by D^K and reduced here; `replay_violation`, `fill` and so
+Each row has one runner, a Python function generated ahead of time from the
+row by `halg._codegen` into `halg._runners`, which this module imports, so
+no process compiles a law; the runner is shared by every role the row is
+checked on.  Per label tuple the runner reads the maps the row names from a
+frame, and then it loops over the basis tuples inside the generated code,
+running the row's guard and sides inline; a product that a side multiplies
+through is bound in its sparse form, made once per frame.  Over Q a frame
+binds every tensor, twist, operator column, weight and candidate map as
+ints times one common denominator D, the lcm of every denominator it binds
+(for a law between two docs, of both docs' and the map's), so the runner
+works on ints alone; over F_p, D = 1.  A row's degree K is the most maps
+and weights one of its terms applies; its runner takes a term of degree k
+times D^(K - k), so on every frame every side is D^K times its value.  The
+guard is generated from the row's terms: at a basis tuple where every side
+is provably the zero vector (a structure constant or column it looks up is
+zero, a weight it scales by is 0, or a product it multiplies through is the
+zero tensor), the runner skips the instance, which cannot fail.  It yields
+the other instances whose sides differ as they are, and only those are
+divided by D^K and reduced here; `replay_violation`, `fill` and so
 `linear_system` run the same runner in the mode that yields every
 instance's sides and divide back the same way, so every value that leaves
 the evaluator is exact and canonical.  Plain kinds are written without p,
@@ -58,8 +59,9 @@ and their frames bind p to the identity (`structure_twist`), so a stored
 candidate twist takes no part in their checks; side conditions test that
 slot.  The one check outside the table is the invertible tag, whose witness
 is a kernel vector.  `fill` fills c'[i][j] of a constructed tensor with its
-side, reduced, at (i, j); `first_difference` compares two docs' tensors by
-the row "diagram-{role}".
+side, reduced, at (i, j), for each side of the fill table (`_FILLS`) and no
+other; `first_difference` compares two docs' tensors by the row
+"diagram-{role}".
 
 Axiom inventory per kind (all over ordered label pairs (a, b), including
 a = b, with p the twist):
@@ -82,20 +84,19 @@ a = b, with p the twist):
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm
-from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, FieldMismatch, KindMismatch,
                      NonFiniteFieldError, ParamError, ShapeError,
                      UnknownConditionError, require)
-from .linalg import (BilinearMap, LinearMap, _basis, apply_map, apply_raw,
-                     bilinear_raw, check_operand, kernel_vector, sparse_tensor)
+from ._runners import RUNNERS
+from .linalg import (BilinearMap, LinearMap, _apply, _basis, _kernel_vector,
+                     check_operand, sparse_tensor)
 from .structures import (BRACKET, COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                          HOM_ASSOC_MATCHING_RB, KIND_ROLES, MATCHING_HOM_ASSOC,
                          MATCHING_HOM_DENDRIFORM, MATCHING_HOM_LIE,
@@ -126,7 +127,8 @@ def _law(axiom, labels, lhs, *rhs, when=None):
 
 
 def _tables():
-    """(laws per structure kind, (per-role flag, laws) per map tag)."""
+    """(laws per structure kind, (per-role flag, laws) per map tag, the fill
+    row per side fill evaluates)."""
     def rb(lie, p):
         # p(slot) is the twisted slot, or the bare slot on a plain kind
         x, y, z = map(p, "XYZ")
@@ -220,219 +222,46 @@ def _tables():
             _law("operator-intertwine", "a", "f(P.a(X))", "P2.a(f(X))"),)),
         "diagram": (True, (_law("diagram-{role}", "a", "m.a(X, Y)", "m2.a(X, Y)"),)),
     }
-    return structure, maps
+
+    # Every side fill evaluates, with f the map under test and g a power or
+    # the inverse of it: each constructed tensor of halg.constructions, by
+    # the construction (or tensor operation) that fills it.
+    fills = (
+        # the tensor operations; yau_twist fills the first, centroid_twist's
+        # variant 1 the second
+        "f(m(X, Y))", "m(f(X), Y)", "m(X, f(Y))", "m(Y, X)",
+        "g(m(X, Y))",                                       # untwist, derived_algebra
+        "m(f(X), f(Y))",                                    # centroid_twist, variant 2
+        "dot.a(X, Y) - dot.a(Y, X)", "m(X, Y) - m(Y, X)",   # commutator
+        "star.a(X, Y) - star.a(Y, X)",                      # prelie_commutator
+        *(f"f({role}.a(X, Y))"                              # dendriform_twist
+          for role in KIND_ROLES[MATCHING_HOM_TRIDENDRIFORM]),
+        *(" + ".join(f"{role}.a(X, Y)" for role in KIND_ROLES[kind])  # dendriform_sum
+          for kind in (MATCHING_HOM_DENDRIFORM, MATCHING_HOM_TRIDENDRIFORM)),
+        "right.a(X, Y) - left.a(Y, X)",                     # dendriform_to_prelie
+        "m(X, P.a(Y)) + w.a(m(X, Y))", "m(P.a(X), Y)",      # rb_to_dendriform
+        "m(X, P.a(Y))", "w.a(m(X, Y))",                     # rb_to_tridendriform
+        "m(P.a(X), Y) - m(Y, P.a(X)) - w.a(m(Y, X))",       # rb_to_prelie
+    )
+    return structure, maps, {side: _law("fill", "a", side) for side in fills}
 
 
-_STRUCTURE_LAWS, _MAP_LAWS = _tables()
+_STRUCTURE_LAWS, _MAP_LAWS, _FILLS = _tables()
 
 
-# --- compiling laws ----------------------------------------------------------
+# --- runners -----------------------------------------------------------------
 #
-# A law compiles once per process into one generated function,
-# run(F, tuples, pts, every, R), from the term trees of its sides; the
-# law's roles share it, each given as R.  For each label tuple in tuples it
-# reads each map the law names from the frame F, a map named with a label
-# variable at that tuple's label ("F['P'][labs[0]]") and the others once
-# per call ("F['m~']"); a labelled m, m~, m2 or m2~ is read at the role R
-# ("F[R + '2~'][labs[0]]"), so no frame binds a name per role.  Linear
-# maps are bound as their column tuples.  Then it loops
-# over the basis tuples pts, and at each runs the guard, the lhs and every
-# rhs inline.  A map on basis slots only is a table lookup (a structure
-# constant, or a column); every other node calls a linalg kernel, and a
-# side of several terms adds (or subtracts) them entry by entry.  A
-# bilinear map that a side multiplies through is read in its sparse form
-# (linalg.sparse_tensor), bound under its name with "~" after the role
-# ("dot~.a", "m~"); lookups read the dense tensor.  The runner yields
-# (labs, ix, held, sides), sides being the unreduced lhs and each rhs and
-# held whether the guard holds at ix: with every set, at every instance,
-# and otherwise only where the guard does not hold and some rhs differs
-# from the lhs as it stands.
-#
-# The guard holds at ix when every side is provably the zero vector there:
-# a term is provably zero when a structure constant c[i][j] or a column it
-# looks up is the zero vector, when it scales by a weight w that is 0, when
-# it multiplies through the zero tensor, or when a map is applied to a
-# provably zero term.  Whether a tensor is zero is read once from its
-# sparse form where the runner binds it ("z0 = not any(b0)"): once per call
-# for "m~", once per label tuple for "dot~.a".  A side is zero when all
-# its terms are (the empty side always is).  The guard reads only lookups,
-# weights and those flags, so it costs far less than the sides; an
-# instance it holds at cannot fail, and the runner skips it unless every
-# is set.
-#
-# A law's degree K is the largest number of maps and weights one of its
-# terms applies ("-" is a sign, not a map).  A frame binds every scalar
-# times its D (_scaled), so a term of degree k evaluates to D^k times its
-# value.  So the runner multiplies each term by D^(K - k), read as the
-# scalar name "D" that every frame binds, and every side is D^K times its
-# value; a law whose terms all have degree K runs as written.  One runner
-# serves every frame, D = 1 included (every frame over F_p).
-
-def _terms(node):
-    """The side node as a list of term trees: 0, 1, 2 for X, Y, Z, (name, t)
-    or (name, t, u) for a call, and ("-", t) for a subtracted term t."""
-    if isinstance(node, ast.BinOp):
-        right = _terms(node.right)
-        if isinstance(node.op, ast.Sub):
-            right = [("-", t) for t in right]
-        return _terms(node.left) + right
-    if isinstance(node, ast.Call):
-        return [(ast.unparse(node.func), *(t for t, in map(_terms, node.args)))]
-    if isinstance(node, ast.Constant) and node.value == 0:
-        return []
-    return ["XYZ".index(node.id)]
-
-
-def _ref(name, names):
-    """The runner's local b<i> for the map name; appended to names on first
-    use."""
-    if name not in names:
-        names.append(name)
-    return f"b{names.index(name)}"
-
-
-def _is_scalar(name):
-    return name.partition(".")[0] in ("-", "w", "D")
-
-
-def _degree(term):
-    """The number of maps and weights term applies."""
-    if isinstance(term, int):
-        return 0
-    return (term[0] != "-") + sum(map(_degree, term[1:]))
-
-
-def _padded(term, n):
-    """term multiplied by D^n."""
-    return _padded(("D", term), n - 1) if n else term
-
-
-def _lookup(term):
-    """Whether term is a map applied to basis slots only: a table lookup."""
-    return not _is_scalar(term[0]) and all(isinstance(t, int) for t in term[1:])
-
-
-def _sparse(name, names):
-    """The runner's local for the sparse form of the bilinear map name,
-    bound under name with "~" after the role ("dot~.a" for "dot.a")."""
-    key, dot, var = name.partition(".")
-    return _ref(key + "~" + dot + var, names)
-
-
-def _source(term, names):
-    """Python expression for term at the basis tuple (i0, i1, i2); each map
-    it names is appended to names once and read as its local (_ref)."""
-    if isinstance(term, int):
-        return f"E[i{term}]"
-    name, *args = term
-    if _lookup(term):
-        return _ref(name, names) + "".join(f"[i{t}]" for t in args)
-    if len(args) == 2:
-        return (f"mul({_sparse(name, names)}, "
-                f"{_source(args[0], names)}, {_source(args[1], names)})")
-    arg, = args
-    if _is_scalar(name):
-        return f"[{_ref(name, names)} * v for v in {_source(arg, names)}]"
-    return f"app({_ref(name, names)}, {_source(arg, names)})"
-
-
-def _zero_source(term, names):
-    """Python condition under which term is provably the zero vector, or
-    None when nothing can prove it (a basis slot)."""
-    if isinstance(term, int):
-        return None
-    if _lookup(term):
-        return f"not any({_source(term, names)})"
-    name, *args = term
-    conds = [f"not {_ref(name, names)}"] if name.partition(".")[0] == "w" else []
-    if len(args) == 2:
-        # z<i>, bound beside the sparse form b<i>: the tensor is zero
-        conds.append("z" + _sparse(name, names)[1:])
-    conds += filter(None, (_zero_source(t, names) for t in args))
-    return " or ".join(conds) or None
-
-
-def _side_source(side, names):
-    """Python expression for the sum of side's terms; each term after the
-    first is added, or taken away where it is subtracted, entry by entry."""
-    if not side:
-        return "Z"
-    out = _source(side[0], names)
-    if len(side) == 1:
-        return out
-    for term in side[1:]:
-        if isinstance(term, tuple) and term[0] == "-":
-            out = f"map(sub, {out}, {_source(term[1], names)})"
-        else:
-            out = f"map(add, {out}, {_source(term, names)})"
-    return f"list({out})"
-
-
-def _guard_source(sides, names):
-    conds = [_zero_source(t, names) for side in sides for t in side]
-    if None in conds:
-        return None
-    return " and ".join(f"({c})" for c in dict.fromkeys(conds)) or "True"
-
-
-def _applies(term, name):
-    """How many times term applies the map name."""
-    if isinstance(term, int):
-        return 0
-    return (term[0] == name) + sum(_applies(t, name) for t in term[1:])
-
-
-def _sides(law):
-    """law's lhs and each rhs as term lists (_terms)."""
-    return [_terms(ast.parse(side, mode="eval").body) for side in (law.lhs, *law.rhs)]
-
-
-def _slots(term):
-    if isinstance(term, int):
-        return {term}
-    return set().union(*map(_slots, term[1:]))
-
-
-def _runner_source(labels, arity, sides):
-    """The source of run (above) for the label variables labels and the
-    sides, term lists over arity basis slots."""
-    names = []
-    guard = _guard_source(sides, names)
-    values = [_side_source(side, names) for side in sides]
-    once, per_labs = [], []
-    for i, name in enumerate(names):
-        key, _, var = name.partition(".")
-        if var and key.rstrip("2~") == "m":    # the role under check, R
-            at = f"R + {key[1:]!r}" if key[1:] else "R"
-        else:
-            at = repr(key)
-        lines = per_labs if var else once
-        lines.append(f"b{i} = F[{at}][labs[{labels.index(var)}]]" if var
-                     else f"b{i} = F[{at}]")
-        if guard is not None and key.endswith("~"):
-            lines.append(f"z{i} = not any(b{i})")
-    if any("E[" in value for value in values):
-        once.append('E = F["basis"]')
-    if not all(sides):
-        once.append('Z = [0] * len(F["basis"])')
-    body = [f"{''.join(f'i{s}, ' for s in range(arity))}= ix"]
-    if guard is not None:
-        once.append("skip = not every")
-        body += [f"if (held := {guard}) and skip:", "    continue"]
-    body += [f"s{k} = {value}" for k, value in enumerate(values)]
-    body += [" or ".join(["if every", *(f"s0 != s{k}" for k in range(1, len(sides)))]) + ":",
-             f"    yield labs, ix, {'held' if guard else 'False'}, "
-             f"({', '.join(f's{k}' for k in range(len(sides)))},)"]
-    return "\n".join(["def run(F, tuples, pts, every, R):",
-                      *("    " + line for line in once),
-                      "    for labs in tuples:",
-                      *("        " + line for line in per_labs),
-                      "        for ix in pts:",
-                      *("            " + line for line in body)])
-
-
-_KERNELS = {"mul": bilinear_raw, "app": apply_raw, "add": add, "sub": sub}
-
+# Each row has one runner, generated ahead of time into halg._runners by
+# halg._codegen (which says how a row becomes its runner) and imported with
+# this module, so no halg process parses, generates or compiles a law.
+# RUNNERS[row] is (arity, degree, run, linear): linear names the maps each
+# of the row's terms applies exactly once.  run(F, tuples, pts, every, R)
+# reads the maps the row names from the frame F, the role under check as
+# R, and yields (labs, ix, held, sides) over the label tuples and basis
+# tuples given: with every set, every instance's sides, else only the
+# instances whose guard does not prove every side zero and where some rhs
+# differs from the lhs raw.  Every side it yields is D^K times its value,
+# K the row's degree: run brings each term there by powers of D.
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Compiled:
@@ -441,28 +270,15 @@ class _Compiled:
     arity: int
     degree: int       # K: every side run yields is D^K times its value
     run: object       # run(F, tuples, pts, every, R), as above
-    law: _Law         # the row it was compiled from
+    law: _Law         # its row
     role: str | None  # R, the role it is checked on
 
 
 @lru_cache(maxsize=None)
-def _runners(law: _Law):
-    """(arity, degree, run) for law's sides, each term brought to the law's
-    degree K by powers of D.  Compiled once per process, and shared by
-    every role the law is checked on and every frame it runs on."""
-    sides = _sides(law)
-    arity = 1 + max(s for side in sides for t in side for s in _slots(t))
-    degree = max(_degree(t) for side in sides for t in side)
-    sides = [[_padded(t, degree - _degree(t)) for t in side] for side in sides]
-    scope = dict(_KERNELS)
-    exec(_runner_source(law.labels, arity, sides), scope)
-    return arity, degree, scope["run"]
-
-
-@lru_cache(maxsize=None)
 def _compile(law: _Law, role) -> _Compiled:
-    """law compiled for role, on the runner its roles share (_runners)."""
-    return _Compiled(law.axiom.format(role=role), law.labels, *_runners(law), law, role)
+    """law checked on role, by the runner its roles share."""
+    arity, degree, run, _ = RUNNERS[law]
+    return _Compiled(law.axiom.format(role=role), law.labels, arity, degree, run, law, role)
 
 
 def _active(laws, flags):
@@ -709,13 +525,14 @@ def _pair(src: AlgebraDoc, dst: AlgebraDoc, what: str) -> None:
 
 def _tag_violations(tags, frame, doc: AlgebraDoc, f: LinearMap):
     """Violations of each map tag in turn on frame, which binds f, the map
-    under test (and the second doc of a law between two): invertible reads
-    f itself, every other tag runs its laws role by role."""
+    under test (and the second doc of a law between two), already checked
+    by check_operand: invertible reads f itself, every other tag runs its
+    laws role by role."""
     for tag in tags:
         if tag == "invertible":
-            v = kernel_vector(f)
+            v = _kernel_vector(f)
             if v is not None:
-                yield Violation("invertible", (), (), v, apply_map(f, v))
+                yield Violation("invertible", (), (), v, _apply(f, v))
             continue
         _require_operators(tag, doc)
         yield from _map_violations(tag, frame, doc)
@@ -775,10 +592,12 @@ def first_difference(src: AlgebraDoc, dst: AlgebraDoc) -> Violation | None:
 
 def fill(side, field, frame, lab=None) -> BilinearMap:
     """The tensor whose c'[i][j] is side at the basis pair (i, j), reduced.
-    side compiles once per process as a law, reduced as _plan picks, and
-    reads its names and basis from frame (_frame, _scaled), with a at lab."""
-    (law, red, pts, each), = _plan((_compile(_law("fill", "a", side), None),),
-                                   frame, (lab,), field)
+    side is a row of the fill table (_FILLS; else a ParamError), run as a
+    law, reduced as _plan picks, and reads its names and basis from frame
+    (_frame, _scaled), with a at lab."""
+    if side not in _FILLS:
+        raise ParamError(f"{side!r} is not a row of the fill table")
+    (law, red, pts, each), = _plan((_compile(_FILLS[side], None),), frame, (lab,), field)
     dim = len(frame["basis"])
     entries = [tuple(map(red, sides[0])) for *_, sides
                in law.run(frame, each, pts, True, None)]
@@ -803,8 +622,7 @@ def linear_system(doc: AlgebraDoc, tag: str) -> list:
     if tag not in SIDE_CONDITIONS or tag not in _MAP_LAWS:
         raise ParamError(f"linear_system takes a side condition with a map law, "
                          f"not {tag!r}")
-    if any(_applies(t, "f") != 1 for law in _MAP_LAWS[tag][1]
-           for side in _sides(law) for t in side):
+    if any("f" not in RUNNERS[law][3] for law in _MAP_LAWS[tag][1]):
         raise ParamError(f"{tag} has a term that does not apply f exactly once, "
                          f"so it is not one linear system")
     _require_operators(tag, doc)

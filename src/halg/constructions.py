@@ -28,8 +28,11 @@ from .axioms import check_morphism, check_side_conditions  # noqa: F401
 from .errors import (HalgError, MissingCoefficientError, NonzeroWeightError,
                      ParamError, PowerBoundError, PreconditionFailed,
                      SingularMapError, TheoremCheckError, require)
-from .linalg import (BilinearMap, LinearMap, check_operand, check_own,
-                     map_invert, map_power, tensor_combine)
+from .linalg import (BilinearMap, LinearMap, _compose, _invert, _power,
+                     check_operand, check_own, tensor_combine)
+# not called here either: _construct checks its map once, then powers and
+# inverts it unchecked
+from .linalg import map_invert, map_power  # noqa: F401
 from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          COMPATIBLE_HOM_LIE, HOM_ASSOC_MATCHING_RB,
                          KIND_ROLES, LIE_RB_KINDS, MATCHING_HOM_ASSOC,
@@ -96,9 +99,10 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
     rows(doc), which raises any further precondition, are the output's: an
     rb product, a side per role, or None to check the hypotheses alone.
     The map p, else doc's structure twist, is refused by check_operand only
-    then, and must pass tags ("morphism": be a self-morphism of doc).  The
-    frame binds p as f and p^power as g (-1: the inverse); the output's
-    twist is p composed with g, p^(power + 1), or p where power is None."""
+    then, its one check, and must pass tags ("morphism": be a self-morphism
+    of doc).  The frame binds p as f and p^power as g (-1: the inverse);
+    the output's twist is p composed with g, p^(power + 1), or p where power
+    is None."""
     require(doc, AlgebraDoc, "doc")
     if doc.kind not in kinds:
         raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
@@ -111,11 +115,12 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
     g = None
     if power is not None and not refused:
         try:
-            g = (map_invert(p) if power < 0 else map_power(p, power)).columns()
+            g = _invert(p) if power < 0 else _power(p, power)
         except SingularMapError:
             pass  # the invertible tag refuses p before g is read
     frame = _frame(doc, p.columns() if tags and not refused else None,
-                   doc if path == "morphism" else None, g)
+                   doc if path == "morphism" else None,
+                   None if g is None else g.columns())
     laws = _structure_laws(doc.kind, True, False)
     report = make_report(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
     if not report.passed:
@@ -137,7 +142,7 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
                     for role, side in rows.items()}
     out = make_doc(field, doc.dim, doc.omega, kind, families,
                    operators=doc.operators if kind in RB_KINDS else None,
-                   twist=map_power(p, power + 1) if power else p)
+                   twist=p if g is None else _compose(p, g))
     return _checked_output(out, what)
 
 

@@ -12,8 +12,8 @@ its nonzero (k, c[i][j][k]) entries.  Most structure constants in use are
 mostly zero, so the kernel walks only the entries that can contribute; a
 caller that multiplies through one tensor many times makes the form once.
 The linear kernel, `apply_raw`, likewise skips zero coefficients.  Maps
-compose through it; every derived tensor is a row that axioms.fill compiles
-onto these kernels, and `tensor_combine` is the one pointwise sum.
+compose through it; every derived tensor is a row that axioms.fill runs on
+these kernels, and `tensor_combine` is the one pointwise sum.
 
 >>> from .fields import QQ
 >>> f = LinearMap.from_rows(QQ, [[1, 1], [0, 1]])
@@ -81,13 +81,17 @@ def check_map(m, cls, field: Field, dim: int, path: str) -> None:
 def check_own(m, cls, path: str) -> None:
     """The one rule for a map or tensor argument read on its own: m is a cls
     (else a ParamError naming path) over a Field (else a ParamError naming
-    path.field) whose data is an array (else a ShapeError at path) and
-    obeys check_map at path, at its own field and dim."""
+    path.field) whose data is an array (else a ShapeError at path) of dim
+    at least 1 (else a ParamError naming path, as LinearMap.identity and
+    BilinearMap.zero refuse dim 0) and obeys check_map at path, at its own
+    field and dim."""
     require(m, cls, path)
     require(m.field, Field, f"{path}.field")
     data = m.rows if cls is LinearMap else m.c
     if not isinstance(data, _ARRAY):
         raise ShapeError("expected an array", path)
+    if not data:
+        raise ParamError(f"{path}: dim must be at least 1, got 0")
     check_map(m, cls, m.field, len(data), path)
 
 
@@ -190,6 +194,12 @@ def apply_map(f: LinearMap, x: Sequence) -> Vector:
     x = _vector(x, f.field, "x")
     if len(x) != f.dim:
         raise DimensionMismatch(f"vector of length {len(x)} under a dim-{f.dim} map")
+    return _apply(f, x)
+
+
+def _apply(f: LinearMap, x) -> Vector:
+    """apply_map on a map already checked and a canonical vector of its
+    dim."""
     return tuple(map(f.field.reduce, apply_raw(f.columns(), x)))
 
 
@@ -218,6 +228,11 @@ def map_power(f: LinearMap, n: int) -> LinearMap:
     require_int(n, "power")
     if n < 0:
         raise ShapeError("negative power", "map")
+    return _power(f, n)
+
+
+def _power(f: LinearMap, n: int) -> LinearMap:
+    """map_power on a map already checked and a power n >= 0."""
     acc = LinearMap.identity(f.field, f.dim)
     base = f
     while n:
@@ -256,6 +271,11 @@ def _echelon(field: Field, rows: list) -> tuple:
 def map_invert(f: LinearMap) -> LinearMap:
     """Exact inverse; raises SingularMapError when none exists."""
     check_own(f, LinearMap, "f")
+    return _invert(f)
+
+
+def _invert(f: LinearMap) -> LinearMap:
+    """map_invert on a map already checked."""
     n = f.dim
     field = f.field
     aug = [list(f.rows[i]) + [field.one if j == i else field.zero for j in range(n)]
@@ -273,6 +293,11 @@ def kernel_vector(f: LinearMap):
     f(v) = 0 with v != 0.
     """
     check_own(f, LinearMap, "f")
+    return _kernel_vector(f)
+
+
+def _kernel_vector(f: LinearMap):
+    """kernel_vector on a map already checked."""
     basis = null_space(f.field, [list(r) for r in f.rows], f.dim)
     return tuple(basis[0]) if basis else None
 

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,11 @@ from halg import (GF, QQ, SIDE_CONDITIONS, BilinearMap, DimensionMismatch,
                   make_doc, map_invert, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, replay_violation,
                   report_to_jsonable, structure_ok, yau_twist)
-from halg.axioms import (_KERNELS, _MAP_LAWS, _STRUCTURE_LAWS,
-                         DENDRIFORM_AXIOM3_TWIST, _compile, _degree, _frame,
-                         _laws_for, _map_laws, _padded, _plan, _points,
-                         _runner_source, _runners, _sides, _structure_laws,
+import halg._runners
+from halg._codegen import (_degree, _runner_source, _sides, facts, main, rows,
+                           source)
+from halg.axioms import (_FILLS, _MAP_LAWS, DENDRIFORM_AXIOM3_TWIST, _frame,
+                         _laws_for, _map_laws, _plan, _points, _structure_laws,
                          _violations)
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
                              HOM_ASSOC_MATCHING_RB, KIND_ROLES, KINDS,
@@ -887,29 +889,29 @@ def test_a_zero_product_check_calls_no_kernel(monkeypatch):
 
 
 def _rows():
-    """Every distinct row of both law tables."""
-    rows = dict.fromkeys(law for laws in _STRUCTURE_LAWS.values() for law in laws)
-    rows.update(dict.fromkeys(law for _, laws in _MAP_LAWS.values() for law in laws))
-    return list(rows)
+    """Every distinct row of both law tables, the fill rows left out."""
+    return [law for law in rows() if law.axiom != "fill"]
 
 
 def test_the_runners_text_stays_small():
-    """Every process compiles the runners of the laws it checks, so their
-    text is kept small: summed over every distinct row of both law tables,
-    each term padded to the law's degree as _runners compiles it, it stays
-    under a ceiling about 10% above the 21,141 characters the 32 rows take
-    now."""
+    """Every process imports the runners, so their text is kept small:
+    summed over every distinct row of both law tables, each term padded to
+    the law's degree as its generated runner has it, it stays under a
+    ceiling about 10% above the 21,141 characters the 32 rows take now.
+    The whole generated module, with the fill rows, RUNNERS and its
+    header, stays under a ceiling about 10% above its 35,252 characters."""
     total = 0
     for law in _rows():
-        arity, degree, _ = _runners(law)
-        padded = [[_padded(t, degree - _degree(t)) for t in side] for side in _sides(law)]
+        arity, _, padded, _ = facts(law)
         total += len(_runner_source(law.labels, arity, padded))
     assert len(_rows()) == 32
     assert total <= 23000, total
+    size = len(Path(halg._runners.__file__).read_text())
+    assert size <= 39000, size
 
 
 def test_each_law_runs_its_sides_padded_to_its_degree():
-    """Every row compiles one runner, whose terms are brought to the law's
+    """Every row has one runner, whose terms are brought to the law's
     degree K by powers of D; the rows with a term below K are exactly these
     four.  With D bound to 1, each law's runner (all kinds, both dendriform
     readings, verbose on, every map tag) yields at every instance over the
@@ -924,8 +926,9 @@ def test_each_law_runs_its_sides_padded_to_its_degree():
 
     reference = {}
     for law in _rows():
-        scope = dict(_KERNELS)
-        exec(_runner_source(law.labels, _runners(law)[0], _sides(law)), scope)
+        # the generated module's globals bind the kernels a runner calls
+        scope = dict(vars(halg._runners))
+        exec(_runner_source(law.labels, facts(law)[0], _sides(law)), scope)
         reference[law] = scope["run"]
     compared = set()
     for doc, partner, cand in _guard_corpus():
@@ -948,12 +951,48 @@ def test_each_law_runs_its_sides_padded_to_its_degree():
     assert compared == set(_rows()), set(_rows()) - compared
 
 
+def test_the_generated_runners_are_the_rows_regenerated(tmp_path):
+    """halg._runners is what halg._codegen generates from the rows today,
+    byte for byte, so a row edited without regenerating fails here; the
+    generator's --check reports a stale file with exit 1 and rewriting
+    mends it.  It keys every row of both law tables and of the fill
+    table."""
+    target = Path(halg._runners.__file__)
+    assert target.read_text() == source()
+    assert main(["--check"], target) == 0
+    stale = tmp_path / "_runners.py"
+    stale.write_text(source().replace("s0 != s1", "s0 == s1", 1))
+    assert main(["--check"], stale) == 1
+    assert main([], stale) == 0 and stale.read_text() == source()
+    assert main(["--check"], stale) == 0
+    assert list(halg._runners.RUNNERS) == rows()
+    assert len(rows()) == 32 + len(_FILLS)
+
+
 _RUNNERS_PROBE = """
+import builtins
+import sys
 from fractions import Fraction
-from halg import (QQ, SIDE_CONDITIONS, LinearMap, catalog, check_morphism,
-                  check_side_conditions, check_structure, commutator,
-                  enumerate_docs, rb_to_dendriform, SearchSpec)
-from halg.axioms import DENDRIFORM_AXIOM3_TWIST, _runners
+
+from halg import (QQ, SIDE_CONDITIONS, HalgError, LinearMap, SearchSpec,
+                  catalog, check_morphism, check_side_conditions,
+                  check_structure, commutator, enumerate_docs,
+                  rb_to_dendriform, verify_diagram)
+from halg.axioms import DENDRIFORM_AXIOM3_TWIST
+from halg.cli import _RECIPES, _run_recipe
+
+calls = []
+
+
+def spy(real):
+    def call(*args, **kwargs):
+        calls.append((real.__name__, sys._getframe(1).f_globals.get("__name__")))
+        return real(*args, **kwargs)
+    return call
+
+
+builtins.exec, builtins.compile = spy(builtins.exec), spy(builtins.compile)
+
 
 def battery(suffix, half):
     base = catalog("N2-Pnil-w0" + suffix)
@@ -967,25 +1006,57 @@ def battery(suffix, half):
     check_morphism(half, base, base)
     commutator(base)
 
+
+# the params each recipe reads, beside the doc
+PARAMS = {"yau-twist": ("twist",), "derived": ("n",), "centroid-twist": ("twist",),
+          "collapse": ("coeffs",), "dendriform-twist": ("twist",)}
+
+
+def recipes(docs):
+    # every recipe on every doc, with the identity for a twist; the outputs
+    made = []
+    for doc in docs:
+        values = {"twist": [[int(i == j) for j in range(doc.dim)] for i in range(doc.dim)],
+                  "n": 1, "coeffs": {lab: 1 for lab in doc.labels}}
+        for recipe in _RECIPES:
+            try:
+                made.append(_run_recipe(recipe, doc, {key: values[key]
+                                                      for key in PARAMS.get(recipe, ())}))
+            except HalgError:
+                pass
+    return made
+
+
 battery("-F3", 2)
-enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F3"), "endomorphism"))
-compiled = _runners.cache_info().misses
-# the same laws over Q, where the candidate's 1/2 makes D = 2
 battery("", Fraction(1, 2))
-print(compiled > 0, _runners.cache_info().misses - compiled)
+recipes(recipes(catalog().values()))
+verify_diagram(catalog("N2-Pnil-w0"))
+enumerate_docs(SearchSpec(catalog("N2-Pnil-w0-F3"), "endomorphism"))
+print("halg._codegen" in sys.modules, calls)
 """
 
 
-def test_a_check_over_q_compiles_no_runner_a_check_over_f_p_did():
-    """Each law compiles one runner for every frame, so after checks over
-    F_3 a process running the same laws over Q, with D = 2 on the frames
-    that bind the candidate 1/2, compiles no runner more."""
+def test_no_halg_process_compiles_a_law():
+    """In a fresh process, checks of the same laws over F_3 and over Q
+    (where the candidate's 1/2 makes D = 2 on the frames that bind it),
+    every construction recipe on the catalog and on its outputs, the
+    diagram and a search run without halg._codegen imported and without
+    one call of exec or compile: each runner is imported with
+    halg._runners.  And no runtime module names exec, compile or ast."""
     src = os.path.dirname(os.path.dirname(halg.axioms.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", _RUNNERS_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout == "True 0\n", out
+    assert out.stdout == "False []\n", out
+    for path in sorted(Path(src, "halg").glob("*.py")):
+        if path.name == "_codegen.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not names & {"exec", "compile", "eval", "ast"}, path.name
 
 
 def _run_at(laws, frame, doc, tuples=None, points=None):

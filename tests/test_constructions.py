@@ -499,9 +499,7 @@ def test_a_construction_builds_one_frame_of_its_input(monkeypatch):
     def counted(doc, *rest):
         built.append(doc)
         return real(doc, *rest)
-    docs = list(catalog().values())
-    docs += [out for doc in docs for _, make in _recipes(doc)
-             for out in _applied(make)]
+    docs = _closure_docs()
     monkeypatch.setattr(halg.constructions, "_frame", counted)
     monkeypatch.setattr(halg.axioms, "_frame", counted)
     applied = set()
@@ -525,6 +523,68 @@ def _applied(make):
         return [make()]
     except (PreconditionFailed, NonzeroWeightError, ParamError):
         return []
+
+
+def _closure_docs():
+    """The catalog docs over Q, F_2 and F_3 and the docs their recipes
+    lead to."""
+    docs = list(catalog().values())
+    return docs + [out for doc in docs for _, make in _recipes(doc)
+                   for out in _applied(make)]
+
+
+def test_every_side_a_construction_fills_is_a_row_of_the_fill_table(monkeypatch):
+    """Every recipe, on the catalog docs and the docs they lead to, and the
+    four tensor operations fill only rows of the fill table, and between
+    them every row of it: no row goes missing at run time and none is
+    dead.  fill refuses a side that is not a row."""
+    import halg.axioms
+    filled = []
+    real = halg.constructions.fill
+
+    def recorded(side, *rest):
+        filled.append(side)
+        return real(side, *rest)
+    docs = _closure_docs()
+    monkeypatch.setattr(halg.constructions, "fill", recorded)
+    for doc in docs:
+        for _, make in _recipes(doc):
+            _applied(make)
+    m, f = BilinearMap.from_nested(QQ, N2), LinearMap.from_rows(QQ, [[1, 1], [0, 1]])
+    for op in (postcompose, precompose_left, precompose_right):
+        op(m, f)
+    tensor_transpose(m)
+    assert set(filled) == set(halg.axioms._FILLS), set(filled) ^ set(halg.axioms._FILLS)
+    frame = halg.axioms._scaled({"m": m.c}, QQ, 2)
+    assert real("m(Y, X)", QQ, frame) == tensor_transpose(m)
+    with pytest.raises(ParamError, match="not a row of the fill table"):
+        real("m(X, X)", QQ, frame)
+
+
+def test_a_construction_checks_its_map_once(monkeypatch):
+    """derived_algebra and untwist, passing or refused, check the doc's
+    twist p once, by check_operand: p's power or inverse, the invertible
+    tag's kernel vector and witness, and the output twist, p composed with
+    that power, are made unchecked."""
+    import halg.linalg
+    import halg.structures
+    checked = []
+    real = halg.linalg.check_map
+
+    def counted(m, *rest):
+        checked.append(m)
+        return real(m, *rest)
+    docs = [doc for doc in _closure_docs() if doc.kind == HOM_ASSOC_MATCHING_RB]
+    monkeypatch.setattr(halg.linalg, "check_map", counted)
+    monkeypatch.setattr(halg.structures, "check_map", counted)
+    calls = 0
+    for doc in docs:
+        for make in (lambda: untwist(doc), lambda: derived_algebra(doc, 0),
+                     lambda: derived_algebra(doc, 3), lambda: derived_algebra(doc, 2, 2)):
+            checked.clear()
+            calls += bool(_applied(make))
+            assert sum(m is doc.twist for m in checked) == 1, doc
+    assert calls > 10, calls
 
 
 # --- functoriality: isomorphic inputs give isomorphic outputs --------------------

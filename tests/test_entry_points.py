@@ -316,11 +316,22 @@ def _cases():
     for bad in ("x", 0.5):
         yield f"tensor_combine coefficient {bad!r}", ShapeError, "terms[0]", \
             lambda bad=bad: tensor_combine(QQ, [(bad, zero2)])
-    # a dim below 1 makes no map
+    # a dim below 1 makes no map, and a map or tensor of dim 0 is refused
+    # wherever it is read on its own
+    empty, empty_m = LinearMap(QQ, ()), BilinearMap(QQ, ())
     for name, call in (("LinearMap.identity dim 0", lambda: LinearMap.identity(QQ, 0)),
                        ("LinearMap.identity dim -1", lambda: LinearMap.identity(QQ, -1)),
                        ("BilinearMap.zero dim 0", lambda: BilinearMap.zero(QQ, 0)),
-                       ("BilinearMap.zero dim -2", lambda: BilinearMap.zero(QQ, -2))):
+                       ("BilinearMap.zero dim -2", lambda: BilinearMap.zero(QQ, -2)),
+                       ("map_invert dim 0", lambda: map_invert(empty)),
+                       ("map_power dim 0", lambda: map_power(empty, 2)),
+                       ("map_compose dim 0", lambda: map_compose(empty, empty)),
+                       ("kernel_vector dim 0", lambda: kernel_vector(empty)),
+                       ("apply_map dim 0", lambda: apply_map(empty, ())),
+                       ("bilinear_apply dim 0", lambda: bilinear_apply(empty_m, (), ())),
+                       ("tensor_combine dim 0", lambda: tensor_combine(QQ, [(1, empty_m)])),
+                       ("tensor_transpose dim 0", lambda: tensor_transpose(empty_m)),
+                       ("postcompose dim 0", lambda: postcompose(empty_m, empty))):
         yield name, ParamError, None, call
     # a vector is a list or tuple of scalars of the map's field, as long as
     # the map's dim

@@ -151,12 +151,6 @@ def test_transpose_of_alternating_bracket_negates():
     assert tensor_transpose(br) == tensor_combine(QQ, [(-1, br)])
 
 
-def test_the_tensor_operations_take_the_empty_tensor_to_itself():
-    empty = BilinearMap(QQ, ())
-    assert tensor_transpose(empty) == empty
-    assert postcompose(empty, LinearMap(QQ, ())) == empty
-
-
 def test_tensor_combine_rejects_empty_and_mixed():
     with pytest.raises(ShapeError):
         tensor_combine(QQ, [])
