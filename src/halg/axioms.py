@@ -84,7 +84,6 @@ a = b, with p the twist):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -263,8 +262,7 @@ _STRUCTURE_LAWS, _MAP_LAWS, _FILLS = _tables()
 # differs from the lhs raw.  Every side it yields is D^K times its value,
 # K the row's degree: run brings each term there by powers of D.
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _Compiled:
+class _Compiled(NamedTuple):
     axiom: str
     labels: str
     arity: int

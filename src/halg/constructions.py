@@ -18,16 +18,15 @@ on their own arguments; collapse_family sums with linalg.tensor_combine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axioms import (_MISMATCH, _frame, _plan, _scaled, _structure_laws,
                      _tag_violations, _violations, check_structure, fill,
                      first_difference)
 # not called here: bound for the wrappers perfbench/tracing.py sets here
 from .axioms import check_morphism, check_side_conditions  # noqa: F401
-from .errors import (HalgError, MissingCoefficientError, NonzeroWeightError,
-                     ParamError, PowerBoundError, PreconditionFailed,
-                     SingularMapError, TheoremCheckError, require)
+from .errors import (Frozen, HalgError, MissingCoefficientError,
+                     NonzeroWeightError, ParamError, PowerBoundError,
+                     PreconditionFailed, SingularMapError, TheoremCheckError,
+                     require)
 from .linalg import (BilinearMap, LinearMap, _compose, _invert, _power,
                      check_operand, check_own, tensor_combine)
 # not called here either: _construct checks its map once, then powers and
@@ -78,11 +77,13 @@ def tensor_transpose(m: BilinearMap) -> BilinearMap:
     return _surgery("m(Y, X)", m)
 
 
-@dataclass(frozen=True)
-class CoefficientFamily:
+class CoefficientFamily(Frozen):
     """One scalar per Omega label, for collapsing a family to one operation."""
 
-    coeffs: dict
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:

@@ -1,6 +1,47 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the base
+of its immutable value classes."""
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass names its
+    fields in __slots__, in its __init__'s parameter order, and sets them
+    there with object.__setattr__.  Its objects are equal when they are of
+    one class with equal fields, hash as the tuple of their fields, print as
+    Name(field=value, ...), refuse assignment and deletion, and copy and
+    pickle by calling the class on their fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        get = attrgetter(*names)
+        # the tuple of an object's fields, one field or many
+        cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({parts})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class HalgError(Exception):

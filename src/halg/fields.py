@@ -17,10 +17,9 @@ back, and where documents are serialized.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocSyntaxError, ShapeError, ZeroDenominatorError
+from .errors import DocSyntaxError, Frozen, ShapeError, ZeroDenominatorError
 
 Scalar = int | Fraction
 
@@ -62,14 +61,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Frozen):
     """Arithmetic context: the rationals, or F_p for a prime p."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, p: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
         if self.kind == RATIONALS:
             if self.p is not None:
                 raise ShapeError("rationals take no modulus", "field.p")

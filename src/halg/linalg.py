@@ -25,13 +25,12 @@ these kernels, and `tensor_combine` is the one pointwise sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import (DimensionMismatch, FieldMismatch, ParamError, ShapeError,
-                     SingularMapError, require, require_int)
+from .errors import (DimensionMismatch, FieldMismatch, Frozen, ParamError,
+                     ShapeError, SingularMapError, require, require_int)
 from .fields import Field
 
 Vector = tuple
@@ -129,12 +128,14 @@ def _size_error(a, dim: int, path: str) -> ShapeError:
     return ShapeError(f"expected {dim} entries, got {got}", path)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Frozen):
     """Square matrix over `field`; rows[i][j] is the e_i coefficient of f(e_j)."""
 
-    field: Field
-    rows: tuple
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field, rows: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_rows(field: Field, rows, path: str = "map") -> "LinearMap":
@@ -319,12 +320,14 @@ def null_space(field: Field, rows: list, n_cols: int) -> list:
     return basis
 
 
-@dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(Frozen):
     """Structure constants c[i][j][k]: e_i * e_j = sum_k c[i][j][k] e_k."""
 
-    field: Field
-    c: tuple
+    __slots__ = ("field", "c")
+
+    def __init__(self, field: Field, c: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "c", c)
 
     @staticmethod
     def from_nested(field: Field, c, path: str = "tensor") -> "BilinearMap":

@@ -52,13 +52,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import (candidate_check, check_side_conditions, linear_system,
                      structure_ok)
-from .errors import (BudgetExceededError, NonFiniteFieldError, ParamError,
-                     PreconditionFailed, TheoremCheckError,
+from .errors import (BudgetExceededError, Frozen, NonFiniteFieldError,
+                     ParamError, PreconditionFailed, TheoremCheckError,
                      UnknownFixtureError, require, require_int)
 from .fields import GF, QQ, Field
 from .linalg import BilinearMap, LinearMap, _echelon, null_space
@@ -75,22 +74,25 @@ TARGETS = (TARGET_RB_FAMILY, TARGET_ENDOMORPHISM, TARGET_COMMUTING)
 DEFAULT_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Frozen):
     """What to enumerate: a base doc, the label count and weights to search
     operator families over (rb-family target only), and a hit limit.
     base is an AlgebraDoc, weights a tuple or list, and omega_size, limit
     and budget are ints (the first two may be None); anything else is
     refused with ParamError."""
 
-    base: AlgebraDoc
-    target: str
-    omega_size: int | None = None
-    weights: tuple = ()
-    limit: int | None = None
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("base", "target", "omega_size", "weights", "limit", "budget")
 
-    def __post_init__(self):
+    def __init__(self, base: AlgebraDoc, target: str, omega_size: int | None = None,
+                 weights: tuple = (), limit: int | None = None,
+                 budget: int = DEFAULT_BUDGET):
+        put = object.__setattr__
+        put(self, "base", base)
+        put(self, "target", target)
+        put(self, "omega_size", omega_size)
+        put(self, "weights", weights)
+        put(self, "limit", limit)
+        put(self, "budget", budget)
         require(self.base, AlgebraDoc, "base")
         if not isinstance(self.weights, (tuple, list)):
             raise ParamError(f"weights must be a sequence, not a {type(self.weights).__name__}")
@@ -100,10 +102,12 @@ class SearchSpec:
                 require_int(value, name)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    docs: tuple
-    truncated: bool
+class SearchResult(Frozen):
+    __slots__ = ("docs", "truncated")
+
+    def __init__(self, docs: tuple, truncated: bool):
+        object.__setattr__(self, "docs", docs)
+        object.__setattr__(self, "truncated", truncated)
 
     def __iter__(self):
         return iter(self.docs)

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocSyntaxError, ParamError, ShapeError, require
+from .errors import DocSyntaxError, Frozen, ParamError, ShapeError, require
 from .fields import Field, field_from_jsonable, field_to_jsonable
 from .linalg import BilinearMap, LinearMap, _basis, check_map, read_array
 
@@ -100,13 +99,13 @@ RB_TWINS = {
 FORMAT_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class OmegaSet:
+class OmegaSet(Frozen):
     """Ordered, duplicate-free set of non-empty string labels."""
 
-    labels: tuple
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple):
+        object.__setattr__(self, "labels", labels)
         if not isinstance(self.labels, tuple) or not self.labels:
             raise ShapeError("label set must be a non-empty tuple", "omega")
         for i, lab in enumerate(self.labels):
@@ -122,33 +121,40 @@ class OmegaSet:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
-class BilinearFamily:
+class BilinearFamily(Frozen):
     """One bilinear map per Omega label, all of one role and one shape."""
 
-    role: str
-    maps: dict
+    __slots__ = ("role", "maps")
+
+    def __init__(self, role: str, maps: dict):
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "maps", maps)
 
 
-@dataclass(frozen=True)
-class OperatorFamily:
+class OperatorFamily(Frozen):
     """One linear operator and one weight scalar per Omega label."""
 
-    ops: dict
-    weights: dict
+    __slots__ = ("ops", "weights")
+
+    def __init__(self, ops: dict, weights: dict):
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class AlgebraDoc:
-    field: Field
-    dim: int
-    omega: OmegaSet
-    kind: str
-    families: dict
-    operators: OperatorFamily | None = None
-    twist: LinearMap | None = None
+class AlgebraDoc(Frozen):
+    __slots__ = ("field", "dim", "omega", "kind", "families", "operators", "twist")
 
-    def __post_init__(self):
+    def __init__(self, field: Field, dim: int, omega: OmegaSet, kind: str,
+                 families: dict, operators: OperatorFamily | None = None,
+                 twist: LinearMap | None = None):
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "dim", dim)
+        put(self, "omega", omega)
+        put(self, "kind", kind)
+        put(self, "families", families)
+        put(self, "operators", operators)
+        put(self, "twist", twist)
         validate_doc(self)
 
     @property
@@ -224,8 +230,8 @@ def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,
             twist = None
     else:
         twist = doc.twist
-    # one call per part, as __init__ sets them: a copied __dict__ would
-    # cost each hit about 64 more bytes
+    # one call per part, as __init__ sets them, into the doc's slots: a hit
+    # has no __dict__ to copy
     out, put = object.__new__(AlgebraDoc), object.__setattr__
     put(out, "field", doc.field)
     put(out, "dim", doc.dim)
@@ -512,23 +518,26 @@ def parse_doc(data) -> AlgebraDoc:
 
 # --- check reports ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One failed identity instance, replayable from its coordinates."""
 
-    axiom: str
-    labels: tuple
-    basis: tuple
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ("axiom", "labels", "basis", "lhs", "rhs")
+
+    def __init__(self, axiom: str, labels: tuple, basis: tuple, lhs: tuple, rhs: tuple):
+        put = object.__setattr__
+        put(self, "axiom", axiom)
+        put(self, "labels", labels)
+        put(self, "basis", basis)
+        put(self, "lhs", lhs)
+        put(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    verdict: str
-    violations: tuple = ()
+class CheckReport(Frozen):
+    __slots__ = ("verdict", "violations")
 
-    def __post_init__(self):
+    def __init__(self, verdict: str, violations: tuple = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "violations", violations)
         if self.verdict not in ("pass", "fail"):
             raise ShapeError("verdict must be pass or fail", "report")
         if (self.verdict == "pass") != (not self.violations):

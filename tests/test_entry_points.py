@@ -4,7 +4,6 @@ A matrix or tensor is refused at the path of its first bad level or entry.
 None of these calls may end in a raw AttributeError, IndexError or
 TypeError."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -49,6 +48,12 @@ def _plain(field, product, op, twist=None, omega=("a",)):
                     operators=OperatorFamily({"a": op}, {"a": 0}), twist=twist)
 
 
+def _rebuilt(obj, **changes):
+    """obj's class called on obj's fields, with changes in place of some."""
+    return type(obj)(**{name: getattr(obj, name) for name in type(obj).__slots__}
+                     | changes)
+
+
 def _cases():
     rb = catalog("N2-Pnil-w0")
     dend = rb_to_dendriform(rb)
@@ -77,10 +82,10 @@ def _cases():
         lambda: _hom_assoc(zero, twist=LinearMap(QQ, 5))
     doc = _hom_assoc(zero)
     yield "validate_doc twist", ShapeError, "twist", \
-        lambda: validate_doc(dataclasses.replace(doc, twist=LinearMap(QQ, 5)))
+        lambda: validate_doc(_rebuilt(doc, twist=LinearMap(QQ, 5)))
     yield "validate_doc family map", ShapeError, "families.dot.a", \
-        lambda: validate_doc(dataclasses.replace(
-            doc, families={"dot": dataclasses.replace(
+        lambda: validate_doc(_rebuilt(
+            doc, families={"dot": _rebuilt(
                 doc.families["dot"], maps={"a": BilinearMap(QQ, 5)})}))
     yield "search base", ParamError, None, \
         lambda: enumerate_docs(SearchSpec("x", "rb-family"))
@@ -231,15 +236,15 @@ def _cases():
         lambda: CheckReport("pass", (Violation("hom-assoc", (), (0, 0, 0), (1, 0), (0, 0)),))
     yield "product of a family kind", ShapeError, "kind", lambda: fam.product()
     yield "validate_doc role tag", ShapeError, "families.dot", \
-        lambda: validate_doc(dataclasses.replace(doc, families={
+        lambda: validate_doc(_rebuilt(doc, families={
             "dot": BilinearFamily("star", doc.families["dot"].maps)}))
     rb_ab = make_doc(QQ, 2, ("a", "b"), PLAIN_ASSOC_MATCHING_RB, {"dot": zero2},
                      operators=OperatorFamily({"a": id2, "b": id2}, {"a": 0, "b": 0}))
     yield "validate_doc rb labels disagree", ShapeError, "families.dot.b", \
-        lambda: validate_doc(dataclasses.replace(rb_ab, families={
+        lambda: validate_doc(_rebuilt(rb_ab, families={
             "dot": BilinearFamily("dot", {"a": zero2, "b": rb.product()})}))
     yield "validate_doc operators 5", ShapeError, "operators", \
-        lambda: validate_doc(dataclasses.replace(rb, operators=5))
+        lambda: validate_doc(_rebuilt(rb, operators=5))
     yield "make_doc twist (5, 6)", ShapeError, "twist[0]", \
         lambda: _hom_assoc(zero, twist=LinearMap(QQ, (5, 6)))
     yield "make_doc operator (5, 6)", ShapeError, "operators.ops.a[0]", \

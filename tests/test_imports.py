@@ -1,5 +1,6 @@
 """The runtime is standard-library only: halg imports nothing from outside
-the standard library and itself, so it runs on a bare interpreter."""
+the standard library and itself, so it runs on a bare interpreter.  Of the
+standard library it leaves out dataclasses, which would slow every start."""
 
 import ast
 import sys
@@ -91,3 +92,19 @@ def test_every_private_top_level_name_is_used():
             if name.startswith("_") and not name.startswith("__"):
                 assert any(name in names for other, names in mentioned if other is not stmt), \
                     f"{path.name}:{stmt.lineno} defines {name}, which nothing else names"
+
+
+def test_no_runtime_module_imports_dataclasses():
+    # the value classes are __slots__ classes on errors.Frozen: dataclasses
+    # (and the inspect it imports) would cost every process its import and
+    # the generation of each class's methods
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+

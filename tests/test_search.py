@@ -5,7 +5,6 @@ frozen; a change in any of them means the search order or the identity
 checks moved.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -648,10 +647,16 @@ def _limit_sweep(spec, limits=None):
                                                     for v in row) for m in maps)
     assert [serialize_doc(d) for d in enumerate_docs(spec)] == lines
     for limit in limits or range(1, n + 2):
-        res = enumerate_docs(dataclasses.replace(spec, limit=limit))
+        res = enumerate_docs(_limited(spec, limit))
         assert [serialize_doc(d) for d in res] == lines[:limit], limit
         assert res.truncated == (limit < n or limit == n and not last), limit
     return n
+
+
+def _limited(spec, limit):
+    """spec with its hit limit set to limit."""
+    return SearchSpec(spec.base, spec.target, spec.omega_size, spec.weights, limit,
+                      spec.budget)
 
 
 def _reads_every_column(doc):
@@ -863,7 +868,7 @@ def test_the_pair_join_matches_the_product_and_filter_loop_under_every_limit():
         last = bool(loop) and all(v == top for m in loop[-1] for row in m for v in row)
         n = len(loop)
         for limit in range(1, n + 2):
-            res = enumerate_docs(dataclasses.replace(spec, limit=limit))
+            res = enumerate_docs(_limited(spec, limit))
             assert [tuple(d.operators.ops[lab].rows for lab in labels)
                     for d in res] == loop[:limit], (spec, limit)
             assert res.truncated == (limit < n or limit == n and not last), (spec, limit)
