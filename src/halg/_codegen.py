@@ -44,8 +44,12 @@ terms applies ("-" is a sign, not a map).  A frame binds every scalar times
 its D (axioms._scaled), so a term of degree k evaluates to D^k times its
 value.  So the runner multiplies each term by D^(K - k), read as the scalar
 name "D" that every frame binds, and every side is D^K times its value; a
-row whose terms all have degree K runs as written.  One runner serves
-every frame, D = 1 included (every frame over F_p).
+row whose terms all have degree K runs as written.  The factor is folded
+into the term's outermost linear map (`_padded`): f(m.a(X, Y)) runs as
+(D*f)(m.a(X, Y)), with the columns of D*f bound once per runner call, and
+right.a(X, right.b(Y, Z)) reads X from D times the basis, so no instance
+multiplies by D.  One runner serves every frame, D = 1 included (every
+frame over F_p), with no branch on D.
 """
 
 from __future__ import annotations
@@ -88,8 +92,12 @@ def _terms(node):
 
 def _ref(name, names):
     """The runner's local b<i> for the map name; appended to names on first
-    use."""
+    use, after D and the map that a scaled map "D*n" is bound from."""
     if name not in names:
+        if name.startswith("D*"):
+            _ref("D", names)
+            if name != "D*E":
+                _ref(name[2:], names)
         names.append(name)
     return f"b{names.index(name)}"
 
@@ -106,8 +114,28 @@ def _degree(term):
 
 
 def _padded(term, n):
-    """term multiplied by D^n."""
-    return _padded(("D", term), n - 1) if n else term
+    """term multiplied by D^n, the factor folded into the term's outermost
+    linear map: f(t) becomes (D*f)(t), "D*f" being D times f's columns,
+    bound once per runner call.  A sign or a weight passes it to its
+    argument, and a bilinear map to its first argument that is not a
+    lookup, a basis slot X being read through "D*E", D times the basis.
+    Only a lookup, or a bilinear map of two lookups, keeps D per instance."""
+    if not n:
+        return term
+    if isinstance(term, int):
+        return _padded(("D*E", term), n - 1)
+    name, *args = term
+    if _is_scalar(name):
+        return (name, _padded(args[0], n))
+    if _lookup(term):
+        return _padded(("D", term), n - 1)
+    if len(args) == 1:
+        return _padded(("D*" + name, *args), n - 1)
+    k = next((k for k, t in enumerate(args) if isinstance(t, int) or not _lookup(t)), None)
+    if k is None:
+        return _padded(("D", term), n - 1)
+    args[k] = _padded(args[k], n)
+    return (name, *args)
 
 
 def _lookup(term):
@@ -142,8 +170,8 @@ def _source(term, names):
 def _zero_source(term, names):
     """Python condition under which term is provably the zero vector, or
     None when nothing can prove it (a basis slot)."""
-    if isinstance(term, int):
-        return None
+    if isinstance(term, int) or term[0].endswith("*E"):
+        return None    # a basis slot, or D times one
     if _lookup(term):
         return f"not any({_source(term, names)})"
     name, *args = term
@@ -211,6 +239,12 @@ def _runner_source(labels, arity, sides):
     values = [_side_source(side, names) for side in sides]
     once, per_labs = [], []
     for i, name in enumerate(names):
+        if name.startswith("D*"):
+            # D times a map's columns, or the basis, where the map is read
+            cols = 'F["basis"]' if name == "D*E" else _ref(name[2:], names)
+            (per_labs if "." in name else once).append(
+                f"b{i} = [tuple([{_ref('D', names)} * v for v in c]) for c in {cols}]")
+            continue
         key, _, var = name.partition(".")
         if var and key.rstrip("2~") == "m":    # the role under check, R
             at = f"R + {key[1:]!r}" if key[1:] else "R"

@@ -213,7 +213,7 @@ def _run9(F, tuples, pts, every, R):
 def _run10(F, tuples, pts, every, R):
     b2 = F['p']
     b6 = F['D']
-    E = F["basis"]
+    b7 = [tuple([b6 * v for v in c]) for c in F["basis"]]
     skip = not every
     for labs in tuples:
         b0 = F['right~'][labs[0]]
@@ -228,7 +228,7 @@ def _run10(F, tuples, pts, every, R):
             if (held := (z0 or not any(b1[i0][i1]) or not any(b2[i2])) and (z3 or not any(b4[i0][i1]) or not any(b2[i2])) and (z0 or not any(b5[i1][i2]))) and skip:
                 continue
             s0 = list(map(add, mul(b0, b1[i0][i1], b2[i2]), mul(b3, b4[i0][i1], b2[i2])))
-            s1 = [b6 * v for v in mul(b0, E[i0], b5[i1][i2])]
+            s1 = mul(b0, b7[i0], b5[i1][i2])
             if every or s0 != s1:
                 yield labs, ix, held, (s0, s1,)
 
@@ -448,6 +448,7 @@ def _run21(F, tuples, pts, every, R):
 def _run22(F, tuples, pts, every, R):
     b2 = F['f']
     b3 = F['D']
+    b4 = [tuple([b3 * v for v in c]) for c in b2]
     skip = not every
     for labs in tuples:
         b0 = F[R][labs[0]]
@@ -457,7 +458,7 @@ def _run22(F, tuples, pts, every, R):
             i0, i1, = ix
             if (held := (not any(b0[i0][i1])) and (z1 or not any(b2[i0]) or not any(b2[i1]))) and skip:
                 continue
-            s0 = [b3 * v for v in app(b2, b0[i0][i1])]
+            s0 = app(b4, b0[i0][i1])
             s1 = mul(b1, b2[i0], b2[i1])
             if every or s0 != s1:
                 yield labs, ix, held, (s0, s1,)
@@ -518,6 +519,7 @@ def _run25(F, tuples, pts, every, R):
 def _run26(F, tuples, pts, every, R):
     b2 = F['f']
     b3 = F['D']
+    b4 = [tuple([b3 * v for v in c]) for c in b2]
     skip = not every
     for labs in tuples:
         b0 = F[R][labs[0]]
@@ -527,7 +529,7 @@ def _run26(F, tuples, pts, every, R):
             i0, i1, = ix
             if (held := (not any(b0[i0][i1])) and (z1 or not any(b2[i0]) or not any(b2[i1]))) and skip:
                 continue
-            s0 = [b3 * v for v in app(b2, b0[i0][i1])]
+            s0 = app(b4, b0[i0][i1])
             s1 = mul(b1, b2[i0], b2[i1])
             if every or s0 != s1:
                 yield labs, ix, held, (s0, s1,)

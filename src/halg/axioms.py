@@ -45,8 +45,9 @@ ints times one common denominator D, the lcm of every denominator it binds
 (for a law between two docs, of both docs' and the map's), so the runner
 works on ints alone; over F_p, D = 1.  A row's degree K is the most maps
 and weights one of its terms applies; its runner takes a term of degree k
-times D^(K - k), so on every frame every side is D^K times its value.  The
-guard is generated from the row's terms: at a basis tuple where every side
+times D^(K - k), the factor riding on the term's outermost linear map
+(bound scaled once per runner call), so on every frame every side is D^K
+times its value.  The guard is generated from the row's terms: at a basis tuple where every side
 is provably the zero vector (a structure constant or column it looks up is
 zero, a weight it scales by is 0, or a product it multiplies through is the
 zero tensor), the runner skips the instance, which cannot fail.  It yields

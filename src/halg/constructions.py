@@ -1,11 +1,15 @@
-"""Structure-to-structure constructions, each re-validated on output.
+"""Structure-to-structure constructions, each re-checked by its laws on output.
 
-Every function here implements a constructive theorem: validate the input's
-own axioms, validate the hypothesis side conditions, transform the structure
-constants, then run the full check on the output and raise TheoremCheckError
-if it fails.  Output checks are never skipped; a red output check means the
-input slipped past a hypothesis or the transform is wrong, and both must be
-loud.
+Every function here implements a constructive theorem: check the input's
+own axioms, check the hypothesis side conditions, transform the structure
+constants, then check the output against its laws and raise
+TheoremCheckError if it fails.  Output checks are never skipped; a red
+output check means the input slipped past a hypothesis or the transform is
+wrong, and both must be loud.  An output is assembled from canonical parts
+(_output): its tensors are filled canonical and in shape, so it is not
+shape-validated (validate_doc); only a bracket filled by a row that does
+not make it alternating is checked for alternation, as validate_doc checks
+it.
 
 Each construction runs one path, _construct, and states only its kinds,
 preconditions, map and tags, rows and twist.  One frame of the input serves
@@ -14,15 +18,24 @@ evaluates each row, a side in the law table's terms, at each basis pair,
 with the map bound as f and a power or its inverse as g: x <_a y is
 m(X, P.a(Y)) + w.a(m(X, Y)).  The exported tensor operations are a row each
 on their own arguments; collapse_family sums with linalg.tensor_combine.
+
+verify_diagram runs six constructions in a row, and each checks its input
+on a frame.  Inside one verify_diagram call a doc that has passed its
+structure laws, as an input or as an output, is kept with its frame
+(_CHECKED), so the next construction on it reuses that frame and skips the
+input check it would repeat; nothing is kept once the call returns.
 """
 
 from __future__ import annotations
 
-from .axioms import (_MISMATCH, _frame, _plan, _scaled, _structure_laws,
-                     _tag_violations, _violations, check_structure, fill,
+from contextvars import ContextVar
+
+from .axioms import (_MISMATCH, _frame, _laws_for, _plan, _scaled,
+                     _structure_laws, _tag_violations, _violations, fill,
                      first_difference)
 # not called here: bound for the wrappers perfbench/tracing.py sets here
 from .axioms import check_morphism, check_side_conditions  # noqa: F401
+from .axioms import check_structure  # noqa: F401
 from .errors import (Frozen, HalgError, MissingCoefficientError,
                      NonzeroWeightError, ParamError, PowerBoundError,
                      PreconditionFailed, SingularMapError, TheoremCheckError,
@@ -39,8 +52,11 @@ from .structures import (ASSOC_RB_KINDS, COMPATIBLE_HOM_ASSOC,
                          MATCHING_HOM_LIE_RB, MATCHING_HOM_PRELIE,
                          MATCHING_HOM_TRIDENDRIFORM, PLAIN_ASSOC_MATCHING_RB,
                          PLAIN_LIE_MATCHING_RB, PLAIN_RB_KINDS, RB_KINDS,
-                         RB_TWINS, TOTALLY_COMPATIBLE_HOM_ASSOC, AlgebraDoc,
-                         Violation, make_doc, make_report)
+                         RB_TWINS, TOTALLY_COMPATIBLE_HOM_ASSOC, BRACKET,
+                         AlgebraDoc, BilinearFamily, OmegaSet, Violation,
+                         _assemble, _check_alternating, make_report)
+# not called here either: bound for the tracer's make_doc wrapper
+from .structures import make_doc  # noqa: F401
 
 MAX_DERIVED_LEVEL = 16
 
@@ -86,11 +102,60 @@ class CoefficientFamily(Frozen):
         object.__setattr__(self, "coeffs", coeffs)
 
 
+# the docs that passed their structure laws inside one verify_diagram
+# call, by id: (doc, the frame they passed on); None outside such a call
+_CHECKED: ContextVar = ContextVar("_CHECKED", default=None)
+
+
+def _structure_report(doc: AlgebraDoc, frame):
+    """doc's structure laws (those check_structure runs) on frame, one of
+    doc; inside verify_diagram a doc that passes is kept with frame."""
+    laws = _structure_laws(doc.kind, True, False)
+    report = make_report(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
+    if report.passed and (checked := _CHECKED.get()) is not None:
+        checked[id(doc)] = doc, frame
+    return report
+
+
 def _checked_output(doc: AlgebraDoc, what: str) -> AlgebraDoc:
-    report = check_structure(doc)
+    # on the frame check_structure builds, by axioms' own _frame
+    report = _structure_report(doc, _laws_for(doc, None, False)[1])
     if not report.passed:
         raise TheoremCheckError(f"{what}: output fails its {doc.kind} check", report)
     return doc
+
+
+# bracket rows that make the output alternating: x.y - y.x on any tensor,
+# and a map applied to the input's alternating bracket or to both of its
+# arguments; a bracket filled by another row (centroid_twist's variant 1)
+# is checked (_output)
+_ALTERNATING = frozenset({"dot.a(X, Y) - dot.a(Y, X)", "m(X, Y) - m(Y, X)",
+                          "star.a(X, Y) - star.a(Y, X)", "f(m(X, Y))",
+                          "g(m(X, Y))", "m(f(X), f(Y))"})
+
+
+def _output(doc: AlgebraDoc, kind: str, omega: OmegaSet, families: dict,
+            twist: LinearMap | None, alternating: bool) -> AlgebraDoc:
+    """The output of kind on doc's field and carrier, with doc's operators
+    on an rb kind: families maps each role to {label: tensor}, tensors
+    that fill or tensor_combine made canonical and in shape, so it is
+    assembled unchecked (structures._assemble), which drops an identity
+    twist on a plain kind.  The twist's rows are made tuples.  A bracket is
+    checked for alternation as validate_doc checks it, by
+    _check_alternating at the same path, unless alternating says its row
+    makes it so."""
+    if twist is not None and tuple(map(tuple, twist.rows)) != twist.rows:
+        twist = LinearMap(twist.field, tuple(map(tuple, twist.rows)))
+    rb = kind in RB_KINDS
+    out = _assemble(doc.field, doc.dim, omega, kind,
+                    {role: BilinearFamily(role, maps) for role, maps in families.items()},
+                    doc.operators if rb else None, twist)
+    if BRACKET in families and not alternating:
+        # an rb kind's one product sits at the role's own path, checked once
+        for lab in omega.labels[:1] if rb else omega.labels:
+            _check_alternating(out, families[BRACKET][lab],
+                               "families.bracket" + ("" if rb else "." + lab))
+    return out
 
 
 def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = None,
@@ -103,11 +168,15 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
     then, its one check, and must pass tags ("morphism": be a self-morphism
     of doc).  The frame binds p as f and p^power as g (-1: the inverse);
     the output's twist is p composed with g, p^(power + 1), or p where power
-    is None."""
+    is None.  Inside verify_diagram, a doc that passed its laws there
+    (_CHECKED) is not checked again where its structure twist is the map
+    and no power is read: its frame is reused, with f bound to its p."""
     require(doc, AlgebraDoc, "doc")
     if doc.kind not in kinds:
         raise PreconditionFailed(f"{what} does not accept kind {doc.kind!r}")
     path = "morphism" if "morphism" in tags else "candidate"
+    checked = _CHECKED.get()
+    seen = checked.get(id(doc)) if checked and p is None and power is None else None
     p, refused = doc.structure_twist() if p is None else p, None
     try:
         check_operand(p, doc.field, doc.dim, path, _MISMATCH[path])
@@ -119,13 +188,17 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
             g = _invert(p) if power < 0 else _power(p, power)
         except SingularMapError:
             pass  # the invertible tag refuses p before g is read
-    frame = _frame(doc, p.columns() if tags and not refused else None,
-                   doc if path == "morphism" else None,
-                   None if g is None else g.columns())
-    laws = _structure_laws(doc.kind, True, False)
-    report = make_report(_violations(_plan(laws, frame, doc.labels, doc.field), frame))
-    if not report.passed:
-        raise PreconditionFailed(f"{what}: input fails its {doc.kind} check", report)
+    if seen is not None:
+        frame = seen[1]
+        if tags and not refused:
+            frame["f"] = frame["p"]    # p, scaled by the frame's D as f would be
+    else:
+        frame = _frame(doc, p.columns() if tags and not refused else None,
+                       doc if path == "morphism" else None,
+                       None if g is None else g.columns())
+        report = _structure_report(doc, frame)
+        if not report.passed:
+            raise PreconditionFailed(f"{what}: input fails its {doc.kind} check", report)
     rows = rows(doc) if callable(rows) else rows
     if refused is not None:
         raise refused
@@ -137,13 +210,14 @@ def _construct(what: str, doc: AlgebraDoc, kinds, rows, p: LinearMap | None = No
         return None
     kind, field = kinds[doc.kind], doc.field
     if kind in RB_KINDS:
-        families = {KIND_ROLES[kind][0]: fill(rows, field, frame)}
+        rows = {KIND_ROLES[kind][0]: rows}
+        families = {role: dict.fromkeys(doc.labels, fill(side, field, frame))
+                    for role, side in rows.items()}
     else:
         families = {role: {lab: fill(side, field, frame, lab) for lab in doc.labels}
                     for role, side in rows.items()}
-    out = make_doc(field, doc.dim, doc.omega, kind, families,
-                   operators=doc.operators if kind in RB_KINDS else None,
-                   twist=p if g is None else _compose(p, g))
+    out = _output(doc, kind, doc.omega, families, p if g is None else _compose(p, g),
+                  rows.get(BRACKET) in _ALTERNATING)
     return _checked_output(out, what)
 
 
@@ -250,6 +324,9 @@ def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:
                       {"bracket": "star.a(X, Y) - star.a(Y, X)"})
 
 
+_COLLAPSED = OmegaSet(("*",))
+
+
 def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     """Collapse an Omega-indexed family to one operation over {"*"}.
 
@@ -279,7 +356,8 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     families = {role: {"*": tensor_combine(field, [(a[lab], fam.maps[lab])
                                                    for lab in doc.labels])}
                 for role, fam in doc.families.items()}
-    out = make_doc(field, doc.dim, ("*",), doc.kind, families, twist=doc.twist)
+    # a sum of the input's alternating brackets is alternating
+    out = _output(doc, doc.kind, _COLLAPSED, families, doc.twist, True)
     return _checked_output(out, "collapse_family")
 
 
@@ -362,9 +440,11 @@ def verify_diagram(doc: AlgebraDoc):
     def weight_zero(doc):
         if not _weights_zero(doc):
             raise NonzeroWeightError("the diagram is stated for weight 0 only")
-    _construct("verify_diagram", doc, ASSOC_RB_KINDS, weight_zero, tags=("commutes",))
-
+    # each doc on the paths is checked once: the input here, each
+    # intermediate as an output, whose frame its next step reuses
+    token = _CHECKED.set({})
     try:
+        _construct("verify_diagram", doc, ASSOC_RB_KINDS, weight_zero, tags=("commutes",))
         path_a = dendriform_to_prelie(rb_to_dendriform(doc))
         path_b = rb_to_prelie(commutator(doc))
         bracket_a = prelie_commutator(path_a)
@@ -372,6 +452,8 @@ def verify_diagram(doc: AlgebraDoc):
     except TheoremCheckError as e:
         return e.report if e.report is not None else make_report(
             [Violation("diagram-intermediate", (), (), (), ())])
+    finally:
+        _CHECKED.reset(token)
 
     diffs = first_difference(path_a, path_b), first_difference(bracket_a, bracket_b)
     return make_report(v for v in diffs if v is not None)

@@ -7,9 +7,11 @@ twist map.  Docs are immutable.  :func:`validate_doc` decides every shape rule,
 entries included, and `AlgebraDoc` runs it itself on every doc it makes, so
 a doc in hand is always well-formed: :func:`make_doc` assembles one, and
 :func:`parse_doc` only reads the JSON into scalars (`linalg.read_array`)
-and leaves the shape to make_doc.  :func:`with_part` replaces one part of a
-validated doc without any check, making the doc without __init__, for a
-caller whose part is canonical by construction, as a search's hits are.
+and leaves the shape to make_doc.  `_assemble` makes a doc without
+__init__ and so without any check, for a caller whose parts are canonical
+by construction: :func:`with_part` replaces one part of a validated doc
+with it, as a search's hits are made, and halg.constructions assembles its
+outputs with it.
 Every family map, operator and twist is checked by the one map rule,
 `linalg.check_map`: the right type over the doc's field, dim entries at
 every level, each a canonical scalar.
@@ -221,23 +223,32 @@ def with_part(doc: AlgebraDoc, twist: LinearMap | None = None,
     its operator family replaced by a part that the caller vouches for:
     nothing is checked.  The result shares doc's families, and a twist whose
     rows are the identity's row tuples is dropped on a plain rb kind.  A
-    search emits its hits this way, each from one validated base, so the
-    doc is made without __init__, which would validate it.
-    """
+    search emits its hits this way, each from one validated base."""
     if operators is None:
         operators = doc.operators
-        if doc.kind in PLAIN_RB_KINDS and twist.rows == _basis(doc.dim):
-            twist = None
     else:
         twist = doc.twist
-    # one call per part, as __init__ sets them, into the doc's slots: a hit
+    return _assemble(doc.field, doc.dim, doc.omega, doc.kind, doc.families,
+                     operators, twist)
+
+
+def _assemble(field: Field, dim: int, omega: OmegaSet, kind: str, families: dict,
+              operators: OperatorFamily | None, twist: LinearMap | None) -> AlgebraDoc:
+    """The doc of these parts, made without __init__, which would validate
+    it: the one unchecked path, for a caller whose parts are canonical by
+    construction (with_part, and the outputs of halg.constructions).  Only
+    a twist whose rows are the identity's row tuples is dropped on a plain
+    rb kind, as make_doc drops an identity twist."""
+    if twist is not None and kind in PLAIN_RB_KINDS and twist.rows == _basis(dim):
+        twist = None
+    # one call per part, as __init__ sets them, into the doc's slots: a doc
     # has no __dict__ to copy
     out, put = object.__new__(AlgebraDoc), object.__setattr__
-    put(out, "field", doc.field)
-    put(out, "dim", doc.dim)
-    put(out, "omega", doc.omega)
-    put(out, "kind", doc.kind)
-    put(out, "families", doc.families)
+    put(out, "field", field)
+    put(out, "dim", dim)
+    put(out, "omega", omega)
+    put(out, "kind", kind)
+    put(out, "families", families)
     put(out, "operators", operators)
     put(out, "twist", twist)
     return out

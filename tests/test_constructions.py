@@ -5,10 +5,14 @@ tests were run; tensors are asserted entrywise, not just re-checked.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,9 @@ from halg import (GF, QQ, TARGET_COMMUTING, TARGET_ENDOMORPHISM,
                   precompose_right, prelie_commutator, rb_to_dendriform,
                   rb_to_prelie, rb_to_tridendriform, report_to_jsonable,
                   seeded_sample, serialize_doc, structure_ok,
-                  tensor_transpose, untwist, verify_diagram, yau_twist)
+                  tensor_transpose, untwist, validate_doc, verify_diagram,
+                  yau_twist)
+import halg._runners
 import halg.constructions
 from halg.constructions import MAX_DERIVED_LEVEL, _checked_output
 from halg.structures import (COMPATIBLE_HOM_ASSOC, COMPATIBLE_HOM_LIE,
@@ -585,6 +591,146 @@ def test_a_construction_checks_its_map_once(monkeypatch):
             calls += bool(_applied(make))
             assert sum(m is doc.twist for m in checked) == 1, doc
     assert calls > 10, calls
+
+
+# --- outputs assembled from their parts -----------------------------------------
+
+def test_an_output_is_the_doc_make_doc_makes_of_its_parts(monkeypatch):
+    """Every recipe, on the catalog docs and the docs they lead to, builds
+    its output unchecked from its parts (constructions._output); each
+    output passes validate_doc and equals the doc make_doc, the checked
+    path, makes of the same parts."""
+    parts = []
+    real = halg.constructions._output
+
+    def recorded(doc, kind, omega, families, twist, alternating):
+        parts.append((doc, kind, omega, families, twist))
+        return real(doc, kind, omega, families, twist, alternating)
+    monkeypatch.setattr(halg.constructions, "_output", recorded)
+    built, docs = set(), _closure_docs()
+    for doc in docs:
+        for name, make in _recipes(doc):
+            parts.clear()
+            for out in _applied(make):
+                (src, kind, omega, families, twist), = parts
+                validate_doc(out)
+                assert out == make_doc(src.field, src.dim, omega, kind, families,
+                                       src.operators if kind in RB_KINDS else None,
+                                       twist), (name, doc)
+                built.add((name, kind))
+    assert {name for name, _ in built} == {name for name, _ in _recipes(docs[0])}
+    assert len(built) == 28, built
+
+
+def test_a_map_given_with_list_rows_gives_a_canonical_output():
+    """A recipe that takes a map stores it as the output's twist with tuple
+    rows: given a LinearMap whose rows are lists, each returns an output
+    equal to its own bytes read back and to its output for the same map
+    with tuple rows, and the twist hashes."""
+    field, base = GF(3), catalog("N2-Pnil-w0-F3")
+    split = rb_to_dendriform(base)
+    recipes = ((yau_twist, base, [[1, 0], [0, 1]]),
+               (lambda d, f: centroid_twist(d, f, 1), base, [[2, 0], [0, 2]]),
+               (lambda d, f: centroid_twist(d, f, 2), base, [[2, 0], [0, 2]]),
+               (dendriform_twist, split, [[1, 0], [0, 1]]))
+    for make, doc, rows in recipes:
+        listed = make(doc, LinearMap(field, rows))
+        tupled = make(doc, LinearMap(field, tuple(map(tuple, rows))))
+        assert listed == parse_doc(serialize_doc(listed)) == tupled, doc.kind
+        assert hash(listed.twist) == hash(tupled.twist)
+
+
+def test_a_bracket_row_that_is_not_alternating_is_refused(monkeypatch):
+    """The output builder checks a bracket for alternation unless its row
+    makes it alternating.  commutator handed a row that keeps the product,
+    dot.a(X, Y) (put in the fill table for this test), on a
+    matching-hom-assoc doc, or the transposed product m(Y, X) on a
+    plain-assoc rb doc, both products not commutative, is refused with
+    the ShapeError that make_doc raises on that bracket."""
+    from halg._codegen import _runner_source, facts
+    from halg.axioms import _FILLS, _law
+    from halg._runners import RUNNERS
+    law = _law("fill", "a", "dot.a(X, Y)")
+    arity, degree, padded, linear = facts(law)
+    scope = dict(vars(halg._runners))
+    exec(_runner_source(law.labels, arity, padded), scope)
+    monkeypatch.setitem(_FILLS, law.lhs, law)
+    monkeypatch.setitem(RUNNERS, law, (arity, degree, scope["run"], linear))
+    real = halg.constructions._construct
+
+    def swapped(what, doc, kinds, rows, *rest, **kw):
+        if what == "commutator":
+            rows = "m(Y, X)" if doc.kind in RB_KINDS else {"bracket": law.lhs}
+        return real(what, doc, kinds, rows, *rest, **kw)
+    monkeypatch.setattr(halg.constructions, "_construct", swapped)
+    hom, rb = ut_doc(), plain_rb(UT, [[0, 0], [1, 0]], 0)
+    for doc, made in (
+            (hom, lambda: make_doc(QQ, 2, hom.omega, COMPATIBLE_HOM_LIE,
+                                   {"bracket": dict(hom.families["dot"].maps)},
+                                   twist=hom.twist)),
+            (rb, lambda: make_doc(QQ, 2, rb.omega, PLAIN_LIE_MATCHING_RB,
+                                  {"bracket": tensor_transpose(rb.product())},
+                                  operators=rb.operators))):
+        with pytest.raises(ShapeError) as expected:
+            made()
+        with pytest.raises(ShapeError) as refused:
+            commutator(doc)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value), doc.kind
+        assert "alternating" in str(refused.value)
+
+
+def _closure_pool(seed):
+    """closure_pool(seed) of perfbench/inputs.py, the closure workload's
+    pool, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_closure_inputs", path)
+    # registered first: its dataclasses look their module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.closure_pool(seed)
+
+
+DIAGRAM_DIGEST = (
+    "629067d060cac4232dcca1d66477f27c7e0dc88038e49bab75be52c99f3b01ee")
+
+
+def test_the_diagram_checks_each_doc_once(monkeypatch):
+    """verify_diagram on N2-Pnil-w0-F3 builds nine frames: one of its
+    input, which its own checks and the first step of each path share; one
+    for the re-check of each of its six constructions' outputs, which the
+    next step reuses as its input frame; and one for each of the two
+    comparisons.  Over the weight-0 docs of the closure workload's pool at
+    seed 1, its outcomes, report or refusal, hash to a digest pinned when
+    every step still checked its input on a frame of its own."""
+    import halg.axioms
+    built = []
+    real = halg.axioms._frame
+
+    def counted(doc, *rest, **kw):
+        built.append(doc)
+        return real(doc, *rest, **kw)
+    monkeypatch.setattr(halg.constructions, "_frame", counted)
+    monkeypatch.setattr(halg.axioms, "_frame", counted)
+    doc = catalog("N2-Pnil-w0-F3")
+    assert verify_diagram(doc).passed
+    assert len(built) == 9 and sum(d is doc for d in built) == 1, built
+    monkeypatch.undo()
+
+    digest, outcomes = hashlib.sha256(), Counter()
+    for doc in _closure_pool(1):
+        if doc.operators is None or any(doc.operators.weights.values()):
+            continue
+        try:
+            payload = ["report", report_to_jsonable(verify_diagram(doc), doc.field)]
+        except HalgError as e:
+            report = getattr(e, "report", None)
+            payload = ["refused", type(e).__name__, str(e), None if report is None
+                       else report_to_jsonable(report, doc.field)]
+        outcomes[payload[0]] += 1
+        digest.update(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+    assert outcomes == {"report": 137, "refused": 12}, outcomes
+    assert digest.hexdigest() == DIAGRAM_DIGEST
 
 
 # --- functoriality: isomorphic inputs give isomorphic outputs --------------------
