@@ -103,7 +103,7 @@ def _ref(name, names):
 
 
 def _is_scalar(name):
-    return name.partition(".")[0] in ("-", "w", "D")
+    return name.partition(".")[0] in ("-", "w")
 
 
 def _degree(term):
@@ -118,22 +118,18 @@ def _padded(term, n):
     linear map: f(t) becomes (D*f)(t), "D*f" being D times f's columns,
     bound once per runner call.  A sign or a weight passes it to its
     argument, and a bilinear map to its first argument that is not a
-    lookup, a basis slot X being read through "D*E", D times the basis.
-    Only a lookup, or a bilinear map of two lookups, keeps D per instance."""
+    lookup, or else its first; a basis slot X is read from "D*E", D times
+    the basis."""
     if not n:
         return term
     if isinstance(term, int):
         return _padded(("D*E", term), n - 1)
     name, *args = term
-    if _is_scalar(name):
-        return (name, _padded(args[0], n))
-    if _lookup(term):
-        return _padded(("D", term), n - 1)
     if len(args) == 1:
+        if _is_scalar(name):
+            return (name, _padded(args[0], n))
         return _padded(("D*" + name, *args), n - 1)
-    k = next((k for k, t in enumerate(args) if isinstance(t, int) or not _lookup(t)), None)
-    if k is None:
-        return _padded(("D", term), n - 1)
+    k = next((k for k, t in enumerate(args) if isinstance(t, int) or not _lookup(t)), 0)
     args[k] = _padded(args[k], n)
     return (name, *args)
 

@@ -136,14 +136,12 @@ _ALTERNATING = frozenset({"dot.a(X, Y) - dot.a(Y, X)", "m(X, Y) - m(Y, X)",
 
 def _output(doc: AlgebraDoc, kind: str, omega: OmegaSet, families: dict,
             twist: LinearMap | None, alternating: bool) -> AlgebraDoc:
-    """The output of kind on doc's field and carrier, with doc's operators
-    on an rb kind: families maps each role to {label: tensor}, tensors
-    that fill or tensor_combine made canonical and in shape, so it is
-    assembled unchecked (structures._assemble), which drops an identity
-    twist on a plain kind.  The twist's rows are made tuples.  A bracket is
-    checked for alternation as validate_doc checks it, by
-    _check_alternating at the same path, unless alternating says its row
-    makes it so."""
+    """The output of kind on doc's field and carrier, assembled unchecked
+    (structures._assemble) from families, {role: {label: tensor}} with
+    tensors that fill or tensor_combine made canonical and in shape, doc's
+    operators on an rb kind, and twist, its rows made tuples.  A bracket is
+    checked for alternation at validate_doc's path, unless alternating says
+    its row makes it so."""
     if twist is not None and tuple(map(tuple, twist.rows)) != twist.rows:
         twist = LinearMap(twist.field, tuple(map(tuple, twist.rows)))
     rb = kind in RB_KINDS
@@ -324,9 +322,6 @@ def prelie_commutator(doc: AlgebraDoc) -> AlgebraDoc:
                       {"bracket": "star.a(X, Y) - star.a(Y, X)"})
 
 
-_COLLAPSED = OmegaSet(("*",))
-
-
 def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
     """Collapse an Omega-indexed family to one operation over {"*"}.
 
@@ -357,7 +352,7 @@ def collapse_family(doc: AlgebraDoc, coeffs) -> AlgebraDoc:
                                                    for lab in doc.labels])}
                 for role, fam in doc.families.items()}
     # a sum of the input's alternating brackets is alternating
-    out = _output(doc, doc.kind, _COLLAPSED, families, doc.twist, True)
+    out = _output(doc, doc.kind, OmegaSet(("*",)), families, doc.twist, True)
     return _checked_output(out, "collapse_family")
 
 
